@@ -1,9 +1,12 @@
 # Tier-1 gate plus vet, autovet, the race detector and shuffled test
-# order (order-dependence is a bug) — the full pre-merge check.
+# order (order-dependence is a bug) — the full pre-merge check. rtebench
+# is a module of its own (root ./... never builds it) that imports the
+# internal packages, so it is vetted and tested separately.
 check: lint
 	go build ./...
 	go vet ./...
 	go test -race -shuffle=on ./...
+	cd rtebench && go vet ./... && go test ./...
 
 # Build and run autovet, the repo's own go/analysis suite (see
 # internal/analysis): walltime, nilsafe, baregoroutine, kindswitch,
@@ -28,9 +31,9 @@ test:
 # Verification & DSE pipeline benchmarks (see EXPERIMENTS.md "Performance").
 # Emits BENCH_pipeline.json (name -> ns/op, allocs/op) alongside the
 # human-readable output, then enforces the performance budget: Verify
-# par no slower than seq, the paired E13 availability campaign within
-# its par/seq-ratio budget,
-# BenchmarkVerify/large within its allocs/op ceiling,
+# par no slower than seq, every paired par-vs-seq benchmark (the E13
+# availability and E14 observer campaigns) within its par/seq-ratio
+# budget, BenchmarkVerify/large within its allocs/op ceiling,
 # the incremental DSE path at least 3x faster than cached-par, and the
 # always-on flight recorder within 5% of recorder-off. The flight
 # benchmarks interleave on and off within each iteration and report the

@@ -406,10 +406,11 @@ func dseCandidates(b *testing.B, sys *model.System, n int) (*model.System, []*mo
 // winner. seq is the pre-pipeline workflow — every candidate evaluated
 // through the unbound, uncached evaluator, the winner verified on one
 // worker with cold analyses. par is the pipeline workflow — candidates
-// scored through a bound evaluator sharing the memoized response-time
-// cache, the winner verified through a shared parallel pipeline. Both
-// pick the same winner and produce byte-identical reports
-// (TestBoundEvaluateMatchesUnbound, TestVerifyParallelMatchesSequential).
+// scored through a bound evaluator (Prepare, then Evaluate) sharing the
+// memoized response-time cache, the winner verified through a shared
+// parallel pipeline. Both pick the same winner and produce byte-identical
+// reports (TestBoundEvaluateMatchesUnbound holds the two scorers together,
+// TestVerifyParallelMatchesSequential the two verifiers).
 func BenchmarkVerifyDSESweep(b *testing.B) {
 	const candidates = 32
 	cons := deploy.Constraints{RequireSchedulable: true}
@@ -442,7 +443,11 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				best, bestCost := 0, math.Inf(1)
 				for j, cand := range cands {
-					if cost := bound.Evaluate(cand.Mapping).Cost(obj); cost < bestCost {
+					prep, err := bound.Prepare(cand.Mapping)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if cost := prep.Evaluate().Cost(obj); cost < bestCost {
 						best, bestCost = j, cost
 					}
 				}

@@ -5,7 +5,7 @@
 // compares the fresh artifact against the committed baseline so perf
 // regressions surface in the PR, not three PRs later.
 //
-// The guarded invariants are the ones PR 6 restored and must not regress:
+// The guarded invariants must not regress:
 //
 //   - BenchmarkVerify/<size>/par must not be slower than .../seq — the
 //     cached-parallel path exists only because it wins; a par-slower-
@@ -14,13 +14,14 @@
 //     budget (default 1690, half the 3380 the seed shipped with).
 //   - BenchmarkVerifyDSESweepInc/<size>/inc must be at least -incratio
 //     (default 3.0) times faster than BenchmarkVerifyDSESweep/<size>/par.
-//   - BenchmarkE13Availability's "par/seq-ratio" metric (the
-//     fail-operational availability campaign fanned out across
-//     GOMAXPROCS workers, paired against the single-worker run) must
-//     stay at or under -e13ratio (default 1.15): on multicore the
-//     fan-out must win outright, and even on a one-CPU host — where
-//     both arms degenerate to one worker — the parallel dispatch must
-//     remain overhead, not a tax.
+//   - Every benchmark reporting a "par/seq-ratio" metric (the paired
+//     par-vs-seq campaigns, BenchmarkE13Availability and
+//     BenchmarkE14Observer: a study fanned out across GOMAXPROCS
+//     workers, paired against the single-worker run) must stay at or
+//     under -parratio (default 1.15): on multicore the fan-out must win
+//     outright, and even on a one-CPU host — where both arms degenerate
+//     to one worker — the parallel dispatch must remain overhead, not a
+//     tax.
 //   - Every benchmark reporting an "on/off-ratio" metric (the paired
 //     Benchmark*Flight comparisons): the always-on flight recorder must
 //     cost at most -flightratio (default 1.05, i.e. 5%) over the
@@ -36,7 +37,7 @@
 //
 //	benchguard -bench BENCH_pipeline.json [-old baseline.json] \
 //	           [-allocs 1690] [-incratio 3.0] [-flightratio 1.05] \
-//	           [-e13ratio 1.15]
+//	           [-parratio 1.15]
 package main
 
 import (
@@ -64,7 +65,7 @@ func main() {
 	allocs := flag.Int64("allocs", 1690, "allocs/op ceiling for BenchmarkVerify/large")
 	incRatio := flag.Float64("incratio", 3.0, "minimum DSE sweep speedup of the incremental path over cached-par")
 	flightRatio := flag.Float64("flightratio", 1.05, "maximum flight-recorder on/off ns/op ratio (observability budget)")
-	e13Ratio := flag.Float64("e13ratio", 1.15, "maximum E13 availability-campaign par/seq ns/op ratio")
+	parRatio := flag.Float64("parratio", 1.15, "maximum par/seq ns/op ratio of every paired par-vs-seq benchmark")
 	flag.Parse()
 	cur, err := load(*bench)
 	if err != nil {
@@ -77,7 +78,7 @@ func main() {
 		}
 		compare(os.Stdout, base, cur)
 	}
-	violations := guard(cur, *allocs, *incRatio, *flightRatio, *e13Ratio)
+	violations := guard(cur, *allocs, *incRatio, *flightRatio, *parRatio)
 	if len(violations) > 0 {
 		fmt.Fprintf(os.Stderr, "benchguard: %d violation(s) in %s:\n", len(violations), *bench)
 		for _, v := range violations {
@@ -101,7 +102,7 @@ func load(path string) (map[string]Result, error) {
 }
 
 // guard checks the budget invariants and returns the violations found.
-func guard(cur map[string]Result, allocCeiling int64, incRatio, flightRatio, e13Ratio float64) []string {
+func guard(cur map[string]Result, allocCeiling int64, incRatio, flightRatio, parRatio float64) []string {
 	var out []string
 	pairs := 0
 	for name, seq := range cur {
@@ -153,37 +154,35 @@ func guard(cur map[string]Result, allocCeiling int64, incRatio, flightRatio, e13
 	if incPairs == 0 {
 		out = append(out, "no DSE sweep inc/par pairs found — guard would pass vacuously")
 	}
-	e13, okE13 := cur["BenchmarkE13Availability"]
-	e13R, okRatio := e13.Metrics["par/seq-ratio"]
-	switch {
-	case !okE13 || !okRatio:
-		out = append(out, "no BenchmarkE13Availability par/seq-ratio metric found — guard would pass vacuously")
-	case e13R <= 0:
-		out = append(out, "BenchmarkE13Availability: non-positive par/seq-ratio")
-	case e13R > e13Ratio:
-		out = append(out, fmt.Sprintf("BenchmarkE13Availability: par costs %.1f%% over seq (budget %.1f%%)",
-			(e13R-1)*100, (e13Ratio-1)*100))
-	}
-	flightRatios := 0
+	out = append(out, ratioGuard(cur, "par/seq-ratio", "par", "seq", "par/seq-ratio", parRatio)...)
+	out = append(out, ratioGuard(cur, "on/off-ratio", "flight recorder", "off", "flight-recorder on/off-ratio", flightRatio)...)
+	sort.Strings(out)
+	return out
+}
+
+// ratioGuard checks every benchmark reporting a paired ratio metric (the
+// slow arm's ns/op over the fast arm's) against its ceiling. Finding no
+// such metric is itself a violation.
+func ratioGuard(cur map[string]Result, metric, slow, fast, kind string, ceiling float64) []string {
+	var out []string
+	found := 0
 	for name, r := range cur {
-		ratio, ok := r.Metrics["on/off-ratio"]
+		ratio, ok := r.Metrics[metric]
 		if !ok {
 			continue
 		}
-		flightRatios++
-		if ratio <= 0 {
-			out = append(out, fmt.Sprintf("%s: non-positive on/off-ratio", name))
-			continue
-		}
-		if ratio > flightRatio {
-			out = append(out, fmt.Sprintf("%s: flight recorder costs %.1f%% over off (budget %.1f%%)",
-				name, (ratio-1)*100, (flightRatio-1)*100))
+		found++
+		switch {
+		case ratio <= 0:
+			out = append(out, fmt.Sprintf("%s: non-positive %s", name, metric))
+		case ratio > ceiling:
+			out = append(out, fmt.Sprintf("%s: %s costs %.1f%% over %s (budget %.1f%%)",
+				name, slow, (ratio-1)*100, fast, (ceiling-1)*100))
 		}
 	}
-	if flightRatios == 0 {
-		out = append(out, "no flight-recorder on/off-ratio metrics found — guard would pass vacuously")
+	if found == 0 {
+		out = append(out, fmt.Sprintf("no %s metrics found — guard would pass vacuously", kind))
 	}
-	sort.Strings(out)
 	return out
 }
 

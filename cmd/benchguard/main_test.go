@@ -16,6 +16,7 @@ func healthy() map[string]Result {
 		"BenchmarkVerifyDSESweepInc/large-52chains/inc": {NsPerOp: 430000},
 		"BenchmarkVerifyFlight":                         {NsPerOp: 2170000, Metrics: map[string]float64{"on/off-ratio": 1.009}},
 		"BenchmarkE13Availability":                      {NsPerOp: 16000000, Metrics: map[string]float64{"par/seq-ratio": 0.41}},
+		"BenchmarkE14Observer":                          {NsPerOp: 25000000, Metrics: map[string]float64{"par/seq-ratio": 0.96}},
 	}
 }
 
@@ -75,12 +76,21 @@ func TestGuardFlagsFlightRatio(t *testing.T) {
 	}
 }
 
+// One rule covers every par/seq-ratio metric, not just E13's.
 func TestGuardFlagsE13Ratio(t *testing.T) {
 	m := healthy()
 	m["BenchmarkE13Availability"] = Result{NsPerOp: 16000000, Metrics: map[string]float64{"par/seq-ratio": 1.31}}
 	v := guard(m, 1690, 3.0, 1.03, 1.15)
 	if len(v) != 1 || !strings.Contains(v[0], "BenchmarkE13Availability: par costs 31.0% over seq (budget 15.0%)") {
 		t.Fatalf("want one E13 ratio violation, got %v", v)
+	}
+	m = healthy()
+	m["BenchmarkE14Observer"] = Result{NsPerOp: 25000000, Metrics: map[string]float64{"par/seq-ratio": 1.2}}
+	m["BenchmarkDSEDescend"] = Result{NsPerOp: 9000000, Metrics: map[string]float64{"par/seq-ratio": -1}}
+	v = guard(m, 1690, 3.0, 1.03, 1.15)
+	if len(v) != 2 || !strings.Contains(v[0], "BenchmarkDSEDescend: non-positive par/seq-ratio") ||
+		!strings.Contains(v[1], "BenchmarkE14Observer: par costs 20.0% over seq (budget 15.0%)") {
+		t.Fatalf("want DSE and E14 ratio violations, got %v", v)
 	}
 }
 
@@ -117,9 +127,10 @@ func TestGuardFlagsMissingCounterpart(t *testing.T) {
 	}
 	m = healthy()
 	delete(m, "BenchmarkE13Availability")
+	delete(m, "BenchmarkE14Observer")
 	v = guard(m, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 1 || !strings.Contains(v[0], "no BenchmarkE13Availability par/seq-ratio metric") {
-		t.Fatalf("want vacuous E13 violation, got %v", v)
+	if len(v) != 1 || !strings.Contains(v[0], "no par/seq-ratio metrics found") {
+		t.Fatalf("want vacuous par/seq-ratio violation, got %v", v)
 	}
 }
 

@@ -3,16 +3,10 @@ package can
 import (
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"autorte/internal/flight"
 	"autorte/internal/obs"
 )
-
-// keyBufPool recycles key scratch buffers across lookups (see sched's
-// twin) so steady-state verification builds keys without allocating.
-var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // sortedByID reports whether msgs already arrive in the priority order
 // Analyze uses; the verifier's message builders emit ID-ordered sets, so
@@ -61,32 +55,18 @@ func appendKey(buf []byte, cfg Config, msgs []*Message) []byte {
 
 // cacheKey materializes appendKey as a string (kept for tests and
 // debugging; the cache itself looks up via pooled buffers).
-func cacheKey(cfg Config, msgs []*Message) string {
-	bp := keyBufPool.Get().(*[]byte)
-	buf := appendKey((*bp)[:0], cfg, msgs)
-	s := string(buf)
-	*bp = buf
-	keyBufPool.Put(bp)
-	return s
-}
+func cacheKey(cfg Config, msgs []*Message) string { return string(appendKey(nil, cfg, msgs)) }
 
 // Cache memoizes Analyze by message-set key. During verification and DSE
 // the same bus frame set is analyzed once per candidate mapping and once
 // per chain stage; the cache collapses the repeats to a lookup. Safe for
 // concurrent use; concurrent misses on one key coalesce onto one analysis.
 type Cache struct {
-	mu     sync.RWMutex
-	m      map[string][]Response
-	flight flight.Group[[]Response]
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	dedup  atomic.Uint64
+	memo flight.Memo[[]Response]
 }
 
 // NewCache returns an empty CAN analysis cache.
-func NewCache() *Cache {
-	return &Cache{m: map[string][]Response{}}
-}
+func NewCache() *Cache { return &Cache{} }
 
 // rebind copies cached numeric results and re-binds them to the caller's
 // *Message values, matched by priority order. It fails when duplicate IDs
@@ -113,47 +93,8 @@ func rebind(cached []Response, msgs []*Message) ([]Response, bool) {
 // read-only; its Message pointers belong to whichever key-equal set first
 // populated the entry.
 func (c *Cache) lookup(cfg Config, msgs []*Message) ([]Response, error) {
-	bp := keyBufPool.Get().(*[]byte)
-	buf := appendKey((*bp)[:0], cfg, msgs)
-	c.mu.RLock()
-	cached, ok := c.m[string(buf)] // map index on converted bytes: no allocation
-	c.mu.RUnlock()
-	if ok {
-		*bp = buf
-		keyBufPool.Put(bp)
-		c.hits.Add(1)
-		return cached, nil
-	}
-	key := string(buf)
-	*bp = buf
-	keyBufPool.Put(bp)
-	rs, err, shared := c.flight.Do(key, func() ([]Response, error) {
-		// A racer may have stored the entry between our miss and winning
-		// the flight; re-check before analyzing.
-		c.mu.RLock()
-		cached, ok := c.m[key]
-		c.mu.RUnlock()
-		if ok {
-			c.hits.Add(1)
-			return cached, nil
-		}
-		c.misses.Add(1)
-		rs, err := Analyze(cfg, msgs)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.m[key] = rs
-		c.mu.Unlock()
-		return rs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if shared {
-		c.dedup.Add(1)
-	}
-	return rs, nil
+	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, cfg, msgs) },
+		func() ([]Response, error) { return Analyze(cfg, msgs) })
 }
 
 // Analyze is the memoized equivalent of the package function. On a hit
@@ -174,7 +115,7 @@ func (c *Cache) Analyze(cfg Config, msgs []*Message) ([]Response, error) {
 	// disturbing the stored entry.
 	out, ok := rebind(rs, msgs)
 	if !ok {
-		c.misses.Add(1)
+		c.memo.Miss()
 		return Analyze(cfg, msgs)
 	}
 	return out, nil
@@ -198,7 +139,8 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	hits, misses, _ = c.memo.Stats()
+	return hits, misses
 }
 
 // Len reports the number of distinct message sets cached.
@@ -206,9 +148,7 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
+	return c.memo.Len()
 }
 
 // Observe registers the cache's hit/miss/size series into a registry
@@ -218,9 +158,5 @@ func (c *Cache) Observe(reg *obs.Registry) {
 	if c == nil {
 		return
 	}
-	label := obs.Label{Key: "cache", Value: "can"}
-	reg.CounterFunc("analysis_cache_hits_total", "Memoized analysis lookups served from cache.", c.hits.Load, label)
-	reg.CounterFunc("analysis_cache_misses_total", "Memoized analysis lookups that ran the analysis.", c.misses.Load, label)
-	reg.CounterFunc("analysis_cache_dedup_total", "Memoized analysis lookups coalesced onto a concurrent identical computation.", c.dedup.Load, label)
-	reg.GaugeFunc("analysis_cache_entries", "Distinct problems held by the analysis cache.", func() float64 { return float64(c.Len()) }, label)
+	c.memo.Observe(reg, "can")
 }

@@ -3,6 +3,7 @@ package can
 import (
 	"testing"
 
+	"autorte/internal/race"
 	"autorte/internal/sim"
 )
 
@@ -62,5 +63,22 @@ func TestCacheKeySensitivity(t *testing.T) {
 	perm := []*Message{a[2], a[0], a[1]}
 	if cacheKey(cfg, a) != cacheKey(cfg, perm) {
 		t.Fatal("permuted message order should share a key")
+	}
+}
+
+// A warm AnalyzeShared is a pooled key build plus a map read: no
+// allocation, so the compute closure handed to the memo must not escape.
+func TestCacheWarmAnalyzeSharedAllocatesNothing(t *testing.T) {
+	cfg := Config{BitRate: 500_000}
+	c := NewCache()
+	msgs := cacheMsgs()
+	if _, err := c.AnalyzeShared(cfg, msgs); err != nil {
+		t.Fatal(err)
+	}
+	if race.Enabled {
+		t.Skip("sync.Pool discards pooled key buffers under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = c.AnalyzeShared(cfg, msgs) }); allocs != 0 {
+		t.Fatalf("warm AnalyzeShared allocates %v times, want 0", allocs)
 	}
 }

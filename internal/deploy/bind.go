@@ -5,19 +5,15 @@ package deploy
 // never change between candidates, only the Mapping does. Evaluator.Bind
 // exploits that invariant — it derives everything mapping-independent
 // once (effective runnable rates, per-component load terms, ECU-pair bus
-// reachability, proto task sets) so that Bound.Evaluate scores a
-// candidate mapping with just the per-ECU grouping plus (cached)
-// response-time analysis. The metrics are identical to the unbound
-// Evaluator.Evaluate, violations included; TestBoundEvaluateMatchesUnbound
-// holds the two paths together.
+// reachability and harness distances, proto task sets) so that the delta
+// evaluator (Bound.Prepare, delta.go) scores a candidate mapping with
+// just the per-ECU grouping plus (cached) response-time analysis.
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"autorte/internal/model"
-	"autorte/internal/sched"
 	"autorte/internal/sim"
 	"autorte/internal/vfb"
 )
@@ -67,19 +63,19 @@ type boundECU struct {
 }
 
 type boundConn struct {
-	from, to string
+	from, to int // component indices of the endpoints
 	// needsPath is true when the connector produces at least one bus route
 	// once remote (client-server always does; sender-receiver only with a
 	// non-empty element set).
 	needsPath bool
 }
 
-// Bound is an Evaluator fixed to one system topology. It scores candidate
-// mappings directly — no system clone needed — and is safe for concurrent
-// use, so a parallel search can fan candidate evaluations out over it.
-// The bound data reflects the topology at Bind time; candidates must
-// differ from the base system in Mapping only (the DSE invariant: every
-// candidate is a Clone of the seed with components moved).
+// Bound is an Evaluator fixed to one system topology: the scorer every
+// search runs through Prepare. It is read-only after Bind and safe for
+// concurrent use. The bound data reflects the topology at Bind time;
+// candidates must differ from the base system in Mapping only (the DSE
+// invariant: every candidate is a Clone of the seed with components
+// moved).
 type Bound struct {
 	ev    *Evaluator
 	comps []boundComp
@@ -88,16 +84,20 @@ type Bound struct {
 	ecuIdx  map[string]int
 	compIdx map[string]int
 	conns   []boundConn
-	// path caches vfb.Path's verdict per ordered ECU pair; nil = reachable.
-	path map[[2]string]error
+	// path caches vfb.Path's verdict per ordered ECU index pair; nil =
+	// reachable. dist holds the harness distance per ECU index pair.
+	path [][]error
+	dist [][]float64
+	// ecuByName lists ECU indices in name order — the order the RTA
+	// verdicts are reported in.
+	ecuByName []int
 	// groups holds the replica groups of the topology; empty for systems
 	// without standbys, where the fail-operational check is skipped.
 	groups []redGroup
 }
 
 // Bind precomputes the mapping-independent derivations of sys. It fails
-// when the base topology itself is invalid — searches fall back to the
-// unbound evaluator in that case so the legacy error surfaces unchanged.
+// when the base topology itself is invalid.
 func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -106,33 +106,57 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 		ev:      ev,
 		ecuIdx:  make(map[string]int, len(sys.ECUs)),
 		compIdx: make(map[string]int, len(sys.Components)),
-		path:    make(map[[2]string]error, len(sys.ECUs)*len(sys.ECUs)),
+		path:    make([][]error, len(sys.ECUs)),
+		dist:    make([][]float64, len(sys.ECUs)),
 	}
 	b.ecus = bindECUs(sys)
 	for i := range b.ecus {
 		b.ecuIdx[b.ecus[i].name] = i
 	}
+	b.ecuByName = byName(len(b.ecus), func(i int) string { return b.ecus[i].name })
 	b.comps = bindComps(sys)
 	for i := range b.comps {
 		b.compIdx[b.comps[i].name] = i
 	}
 	b.groups = redGroups(b.comps)
+	// Validate guarantees every connector endpoint is a known component.
 	for _, c := range sys.Connectors {
 		prov := sys.Component(c.FromSWC).Port(c.FromPort)
 		req := sys.Component(c.ToSWC).Port(c.ToPort)
 		needs := prov.Interface.Kind != model.SenderReceiver || len(req.Interface.Elements) > 0
-		b.conns = append(b.conns, boundConn{from: c.FromSWC, to: c.ToSWC, needsPath: needs})
+		b.conns = append(b.conns, boundConn{from: b.compIdx[c.FromSWC], to: b.compIdx[c.ToSWC], needsPath: needs})
 	}
-	for _, src := range sys.ECUs {
-		for _, dst := range sys.ECUs {
-			if src.Name == dst.Name {
-				continue
+	for si, src := range b.ecus {
+		b.path[si] = make([]error, len(b.ecus))
+		b.dist[si] = make([]float64, len(b.ecus))
+		for di, dst := range b.ecus {
+			b.dist[si][di] = math.Hypot(src.pos[0]-dst.pos[0], src.pos[1]-dst.pos[1])
+			if si != di {
+				_, _, _, b.path[si][di] = vfb.Path(sys, src.name, dst.name)
 			}
-			_, _, _, err := vfb.Path(sys, src.Name, dst.Name)
-			b.path[[2]string{src.Name, dst.Name}] = err
 		}
 	}
 	return b, nil
+}
+
+// byName returns the indices 0..n-1 sorted by name(i).
+func byName(n int, name func(int) string) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool { return name(idx[i]) < name(idx[j]) })
+	return idx
+}
+
+// mapping materializes a component-index -> ECU-index assignment as a
+// Mapping.
+func (b *Bound) mapping(ecuOf []int) map[string]string {
+	m := make(map[string]string, len(ecuOf))
+	for ci, ei := range ecuOf {
+		m[b.comps[ci].name] = b.ecus[ei].name
+	}
+	return m
 }
 
 // bindECUs derives the mapping-independent per-ECU terms, in declaration
@@ -192,234 +216,4 @@ func bindComps(sys *model.System) []boundComp {
 		p.ord = ord
 	}
 	return comps
-}
-
-// Evaluate scores one candidate mapping against the bound topology. The
-// result — feasibility, violations, every cost term — is identical to
-// evaluating a clone of the base system carrying this mapping through the
-// unbound path.
-func (b *Bound) Evaluate(mapping map[string]string) Metrics {
-	cons := b.ev.Cons
-	cons.fill()
-	m := Metrics{Feasible: true}
-	if err := cons.Validate(); err != nil {
-		m.Feasible = false
-		m.Violations = append(m.Violations, err.Error())
-		return m
-	}
-	used := map[string]bool{}
-	for _, e := range mapping {
-		used[e] = true
-	}
-	for i := range b.ecus {
-		if used[b.ecus[i].name] {
-			m.ECUs++
-		}
-	}
-	for _, c := range b.conns {
-		src, dst := mapping[c.from], mapping[c.to]
-		if src == "" || dst == "" || src == dst {
-			continue
-		}
-		si, ok1 := b.ecuIdx[src]
-		di, ok2 := b.ecuIdx[dst]
-		if !ok1 || !ok2 {
-			continue
-		}
-		dx := b.ecus[si].pos[0] - b.ecus[di].pos[0]
-		dy := b.ecus[si].pos[1] - b.ecus[di].pos[1]
-		m.Harness += math.Hypot(dx, dy)
-	}
-	// One pass over components, grouping per hosting ECU. Accumulation
-	// order per ECU is component order — the same order AnalyzedLoad sums
-	// in, so the floats come out bit-identical.
-	type hostAcc struct {
-		load        float64
-		memory      int
-		hosts       bool
-		worst, best model.ASIL
-	}
-	accs := make([]hostAcc, len(b.ecus))
-	for i := range b.comps {
-		c := &b.comps[i]
-		idx, ok := b.ecuIdx[mapping[c.name]]
-		if !ok {
-			continue
-		}
-		a := &accs[idx]
-		if !a.hosts || c.asil < a.best {
-			a.best = c.asil
-		}
-		a.hosts = true
-		a.memory += c.memoryKB
-		if c.asil > a.worst {
-			a.worst = c.asil
-		}
-		if c.passive {
-			continue // suspended until promotion: no normal-case load
-		}
-		speed := b.ecus[idx].speed
-		for _, t := range c.loadTerms {
-			a.load += t / speed
-		}
-	}
-	var loads []float64
-	for i := range b.ecus {
-		e, a := &b.ecus[i], &accs[i]
-		if !a.hosts {
-			continue
-		}
-		loads = append(loads, a.load)
-		if a.load > m.MaxLoad {
-			m.MaxLoad = a.load
-		}
-		if a.load > cons.MaxUtilization {
-			m.Feasible = false
-			m.Violations = append(m.Violations, fmt.Sprintf("%s overloaded: %.3f > %.3f", e.name, a.load, cons.MaxUtilization))
-		}
-		if cons.RespectMemory && e.memoryKB > 0 && a.memory > e.memoryKB {
-			m.Feasible = false
-			m.Violations = append(m.Violations, fmt.Sprintf("%s out of memory: %d > %d KB", e.name, a.memory, e.memoryKB))
-		}
-		if cons.RespectASIL && a.worst > e.maxASIL {
-			m.Feasible = false
-			m.Violations = append(m.Violations, fmt.Sprintf("%s hosts %v components but qualifies only for %v", e.name, a.worst, e.maxASIL))
-		}
-		if msg := asilSpreadViolation(e.name, a.worst, a.best, cons.MaxASILSpread); msg != "" {
-			m.Feasible = false
-			m.Violations = append(m.Violations, msg)
-		}
-	}
-	rc := &redCheck{
-		comps: b.comps, groups: b.groups, ecus: b.ecus, cons: cons, rta: b.ev.RTA,
-		ecuOf: func(ci int) (int, bool) { idx, ok := b.ecuIdx[mapping[b.comps[ci].name]]; return idx, ok },
-		load:  func(ei int) float64 { return accs[ei].load },
-		hosts: func(ei int) bool { return accs[ei].hosts },
-	}
-	rc.run(&m)
-	if err := b.commCheck(mapping); err != nil {
-		m.Feasible = false
-		m.Violations = append(m.Violations, err.Error())
-	}
-	if cons.RequireSchedulable {
-		b.checkSchedulable(mapping, &m)
-	}
-	if len(loads) > 0 {
-		mean := 0.0
-		for _, l := range loads {
-			mean += l
-		}
-		mean /= float64(len(loads))
-		for _, l := range loads {
-			m.LoadVar += (l - mean) * (l - mean)
-		}
-		m.LoadVar /= float64(len(loads))
-	}
-	return m
-}
-
-// commCheck reproduces the communication-feasibility verdict vfb.Resolve
-// would reach on this mapping — same first error, without deriving routes:
-// mapping referents must exist (what Resolve's Validate call catches
-// first), every connector endpoint must be mapped, and every
-// route-producing remote connector needs a reachable ECU pair.
-func (b *Bound) commCheck(mapping map[string]string) error {
-	// Sorted components: "same first error" must mean the same error on
-	// every run, not whichever bad entry map iteration reaches first.
-	swcs := make([]string, 0, len(mapping))
-	for swc := range mapping {
-		swcs = append(swcs, swc)
-	}
-	sort.Strings(swcs)
-	for _, swc := range swcs {
-		ecu := mapping[swc]
-		if _, ok := b.compIdx[swc]; !ok {
-			return fmt.Errorf("mapping references unknown component %q", swc)
-		}
-		if _, ok := b.ecuIdx[ecu]; !ok {
-			return fmt.Errorf("mapping of %s references unknown ECU %q", swc, ecu)
-		}
-	}
-	for _, c := range b.conns {
-		src, ok := mapping[c.from]
-		if !ok {
-			return fmt.Errorf("vfb: component %s is not mapped", c.from)
-		}
-		dst, ok := mapping[c.to]
-		if !ok {
-			return fmt.Errorf("vfb: component %s is not mapped", c.to)
-		}
-		if src == dst || !c.needsPath {
-			continue
-		}
-		if err := b.path[[2]string{src, dst}]; err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkSchedulable reproduces taskset.Build + per-ECU RTA from the proto
-// tasks: group per hosting ECU, rank rate-monotonically with taskset's
-// exact ordering, scale WCETs by ECU speed, and run the (cached) analysis
-// in sorted ECU order.
-func (b *Bound) checkSchedulable(mapping map[string]string, m *Metrics) {
-	groups := map[string][]*protoTask{}
-	for i := range b.comps {
-		if b.comps[i].passive {
-			continue // taskset.Build skips suspended standbys too
-		}
-		ecu := mapping[b.comps[i].name]
-		for j := range b.comps[i].protos {
-			groups[ecu] = append(groups[ecu], &b.comps[i].protos[j])
-		}
-	}
-	var names []string
-	for e := range groups {
-		names = append(names, e)
-	}
-	sort.Strings(names)
-	for _, ecu := range names {
-		protos := groups[ecu]
-		// ord restricts the precomputed global order to this group —
-		// identical to taskset.Build's stable (period, name) sort.
-		sort.Slice(protos, func(i, j int) bool { return protos[i].ord < protos[j].ord })
-		speed := 1.0
-		if idx, ok := b.ecuIdx[ecu]; ok {
-			speed = b.ecus[idx].speed
-		}
-		var tasks []sched.Task
-		for rank, p := range protos {
-			if p.period <= 0 {
-				continue
-			}
-			tasks = append(tasks, sched.Task{
-				Name: p.name, C: sim.Duration(float64(p.wcet) / speed),
-				T: p.period, D: p.deadline, Priority: 1000 - rank,
-			})
-		}
-		if len(tasks) == 0 {
-			continue
-		}
-		ok, err := b.ev.RTA.Check(tasks)
-		if err != nil {
-			m.Feasible = false
-			m.Violations = append(m.Violations, fmt.Sprintf("%s: RTA failed: %v", ecu, err))
-			continue
-		}
-		if !ok {
-			m.Feasible = false
-			m.Violations = append(m.Violations, fmt.Sprintf("%s unschedulable under response-time analysis", ecu))
-		}
-	}
-}
-
-// cloneMapping copies a candidate mapping — the only mutable state a
-// bound evaluation needs, replacing the full system Clone per candidate.
-func cloneMapping(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

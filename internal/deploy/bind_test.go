@@ -3,6 +3,7 @@ package deploy
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"autorte/internal/model"
@@ -19,10 +20,11 @@ func demoSystem(t *testing.T) *model.System {
 	return sys
 }
 
-// Bound evaluation must reproduce the unbound evaluator exactly — same
-// feasibility, same violation strings in the same order, bit-identical
-// cost terms — across a walk of random candidate mappings and every
-// constraint shape, feasible and infeasible.
+// Scoring a mapping through a Bound — Prepare, then Evaluate — must
+// reproduce the unbound evaluator exactly: same feasibility, same
+// violation strings in the same order, bit-identical cost terms, across a
+// walk of random candidate mappings and every constraint shape, feasible
+// and infeasible.
 func TestBoundEvaluateMatchesUnbound(t *testing.T) {
 	base := demoSystem(t)
 	consSet := map[string]Constraints{
@@ -43,7 +45,11 @@ func TestBoundEvaluateMatchesUnbound(t *testing.T) {
 			r := sim.NewRand(7)
 			for step := 0; step < 40; step++ {
 				want := ev.Evaluate(cur)
-				got := bound.Evaluate(cur.Mapping)
+				prep, err := bound.Prepare(cur.Mapping)
+				if err != nil {
+					t.Fatalf("step %d: prepare: %v", step, err)
+				}
+				got := prep.Evaluate()
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("step %d: bound metrics diverge\nunbound: %+v\nbound:   %+v", step, want, got)
 				}
@@ -61,8 +67,11 @@ func TestBoundEvaluateMatchesUnbound(t *testing.T) {
 	}
 }
 
-// Degenerate mappings must fail identically through both paths: an
-// unmapped component and a mapping onto an unknown ECU.
+// Degenerate mappings on a bound evaluator: an unmapped component and a
+// mapping onto an unknown ECU score infeasible in the unbound evaluator,
+// Prepare refuses them, and an unknown-ECU move from a prepared incumbent
+// scores infeasible with exactly the diagnostic the unbound evaluator
+// emits for that mapping.
 func TestBoundEvaluateDegenerateMappings(t *testing.T) {
 	base := demoSystem(t)
 	ev := NewEvaluator(Constraints{RequireSchedulable: true})
@@ -73,39 +82,36 @@ func TestBoundEvaluateDegenerateMappings(t *testing.T) {
 
 	unmapped := base.Clone()
 	delete(unmapped.Mapping, unmapped.Components[0].Name)
-	want := ev.Evaluate(unmapped)
-	got := bound.Evaluate(unmapped.Mapping)
-	if want.Feasible || got.Feasible {
+	if ev.Evaluate(unmapped).Feasible {
 		t.Fatal("unmapped component should be infeasible")
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("unmapped-component metrics diverge\nunbound: %+v\nbound:   %+v", want, got)
+	if _, err := bound.Prepare(unmapped.Mapping); err == nil {
+		t.Fatal("prepare should reject an unmapped component")
 	}
 
+	comp := base.Components[0].Name
 	ghost := base.Clone()
-	ghost.Mapping[ghost.Components[0].Name] = "no-such-ecu"
-	want = ev.Evaluate(ghost)
-	got = bound.Evaluate(ghost.Mapping)
-	if want.Feasible || got.Feasible {
+	ghost.Mapping[comp] = "no-such-ecu"
+	want := ev.Evaluate(ghost)
+	if want.Feasible {
 		t.Fatal("unknown-ECU mapping should be infeasible")
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("unknown-ECU metrics diverge\nunbound: %+v\nbound:   %+v", want, got)
+	if _, err := bound.Prepare(ghost.Mapping); err == nil {
+		t.Fatal("prepare should reject a mapping onto an unknown ECU")
+	}
+	prep, err := bound.Prepare(base.Mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := prep.EvaluateMove(comp, "no-such-ecu")
+	if got.Feasible || len(got.Violations) != 1 || !slices.Contains(want.Violations, got.Violations[0]) {
+		t.Fatalf("unknown-ECU move scored %+v; unbound violations %q", got, want.Violations)
 	}
 }
 
-// Bind must refuse an invalid base topology so searches fall back to the
-// unbound evaluator and report the legacy validation error.
-func TestBindRejectsInvalidTopology(t *testing.T) {
-	sys := demoSystem(t)
-	sys.ECUs[0].Speed = 0
-	if _, err := NewEvaluator(Constraints{}).Bind(sys); err == nil {
-		t.Fatal("Bind accepted an invalid topology")
-	}
-}
-
-// A bound evaluator is shared across a parallel search's workers; hammer
-// it concurrently to keep it race-clean (run with -race).
+// One Bound must be safe to share: goroutines that each Prepare and
+// Evaluate the same mapping all reproduce the unbound score (run with
+// -race).
 func TestBoundEvaluateConcurrent(t *testing.T) {
 	base := demoSystem(t)
 	ev := NewEvaluator(Constraints{RequireSchedulable: true})
@@ -113,14 +119,31 @@ func TestBoundEvaluateConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bound.Evaluate(base.Mapping)
+	want := ev.Evaluate(base)
 	done := make(chan Metrics, 8)
 	for g := 0; g < 8; g++ {
-		go func() { done <- bound.Evaluate(base.Mapping) }()
+		go func() {
+			prep, err := bound.Prepare(base.Mapping)
+			if err != nil {
+				done <- Metrics{Violations: []string{err.Error()}}
+				return
+			}
+			done <- prep.Evaluate()
+		}()
 	}
 	for g := 0; g < 8; g++ {
 		if got := <-done; !reflect.DeepEqual(want, got) {
 			t.Fatalf("concurrent bound evaluation diverged: %+v vs %+v", want, got)
 		}
+	}
+}
+
+// Bind must refuse an invalid base topology; the searches surface that
+// refusal as an error (TestSearchesHandleDegenerateSystems).
+func TestBindRejectsInvalidTopology(t *testing.T) {
+	sys := demoSystem(t)
+	sys.ECUs[0].Speed = 0
+	if _, err := NewEvaluator(Constraints{}).Bind(sys); err == nil {
+		t.Fatal("Bind accepted an invalid topology")
 	}
 }

@@ -1,20 +1,18 @@
 package deploy
 
-// Bound.Evaluate already avoids the per-candidate system clone, but it
-// still regroups every component and re-checks every ECU for each scored
-// move — O(system) work for a candidate that differs from the incumbent by
-// ONE mapping entry. Prepared is the delta evaluator on top of Bound: it
-// retains the incumbent's per-ECU accumulators and schedulability
-// verdicts, and EvaluateMove re-derives only the two ECUs a move touches.
-// The metrics are bit-identical to Bound.Evaluate — same summation order,
-// same violation strings in the same order — so a search can switch
-// between the paths freely (TestPreparedEvaluateMoveMatchesBoundEvaluate
-// holds them together).
+// A candidate that differs from the incumbent by ONE mapping entry should
+// not cost O(system) to score. Prepared is the delta evaluator on top of
+// Bound and the only scorer the searches use: it retains the incumbent's
+// per-ECU accumulators and schedulability verdicts, and EvaluateMove
+// re-derives only the two ECUs a move touches. The metrics are
+// bit-identical to the unbound Evaluator.Evaluate — same summation order,
+// same violation strings in the same order — which stays the reference
+// oracle (TestPreparedEvaluateMoveMatchesBoundEvaluate and the random
+// walks in redundant_test.go and faultmodel_test.go hold the two paths
+// together).
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 
 	"autorte/internal/model"
@@ -22,8 +20,8 @@ import (
 	"autorte/internal/sim"
 )
 
-// ecuAcc is one ECU's per-candidate accumulator state: the hosting terms
-// Bound.Evaluate derives per evaluation, retained per incumbent instead.
+// ecuAcc is one ECU's per-candidate accumulator state, retained per
+// incumbent.
 type ecuAcc struct {
 	load        float64
 	memory      int
@@ -46,21 +44,13 @@ type moveEntry struct {
 // for concurrent use (parallel steepest descent scores all moves of a
 // round concurrently); Apply commits a move and is not.
 type Prepared struct {
-	b   *Bound
-	cur map[string]string
-	// curIdx mirrors cur as comp index -> ECU index, so the hot loops
+	b *Bound
+	// curIdx is the incumbent as comp index -> ECU index, so the hot loops
 	// compare integers instead of hashing names.
 	curIdx []int
 	// Per-ECU incumbent state, indexed like b.ecus.
 	accs     []ecuAcc
 	schedMsg []string // RTA violation message, "" when schedulable/skipped
-	// dist caches the harness distance per ECU index pair, ecuByName
-	// fixes the sorted order checkSchedulable reports violations in, and
-	// connComp resolves each connector's endpoint comp indices (-1 when
-	// the name is not a known component).
-	dist      [][]float64
-	ecuByName []int
-	connComp  [][2]int
 	// memo retains dirty-ECU recomputations against the current
 	// incumbent: a search rescoring its neighborhood between accepted
 	// moves hits the same (ECU, leave, join) combinations over and over.
@@ -71,30 +61,18 @@ type Prepared struct {
 
 // Prepare binds the evaluator state to an incumbent mapping. It rejects
 // mappings outside the DSE invariant — every component mapped to a known
-// ECU, no stray entries — because only there is the delta path guaranteed
-// to reproduce Bound.Evaluate exactly; searches fall back to the bound
-// evaluator on error.
+// ECU, no stray entries — because only there does the delta path
+// reproduce the unbound Evaluate exactly; a search bootstraps from
+// Greedy instead.
 func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 	if len(mapping) != len(b.comps) {
 		return nil, fmt.Errorf("deploy: prepare: mapping has %d entries for %d components", len(mapping), len(b.comps))
 	}
 	p := &Prepared{
 		b:        b,
-		cur:      cloneMapping(mapping),
 		curIdx:   make([]int, len(b.comps)),
 		accs:     make([]ecuAcc, len(b.ecus)),
 		schedMsg: make([]string, len(b.ecus)),
-		dist:     make([][]float64, len(b.ecus)),
-		connComp: make([][2]int, len(b.conns)),
-		memo:     map[moveKey]moveEntry{},
-		ecuByName: func() []int {
-			idx := make([]int, len(b.ecus))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Slice(idx, func(i, j int) bool { return b.ecus[idx[i]].name < b.ecus[idx[j]].name })
-			return idx
-		}(),
 	}
 	for i := range b.comps {
 		ecu, ok := mapping[b.comps[i].name]
@@ -108,33 +86,16 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 		p.curIdx[i] = ei
 	}
 	for i := range b.ecus {
-		p.dist[i] = make([]float64, len(b.ecus))
-		for j := range b.ecus {
-			dx := b.ecus[i].pos[0] - b.ecus[j].pos[0]
-			dy := b.ecus[i].pos[1] - b.ecus[j].pos[1]
-			p.dist[i][j] = math.Hypot(dx, dy)
-		}
-	}
-	for k := range b.conns {
-		p.connComp[k] = [2]int{-1, -1}
-		if ci, ok := b.compIdx[b.conns[k].from]; ok {
-			p.connComp[k][0] = ci
-		}
-		if ci, ok := b.compIdx[b.conns[k].to]; ok {
-			p.connComp[k][1] = ci
-		}
-	}
-	for i := range b.ecus {
 		p.accs[i], p.schedMsg[i] = p.computeECU(i, -1, -1)
 	}
 	return p, nil
 }
 
 // computeECU re-derives one ECU's accumulator and schedulability verdict,
-// reproducing Bound.Evaluate's per-component accumulation order and
-// checkSchedulable's grouping exactly. The hosted set is the incumbent's,
-// minus comp index skip, plus comp index add (-1 for none) — the two
-// adjustments a single-component move needs.
+// reproducing the unbound path's per-component accumulation order
+// (AnalyzedLoad) and task-set ranking (taskset.Build) exactly. The hosted
+// set is the incumbent's, minus comp index skip, plus comp index add (-1
+// for none) — the two adjustments a single-component move needs.
 func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
 	b := p.b
 	name := b.ecus[idx].name
@@ -203,22 +164,30 @@ func (p *Prepared) computeECUCached(idx, skip, add int) (ecuAcc, string) {
 	}
 	acc, msg := p.computeECU(idx, skip, add)
 	p.mu.Lock()
+	if p.memo == nil {
+		p.memo = map[moveKey]moveEntry{}
+	}
 	p.memo[k] = moveEntry{acc, msg}
 	p.mu.Unlock()
 	return acc, msg
 }
 
-// EvaluateMove scores moving comp to ecu without committing it. Unknown
-// names fall back to the full bound evaluation of the mutated mapping.
+// EvaluateMove scores moving comp to ecu without committing it. An
+// unknown component or ECU name scores infeasible.
 func (p *Prepared) EvaluateMove(comp, ecu string) Metrics {
-	b := p.b
-	ci, okC := b.compIdx[comp]
-	ei, okE := b.ecuIdx[ecu]
-	if !okC || !okE {
-		cm := cloneMapping(p.cur)
-		cm[comp] = ecu
-		return b.Evaluate(cm)
+	ci, ok := p.b.compIdx[comp]
+	if !ok {
+		return Metrics{Violations: []string{fmt.Sprintf("mapping references unknown component %q", comp)}}
 	}
+	ei, ok := p.b.ecuIdx[ecu]
+	if !ok {
+		return Metrics{Violations: []string{fmt.Sprintf("mapping of %s references unknown ECU %q", comp, ecu)}}
+	}
+	return p.evaluateMove(ci, ei)
+}
+
+// evaluateMove is EvaluateMove by component and ECU index.
+func (p *Prepared) evaluateMove(ci, ei int) Metrics {
 	oi := p.curIdx[ci]
 	if ei == oi {
 		// The move is a no-op: the candidate mapping IS the incumbent.
@@ -246,17 +215,21 @@ func (p *Prepared) Evaluate() Metrics {
 // Apply commits a previously scored move into the incumbent state. Not
 // safe for concurrent use with EvaluateMove.
 func (p *Prepared) Apply(comp, ecu string) error {
-	b := p.b
-	ci, ok := b.compIdx[comp]
+	ci, ok := p.b.compIdx[comp]
 	if !ok {
 		return fmt.Errorf("deploy: apply: unknown component %q", comp)
 	}
-	ei, ok := b.ecuIdx[ecu]
+	ei, ok := p.b.ecuIdx[ecu]
 	if !ok {
 		return fmt.Errorf("deploy: apply: unknown ECU %q", ecu)
 	}
+	p.apply(ci, ei)
+	return nil
+}
+
+// apply is Apply by component and ECU index.
+func (p *Prepared) apply(ci, ei int) {
 	oi := p.curIdx[ci]
-	p.cur[comp] = ecu
 	p.curIdx[ci] = ei
 	// Only the two dirty ECUs' memo entries are stale: a move between oi
 	// and ei cannot change any other ECU's hosted set, and within a memo
@@ -274,11 +247,10 @@ func (p *Prepared) Apply(comp, ecu string) error {
 	if ei != oi {
 		p.accs[ei], p.schedMsg[ei] = p.computeECU(ei, -1, -1)
 	}
-	return nil
 }
 
 // Mapping returns a copy of the incumbent mapping.
-func (p *Prepared) Mapping() map[string]string { return cloneMapping(p.cur) }
+func (p *Prepared) Mapping() map[string]string { return p.b.mapping(p.curIdx) }
 
 // ecuOf resolves a component's ECU index under the incumbent with one
 // moved component overridden (moved -1 for none).
@@ -289,7 +261,7 @@ func (p *Prepared) ecuOf(ci, moved, target int) int {
 	return p.curIdx[ci]
 }
 
-// assemble folds per-ECU state into Metrics with Bound.Evaluate's exact
+// assemble folds per-ECU state into Metrics with the unbound path's exact
 // term order: ECU count, harness sum in connector order, per-ECU checks in
 // declaration order, communication verdict, RTA verdicts in sorted ECU
 // order, then load variance. The candidate mapping is the incumbent with
@@ -309,16 +281,10 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 			m.ECUs++
 		}
 	}
-	for k := range b.conns {
-		fi, ti := p.connComp[k][0], p.connComp[k][1]
-		if fi < 0 || ti < 0 {
-			continue
+	for _, c := range b.conns {
+		if si, di := p.ecuOf(c.from, moved, target), p.ecuOf(c.to, moved, target); si != di {
+			m.Harness += b.dist[si][di]
 		}
-		si, di := p.ecuOf(fi, moved, target), p.ecuOf(ti, moved, target)
-		if si == di {
-			continue
-		}
-		m.Harness += p.dist[si][di]
 	}
 	var loads []float64
 	for i := range b.ecus {
@@ -360,7 +326,7 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 		m.Violations = append(m.Violations, err.Error())
 	}
 	if cons.RequireSchedulable {
-		for _, i := range p.ecuByName {
+		for _, i := range b.ecuByName {
 			a, msg := get(i)
 			if a.protos == 0 || msg == "" {
 				continue
@@ -383,24 +349,19 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 	return m
 }
 
-// commCheck reproduces Bound.commCheck under the moved-component view.
-// The mapping sanity loop of the bound path is statically satisfied here:
-// Prepare validated the incumbent and EvaluateMove only substitutes known
-// names. Connectors with endpoints outside the component set never need a
-// path (the bound path sees empty ECU names and skips them too).
+// commCheck reproduces the communication-feasibility verdict vfb.Resolve
+// reaches on the candidate mapping — the same first error, without
+// deriving routes: every route-producing remote connector needs a
+// reachable ECU pair. Resolve's other failures (unknown or unmapped
+// names) cannot occur here: Prepare validated the incumbent and a move
+// only substitutes known names.
 func (p *Prepared) commCheck(moved, target int) error {
-	b := p.b
-	for k := range b.conns {
-		c := &b.conns[k]
-		fi, ti := p.connComp[k][0], p.connComp[k][1]
-		if fi < 0 || ti < 0 {
-			continue
-		}
-		si, di := p.ecuOf(fi, moved, target), p.ecuOf(ti, moved, target)
+	for _, c := range p.b.conns {
+		si, di := p.ecuOf(c.from, moved, target), p.ecuOf(c.to, moved, target)
 		if si == di || !c.needsPath {
 			continue
 		}
-		if err := b.path[[2]string{b.ecus[si].name, b.ecus[di].name}]; err != nil {
+		if err := p.b.path[si][di]; err != nil {
 			return err
 		}
 	}

@@ -2,12 +2,14 @@ package deploy
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"autorte/internal/model"
 	"autorte/internal/sim"
 )
 
-// The delta evaluator must reproduce the bound evaluation exactly — same
+// The delta evaluator must reproduce the unbound evaluation exactly — same
 // feasibility, same violation strings in the same order, bit-identical
 // cost terms — for every scored move, across constraint shapes and as the
 // incumbent advances through applied moves.
@@ -35,12 +37,13 @@ func TestPreparedEvaluateMoveMatchesBoundEvaluate(t *testing.T) {
 			for step := 0; step < 60; step++ {
 				comp := base.Components[r.Intn(len(base.Components))].Name
 				ecu := base.ECUs[r.Intn(len(base.ECUs))].Name
-				cm := prep.Mapping()
-				cm[comp] = ecu
-				want := bound.Evaluate(cm)
+				cand := base.Clone()
+				cand.Mapping = prep.Mapping()
+				cand.Mapping[comp] = ecu
+				want := ev.Evaluate(cand)
 				got := prep.EvaluateMove(comp, ecu)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d (%s -> %s): delta metrics diverge\nbound: %+v\ndelta: %+v", step, comp, ecu, want, got)
+					t.Fatalf("step %d (%s -> %s): delta metrics diverge\nunbound: %+v\ndelta:   %+v", step, comp, ecu, want, got)
 				}
 				// Advance the incumbent on every third step so both paths
 				// walk the same trajectory.
@@ -58,7 +61,8 @@ func TestPreparedEvaluateMoveMatchesBoundEvaluate(t *testing.T) {
 }
 
 // Score-only calls must be safe to fan out concurrently over one shared
-// incumbent — the parallel steepest-descent shape.
+// incumbent — the parallel steepest-descent shape. Sharing the Bound itself
+// is TestBoundEvaluateConcurrent.
 func TestPreparedEvaluateMoveConcurrent(t *testing.T) {
 	base := demoSystem(t)
 	ev := NewEvaluator(Constraints{RequireSchedulable: true})
@@ -75,10 +79,10 @@ func TestPreparedEvaluateMoveConcurrent(t *testing.T) {
 	var want []Metrics
 	for _, c := range base.Components {
 		for _, e := range base.ECUs[:4] {
-			cm := cloneMapping(base.Mapping)
-			cm[c.Name] = e.Name
+			cand := base.Clone()
+			cand.Mapping[c.Name] = e.Name
 			moves = append(moves, move{c.Name, e.Name})
-			want = append(want, bound.Evaluate(cm))
+			want = append(want, ev.Evaluate(cand))
 		}
 	}
 	done := make(chan int, 8)
@@ -101,41 +105,56 @@ func TestPreparedEvaluateMoveConcurrent(t *testing.T) {
 	}
 }
 
+// Prepare must reject mappings outside the DSE invariant — which the
+// unbound evaluator scores infeasible — and an unknown move target must
+// score infeasible with the diagnostic vfb.Resolve gives, without
+// corrupting the incumbent.
 func TestPreparedRejectsIncompleteMapping(t *testing.T) {
 	base := demoSystem(t)
-	ev := NewEvaluator(Constraints{})
+	ev := NewEvaluator(Constraints{RequireSchedulable: true})
 	bound, err := ev.Bind(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial := cloneMapping(base.Mapping)
-	delete(partial, base.Components[0].Name)
-	if _, err := bound.Prepare(partial); err == nil {
-		t.Fatal("prepare should reject a mapping missing a component")
+	unmapped := base.Clone()
+	delete(unmapped.Mapping, base.Components[0].Name)
+	stray := base.Clone()
+	stray.Mapping["ghost"] = base.ECUs[0].Name
+	ghost := base.Clone()
+	ghost.Mapping[base.Components[0].Name] = "no-such-ecu"
+	for name, sys := range map[string]*model.System{"missing component": unmapped, "stray entry": stray, "unknown ECU": ghost} {
+		if _, err := bound.Prepare(sys.Mapping); err == nil {
+			t.Fatalf("prepare should reject a mapping with a %s", name)
+		}
+		if m := ev.Evaluate(sys); m.Feasible {
+			t.Fatalf("unbound evaluation of a mapping with a %s should be infeasible", name)
+		}
 	}
-	stray := cloneMapping(base.Mapping)
-	stray["ghost"] = base.ECUs[0].Name
-	if _, err := bound.Prepare(stray); err == nil {
-		t.Fatal("prepare should reject a mapping with stray entries")
-	}
-	unknown := cloneMapping(base.Mapping)
-	unknown[base.Components[0].Name] = "no-such-ecu"
-	if _, err := bound.Prepare(unknown); err == nil {
-		t.Fatal("prepare should reject a mapping onto an unknown ECU")
-	}
-	// Unknown move targets fall back to the bound evaluation instead of
-	// corrupting state.
 	prep, err := bound.Prepare(base.Mapping)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := prep.EvaluateMove(base.Components[0].Name, "no-such-ecu")
-	cm := cloneMapping(base.Mapping)
-	cm[base.Components[0].Name] = "no-such-ecu"
-	if want := bound.Evaluate(cm); !reflect.DeepEqual(got, want) {
-		t.Fatal("unknown-ECU move should score through the bound fallback")
+	before := prep.Evaluate()
+	comp := base.Components[0].Name
+	got := prep.EvaluateMove(comp, "no-such-ecu")
+	diag := `mapping of ` + comp + ` references unknown ECU "no-such-ecu"`
+	if got.Feasible || len(got.Violations) != 1 || got.Violations[0] != diag {
+		t.Fatalf("unknown-ECU move scored %+v, want infeasible with %q", got, diag)
 	}
-	if err := prep.Apply(base.Components[0].Name, "no-such-ecu"); err == nil {
+	if !slices.Contains(ev.Evaluate(ghost).Violations, diag) {
+		t.Fatalf("unbound evaluation lacks the %q diagnostic", diag)
+	}
+	got = prep.EvaluateMove("ghost", base.ECUs[0].Name)
+	if got.Feasible || len(got.Violations) != 1 || got.Violations[0] != `mapping references unknown component "ghost"` {
+		t.Fatalf("unknown-component move scored %+v", got)
+	}
+	if err := prep.Apply(comp, "no-such-ecu"); err == nil {
 		t.Fatal("apply onto an unknown ECU should error")
+	}
+	if err := prep.Apply("ghost", base.ECUs[0].Name); err == nil {
+		t.Fatal("apply of an unknown component should error")
+	}
+	if after := prep.Evaluate(); !reflect.DeepEqual(before, after) {
+		t.Fatal("rejected moves changed the incumbent")
 	}
 }

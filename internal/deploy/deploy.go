@@ -239,7 +239,7 @@ func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
 	}
 	// Fail-operational feasibility: replica anti-affinity, fail-over
 	// validity and the survivability fraction, through the same checker
-	// the bound and delta paths run.
+	// the delta path runs.
 	m.Survivability = 1
 	if hasRed {
 		comps := bindComps(sys)
@@ -461,65 +461,63 @@ func Anneal(sys *model.System, cons Constraints, obj Objective, seed uint64, ite
 	if err := cons.Validate(); err != nil {
 		return nil, err
 	}
-	return anneal(&Evaluator{Cons: cons}, sys, obj, seed, iters)
+	out, _, err := anneal(&Evaluator{Cons: cons}, sys, obj, seed, iters)
+	return out, err
+}
+
+// prepare binds ev to sys and prepares the search incumbent: the incoming
+// mapping when Prepare accepts it and it is feasible, else Greedy's.
+func (ev *Evaluator) prepare(sys *model.System) (*Prepared, error) {
+	bound, err := ev.Bind(sys)
+	if err != nil {
+		return nil, fmt.Errorf("deploy: invalid topology: %w", err)
+	}
+	if prep, err := bound.Prepare(sys.Mapping); err == nil && prep.Evaluate().Feasible {
+		return prep, nil
+	}
+	g, err := Greedy(sys, ev.Cons)
+	if err != nil {
+		return nil, err
+	}
+	return bound.Prepare(g.Mapping)
+}
+
+// withMapping materializes a search result: a clone of sys carrying the
+// given mapping.
+func withMapping(sys *model.System, mapping map[string]string) *model.System {
+	out := sys.Clone()
+	out.Mapping = mapping
+	return out
 }
 
 // anneal is the evaluator-parameterized chain shared by Anneal and
 // AnnealParallel (the latter passes a cached evaluator shared across
-// chains). The chain binds the evaluator to the seed topology, so each
-// candidate move costs a mapping copy and a bound evaluation instead of a
-// full system clone; on an invalid topology the bind fails and the chain
-// degrades to the unbound path, surfacing the legacy errors.
-func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters int) (*model.System, error) {
-	cons := ev.Cons
-	cons.fill()
-	bound, bindErr := ev.Bind(sys)
-	cur := sys.Clone()
-	curM := ev.Evaluate(cur)
-	if !curM.Feasible {
-		// Bootstrap from greedy if the incoming mapping is infeasible.
-		g, err := Greedy(sys, cons)
-		if err != nil {
-			return nil, err
-		}
-		cur = g
-		curM = ev.Evaluate(cur)
+// chains). The chain scores every candidate move through the delta
+// evaluator and carries the incumbent and the best mapping as component
+// -> ECU indices; the result system is materialized once, at the end,
+// together with its metrics.
+func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters int) (*model.System, Metrics, error) {
+	prep, err := ev.prepare(sys)
+	if err != nil {
+		return nil, Metrics{}, err
 	}
-	best := cur.Clone()
-	bestCost := curM.Cost(obj)
+	nComps, nECUs := len(prep.b.comps), len(prep.b.ecus)
+	bestM := prep.Evaluate()
+	bestCost := bestM.Cost(obj)
 	curCost := bestCost
-	// The delta evaluator scores each candidate move in O(dirty ECUs); it
-	// degrades to the bound evaluation (O(system), still clone-free) and
-	// from there to the full clone path on invalid topologies.
-	var prep *Prepared
-	if bindErr == nil {
-		prep, _ = bound.Prepare(cur.Mapping)
-	}
+	best := append([]int(nil), prep.curIdx...)
 	r := sim.NewRand(seed)
 	temp := bestCost * 0.05
 	if temp <= 0 {
 		temp = 1
 	}
-	for i := 0; i < iters; i++ {
-		c := cur.Components[r.Intn(len(cur.Components))]
-		e := cur.ECUs[r.Intn(len(cur.ECUs))]
-		if cur.Mapping[c.Name] == e.Name {
+	for i := 0; i < iters && nComps > 0 && nECUs > 0; i++ {
+		ci, ei := r.Intn(nComps), r.Intn(nECUs)
+		if prep.curIdx[ci] == ei {
 			continue
 		}
-		var cand *model.System
-		var cost float64
-		switch {
-		case prep != nil:
-			cost = prep.EvaluateMove(c.Name, e.Name).Cost(obj)
-		case bindErr == nil:
-			cm := cloneMapping(cur.Mapping)
-			cm[c.Name] = e.Name
-			cost = bound.Evaluate(cm).Cost(obj)
-		default:
-			cand = cur.Clone()
-			cand.Mapping[c.Name] = e.Name
-			cost = ev.Evaluate(cand).Cost(obj)
-		}
+		m := prep.evaluateMove(ci, ei)
+		cost := m.Cost(obj)
 		ev.movesEvaluated.Add(1)
 		accept := cost <= curCost
 		if !accept && !math.IsInf(cost, 1) {
@@ -527,27 +525,19 @@ func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters 
 		}
 		if accept {
 			ev.movesAccepted.Add(1)
-			if cand == nil {
-				// Materialize the accepted candidate only now.
-				cand = cur.Clone()
-				cand.Mapping[c.Name] = e.Name
-			}
-			if prep != nil {
-				if err := prep.Apply(c.Name, e.Name); err != nil {
-					prep = nil // unknown names: degrade to bound evaluation
-				}
-			}
-			cur, curCost = cand, cost
+			prep.apply(ci, ei)
+			curCost = cost
 			if cost < bestCost {
-				best, bestCost = cand.Clone(), cost
+				copy(best, prep.curIdx)
+				bestM, bestCost = m, cost
 			}
 		}
 		temp *= 0.995
 	}
 	if math.IsInf(bestCost, 1) {
-		return nil, fmt.Errorf("deploy: annealing found no feasible mapping")
+		return nil, Metrics{}, fmt.Errorf("deploy: annealing found no feasible mapping")
 	}
-	return best, nil
+	return withMapping(sys, prep.b.mapping(best)), bestM, nil
 }
 
 // AnnealParallel runs `restarts` independent annealing chains (seeds
@@ -574,13 +564,12 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 		// Chain errors are values here: one failed chain must not cancel
 		// its siblings, and the merge below stays deterministic.
 		chainSeed := seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		out, err := anneal(ev, sys, obj, chainSeed, iters)
+		out, m, err := anneal(ev, sys, obj, chainSeed, iters)
 		if err != nil {
 			errs[i] = err
 			return nil
 		}
-		results[i] = out
-		costs[i] = ev.Evaluate(out).Cost(obj)
+		results[i], costs[i] = out, m.Cost(obj)
 		return nil
 	})
 	best := -1
@@ -604,11 +593,12 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 }
 
 // Descend refines a feasible mapping by parallel steepest descent: every
-// iteration evaluates all single-component moves concurrently (each on
-// its own clone) and applies the strictly best improving one; it stops at
-// a local optimum or after maxIters rounds. Deterministic: candidates are
-// enumerated in sorted (component, ECU) order and ties break to the
-// lowest index. An infeasible input is bootstrapped through Greedy.
+// iteration scores all single-component moves concurrently against the
+// shared delta evaluator and applies the strictly best improving one; it
+// stops at a local optimum or after maxIters rounds. Deterministic:
+// candidates are enumerated in sorted (component, ECU) order and ties
+// break to the lowest index. An infeasible input is bootstrapped through
+// Greedy.
 func Descend(sys *model.System, cons Constraints, obj Objective, workers, maxIters int) (*model.System, error) {
 	return DescendWith(NewEvaluator(cons), sys, obj, workers, maxIters)
 }
@@ -617,64 +607,41 @@ func Descend(sys *model.System, cons Constraints, obj Objective, workers, maxIte
 // driver can share one response-time cache across multiple searches (or
 // benchmark the uncached baseline).
 func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters int) (*model.System, error) {
+	out, _, err := descend(ev, sys, obj, workers, maxIters)
+	return out, err
+}
+
+// descend is DescendWith that also returns the result's metrics.
+func descend(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters int) (*model.System, Metrics, error) {
 	cons := ev.Cons
 	cons.fill()
 	if err := cons.Validate(); err != nil {
-		return nil, err
+		return nil, Metrics{}, err
 	}
-	bound, bindErr := ev.Bind(sys)
-	cur := sys.Clone()
-	if m := ev.Evaluate(cur); !m.Feasible {
-		g, err := Greedy(sys, cons)
-		if err != nil {
-			return nil, err
-		}
-		cur = g
+	prep, err := ev.prepare(sys)
+	if err != nil {
+		return nil, Metrics{}, err
 	}
-	curCost := ev.Evaluate(cur).Cost(obj)
-	// Delta evaluator for the incumbent: EvaluateMove is read-only, so the
-	// per-round candidate fan-out below can share it concurrently.
-	var prep *Prepared
-	if bindErr == nil {
-		prep, _ = bound.Prepare(cur.Mapping)
-	}
-	var compNames, ecuNames []string
-	for _, c := range cur.Components {
-		compNames = append(compNames, c.Name)
-	}
-	for _, e := range cur.ECUs {
-		ecuNames = append(ecuNames, e.Name)
-	}
-	sort.Strings(compNames)
-	sort.Strings(ecuNames)
-	type move struct{ comp, ecu string }
+	b := prep.b
+	curCost := prep.Evaluate().Cost(obj)
+	compOrder := byName(len(b.comps), func(i int) string { return b.comps[i].name })
+	type move struct{ ci, ei int }
+	var moves []move
 	for iter := 0; iter < maxIters; iter++ {
-		var moves []move
-		for _, c := range compNames {
-			for _, e := range ecuNames {
-				if cur.Mapping[c] != e {
-					moves = append(moves, move{c, e})
+		moves = moves[:0]
+		for _, ci := range compOrder {
+			for _, ei := range b.ecuByName {
+				if prep.curIdx[ci] != ei {
+					moves = append(moves, move{ci, ei})
 				}
 			}
 		}
+		// EvaluateMove is read-only, so the round's candidates share the
+		// incumbent's delta evaluator concurrently.
 		costs := make([]float64, len(moves))
 		_ = par.ForEach(workers, len(moves), func(i int) error {
-			// Delta evaluation scores the move against the incumbent's
-			// retained per-ECU state; bound evaluation (mapping copy, no
-			// clone) and the full clone path are the fallbacks.
 			defer ev.movesEvaluated.Add(1)
-			switch {
-			case prep != nil:
-				costs[i] = prep.EvaluateMove(moves[i].comp, moves[i].ecu).Cost(obj)
-			case bindErr == nil:
-				cm := cloneMapping(cur.Mapping)
-				cm[moves[i].comp] = moves[i].ecu
-				costs[i] = bound.Evaluate(cm).Cost(obj)
-			default:
-				cand := cur.Clone()
-				cand.Mapping[moves[i].comp] = moves[i].ecu
-				costs[i] = ev.Evaluate(cand).Cost(obj)
-			}
+			costs[i] = prep.evaluateMove(moves[i].ci, moves[i].ei).Cost(obj)
 			return nil
 		})
 		best := -1
@@ -687,17 +654,12 @@ func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIt
 			break // local optimum
 		}
 		ev.movesAccepted.Add(1)
-		next := cur.Clone()
-		next.Mapping[moves[best].comp] = moves[best].ecu
-		if prep != nil {
-			if err := prep.Apply(moves[best].comp, moves[best].ecu); err != nil {
-				prep = nil
-			}
-		}
-		cur, curCost = next, costs[best]
+		prep.apply(moves[best].ci, moves[best].ei)
+		curCost = costs[best]
 	}
-	if m := ev.Evaluate(cur); !m.Feasible {
-		return nil, fmt.Errorf("deploy: descent result infeasible: %v", m.Violations)
+	m := prep.Evaluate()
+	if !m.Feasible {
+		return nil, Metrics{}, fmt.Errorf("deploy: descent result infeasible: %v", m.Violations)
 	}
-	return cur, nil
+	return withMapping(sys, prep.Mapping()), m, nil
 }

@@ -1,12 +1,12 @@
 package deploy
 
-// The k-of-n fault model behind the fail-operational analysis. PR 9's
+// The k-of-n fault model behind the fail-operational analysis. The v1
 // redCheck hard-coded the fault universe to "any single hosted ECU
 // dies"; FaultModel generalizes it to explicit loss units (ECU sets,
 // bus channels, correlated ECU+bus failures) and to any k of those
 // units failing concurrently. The zero value reproduces the v1 sweep
 // bit-exactly — same events, same violation strings, same
-// Survivability fraction — so existing callers and the three-path
+// Survivability fraction — so existing callers and the full-vs-delta
 // DeepEqual identity are untouched.
 
 import (

@@ -2,6 +2,8 @@ package deploy
 
 import (
 	"testing"
+
+	"autorte/internal/model"
 )
 
 // The parallel restart search must be scheduling-independent: identical
@@ -101,5 +103,62 @@ func TestDescendBootstrapsInfeasibleStart(t *testing.T) {
 	}
 	if !Evaluate(d, Constraints{}).Feasible {
 		t.Fatal("descent did not recover feasibility")
+	}
+}
+
+// Every search entry point must answer degenerate systems with a result
+// or an error, never a panic: a system without components (valid, and
+// trivially deployed), one without ECUs, and an invalid topology that
+// only Bind rejects.
+func TestSearchesHandleDegenerateSystems(t *testing.T) {
+	systems := map[string]func(*model.System){
+		"no-components": func(sys *model.System) {
+			sys.Components, sys.Connectors, sys.Constraints = nil, nil, nil
+			sys.Mapping = map[string]string{}
+		},
+		"no-ecus": func(sys *model.System) {
+			sys.ECUs = nil
+			sys.Mapping = map[string]string{}
+		},
+		"invalid-topology": func(sys *model.System) { sys.ECUs[0].Speed = 0 },
+	}
+	obj := DefaultObjective()
+	searches := map[string]func(*model.System) (*model.System, error){
+		"Greedy":  func(sys *model.System) (*model.System, error) { return Greedy(sys, Constraints{}) },
+		"Descend": func(sys *model.System) (*model.System, error) { return Descend(sys, Constraints{}, obj, 2, 4) },
+		"Anneal":  func(sys *model.System) (*model.System, error) { return Anneal(sys, Constraints{}, obj, 1, 50) },
+		"AnnealParallel": func(sys *model.System) (*model.System, error) {
+			return AnnealParallel(sys, Constraints{}, obj, 1, 50, 2, 2)
+		},
+		"PlaceReplicas": func(sys *model.System) (*model.System, error) {
+			pl, err := PlaceReplicas(sys, Constraints{}, obj, PlacementOptions{DescendIters: 2})
+			if err != nil {
+				return nil, err
+			}
+			return pl.System, nil
+		},
+	}
+	for sname, mutate := range systems {
+		for name, search := range searches {
+			t.Run(sname+"/"+name, func(t *testing.T) {
+				sys := vehicle(t, 40)
+				mutate(sys)
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				out, err := search(sys)
+				if err == nil && out == nil {
+					t.Fatal("returned neither a result nor an error")
+				}
+				if sname == "no-components" && err != nil {
+					t.Fatalf("a component-less system is trivially deployable: %v", err)
+				}
+				if sname == "invalid-topology" && err == nil && name != "Greedy" {
+					t.Fatal("accepted an invalid topology")
+				}
+			})
+		}
 	}
 }

@@ -136,12 +136,7 @@ func PlaceReplicas(sys *model.System, cons Constraints, obj Objective, opts Plac
 		if err != nil {
 			return nil, Metrics{}, err
 		}
-		ev := NewEvaluator(cons)
-		out, err := DescendWith(ev, placed, obj, opts.Workers, opts.DescendIters)
-		if err != nil {
-			return nil, Metrics{}, err
-		}
-		return out, ev.Evaluate(out), nil
+		return descend(NewEvaluator(cons), placed, obj, opts.Workers, opts.DescendIters)
 	}
 	bestSys, bestM, err := score(counts, modes)
 	if err != nil {

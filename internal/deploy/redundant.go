@@ -6,10 +6,9 @@ package deploy
 // correlated losses) leaves each replica group with a promotable
 // instance AND the promoted instance's ECU still fits within its
 // capacity after absorbing the failed-over load. redCheck is that
-// analysis, shared verbatim by the unbound (Evaluator.Evaluate), bound
-// (Bound.Evaluate) and delta (Prepared.assemble) paths so the three stay
-// DeepEqual-identical — same violations in the same order, same
-// Survivability float.
+// analysis, shared verbatim by the full (Evaluator.Evaluate) and delta
+// (Prepared.assemble) paths so the two stay DeepEqual-identical — same
+// violations in the same order, same Survivability float.
 
 import (
 	"fmt"

@@ -3,16 +3,10 @@ package flexray
 import (
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"autorte/internal/flight"
 	"autorte/internal/obs"
 )
-
-// keyBufPool recycles key scratch buffers across lookups (see sched's
-// twin) so steady-state verification builds keys without allocating.
-var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendKey serializes a synthesis problem into buf: the configuration
 // fields the placement reads plus the signals in the stable period order
@@ -51,14 +45,7 @@ func appendKey(buf []byte, cfg Config, signals []Signal) []byte {
 
 // cacheKey materializes appendKey as a string (kept for tests and
 // debugging; the cache itself looks up via pooled buffers).
-func cacheKey(cfg Config, signals []Signal) string {
-	bp := keyBufPool.Get().(*[]byte)
-	buf := appendKey((*bp)[:0], cfg, signals)
-	s := string(buf)
-	*bp = buf
-	keyBufPool.Put(bp)
-	return s
-}
+func cacheKey(cfg Config, signals []Signal) string { return string(appendKey(nil, cfg, signals)) }
 
 // SynthCache memoizes static-segment schedule synthesis. The verifier
 // synthesizes the same bus schedule once for the schedulability verdict
@@ -66,18 +53,11 @@ func cacheKey(cfg Config, signals []Signal) string {
 // both per candidate mapping. Safe for concurrent use; concurrent misses
 // on one key coalesce onto one synthesis.
 type SynthCache struct {
-	mu     sync.RWMutex
-	m      map[string][]Assignment
-	flight flight.Group[[]Assignment]
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	dedup  atomic.Uint64
+	memo flight.Memo[[]Assignment]
 }
 
 // NewSynthCache returns an empty synthesis cache.
-func NewSynthCache() *SynthCache {
-	return &SynthCache{m: map[string][]Assignment{}}
-}
+func NewSynthCache() *SynthCache { return &SynthCache{} }
 
 // Synthesize is the memoized equivalent of the package function. The
 // returned slice is a fresh copy on every call (Assignment holds no
@@ -105,44 +85,8 @@ func (c *SynthCache) SynthesizeShared(cfg Config, signals []Signal) ([]Assignmen
 // lookup returns the cache-owned assignment slice for the problem,
 // synthesizing and storing it on a miss.
 func (c *SynthCache) lookup(cfg Config, signals []Signal) ([]Assignment, error) {
-	bp := keyBufPool.Get().(*[]byte)
-	buf := appendKey((*bp)[:0], cfg, signals)
-	c.mu.RLock()
-	cached, ok := c.m[string(buf)] // map index on converted bytes: no allocation
-	c.mu.RUnlock()
-	if ok {
-		*bp = buf
-		keyBufPool.Put(bp)
-		c.hits.Add(1)
-		return cached, nil
-	}
-	key := string(buf)
-	*bp = buf
-	keyBufPool.Put(bp)
-	as, err, shared := c.flight.Do(key, func() ([]Assignment, error) {
-		// A racer may have stored the entry between our miss and winning
-		// the flight; re-check before synthesizing.
-		c.mu.RLock()
-		cached, ok := c.m[key]
-		c.mu.RUnlock()
-		if ok {
-			c.hits.Add(1)
-			return cached, nil
-		}
-		c.misses.Add(1)
-		as, err := Synthesize(cfg, signals)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.m[key] = as
-		c.mu.Unlock()
-		return as, nil
-	})
-	if shared {
-		c.dedup.Add(1)
-	}
-	return as, err
+	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, cfg, signals) },
+		func() ([]Assignment, error) { return Synthesize(cfg, signals) })
 }
 
 // Stats reports lookup hits and misses since creation.
@@ -150,7 +94,8 @@ func (c *SynthCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	hits, misses, _ = c.memo.Stats()
+	return hits, misses
 }
 
 // Len reports the number of distinct synthesis problems cached.
@@ -158,9 +103,7 @@ func (c *SynthCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
+	return c.memo.Len()
 }
 
 // Observe registers the cache's hit/miss/size series into a registry
@@ -170,9 +113,5 @@ func (c *SynthCache) Observe(reg *obs.Registry) {
 	if c == nil {
 		return
 	}
-	label := obs.Label{Key: "cache", Value: "flexray"}
-	reg.CounterFunc("analysis_cache_hits_total", "Memoized analysis lookups served from cache.", c.hits.Load, label)
-	reg.CounterFunc("analysis_cache_misses_total", "Memoized analysis lookups that ran the analysis.", c.misses.Load, label)
-	reg.CounterFunc("analysis_cache_dedup_total", "Memoized analysis lookups coalesced onto a concurrent identical computation.", c.dedup.Load, label)
-	reg.GaugeFunc("analysis_cache_entries", "Distinct problems held by the analysis cache.", func() float64 { return float64(c.Len()) }, label)
+	c.memo.Observe(reg, "flexray")
 }

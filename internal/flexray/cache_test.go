@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"autorte/internal/race"
 	"autorte/internal/sim"
 )
 
@@ -85,5 +86,21 @@ func TestSynthCacheNilReceiver(t *testing.T) {
 	want, _ := Synthesize(cfg, sigs)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("nil cache should behave like the direct synthesis")
+	}
+}
+
+// A warm SynthesizeShared is a pooled key build plus a map read: no
+// allocation, so the compute closure handed to the memo must not escape.
+func TestSynthCacheWarmSharedAllocatesNothing(t *testing.T) {
+	cfg, sigs := synthProblem()
+	c := NewSynthCache()
+	if _, err := c.SynthesizeShared(cfg, sigs); err != nil {
+		t.Fatal(err)
+	}
+	if race.Enabled {
+		t.Skip("sync.Pool discards pooled key buffers under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = c.SynthesizeShared(cfg, sigs) }); allocs != 0 {
+		t.Fatalf("warm SynthesizeShared allocates %v times, want 0", allocs)
 	}
 }

@@ -1,8 +1,9 @@
-// Package flight provides singleflight-style call deduplication for the
-// analysis caches: when several goroutines miss on the same key at once
-// (DSE workers scoring sibling candidates, chain bounds sharing a bus),
-// exactly one runs the computation and the rest wait for its result
-// instead of repeating the work and double-counting the miss.
+// Package flight provides singleflight-style call deduplication and the
+// Memo result cache built on it for the analysis caches: when several
+// goroutines miss on the same key at once (DSE workers scoring sibling
+// candidates, chain bounds sharing a bus), exactly one runs the
+// computation and the rest wait for its result instead of repeating the
+// work and double-counting the miss.
 package flight
 
 import "sync"

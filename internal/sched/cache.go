@@ -3,16 +3,10 @@ package sched
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"autorte/internal/flight"
 	"autorte/internal/obs"
 )
-
-// keyBufPool recycles key scratch buffers across lookups so the steady
-// state of a verification or DSE loop builds keys with zero allocations.
-var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendKey serializes the canonical cache key of a task set into buf:
 // the tasks are stable-sorted by descending priority — exactly the order
@@ -52,14 +46,7 @@ func appendKey(buf []byte, tasks []Task) []byte {
 }
 
 // Key returns the canonical cache key of a task set (see appendKey).
-func Key(tasks []Task) string {
-	bp := keyBufPool.Get().(*[]byte)
-	buf := appendKey((*bp)[:0], tasks)
-	s := string(buf)
-	*bp = buf
-	keyBufPool.Put(bp)
-	return s
-}
+func Key(tasks []Task) string { return string(appendKey(nil, tasks)) }
 
 // entry is one memoized analysis: the per-task results plus the folded
 // schedulability verdict, so Check can answer without touching the slice.
@@ -73,71 +60,31 @@ type entry struct {
 // leave most ECUs' task sets untouched, so repeated analysis of unchanged
 // ECUs becomes a map lookup.
 type Cache struct {
-	mu     sync.RWMutex
-	m      map[string]entry
-	flight flight.Group[entry]
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	dedup  atomic.Uint64
+	memo flight.Memo[entry]
 }
 
 // NewCache returns an empty response-time cache.
-func NewCache() *Cache {
-	return &Cache{m: map[string]entry{}}
-}
+func NewCache() *Cache { return &Cache{} }
 
 // lookup returns the memoized entry for tasks, computing and storing it on
 // a miss. Concurrent misses on the same key coalesce onto one analysis.
 // The returned slice is the cache's own — callers must copy before handing
 // it out mutably.
 func (c *Cache) lookup(tasks []Task) (entry, error) {
-	bp := keyBufPool.Get().(*[]byte)
-	buf := appendKey((*bp)[:0], tasks)
-	c.mu.RLock()
-	e, ok := c.m[string(buf)] // map index on converted bytes: no allocation
-	c.mu.RUnlock()
-	if ok {
-		*bp = buf
-		keyBufPool.Put(bp)
-		c.hits.Add(1)
-		return e, nil
-	}
-	key := string(buf)
-	*bp = buf
-	keyBufPool.Put(bp)
-	e, err, shared := c.flight.Do(key, func() (entry, error) {
-		// A racer may have stored the entry between our miss and winning
-		// the flight; re-check before analyzing.
-		c.mu.RLock()
-		e, ok := c.m[key]
-		c.mu.RUnlock()
-		if ok {
-			c.hits.Add(1)
-			return e, nil
-		}
-		c.misses.Add(1)
+	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, tasks) }, func() (entry, error) {
 		rs, err := ResponseTimes(tasks)
 		if err != nil {
-			// Errors are not cached: they indicate invalid task sets the
-			// caller should not be retrying anyway.
 			return entry{}, err
 		}
-		e = entry{rs: rs, ok: true}
+		e := entry{rs: rs, ok: true}
 		for _, r := range rs {
 			if !r.Schedulable {
 				e.ok = false
 				break
 			}
 		}
-		c.mu.Lock()
-		c.m[key] = e
-		c.mu.Unlock()
 		return e, nil
 	})
-	if shared {
-		c.dedup.Add(1)
-	}
-	return e, err
 }
 
 // ResponseTimes is the memoized equivalent of the package function. The
@@ -232,7 +179,8 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.hits.Load(), c.misses.Load()
+	hits, misses, _ = c.memo.Stats()
+	return hits, misses
 }
 
 // Len reports the number of distinct task sets cached.
@@ -240,9 +188,7 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
+	return c.memo.Len()
 }
 
 // Observe registers the cache's hit/miss/size series into a registry
@@ -252,9 +198,5 @@ func (c *Cache) Observe(reg *obs.Registry) {
 	if c == nil {
 		return
 	}
-	label := obs.Label{Key: "cache", Value: "rta"}
-	reg.CounterFunc("analysis_cache_hits_total", "Memoized analysis lookups served from cache.", c.hits.Load, label)
-	reg.CounterFunc("analysis_cache_misses_total", "Memoized analysis lookups that ran the analysis.", c.misses.Load, label)
-	reg.CounterFunc("analysis_cache_dedup_total", "Memoized analysis lookups coalesced onto a concurrent identical computation.", c.dedup.Load, label)
-	reg.GaugeFunc("analysis_cache_entries", "Distinct problems held by the analysis cache.", func() float64 { return float64(c.Len()) }, label)
+	c.memo.Observe(reg, "rta")
 }

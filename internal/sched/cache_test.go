@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"autorte/internal/race"
 	"autorte/internal/sim"
 )
 
@@ -99,16 +100,23 @@ func TestCacheNilReceiverDegrades(t *testing.T) {
 }
 
 func TestKeyStableUnderConcurrentPooledUse(t *testing.T) {
-	// Key builds through a shared buffer pool; concurrent use across
+	// Cache lookups build keys in pooled buffers; concurrent use across
 	// distinct task sets must never bleed one set's bytes into another's
-	// key. Serial keys are the ground truth.
+	// key and so serve it another set's results. Serial keys and direct
+	// analyses are the ground truth.
 	sets := make([][]Task, 16)
 	want := make([]string, len(sets))
+	results := make([][]Result, len(sets))
 	for i := range sets {
 		sets[i] = cacheDemoSet()
 		sets[i][0].C = sim.MS(1) + sim.Duration(i)
 		sets[i][2].Name = string(rune('a' + i))
 		want[i] = Key(sets[i])
+		rs, err := ResponseTimes(sets[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = rs
 	}
 	for i := range want {
 		for j := i + 1; j < len(want); j++ {
@@ -117,13 +125,15 @@ func TestKeyStableUnderConcurrentPooledUse(t *testing.T) {
 			}
 		}
 	}
+	c := NewCache()
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
 			for round := 0; round < 200; round++ {
 				for i := range sets {
-					if got := Key(sets[i]); got != want[i] {
-						done <- fmt.Errorf("set %d: key changed under concurrency", i)
+					got, err := c.ResponseTimesShared(sets[i])
+					if err != nil || !reflect.DeepEqual(got, results[i]) {
+						done <- fmt.Errorf("set %d: wrong results under concurrency (err %v)", i, err)
 						return
 					}
 				}
@@ -135,6 +145,9 @@ func TestKeyStableUnderConcurrentPooledUse(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+	if c.Len() != len(sets) {
+		t.Fatalf("cache holds %d entries, want %d", c.Len(), len(sets))
 	}
 }
 
@@ -163,8 +176,8 @@ func TestCacheConcurrentMissesCountOnce(t *testing.T) {
 	if misses != 1 {
 		t.Fatalf("misses = %d, want exactly 1", misses)
 	}
-	if hits+c.dedup.Load() != callers-1 {
-		t.Fatalf("hits %d + dedup %d should cover the %d non-miss callers", hits, c.dedup.Load(), callers-1)
+	if _, _, dedup := c.memo.Stats(); hits+dedup != callers-1 {
+		t.Fatalf("hits %d + dedup %d should cover the %d non-miss callers", hits, dedup, callers-1)
 	}
 }
 
@@ -223,5 +236,21 @@ func TestCacheConcurrentUse(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
+	}
+}
+
+// A warm Check is a pooled key build plus a map read: no allocation, so
+// the compute closure handed to the memo must not escape.
+func TestCacheWarmCheckAllocatesNothing(t *testing.T) {
+	c := NewCache()
+	tasks := cacheDemoSet()
+	if _, err := c.Check(tasks); err != nil {
+		t.Fatal(err)
+	}
+	if race.Enabled {
+		t.Skip("sync.Pool discards pooled key buffers under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = c.Check(tasks) }); allocs != 0 {
+		t.Fatalf("warm Check allocates %v times, want 0", allocs)
 	}
 }
