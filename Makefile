@@ -28,7 +28,9 @@ lint:
 test:
 	go test ./...
 
-# Verification & DSE pipeline benchmarks (see EXPERIMENTS.md "Performance").
+# Verification & DSE pipeline benchmarks (see EXPERIMENTS.md "Performance"),
+# with the deployment-scoring rungs: the per-move cost of
+# Prepared.EvaluateMove (ns/move) and the PlaceReplicas search.
 # Emits BENCH_pipeline.json (name -> ns/op, allocs/op) alongside the
 # human-readable output, then enforces the performance budget: Verify
 # par no slower than seq, every paired par-vs-seq benchmark (the E13
@@ -42,7 +44,7 @@ test:
 # independent samples; -count=2 with benchjson keeping the fastest
 # repeat adds slack against a one-off bad run.
 bench:
-	go test -run '^$$' -bench 'BenchmarkVerify$$|BenchmarkVerifyDSESweep|BenchmarkDSEDescend|BenchmarkDSEAnnealParallel|BenchmarkE13Availability|BenchmarkE14Observer' -benchmem . > BENCH_pipeline.txt
+	go test -run '^$$' -bench 'BenchmarkVerify$$|BenchmarkVerifyDSESweep|BenchmarkDSEDescend|BenchmarkDSEAnnealParallel|BenchmarkE13Availability|BenchmarkE14Observer|BenchmarkEvaluateMove|BenchmarkPlaceReplicas' -benchmem . > BENCH_pipeline.txt
 	go test -run '^$$' -bench 'BenchmarkPlatformFlight|BenchmarkE11Flight|BenchmarkVerifyFlight' -benchmem -benchtime=2s -count=2 . >> BENCH_pipeline.txt
 	go run ./cmd/benchjson -o BENCH_pipeline.json < BENCH_pipeline.txt
 	go run ./cmd/benchguard -bench BENCH_pipeline.json
@@ -62,6 +64,14 @@ bench-compare:
 # The complete benchmark suite (E1-E13 harness + platform + pipeline).
 bench-all:
 	go test -run '^$$' -bench . -benchmem ./...
+
+# Differential fuzzing under a bounded budget: FuzzFaultSweep holds the
+# fail-operational sweep to its reference and the delta scorer to full
+# scoring under random fault models. The committed corpus under
+# internal/deploy/testdata/fuzz runs first; a failure leaves the
+# minimized input there, to be committed as a regression seed.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzFaultSweep$$' -fuzztime=10s -parallel 2 ./internal/deploy
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational
@@ -83,4 +93,4 @@ diag:
 	go run ./cmd/autodiag series -grep sim_events DIAG_demo.bundle > /dev/null
 	go run ./cmd/autodiag chrome -o DIAG_demo.trace.json DIAG_demo.bundle
 
-.PHONY: check lint test bench bench-compare bench-all chaos diag
+.PHONY: check lint test bench bench-compare bench-all fuzz chaos diag

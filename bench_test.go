@@ -16,6 +16,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -574,6 +575,84 @@ func BenchmarkDSEAnnealParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// The place workload's fault model and objective (rtebench/search.go):
+// soft k-of-n ECU loss with singleton groups, unavailability priced by
+// WAvail.
+var (
+	placeCons = deploy.Constraints{Faults: deploy.FaultModel{Soft: true, IncludeSingletons: true}}
+	placeObj  = deploy.Objective{WECU: 1000, WHarness: 10, WLoad: 1, WAvail: 100_000}
+)
+
+// BenchmarkEvaluateMove measures one warm single-component move scored
+// by Prepared.EvaluateMove on the scale-1 vehicle, cycling through every
+// (component, ECU) move of the seed mapping: sched under
+// RequireSchedulable (per-ECU RTA, memoized against the incumbent),
+// faults under the place workload's fault model (the fail-operational
+// sweep runs on every move). ns/move is the unit cost every search pays
+// per candidate.
+func BenchmarkEvaluateMove(b *testing.B) {
+	sys := demoVehicleScaled(b, 1)
+	type move struct{ comp, ecu string }
+	var moves []move
+	for _, c := range sys.Components {
+		for _, e := range sys.ECUs {
+			if sys.Mapping[c.Name] != e.Name {
+				moves = append(moves, move{c.Name, e.Name})
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cons deploy.Constraints
+	}{
+		{"sched", deploy.Constraints{RequireSchedulable: true}},
+		{"faults", placeCons},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			bound, err := deploy.NewEvaluator(tc.cons).Bind(sys)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prep, err := bound.Prepare(sys.Mapping)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, mv := range moves {
+				prep.EvaluateMove(mv.comp, mv.ecu) // warm the incumbent's memo
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mv := moves[i%len(moves)]
+				prep.EvaluateMove(mv.comp, mv.ecu)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/move")
+		})
+	}
+}
+
+// BenchmarkPlaceReplicas measures the fail-operational deployment
+// calculation of the place workload: PlaceReplicas of the scale-1
+// vehicle's first two chassis controllers under its fault model, four
+// descent rounds per scored configuration.
+func BenchmarkPlaceReplicas(b *testing.B) {
+	sys := demoVehicleScaled(b, 1)
+	var cands []string
+	for _, c := range sys.Components {
+		if c.DAS == "chassis" && strings.HasSuffix(c.Name, "_ctrl") && len(cands) < 2 {
+			cands = append(cands, c.Name)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := deploy.PlaceReplicas(sys, placeCons, placeObj, deploy.PlacementOptions{
+			Candidates: cands, DescendIters: 4,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkExchangeRoundTrip measures the template import/export path.

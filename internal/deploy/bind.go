@@ -91,9 +91,15 @@ type Bound struct {
 	// ecuByName lists ECU indices in name order — the order the RTA
 	// verdicts are reported in.
 	ecuByName []int
-	// groups holds the replica groups of the topology; empty for systems
-	// without standbys, where the fail-operational check is skipped.
-	groups []redGroup
+	// cons is the evaluator's Constraints as of Bind, filled, and consErr
+	// their Validate verdict: a Bound never reads ev.Cons again, so
+	// changing it after Bind cannot change (or race with) scoring.
+	cons    Constraints
+	consErr error
+	// red is the fail-operational check with the fault model resolved
+	// against the topology: the replica groups it scores and, for
+	// explicit Losses, the swept events.
+	red *redCheck
 }
 
 // Bind precomputes the mapping-independent derivations of sys. It fails
@@ -102,8 +108,12 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
+	cons := ev.Cons
+	cons.fill()
 	b := &Bound{
 		ev:      ev,
+		cons:    cons,
+		consErr: cons.Validate(),
 		ecuIdx:  make(map[string]int, len(sys.ECUs)),
 		compIdx: make(map[string]int, len(sys.Components)),
 		path:    make([][]error, len(sys.ECUs)),
@@ -118,7 +128,7 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 	for i := range b.comps {
 		b.compIdx[b.comps[i].name] = i
 	}
-	b.groups = redGroups(b.comps)
+	b.red = newRedCheck(b.comps, b.ecus, cons, ev.RTA)
 	// Validate guarantees every connector endpoint is a known component.
 	for _, c := range sys.Connectors {
 		prov := sys.Component(c.FromSWC).Port(c.FromPort)

@@ -147,3 +147,37 @@ func TestBindRejectsInvalidTopology(t *testing.T) {
 		t.Fatal("Bind accepted an invalid topology")
 	}
 }
+
+// A Bound snapshots the evaluator's Constraints at Bind: changing
+// ev.Cons afterwards must change neither the incumbent's score nor a
+// move's, while a fresh Bind does see the new constraints.
+func TestBoundSnapshotsConstraints(t *testing.T) {
+	base := redSystem(t)
+	ev := NewEvaluator(Constraints{Faults: FaultModel{MaxConcurrent: 2}})
+	bound, err := ev.Bind(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := bound.Prepare(base.Mapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	score := func() []Metrics {
+		return []Metrics{prep.Evaluate(), prep.EvaluateMove("Act", "e3"), prep.EvaluateMove("Ctrl#1", "e3")}
+	}
+	before := score()
+	changed := []Constraints{
+		{MaxUtilization: 0.001, RequireSchedulable: true, Faults: FaultModel{Soft: true, IncludeSingletons: true}},
+		{MaxUtilization: 2}, // invalid: Validate rejects it
+		{Faults: FaultModel{Losses: []Loss{{Kind: LossBus, Buses: []string{"can0"}}}}},
+	}
+	for _, cons := range changed {
+		ev.Cons = cons
+		if after := score(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("Cons %+v changed after Bind leaked into the Bound\nbefore: %+v\nafter:  %+v", cons, before, after)
+		}
+		if fresh := ev.Evaluate(base); reflect.DeepEqual(fresh, before[0]) {
+			t.Fatalf("Cons %+v does not change the unbound score; the test proves nothing", cons)
+		}
+	}
+}

@@ -4,12 +4,15 @@ package deploy
 // not cost O(system) to score. Prepared is the delta evaluator on top of
 // Bound and the only scorer the searches use: it retains the incumbent's
 // per-ECU accumulators and schedulability verdicts, and EvaluateMove
-// re-derives only the two ECUs a move touches. The metrics are
-// bit-identical to the unbound Evaluator.Evaluate — same summation order,
-// same violation strings in the same order — which stays the reference
-// oracle (TestPreparedEvaluateMoveMatchesBoundEvaluate and the random
-// walks in redundant_test.go and faultmodel_test.go hold the two paths
-// together).
+// re-derives only the two ECUs a move touches — their task sets and RTA
+// verdicts only under RequireSchedulable, the one setting that reads
+// them. The fail-operational sweep runs against the fault model Bind
+// resolved. The metrics are bit-identical to the unbound
+// Evaluator.Evaluate — same summation order, same violation strings in
+// the same order — which stays the reference oracle
+// (TestPreparedEvaluateMoveMatchesBoundEvaluate, the random walks in
+// redundant_test.go and faultmodel_test.go, and FuzzFaultSweep hold the
+// two paths together).
 
 import (
 	"fmt"
@@ -27,7 +30,7 @@ type ecuAcc struct {
 	memory      int
 	hosts       bool
 	worst, best model.ASIL
-	protos      int // hosted analyzable runnable count, rate-less included
+	protos      int // hosted analyzable runnable count, rate-less included; RequireSchedulable only
 }
 
 // moveKey identifies one dirty-ECU recomputation: ECU index, the comp
@@ -95,11 +98,13 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 // reproducing the unbound path's per-component accumulation order
 // (AnalyzedLoad) and task-set ranking (taskset.Build) exactly. The hosted
 // set is the incumbent's, minus comp index skip, plus comp index add (-1
-// for none) — the two adjustments a single-component move needs.
+// for none) — the two adjustments a single-component move needs. Without
+// RequireSchedulable the verdict is "" and protos 0: nothing reads them.
 func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
 	b := p.b
 	name := b.ecus[idx].name
 	speed := b.ecus[idx].speed
+	needRTA := b.cons.RequireSchedulable
 	var a ecuAcc
 	var protos []*protoTask
 	for i := range b.comps {
@@ -121,9 +126,14 @@ func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
 		for _, t := range c.loadTerms {
 			a.load += t / speed
 		}
-		for j := range c.protos {
-			protos = append(protos, &c.protos[j])
+		if needRTA {
+			for j := range c.protos {
+				protos = append(protos, &c.protos[j])
+			}
 		}
+	}
+	if !needRTA {
+		return a, ""
 	}
 	a.protos = len(protos)
 	if len(protos) == 0 {
@@ -268,12 +278,11 @@ func (p *Prepared) ecuOf(ci, moved, target int) int {
 // comp index moved relocated to ECU index target.
 func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) Metrics {
 	b := p.b
-	cons := b.ev.Cons
-	cons.fill()
+	cons := &b.cons
 	m := Metrics{Feasible: true}
-	if err := cons.Validate(); err != nil {
+	if b.consErr != nil {
 		m.Feasible = false
-		m.Violations = append(m.Violations, err.Error())
+		m.Violations = append(m.Violations, b.consErr.Error())
 		return m
 	}
 	for i := range b.ecus {
@@ -286,14 +295,12 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 			m.Harness += b.dist[si][di]
 		}
 	}
-	var loads []float64
 	for i := range b.ecus {
 		a, _ := get(i)
 		if !a.hosts {
 			continue
 		}
 		e := &b.ecus[i]
-		loads = append(loads, a.load)
 		if a.load > m.MaxLoad {
 			m.MaxLoad = a.load
 		}
@@ -314,13 +321,11 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 			m.Violations = append(m.Violations, msg)
 		}
 	}
-	rc := &redCheck{
-		comps: b.comps, groups: b.groups, ecus: b.ecus, cons: cons, rta: b.ev.RTA,
+	b.red.run(&m, candidate{
 		ecuOf: func(ci int) (int, bool) { return p.ecuOf(ci, moved, target), true },
 		load:  func(ei int) float64 { a, _ := get(ei); return a.load },
 		hosts: func(ei int) bool { a, _ := get(ei); return a.hosts },
-	}
-	rc.run(&m)
+	})
 	if err := p.commCheck(moved, target); err != nil {
 		m.Feasible = false
 		m.Violations = append(m.Violations, err.Error())
@@ -335,16 +340,22 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 			m.Violations = append(m.Violations, msg)
 		}
 	}
-	if len(loads) > 0 {
+	// Load variance over used ECUs, summed in declaration order like the
+	// unbound path's loads slice.
+	if m.ECUs > 0 {
 		mean := 0.0
-		for _, l := range loads {
-			mean += l
+		for i := range b.ecus {
+			if a, _ := get(i); a.hosts {
+				mean += a.load
+			}
 		}
-		mean /= float64(len(loads))
-		for _, l := range loads {
-			m.LoadVar += (l - mean) * (l - mean)
+		mean /= float64(m.ECUs)
+		for i := range b.ecus {
+			if a, _ := get(i); a.hosts {
+				m.LoadVar += (a.load - mean) * (a.load - mean)
+			}
 		}
-		m.LoadVar /= float64(len(loads))
+		m.LoadVar /= float64(m.ECUs)
 	}
 	return m
 }

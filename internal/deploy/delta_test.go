@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"autorte/internal/model"
+	"autorte/internal/race"
 	"autorte/internal/sim"
+	"autorte/internal/workload"
 )
 
 // The delta evaluator must reproduce the unbound evaluation exactly — same
@@ -156,5 +158,52 @@ func TestPreparedRejectsIncompleteMapping(t *testing.T) {
 	}
 	if after := prep.Evaluate(); !reflect.DeepEqual(before, after) {
 		t.Fatal("rejected moves changed the incumbent")
+	}
+}
+
+// A warm move under the placement fault model allocates nothing: the
+// fault model is resolved at Bind and the sweep's scratch is pooled. The
+// scale-2 vehicle (twice the components, hence twice the singleton
+// groups) checks that this does not depend on the system's size.
+func TestEvaluateMoveAllocsIndependentOfScale(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops a share of sync.Pool Puts on purpose")
+	}
+	cons := Constraints{Faults: FaultModel{Soft: true, IncludeSingletons: true}}
+	var allocs [2]float64
+	for i, scale := range []int{1, 2} {
+		dases := workload.DefaultDASes()
+		for j := range dases {
+			dases[j].Chains *= scale
+		}
+		sys, err := workload.GenerateVehicle(workload.VehicleSpec{DASes: dases}, sim.NewRand(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := NewEvaluator(cons).Bind(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := bound.Prepare(sys.Mapping)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first move of the seed mapping that stays violation-free, so
+		// no diagnostic string is formatted on either vehicle.
+		comp, ecu := "", ""
+		for _, c := range sys.Components {
+			for _, e := range sys.ECUs {
+				if comp == "" && sys.Mapping[c.Name] != e.Name && len(prep.EvaluateMove(c.Name, e.Name).Violations) == 0 {
+					comp, ecu = c.Name, e.Name
+				}
+			}
+		}
+		if comp == "" {
+			t.Fatalf("scale %d: no violation-free move", scale)
+		}
+		allocs[i] = testing.AllocsPerRun(100, func() { prep.EvaluateMove(comp, ecu) })
+	}
+	if allocs != [2]float64{} {
+		t.Fatalf("warm EvaluateMove allocates %v at scale 1 and %v at scale 2, want 0", allocs[0], allocs[1])
 	}
 }

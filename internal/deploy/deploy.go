@@ -248,13 +248,11 @@ func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
 		for i := range ecus {
 			ecuIdx[ecus[i].name] = i
 		}
-		rc := &redCheck{
-			comps: comps, groups: redGroups(comps), ecus: ecus, cons: cons, rta: ev.RTA,
+		newRedCheck(comps, ecus, cons, ev.RTA).run(&m, candidate{
 			ecuOf: func(ci int) (int, bool) { idx, ok := ecuIdx[sys.Mapping[comps[ci].name]]; return idx, ok },
 			load:  func(ei int) float64 { return loadByIdx[ei] },
 			hosts: func(ei int) bool { return hostsByIdx[ei] },
-		}
-		rc.run(&m)
+		})
 	}
 	// Communication feasibility: every remote connector needs a shared bus.
 	if _, err := vfb.Resolve(sys); err != nil {

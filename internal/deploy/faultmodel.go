@@ -8,6 +8,16 @@ package deploy
 // bit-exactly — same events, same violation strings, same
 // Survivability fraction — so existing callers and the full-vs-delta
 // DeepEqual identity are untouched.
+//
+// Everything the model resolves without looking at a mapping — the
+// effective replica groups, the explicit loss units and their
+// k-combinations as per-ECU loss bitmaps with bus isolation folded in,
+// the malformed-unit violations — is resolved when the redCheck is
+// built: once per Bind (per call on the unbound path). The default
+// universe depends on which ECUs host anything, so the sweep derives it
+// per candidate. Scoring runs RTA only under RequireSchedulable:
+// Prepared.computeECU skips the task set otherwise, and the fail-over
+// RTA is gated the same way.
 
 import (
 	"fmt"
@@ -75,67 +85,107 @@ type FaultModel struct {
 	IncludeSingletons bool
 }
 
-// lossEvent is one resolved fault event of the sweep: the label used in
-// violation strings, the dead ECUs (by bound index) and the lost bus
-// channels.
-type lossEvent struct {
+// faultEvent is one resolved fault event: the label used in violation
+// strings and the ECUs (by bound index) it takes out of service — dead
+// outright, or attached only to lost bus channels. An ECU's channels are
+// topology, so bus isolation folds into the bitmap when the event is
+// resolved.
+type faultEvent struct {
+	label string
+	lost  []bool
+}
+
+// explicit reports whether the check sweeps the Losses universe rather
+// than the default one derived from the candidate mapping.
+func (rc *redCheck) explicit() bool { return len(rc.cons.Faults.Losses) > 0 }
+
+// resolveEvents resolves the explicit Losses universe against the bound
+// topology: every well-formed unit, then every combination of
+// 2..MaxConcurrent units in lexicographic unit order, each with its loss
+// bitmap; malformed units land in rc.bad.
+func (rc *redCheck) resolveEvents() {
+	units := rc.lossUnits()
+	k := min(rc.cons.Faults.MaxConcurrent, len(units))
+	rc.events = make([]faultEvent, 0, len(units))
+	for i := range units {
+		rc.events = append(rc.events, units[i].event(rc.ecus))
+	}
+	for size := 2; size <= k; size++ {
+		idx := make([]int, size)
+		for i := range idx {
+			idx[i] = i
+		}
+		for ok := true; ok; ok = nextCombo(idx, len(units)) {
+			u := mergeUnits(units, idx)
+			rc.events = append(rc.events, u.event(rc.ecus))
+		}
+	}
+}
+
+// nextCombo advances idx to the next lexicographic combination of
+// len(idx) elements of 0..n-1, reporting false after the last one.
+func nextCombo(idx []int, n int) bool {
+	size := len(idx)
+	i := size - 1
+	for i >= 0 && idx[i] == n-size+i {
+		i--
+	}
+	if i < 0 {
+		return false
+	}
+	idx[i]++
+	for j := i + 1; j < size; j++ {
+		idx[j] = idx[j-1] + 1
+	}
+	return true
+}
+
+// lossUnit is one well-formed loss unit (or a union of them): the dead
+// ECUs by bound index and the lost channels by name.
+type lossUnit struct {
 	label string
 	dead  []bool
 	buses map[string]bool
 }
 
-// lost reports whether the ECU at index ei is out of service under the
-// event: dead outright, or attached to buses that are all lost.
-func (e *lossEvent) lost(ecus []boundECU, ei int) bool {
-	if e.dead[ei] {
-		return true
-	}
-	if len(e.buses) == 0 || len(ecus[ei].buses) == 0 {
-		return false
-	}
-	for _, b := range ecus[ei].buses {
-		if !e.buses[b] {
-			return false
+// event folds bus isolation into the unit's loss bitmap: an ECU is lost
+// when dead outright or attached to channels that are all lost.
+func (u *lossUnit) event(ecus []boundECU) faultEvent {
+	lost := append([]bool(nil), u.dead...)
+	for ei := range ecus {
+		if lost[ei] || len(u.buses) == 0 || len(ecus[ei].buses) == 0 {
+			continue
+		}
+		lost[ei] = true
+		for _, b := range ecus[ei].buses {
+			if !u.buses[b] {
+				lost[ei] = false
+				break
+			}
 		}
 	}
-	return true
+	return faultEvent{label: u.label, lost: lost}
 }
 
-// lossUnits resolves the fault model's atomic loss units against the
-// bound topology. Malformed units (wrong fields for the kind, unknown
-// names) append hard violations — a misconfigured fault model must not
-// silently pass as "survived". With no explicit Losses the units are
-// the v1 universe: one per hosted ECU, in ECU declaration order.
-func (rc *redCheck) lossUnits(m *Metrics) []lossEvent {
-	fm := rc.cons.Faults
-	if len(fm.Losses) == 0 {
-		var units []lossEvent
-		for ei := range rc.ecus {
-			if !rc.hosts(ei) {
-				continue
-			}
-			dead := make([]bool, len(rc.ecus))
-			dead[ei] = true
-			units = append(units, lossEvent{label: rc.ecus[ei].name, dead: dead})
-		}
-		return units
-	}
-	ecuIdx := make(map[string]int, len(rc.ecus))
-	for i := range rc.ecus {
-		ecuIdx[rc.ecus[i].name] = i
-	}
+// lossUnits resolves the explicit loss units against the bound topology.
+// Malformed units (wrong fields for the kind, unknown names) are recorded
+// as hard violations — a misconfigured fault model must not silently
+// pass as "survived".
+func (rc *redCheck) lossUnits() []lossUnit {
+	ecus := rc.ecus
+	ecuIdx := make(map[string]int, len(ecus))
 	busKnown := map[string]bool{}
-	for i := range rc.ecus {
-		for _, b := range rc.ecus[i].buses {
+	for i := range ecus {
+		ecuIdx[ecus[i].name] = i
+		for _, b := range ecus[i].buses {
 			busKnown[b] = true
 		}
 	}
 	bad := func(format string, args ...any) {
-		m.Feasible = false
-		m.Violations = append(m.Violations, fmt.Sprintf(format, args...))
+		rc.bad = append(rc.bad, fmt.Sprintf(format, args...))
 	}
-	var units []lossEvent
-	for li, l := range fm.Losses {
+	var units []lossUnit
+	for li, l := range rc.cons.Faults.Losses {
 		wantECUs, wantBuses := false, false
 		switch l.Kind {
 		case LossECU:
@@ -152,7 +202,7 @@ func (rc *redCheck) lossUnits(m *Metrics) []lossEvent {
 			bad("fault model: %v loss %d must name %s", l.Kind, li, lossWants(wantECUs, wantBuses))
 			continue
 		}
-		ev := lossEvent{dead: make([]bool, len(rc.ecus)), buses: map[string]bool{}}
+		u := lossUnit{dead: make([]bool, len(ecus)), buses: map[string]bool{}}
 		ok := true
 		for _, name := range l.ECUs {
 			ei, known := ecuIdx[name]
@@ -161,7 +211,7 @@ func (rc *redCheck) lossUnits(m *Metrics) []lossEvent {
 				ok = false
 				continue
 			}
-			ev.dead[ei] = true
+			u.dead[ei] = true
 		}
 		for _, name := range l.Buses {
 			if !busKnown[name] {
@@ -169,13 +219,13 @@ func (rc *redCheck) lossUnits(m *Metrics) []lossEvent {
 				ok = false
 				continue
 			}
-			ev.buses[name] = true
+			u.buses[name] = true
 		}
 		if !ok {
 			continue
 		}
-		ev.label = strings.Join(append(append([]string{}, l.ECUs...), l.Buses...), "+")
-		units = append(units, ev)
+		u.label = strings.Join(append(append([]string{}, l.ECUs...), l.Buses...), "+")
+		units = append(units, u)
 	}
 	return units
 }
@@ -191,77 +241,47 @@ func lossWants(ecus, buses bool) string {
 	}
 }
 
-// lossEvents expands the loss units into the swept event set: every
-// single unit, then every combination of 2..MaxConcurrent units in
-// lexicographic unit order, labels joined with "+". Deterministic.
-func (rc *redCheck) lossEvents(m *Metrics) []lossEvent {
-	units := rc.lossUnits(m)
-	events := append([]lossEvent{}, units...)
-	k := rc.cons.Faults.MaxConcurrent
-	if k > len(units) {
-		k = len(units)
-	}
-	for size := 2; size <= k; size++ {
-		idx := make([]int, size)
-		for i := range idx {
-			idx[i] = i
-		}
-		for {
-			events = append(events, mergeUnits(units, idx, len(rc.ecus)))
-			// Advance to the next lexicographic combination.
-			i := size - 1
-			for i >= 0 && idx[i] == len(units)-size+i {
-				i--
-			}
-			if i < 0 {
-				break
-			}
-			idx[i]++
-			for j := i + 1; j < size; j++ {
-				idx[j] = idx[j-1] + 1
-			}
-		}
-	}
-	return events
-}
-
-// mergeUnits unions the selected loss units into one concurrent event.
-func mergeUnits(units []lossEvent, idx []int, necus int) lossEvent {
-	ev := lossEvent{dead: make([]bool, necus), buses: map[string]bool{}}
+// mergeUnits unions the selected loss units into one concurrent event,
+// labels joined with "+". The channel sets are unioned before isolation
+// is derived: two units each losing one of an ECU's two channels
+// isolate it together.
+func mergeUnits(units []lossUnit, idx []int) lossUnit {
+	u := lossUnit{dead: make([]bool, len(units[0].dead)), buses: map[string]bool{}}
 	labels := make([]string, 0, len(idx))
 	for _, ui := range idx {
-		u := &units[ui]
-		labels = append(labels, u.label)
-		for ei, d := range u.dead {
+		v := &units[ui]
+		labels = append(labels, v.label)
+		for ei, d := range v.dead {
 			if d {
-				ev.dead[ei] = true
+				u.dead[ei] = true
 			}
 		}
-		for b := range u.buses {
-			ev.buses[b] = true
+		for b := range v.buses {
+			u.buses[b] = true
 		}
 	}
-	ev.label = strings.Join(labels, "+")
-	return ev
+	u.label = strings.Join(labels, "+")
+	return u
 }
 
 // effectiveGroups is the replica-group set the sweep scores: the
 // materialized groups, plus (under IncludeSingletons) every unreplicated
 // primary as a group of one, in component declaration order.
-func (rc *redCheck) effectiveGroups() []redGroup {
-	if !rc.cons.Faults.IncludeSingletons {
-		return rc.groups
+func effectiveGroups(comps []boundComp, includeSingletons bool) []redGroup {
+	groups := redGroups(comps)
+	if !includeSingletons {
+		return groups
 	}
-	standbys := make(map[int][]int, len(rc.groups))
-	for _, g := range rc.groups {
+	standbys := make(map[int][]int, len(groups))
+	for _, g := range groups {
 		standbys[g.primary] = g.standbys
 	}
-	var groups []redGroup
-	for ci := range rc.comps {
-		if rc.comps[ci].replicaOf != "" {
+	var out []redGroup
+	for ci := range comps {
+		if comps[ci].replicaOf != "" {
 			continue
 		}
-		groups = append(groups, redGroup{primary: ci, standbys: standbys[ci]})
+		out = append(out, redGroup{primary: ci, standbys: standbys[ci]})
 	}
-	return groups
+	return out
 }

@@ -9,10 +9,22 @@ package deploy
 // analysis, shared verbatim by the full (Evaluator.Evaluate) and delta
 // (Prepared.assemble) paths so the two stay DeepEqual-identical — same
 // violations in the same order, same Survivability float.
+//
+// A check costs O(replica groups + events) with no per-move setup:
+// newRedCheck resolves everything mapping-independent of the fault model
+// (faultmodel.go) once per Bind, and the default universe buckets the groups by primary
+// ECU so each single-ECU event visits only the groups it takes down.
+// The sweep's scratch is pooled, so a warm move allocates nothing. The
+// normal-case RTA verdicts the check reads beside it are computed only
+// under RequireSchedulable: Prepared.computeECU skips the task set and
+// the analysis otherwise.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"autorte/internal/model"
 	"autorte/internal/sched"
@@ -67,16 +79,54 @@ func redGroups(comps []boundComp) []redGroup {
 	return groups
 }
 
-// redCheck runs the fail-operational checks of one candidate mapping.
-// The closures abstract over how each evaluation path stores its per-ECU
-// state; everything observable (violation strings, their order, the
-// Survivability value) is computed here so the paths cannot drift.
+// inst returns instance i of the group: the primary, then the standbys.
+func (g *redGroup) inst(i int) int {
+	if i == 0 {
+		return g.primary
+	}
+	return g.standbys[i-1]
+}
+
+// redCheck runs the fail-operational checks of candidate mappings of
+// one topology. Everything observable (violation strings, their order,
+// the Survivability value) is computed here so the evaluation paths
+// cannot drift. Built once per Bind (per call on the unbound path), it
+// holds the fault model resolved against the topology and is read-only
+// afterwards.
 type redCheck struct {
-	comps  []boundComp
+	comps []boundComp
+	ecus  []boundECU
+	cons  Constraints // filled
+	rta   *sched.Cache
+	// groups is the effective replica-group set: the materialized groups
+	// plus, under IncludeSingletons, every unreplicated primary as a
+	// group of one, in component declaration order.
 	groups []redGroup
-	ecus   []boundECU
-	cons   Constraints // filled
-	rta    *sched.Cache
+	// bad holds the malformed-loss violations, in Losses order.
+	bad []string
+	// events is the explicit universe: every well-formed unit, then every
+	// combination of 2..MaxConcurrent units in lexicographic unit order.
+	// Empty under the default universe.
+	events []faultEvent
+}
+
+// newRedCheck resolves cons.Faults against a bound topology. Without
+// replica groups there is nothing to sweep, so the universe stays
+// unresolved (and its malformed units unreported), exactly as the sweep
+// skips it.
+func newRedCheck(comps []boundComp, ecus []boundECU, cons Constraints, rta *sched.Cache) *redCheck {
+	rc := &redCheck{comps: comps, ecus: ecus, cons: cons, rta: rta,
+		groups: effectiveGroups(comps, cons.Faults.IncludeSingletons)}
+	if len(rc.groups) > 0 && rc.explicit() {
+		rc.resolveEvents()
+	}
+	return rc
+}
+
+// candidate abstracts over how an evaluation path stores the checked
+// mapping and its per-ECU state. It is passed by value rather than kept
+// in redCheck so that the closures stay on the caller's stack.
+type candidate struct {
 	// ecuOf resolves a component index to its candidate ECU index; false
 	// when the component is unmapped.
 	ecuOf func(ci int) (int, bool)
@@ -86,124 +136,269 @@ type redCheck struct {
 	hosts func(ei int) bool
 }
 
+// sweep is the per-candidate scratch of one fault sweep, pooled so that
+// a warm search scores a move without allocating.
+type sweep struct {
+	// primary holds each group's primary ECU index, -1 when unmapped.
+	primary []int
+	// order lists group indices bucketed by primary ECU: the groups whose
+	// primary sits on ECU e are order[start[e]:start[e+1]], in group
+	// order. next is the fill cursor.
+	order, start, next []int
+	// lost is the current default-universe event's loss bitmap; combo its
+	// ECU indices (concurrent events).
+	lost   []bool
+	combo  []int
+	hosted []int
+	promos []promo
+	// targets lists the current event's fail-over target ECUs.
+	targets []int
+
+	events, survived int
+}
+
+var sweeps = sync.Pool{New: func() any { return new(sweep) }}
+
+// ints returns buf resized to n zeroed elements.
+func ints(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // run appends fail-operational violations to m and sets m.Survivability:
 // the fraction of (fault event, replica group) pairs the deployment
-// survives with a valid fail-over. The event universe comes from
-// cons.Faults; its zero value sweeps every single hosted-ECU failure,
-// reproducing the v1 analysis exactly. 1.0 when nothing is scored.
-func (rc *redCheck) run(m *Metrics) {
+// survives with a valid fail-over. The explicit universe was resolved
+// with the check; the default one sweeps every single hosted-ECU
+// failure, reproducing the v1 analysis exactly. 1.0 when nothing is
+// scored.
+func (rc *redCheck) run(m *Metrics, c candidate) {
 	m.Survivability = 1
-	groups := rc.effectiveGroups()
+	groups := rc.groups
 	if len(groups) == 0 {
 		return
 	}
-	soft := rc.cons.Faults.Soft
 	// Anti-affinity: two instances of one group on the same ECU fail
 	// together, defeating the replication. Group order, then pair order.
 	// Always a hard violation, Soft or not — co-location is a deployment
 	// bug, not a coverage gap.
-	for _, g := range groups {
-		insts := append([]int{g.primary}, g.standbys...)
-		for x := 0; x < len(insts); x++ {
-			ex, okx := rc.ecuOf(insts[x])
+	for gi := range groups {
+		g := &groups[gi]
+		n := 1 + len(g.standbys)
+		for x := 0; x < n; x++ {
+			ex, okx := c.ecuOf(g.inst(x))
 			if !okx {
 				continue
 			}
-			for y := x + 1; y < len(insts); y++ {
-				if ey, oky := rc.ecuOf(insts[y]); oky && ey == ex {
+			for y := x + 1; y < n; y++ {
+				if ey, oky := c.ecuOf(g.inst(y)); oky && ey == ex {
 					m.Feasible = false
 					m.Violations = append(m.Violations, fmt.Sprintf(
 						"replicas %s and %s co-located on %s",
-						rc.comps[insts[x]].name, rc.comps[insts[y]].name, rc.ecus[ex].name))
+						rc.comps[g.inst(x)].name, rc.comps[g.inst(y)].name, rc.ecus[ex].name))
 				}
 			}
 		}
 	}
-	// Fault-event sweep: for every event of the fault model (zero model:
-	// every used ECU, declaration order) and every replica group (group
-	// order), does the function survive?
-	events, survived := 0, 0
-	for _, ev := range rc.lossEvents(m) {
-		var promos []promo
-		for _, g := range groups {
-			events++
-			pe, ok := rc.ecuOf(g.primary)
-			if !ok || !ev.lost(rc.ecus, pe) {
-				survived++ // this event does not take the primary down
-				continue
-			}
-			// The designated fail-over target: the first standby (preference
-			// order) hosted outside the event's loss set — the instance
-			// rte.FailOver would promote.
-			sb, target := -1, -1
-			for _, s := range g.standbys {
-				if se, ok := rc.ecuOf(s); ok && !ev.lost(rc.ecus, se) {
-					sb, target = s, se
-					break
-				}
-			}
-			if sb < 0 {
-				if !soft {
-					m.Feasible = false
-					m.Violations = append(m.Violations, fmt.Sprintf(
-						"%s failure leaves %s with no standby on another ECU",
-						ev.label, rc.comps[g.primary].name))
-				}
-				continue
-			}
-			promos = append(promos, promo{standby: sb, target: target})
+	for _, v := range rc.bad {
+		m.Feasible = false
+		m.Violations = append(m.Violations, v)
+	}
+	s := sweeps.Get().(*sweep)
+	s.events, s.survived = 0, 0
+	s.combo = s.combo[:0]
+	if rc.explicit() {
+		for _, ev := range rc.events {
+			rc.strike(m, s, c, ev, nil)
 		}
-		if len(promos) == 0 {
+	} else {
+		rc.sweepDefault(m, s, c)
+	}
+	if s.events > 0 {
+		m.Survivability = float64(s.survived) / float64(s.events)
+	}
+	sweeps.Put(s)
+}
+
+// sweepDefault sweeps the default universe: every hosted ECU failing
+// alone (declaration order), then every combination of 2..MaxConcurrent
+// hosted ECUs in lexicographic order. A single-ECU event takes down
+// exactly the groups whose primary it hosts, so the groups are bucketed
+// by primary ECU in one counting pass and each event visits only its
+// bucket; the groups it leaves alone are counted, not scanned.
+func (rc *redCheck) sweepDefault(m *Metrics, s *sweep, c candidate) {
+	groups := rc.groups
+	necus := len(rc.ecus)
+	s.primary = ints(s.primary, len(groups))
+	s.start = ints(s.start, necus+1)
+	for gi := range groups {
+		s.primary[gi] = -1
+		if pe, ok := c.ecuOf(groups[gi].primary); ok {
+			s.primary[gi] = pe
+			s.start[pe+1]++
+		}
+	}
+	for e := 0; e < necus; e++ {
+		s.start[e+1] += s.start[e]
+	}
+	s.next = append(ints(s.next, 0), s.start[:necus]...)
+	s.order = ints(s.order, s.start[necus])
+	for gi, pe := range s.primary {
+		if pe >= 0 {
+			s.order[s.next[pe]] = gi
+			s.next[pe]++
+		}
+	}
+	if cap(s.lost) < necus {
+		s.lost = make([]bool, necus)
+	}
+	lost := s.lost[:necus]
+	clear(lost)
+	s.hosted = s.hosted[:0]
+	for ei := 0; ei < necus; ei++ {
+		if !c.hosts(ei) {
 			continue
 		}
-		// Absorption: each target ECU (declaration order) must stay within
-		// the utilization cap — and schedulable, when RTA is required —
-		// after every promotion this event sends its way. Passive
-		// standbys add their load only now; active ones already paid it.
-		for ti := range rc.ecus {
-			n := 0
-			for _, pr := range promos {
-				if pr.target == ti {
-					n++
-				}
+		s.hosted = append(s.hosted, ei)
+		bucket := s.order[s.start[ei]:s.start[ei+1]]
+		s.events += len(groups) - len(bucket)
+		s.survived += len(groups) - len(bucket)
+		if len(bucket) == 0 {
+			continue
+		}
+		lost[ei] = true
+		rc.strike(m, s, c, faultEvent{label: rc.ecus[ei].name, lost: lost}, bucket)
+		lost[ei] = false
+	}
+	k := min(rc.cons.Faults.MaxConcurrent, len(s.hosted))
+	for size := 2; size <= k; size++ {
+		idx := ints(s.combo, size)
+		for i := range idx {
+			idx[i] = i
+		}
+		s.combo = idx
+		for ok := true; ok; ok = nextCombo(idx, len(s.hosted)) {
+			for _, i := range idx {
+				lost[s.hosted[i]] = true
 			}
-			if n == 0 {
-				continue
-			}
-			al := rc.load(ti)
-			speed := rc.ecus[ti].speed
-			for _, pr := range promos {
-				if pr.target != ti || !rc.comps[pr.standby].passive {
-					continue
-				}
-				for _, t := range rc.comps[pr.standby].loadTerms {
-					al += t / speed
-				}
-			}
-			ok := al <= rc.cons.MaxUtilization
-			if !ok {
-				if !soft {
-					m.Feasible = false
-					m.Violations = append(m.Violations, fmt.Sprintf(
-						"%s failure overloads fail-over target %s: %.3f > %.3f",
-						ev.label, rc.ecus[ti].name, al, rc.cons.MaxUtilization))
-				}
-			} else if rc.cons.RequireSchedulable && !rc.failoverSchedulable(ti, promos) {
-				ok = false
-				if !soft {
-					m.Feasible = false
-					m.Violations = append(m.Violations, fmt.Sprintf(
-						"%s unschedulable after absorbing fail-over from %s",
-						rc.ecus[ti].name, ev.label))
-				}
-			}
-			if ok {
-				survived += n
+			// The label is built only if a violation needs it.
+			rc.strike(m, s, c, faultEvent{lost: lost}, nil)
+			for _, i := range idx {
+				lost[s.hosted[i]] = false
 			}
 		}
 	}
-	if events > 0 {
-		m.Survivability = float64(survived) / float64(events)
+}
+
+// label names a fault event in violations: its resolved label, or the
+// current concurrent combination's ECU names joined with "+".
+func (rc *redCheck) label(ev faultEvent, s *sweep) string {
+	if ev.label != "" {
+		return ev.label
+	}
+	names := make([]string, len(s.combo))
+	for j, i := range s.combo {
+		names[j] = rc.ecus[s.hosted[i]].name
+	}
+	return strings.Join(names, "+")
+}
+
+// strike scores one fault event against the groups it may hit (indices
+// into rc.groups, in group order; nil for every group) and counts those
+// (event, group) pairs and their survivors. A group whose primary the event
+// takes down fails over to its first standby (preference order) outside
+// the loss set — the instance rte.FailOver would promote — and every
+// target ECU must absorb the promotions the event sends its way.
+func (rc *redCheck) strike(m *Metrics, s *sweep, c candidate, ev faultEvent, hit []int) {
+	soft := rc.cons.Faults.Soft
+	n := len(hit)
+	if hit == nil {
+		n = len(rc.groups)
+	}
+	s.events += n
+	s.promos = s.promos[:0]
+	for i := 0; i < n; i++ {
+		gi := i
+		if hit != nil {
+			gi = hit[i]
+		}
+		g := &rc.groups[gi]
+		pe, ok := c.ecuOf(g.primary)
+		if !ok || !ev.lost[pe] {
+			s.survived++ // this event does not take the primary down
+			continue
+		}
+		sb, target := -1, -1
+		for _, sbi := range g.standbys {
+			if se, ok := c.ecuOf(sbi); ok && !ev.lost[se] {
+				sb, target = sbi, se
+				break
+			}
+		}
+		if sb < 0 {
+			if !soft {
+				m.Feasible = false
+				m.Violations = append(m.Violations, fmt.Sprintf(
+					"%s failure leaves %s with no standby on another ECU",
+					rc.label(ev, s), rc.comps[g.primary].name))
+			}
+			continue
+		}
+		s.promos = append(s.promos, promo{standby: sb, target: target})
+	}
+	if len(s.promos) == 0 {
+		return
+	}
+	// Absorption: each target ECU (declaration order) must stay within
+	// the utilization cap — and schedulable, when RTA is required —
+	// after every promotion this event sends its way. Passive standbys
+	// add their load only now; active ones already paid it.
+	s.targets = s.targets[:0]
+	for _, pr := range s.promos {
+		if !slices.Contains(s.targets, pr.target) {
+			s.targets = append(s.targets, pr.target)
+		}
+	}
+	slices.Sort(s.targets)
+	for _, ti := range s.targets {
+		n := 0
+		al := c.load(ti)
+		speed := rc.ecus[ti].speed
+		for _, pr := range s.promos {
+			if pr.target != ti {
+				continue
+			}
+			n++
+			if !rc.comps[pr.standby].passive {
+				continue
+			}
+			for _, t := range rc.comps[pr.standby].loadTerms {
+				al += t / speed
+			}
+		}
+		ok := al <= rc.cons.MaxUtilization
+		if !ok {
+			if !soft {
+				m.Feasible = false
+				m.Violations = append(m.Violations, fmt.Sprintf(
+					"%s failure overloads fail-over target %s: %.3f > %.3f",
+					rc.label(ev, s), rc.ecus[ti].name, al, rc.cons.MaxUtilization))
+			}
+		} else if rc.cons.RequireSchedulable && !rc.failoverSchedulable(c, ti, s.promos) {
+			ok = false
+			if !soft {
+				m.Feasible = false
+				m.Violations = append(m.Violations, fmt.Sprintf(
+					"%s unschedulable after absorbing fail-over from %s",
+					rc.ecus[ti].name, rc.label(ev, s)))
+			}
+		}
+		if ok {
+			s.survived += n
+		}
 	}
 }
 
@@ -211,7 +406,7 @@ func (rc *redCheck) run(m *Metrics) {
 // post-promotion task set: its normal-case tasks plus the promoted
 // passive standbys', ranked rate-monotonically in the shared global proto
 // order (the exact ranking taskset.Build would derive for that hosting).
-func (rc *redCheck) failoverSchedulable(target int, promos []promo) bool {
+func (rc *redCheck) failoverSchedulable(c candidate, target int, promos []promo) bool {
 	promoted := make(map[int]bool, len(promos))
 	for _, pr := range promos {
 		if pr.target == target && rc.comps[pr.standby].passive {
@@ -220,14 +415,14 @@ func (rc *redCheck) failoverSchedulable(target int, promos []promo) bool {
 	}
 	var protos []*protoTask
 	for ci := range rc.comps {
-		c := &rc.comps[ci]
-		ce, ok := rc.ecuOf(ci)
-		hosted := ok && ce == target && !c.passive
+		comp := &rc.comps[ci]
+		ce, ok := c.ecuOf(ci)
+		hosted := ok && ce == target && !comp.passive
 		if !hosted && !promoted[ci] {
 			continue
 		}
-		for j := range c.protos {
-			protos = append(protos, &c.protos[j])
+		for j := range comp.protos {
+			protos = append(protos, &comp.protos[j])
 		}
 	}
 	sortProtos(protos)
