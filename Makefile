@@ -65,13 +65,16 @@ bench-compare:
 bench-all:
 	go test -run '^$$' -bench . -benchmem ./...
 
-# Differential fuzzing under a bounded budget: FuzzFaultSweep holds the
-# fail-operational sweep to its reference and the delta scorer to full
-# scoring under random fault models. The committed corpus under
+# Differential fuzzing, each target under its own bounded budget:
+# FuzzFaultSweep holds the fail-operational sweep to its reference and
+# the delta scorer to full scoring under random fault models;
+# FuzzCostFirst holds cost-first move scoring and the Descend/Anneal
+# loops to their score-everything references. The committed corpus under
 # internal/deploy/testdata/fuzz runs first; a failure leaves the
 # minimized input there, to be committed as a regression seed.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzFaultSweep$$' -fuzztime=10s -parallel 2 ./internal/deploy
+	go test -run '^$$' -fuzz '^FuzzCostFirst$$' -fuzztime=10s -parallel 2 ./internal/deploy
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational

@@ -590,8 +590,10 @@ var (
 // (component, ECU) move of the seed mapping: sched under
 // RequireSchedulable (per-ECU RTA, memoized against the incumbent),
 // faults under the place workload's fault model (the fail-operational
-// sweep runs on every move). ns/move is the unit cost every search pays
-// per candidate.
+// sweep runs on every move). cost scores the sched moves cost first
+// through Prepared.MoveCost, the way the searches do: no violation text,
+// RTA verdicts only for moves that are otherwise feasible. ns/move is
+// the unit cost every search pays per candidate.
 func BenchmarkEvaluateMove(b *testing.B) {
 	sys := demoVehicleScaled(b, 1)
 	type move struct{ comp, ecu string }
@@ -603,12 +605,16 @@ func BenchmarkEvaluateMove(b *testing.B) {
 			}
 		}
 	}
+	obj := deploy.DefaultObjective()
+	evaluate := func(p *deploy.Prepared, mv move) { p.EvaluateMove(mv.comp, mv.ecu) }
 	for _, tc := range []struct {
-		name string
-		cons deploy.Constraints
+		name  string
+		cons  deploy.Constraints
+		score func(*deploy.Prepared, move)
 	}{
-		{"sched", deploy.Constraints{RequireSchedulable: true}},
-		{"faults", placeCons},
+		{"sched", deploy.Constraints{RequireSchedulable: true}, evaluate},
+		{"faults", placeCons, evaluate},
+		{"cost", deploy.Constraints{RequireSchedulable: true}, func(p *deploy.Prepared, mv move) { p.MoveCost(mv.comp, mv.ecu, obj) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			bound, err := deploy.NewEvaluator(tc.cons).Bind(sys)
@@ -620,13 +626,12 @@ func BenchmarkEvaluateMove(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, mv := range moves {
-				prep.EvaluateMove(mv.comp, mv.ecu) // warm the incumbent's memo
+				tc.score(prep, mv) // warm the incumbent's memo
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mv := moves[i%len(moves)]
-				prep.EvaluateMove(mv.comp, mv.ecu)
+				tc.score(prep, moves[i%len(moves)])
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/move")
 		})

@@ -3,19 +3,27 @@ package deploy
 // A candidate that differs from the incumbent by ONE mapping entry should
 // not cost O(system) to score. Prepared is the delta evaluator on top of
 // Bound and the only scorer the searches use: it retains the incumbent's
-// per-ECU accumulators and schedulability verdicts, and EvaluateMove
-// re-derives only the two ECUs a move touches — their task sets and RTA
-// verdicts only under RequireSchedulable, the one setting that reads
-// them. The fail-operational sweep runs against the fault model Bind
-// resolved. The metrics are bit-identical to the unbound
-// Evaluator.Evaluate — same summation order, same violation strings in
-// the same order — which stays the reference oracle
+// per-ECU accumulators and schedulability verdicts, and a move re-derives
+// only the two ECUs it touches. The fail-operational sweep runs against
+// the fault model Bind resolved. The metrics are bit-identical to the
+// unbound Evaluator.Evaluate — same summation order, same violation
+// strings in the same order — which stays the reference oracle
 // (TestPreparedEvaluateMoveMatchesBoundEvaluate, the random walks in
 // redundant_test.go and faultmodel_test.go, and FuzzFaultSweep hold the
 // two paths together).
+//
+// The searches score cost first. Most candidates of a round never win,
+// so scoreMove in cost-only mode formats no violation text, stops at the
+// first infeasibility (the cost is then +Inf anyway) and leaves the two
+// dirty ECUs' response-time verdicts unchecked; schedulable supplies
+// them for the few moves that could still win. That order is exact: RTA
+// can only turn a feasible move infeasible, and the cost-only score of a
+// feasible move is the full score bit for bit (FuzzCostFirst holds the
+// searches to their score-everything references).
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"autorte/internal/model"
@@ -30,22 +38,25 @@ type ecuAcc struct {
 	memory      int
 	hosts       bool
 	worst, best model.ASIL
-	protos      int // hosted analyzable runnable count, rate-less included; RequireSchedulable only
 }
 
 // moveKey identifies one dirty-ECU recomputation: ECU index, the comp
 // index leaving it (or -1) and the comp index joining it (or -1).
 type moveKey struct{ idx, skip, add int }
 
+// moveEntry is one memoized dirty-ECU recomputation. checked records
+// whether msg holds its RTA verdict: cost-only scoring leaves it out, and
+// a move that could still win fills it in, at most once per incumbent.
 type moveEntry struct {
-	acc ecuAcc
-	msg string
+	acc     ecuAcc
+	msg     string
+	checked bool
 }
 
 // Prepared scores single-component moves against an incumbent mapping in
-// O(dirty ECUs) instead of O(system). EvaluateMove is read-only and safe
-// for concurrent use (parallel steepest descent scores all moves of a
-// round concurrently); Apply commits a move and is not.
+// O(dirty ECUs) instead of O(system). EvaluateMove and MoveCost are
+// read-only and safe for concurrent use (parallel steepest descent scores
+// all moves of a round concurrently); Apply commits a move and is not.
 type Prepared struct {
 	b *Bound
 	// curIdx is the incumbent as comp index -> ECU index, so the hot loops
@@ -89,22 +100,23 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 		p.curIdx[i] = ei
 	}
 	for i := range b.ecus {
-		p.accs[i], p.schedMsg[i] = p.computeECU(i, -1, -1)
+		p.accs[i], p.schedMsg[i] = p.computeECU(i, -1, -1, true)
 	}
 	return p, nil
 }
 
-// computeECU re-derives one ECU's accumulator and schedulability verdict,
-// reproducing the unbound path's per-component accumulation order
-// (AnalyzedLoad) and task-set ranking (taskset.Build) exactly. The hosted
-// set is the incumbent's, minus comp index skip, plus comp index add (-1
-// for none) — the two adjustments a single-component move needs. Without
-// RequireSchedulable the verdict is "" and protos 0: nothing reads them.
-func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
+// computeECU re-derives one ECU's accumulator and, when verdict is set,
+// its schedulability verdict, reproducing the unbound path's
+// per-component accumulation order (AnalyzedLoad) and task-set ranking
+// (taskset.Build) exactly. The hosted set is the incumbent's, minus comp
+// index skip, plus comp index add (-1 for none) — the two adjustments a
+// single-component move needs. The verdict is "" when schedulable, when
+// not asked for, and without RequireSchedulable: nothing reads it then.
+func (p *Prepared) computeECU(idx, skip, add int, verdict bool) (ecuAcc, string) {
 	b := p.b
 	name := b.ecus[idx].name
 	speed := b.ecus[idx].speed
-	needRTA := b.cons.RequireSchedulable
+	needRTA := verdict && b.cons.RequireSchedulable
 	var a ecuAcc
 	var protos []*protoTask
 	for i := range b.comps {
@@ -132,10 +144,6 @@ func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
 			}
 		}
 	}
-	if !needRTA {
-		return a, ""
-	}
-	a.protos = len(protos)
 	if len(protos) == 0 {
 		return a, ""
 	}
@@ -163,23 +171,26 @@ func (p *Prepared) computeECU(idx, skip, add int) (ecuAcc, string) {
 	return a, ""
 }
 
-// computeECUCached memoizes computeECU against the current incumbent.
-func (p *Prepared) computeECUCached(idx, skip, add int) (ecuAcc, string) {
+// dirty returns the memoized recomputation of one dirty ECU against the
+// current incumbent, with its RTA verdict when verdict is set.
+func (p *Prepared) dirty(idx, skip, add int, verdict bool) (ecuAcc, string) {
+	verdict = verdict && p.b.cons.RequireSchedulable
 	k := moveKey{idx, skip, add}
 	p.mu.RLock()
 	e, ok := p.memo[k]
 	p.mu.RUnlock()
-	if ok {
+	if ok && (e.checked || !verdict) {
 		return e.acc, e.msg
 	}
-	acc, msg := p.computeECU(idx, skip, add)
+	e.acc, e.msg = p.computeECU(idx, skip, add, verdict)
+	e.checked = verdict
 	p.mu.Lock()
 	if p.memo == nil {
 		p.memo = map[moveKey]moveEntry{}
 	}
-	p.memo[k] = moveEntry{acc, msg}
+	p.memo[k] = e
 	p.mu.Unlock()
-	return acc, msg
+	return e.acc, e.msg
 }
 
 // EvaluateMove scores moving comp to ecu without committing it. An
@@ -193,33 +204,62 @@ func (p *Prepared) EvaluateMove(comp, ecu string) Metrics {
 	if !ok {
 		return Metrics{Violations: []string{fmt.Sprintf("mapping of %s references unknown ECU %q", comp, ecu)}}
 	}
-	return p.evaluateMove(ci, ei)
+	return p.scoreMove(ci, ei, true)
 }
 
-// evaluateMove is EvaluateMove by component and ECU index.
-func (p *Prepared) evaluateMove(ci, ei int) Metrics {
+// scoreMove is EvaluateMove by component and ECU index. With full unset
+// it scores cost-only: the Metrics may stop at the first infeasibility
+// and carry no violations, and the two dirty ECUs' RTA verdicts are left
+// to schedulable. Its Cost then equals the full one whenever that is
+// finite.
+func (p *Prepared) scoreMove(ci, ei int, full bool) Metrics {
 	oi := p.curIdx[ci]
 	if ei == oi {
 		// The move is a no-op: the candidate mapping IS the incumbent.
 		return p.Evaluate()
 	}
-	accOld, msgOld := p.computeECUCached(oi, ci, -1)
-	accNew, msgNew := p.computeECUCached(ei, -1, ci)
-	get := func(i int) (ecuAcc, string) {
-		switch i {
-		case oi:
-			return accOld, msgOld
-		case ei:
-			return accNew, msgNew
-		}
-		return p.accs[i], p.schedMsg[i]
+	d := dirtyECUs{idx: [2]int{oi, ei}}
+	d.acc[0], d.msg[0] = p.dirty(oi, ci, -1, full)
+	d.acc[1], d.msg[1] = p.dirty(ei, -1, ci, full)
+	return p.assemble(ci, ei, &d, full)
+}
+
+// schedulable reports whether the two ECUs moving comp index ci to ECU
+// index ei dirties pass response-time analysis: the verdicts cost-only
+// scoring leaves out. Always true without RequireSchedulable.
+func (p *Prepared) schedulable(ci, ei int) bool {
+	oi := p.curIdx[ci]
+	if !p.b.cons.RequireSchedulable || ei == oi {
+		return true
 	}
-	return p.assemble(ci, ei, get)
+	_, msgOld := p.dirty(oi, ci, -1, true)
+	_, msgNew := p.dirty(ei, -1, ci, true)
+	return msgOld == "" && msgNew == ""
+}
+
+// MoveCost is EvaluateMove(comp, ecu).Cost(obj), scored cost first: the
+// dirty ECUs' response-time verdicts run only when the rest of the move
+// is feasible, and no violation text is built.
+func (p *Prepared) MoveCost(comp, ecu string, obj Objective) float64 {
+	ci, okc := p.b.compIdx[comp]
+	ei, oke := p.b.ecuIdx[ecu]
+	if !okc || !oke {
+		return math.Inf(1)
+	}
+	return p.moveCost(ci, ei, obj)
+}
+
+// moveCost is MoveCost by component and ECU index.
+func (p *Prepared) moveCost(ci, ei int, obj Objective) float64 {
+	if cost := p.scoreMove(ci, ei, false).Cost(obj); !math.IsInf(cost, 1) && p.schedulable(ci, ei) {
+		return cost
+	}
+	return math.Inf(1)
 }
 
 // Evaluate scores the incumbent mapping itself from the retained state.
 func (p *Prepared) Evaluate() Metrics {
-	return p.assemble(-1, -1, func(i int) (ecuAcc, string) { return p.accs[i], p.schedMsg[i] })
+	return p.assemble(-1, -1, &dirtyECUs{idx: [2]int{-1, -1}}, true)
 }
 
 // Apply commits a previously scored move into the incumbent state. Not
@@ -253,9 +293,9 @@ func (p *Prepared) apply(ci, ei int) {
 		}
 	}
 	p.mu.Unlock()
-	p.accs[oi], p.schedMsg[oi] = p.computeECU(oi, -1, -1)
+	p.accs[oi], p.schedMsg[oi] = p.computeECU(oi, -1, -1, true)
 	if ei != oi {
-		p.accs[ei], p.schedMsg[ei] = p.computeECU(ei, -1, -1)
+		p.accs[ei], p.schedMsg[ei] = p.computeECU(ei, -1, -1, true)
 	}
 }
 
@@ -271,12 +311,32 @@ func (p *Prepared) ecuOf(ci, moved, target int) int {
 	return p.curIdx[ci]
 }
 
+// dirtyECUs overrides the incumbent's per-ECU state at the (at most) two
+// ECUs a move dirties; an unused slot holds index -1.
+type dirtyECUs struct {
+	idx [2]int
+	acc [2]ecuAcc
+	msg [2]string
+}
+
+// get returns ECU index i's state under the candidate.
+func (p *Prepared) get(d *dirtyECUs, i int) (ecuAcc, string) {
+	for j, di := range d.idx {
+		if di == i {
+			return d.acc[j], d.msg[j]
+		}
+	}
+	return p.accs[i], p.schedMsg[i]
+}
+
 // assemble folds per-ECU state into Metrics with the unbound path's exact
 // term order: ECU count, harness sum in connector order, per-ECU checks in
 // declaration order, communication verdict, RTA verdicts in sorted ECU
 // order, then load variance. The candidate mapping is the incumbent with
-// comp index moved relocated to ECU index target.
-func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) Metrics {
+// comp index moved relocated to ECU index target and the state of d's
+// ECUs. With full unset it formats no violation and returns at the first
+// infeasibility: the cost is +Inf from there on.
+func (p *Prepared) assemble(moved, target int, d *dirtyECUs, full bool) Metrics {
 	b := p.b
 	cons := &b.cons
 	m := Metrics{Feasible: true}
@@ -286,7 +346,7 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 		return m
 	}
 	for i := range b.ecus {
-		if a, _ := get(i); a.hosts {
+		if a, _ := p.get(d, i); a.hosts {
 			m.ECUs++
 		}
 	}
@@ -296,7 +356,7 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 		}
 	}
 	for i := range b.ecus {
-		a, _ := get(i)
+		a, _ := p.get(d, i)
 		if !a.hosts {
 			continue
 		}
@@ -306,38 +366,57 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 		}
 		if a.load > cons.MaxUtilization {
 			m.Feasible = false
+			if !full {
+				return m
+			}
 			m.Violations = append(m.Violations, fmt.Sprintf("%s overloaded: %.3f > %.3f", e.name, a.load, cons.MaxUtilization))
 		}
 		if cons.RespectMemory && e.memoryKB > 0 && a.memory > e.memoryKB {
 			m.Feasible = false
+			if !full {
+				return m
+			}
 			m.Violations = append(m.Violations, fmt.Sprintf("%s out of memory: %d > %d KB", e.name, a.memory, e.memoryKB))
 		}
 		if cons.RespectASIL && a.worst > e.maxASIL {
 			m.Feasible = false
+			if !full {
+				return m
+			}
 			m.Violations = append(m.Violations, fmt.Sprintf("%s hosts %v components but qualifies only for %v", e.name, a.worst, e.maxASIL))
 		}
 		if msg := asilSpreadViolation(e.name, a.worst, a.best, cons.MaxASILSpread); msg != "" {
 			m.Feasible = false
+			if !full {
+				return m
+			}
 			m.Violations = append(m.Violations, msg)
 		}
 	}
 	b.red.run(&m, candidate{
 		ecuOf: func(ci int) (int, bool) { return p.ecuOf(ci, moved, target), true },
-		load:  func(ei int) float64 { a, _ := get(ei); return a.load },
-		hosts: func(ei int) bool { a, _ := get(ei); return a.hosts },
+		load:  func(ei int) float64 { a, _ := p.get(d, ei); return a.load },
+		hosts: func(ei int) bool { a, _ := p.get(d, ei); return a.hosts },
 	})
+	if !m.Feasible && !full {
+		return m
+	}
 	if err := p.commCheck(moved, target); err != nil {
 		m.Feasible = false
+		if !full {
+			return m
+		}
 		m.Violations = append(m.Violations, err.Error())
 	}
 	if cons.RequireSchedulable {
 		for _, i := range b.ecuByName {
-			a, msg := get(i)
-			if a.protos == 0 || msg == "" {
-				continue
+			if _, msg := p.get(d, i); msg != "" {
+				m.Feasible = false
+				if !full {
+					return m
+				}
+				m.Violations = append(m.Violations, msg)
 			}
-			m.Feasible = false
-			m.Violations = append(m.Violations, msg)
 		}
 	}
 	// Load variance over used ECUs, summed in declaration order like the
@@ -345,13 +424,13 @@ func (p *Prepared) assemble(moved, target int, get func(int) (ecuAcc, string)) M
 	if m.ECUs > 0 {
 		mean := 0.0
 		for i := range b.ecus {
-			if a, _ := get(i); a.hosts {
+			if a, _ := p.get(d, i); a.hosts {
 				mean += a.load
 			}
 		}
 		mean /= float64(m.ECUs)
 		for i := range b.ecus {
-			if a, _ := get(i); a.hosts {
+			if a, _ := p.get(d, i); a.hosts {
 				m.LoadVar += (a.load - mean) * (a.load - mean)
 			}
 		}

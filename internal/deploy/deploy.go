@@ -7,8 +7,10 @@
 package deploy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -490,18 +492,17 @@ func withMapping(sys *model.System, mapping map[string]string) *model.System {
 
 // anneal is the evaluator-parameterized chain shared by Anneal and
 // AnnealParallel (the latter passes a cached evaluator shared across
-// chains). The chain scores every candidate move through the delta
-// evaluator and carries the incumbent and the best mapping as component
-// -> ECU indices; the result system is materialized once, at the end,
-// together with its metrics.
-func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters int) (*model.System, Metrics, error) {
+// chains). The chain scores every candidate move cost first through the
+// delta evaluator and carries the incumbent and the best mapping as
+// component -> ECU indices; the result system is materialized once, at
+// the end, together with its cost.
+func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters int) (*model.System, float64, error) {
 	prep, err := ev.prepare(sys)
 	if err != nil {
-		return nil, Metrics{}, err
+		return nil, 0, err
 	}
 	nComps, nECUs := len(prep.b.comps), len(prep.b.ecus)
-	bestM := prep.Evaluate()
-	bestCost := bestM.Cost(obj)
+	bestCost := prep.Evaluate().Cost(obj)
 	curCost := bestCost
 	best := append([]int(nil), prep.curIdx...)
 	r := sim.NewRand(seed)
@@ -514,8 +515,7 @@ func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters 
 		if prep.curIdx[ci] == ei {
 			continue
 		}
-		m := prep.evaluateMove(ci, ei)
-		cost := m.Cost(obj)
+		cost := prep.moveCost(ci, ei, obj)
 		ev.movesEvaluated.Add(1)
 		accept := cost <= curCost
 		if !accept && !math.IsInf(cost, 1) {
@@ -527,24 +527,27 @@ func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters 
 			curCost = cost
 			if cost < bestCost {
 				copy(best, prep.curIdx)
-				bestM, bestCost = m, cost
+				bestCost = cost
 			}
 		}
 		temp *= 0.995
 	}
 	if math.IsInf(bestCost, 1) {
-		return nil, Metrics{}, fmt.Errorf("deploy: annealing found no feasible mapping")
+		return nil, 0, fmt.Errorf("deploy: annealing found no feasible mapping")
 	}
-	return withMapping(sys, prep.b.mapping(best)), bestM, nil
+	return withMapping(sys, prep.b.mapping(best)), bestCost, nil
 }
 
 // AnnealParallel runs `restarts` independent annealing chains (seeds
-// derived deterministically from seed) on a bounded worker pool and
-// returns the best mapping found. All chains share one response-time
-// cache, so with Constraints.RequireSchedulable the per-ECU RTA of
-// recurring candidate task sets is paid once across the whole search.
-// The result is deterministic: chains are seeded by index and compared by
-// (cost, chain index), independent of scheduling.
+// derived deterministically from seed) through par.ForEach and returns
+// the best mapping found. par.ForEach runs batches below its fan-out
+// threshold (four jobs) inline, so up to three chains run one after
+// another on the caller's goroutine; only larger restart counts use the
+// worker pool. All chains share one response-time cache, so with
+// Constraints.RequireSchedulable the per-ECU RTA of recurring candidate
+// task sets is paid once across the whole search. The result is
+// deterministic: chains are seeded by index and compared by (cost, chain
+// index), independent of scheduling.
 func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 	seed uint64, iters, restarts, workers int) (*model.System, error) {
 	cons.fill()
@@ -562,12 +565,12 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 		// Chain errors are values here: one failed chain must not cancel
 		// its siblings, and the merge below stays deterministic.
 		chainSeed := seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		out, m, err := anneal(ev, sys, obj, chainSeed, iters)
+		out, cost, err := anneal(ev, sys, obj, chainSeed, iters)
 		if err != nil {
 			errs[i] = err
 			return nil
 		}
-		results[i], costs[i] = out, m.Cost(obj)
+		results[i], costs[i] = out, cost
 		return nil
 	})
 	best := -1
@@ -592,8 +595,10 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 
 // Descend refines a feasible mapping by parallel steepest descent: every
 // iteration scores all single-component moves concurrently against the
-// shared delta evaluator and applies the strictly best improving one; it
-// stops at a local optimum or after maxIters rounds. Deterministic:
+// shared delta evaluator, cost first, and applies the strictly best
+// improving one (whose dirty ECUs pass response-time analysis under
+// RequireSchedulable); it stops at a local optimum or after maxIters
+// rounds. Deterministic:
 // candidates are enumerated in sorted (component, ECU) order and ties
 // break to the lowest index. An infeasible input is bootstrapped through
 // Greedy.
@@ -625,6 +630,7 @@ func descend(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters 
 	compOrder := byName(len(b.comps), func(i int) string { return b.comps[i].name })
 	type move struct{ ci, ei int }
 	var moves []move
+	var improving []int
 	for iter := 0; iter < maxIters; iter++ {
 		moves = moves[:0]
 		for _, ci := range compOrder {
@@ -634,18 +640,32 @@ func descend(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters 
 				}
 			}
 		}
-		// EvaluateMove is read-only, so the round's candidates share the
-		// incumbent's delta evaluator concurrently.
+		// Scoring is read-only, so the round's candidates share the
+		// incumbent's delta evaluator concurrently — cost-only, without
+		// the dirty ECUs' RTA verdicts.
 		costs := make([]float64, len(moves))
 		_ = par.ForEach(workers, len(moves), func(i int) error {
-			defer ev.movesEvaluated.Add(1)
-			costs[i] = prep.evaluateMove(moves[i].ci, moves[i].ei).Cost(obj)
+			costs[i] = prep.scoreMove(moves[i].ci, moves[i].ei, false).Cost(obj)
 			return nil
 		})
-		best := -1
+		ev.movesEvaluated.Add(uint64(len(moves)))
+		// The winner is the lowest (cost, index) improving move whose dirty
+		// ECUs pass RTA — the move full scoring picks, because a verdict
+		// can only raise a cost to +Inf.
+		improving = improving[:0]
 		for i := range moves {
-			if costs[i] < curCost && (best == -1 || costs[i] < costs[best]) {
+			if costs[i] < curCost {
+				improving = append(improving, i)
+			}
+		}
+		slices.SortFunc(improving, func(i, j int) int {
+			return cmp.Or(cmp.Compare(costs[i], costs[j]), cmp.Compare(i, j))
+		})
+		best := -1
+		for _, i := range improving {
+			if prep.schedulable(moves[i].ci, moves[i].ei) {
 				best = i
+				break
 			}
 		}
 		if best == -1 {

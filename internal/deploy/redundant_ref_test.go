@@ -371,13 +371,13 @@ type fuzzCase struct {
 // IncludeSingletons, RequireSchedulable, k = flags>>3 % 4); utilization
 // cap choice; loss count, then per loss its kind (3 is unknown), ECU
 // names and channel names (an index past the end names an unknown one);
-// the ECU of every component; the unmapped components; the moves.
-func decodeFuzzCase(data []byte) (*fuzzCase, error) {
+// the ECU of every component; the unmapped components; the moves. It
+// leaves the rest of the input unread.
+func decodeFuzzCase(in *fuzzInput) (*fuzzCase, error) {
 	bases, err := fuzzBases()
 	if err != nil {
 		return nil, err
 	}
-	in := fuzzInput(data)
 	sys := bases[in.next(len(bases))].Clone()
 	if mask := in.next(256); mask != 0 {
 		sys.Buses = append(sys.Buses, &model.Bus{Name: "lin1", Kind: model.BusCAN, BitRate: 125000})
@@ -494,7 +494,8 @@ func FuzzFaultSweep(f *testing.F) {
 	// Vehicle, hard default model with k=3 and a tight cap.
 	f.Add([]byte{1, 0, 3, 2, 2, 1, 9, 2, 20, 1, 24, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fc, err := decodeFuzzCase(data)
+		in := fuzzInput(data)
+		fc, err := decodeFuzzCase(&in)
 		if err != nil {
 			t.Skip(err)
 		}
