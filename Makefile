@@ -69,12 +69,15 @@ bench-all:
 # FuzzFaultSweep holds the fail-operational sweep to its reference and
 # the delta scorer to full scoring under random fault models;
 # FuzzCostFirst holds cost-first move scoring and the Descend/Anneal
-# loops to their score-everything references. The committed corpus under
-# internal/deploy/testdata/fuzz runs first; a failure leaves the
-# minimized input there, to be committed as a regression seed.
+# loops to their score-everything references; FuzzReverify holds
+# incremental re-verification after random mapping changes to a fresh
+# Verify and to the reference derivation. The committed corpus under each
+# package's testdata/fuzz runs first; a failure leaves the minimized input
+# there, to be committed as a regression seed.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzFaultSweep$$' -fuzztime=10s -parallel 2 ./internal/deploy
 	go test -run '^$$' -fuzz '^FuzzCostFirst$$' -fuzztime=10s -parallel 2 ./internal/deploy
+	go test -run '^$$' -fuzz '^FuzzReverify$$' -fuzztime=10s -parallel 2 ./internal/core
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational

@@ -21,7 +21,7 @@
 //     (internal/core) and the reproduction suite (internal/experiments).
 //
 // Verification and exploration are parallel and memoized: core.Pipeline
-// fans per-ECU/bus/chain analyses out on a bounded worker pool
+// fans per-ECU/bus analyses out on a bounded worker pool
 // (internal/par) with deterministic, byte-identical reports for any
 // worker count, and deploy's searches score candidate moves through one
 // delta evaluator (deploy.Prepared) backed by canonical-key analysis

@@ -8,6 +8,7 @@ import (
 	"autorte/internal/model"
 	"autorte/internal/rte"
 	"autorte/internal/sim"
+	"autorte/internal/taskset"
 	"autorte/internal/workload"
 )
 
@@ -64,7 +65,7 @@ func TestVerifyDetectsOverload(t *testing.T) {
 
 func TestBuildTaskSetsDerivesEventRates(t *testing.T) {
 	sys := vehicle(t, 3)
-	sets, warnings := BuildTaskSets(sys)
+	sets, warnings := taskset.Build(sys)
 	if len(warnings) != 0 {
 		t.Fatalf("unexpected warnings: %v", warnings)
 	}
@@ -91,7 +92,7 @@ func TestEffectivePeriodTransitive(t *testing.T) {
 		if !strings.HasSuffix(comp.Name, "_act") {
 			continue
 		}
-		p := EffectivePeriod(sys, comp, &comp.Runnables[0])
+		p := sys.EffectivePeriod(comp, &comp.Runnables[0])
 		if p <= 0 {
 			t.Fatalf("actuator %s has no derived period", comp.Name)
 		}

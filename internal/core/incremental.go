@@ -1,350 +1,39 @@
 // Incremental re-verification: design-space exploration mutates one or two
 // mapping entries per candidate, yet a full Verify re-derives every route,
-// task set and report from scratch. Incremental retains the verified state
-// of the last mapping and, given the next one, re-analyzes only what the
-// moves can affect — the task sets and verdicts of the source and target
-// ECUs, the routes (and hence message sets and verdicts) of buses a changed
-// route crosses, and the constraint chains whose recorded ECU/bus
-// dependency sets intersect the dirty sets. Everything else — route
-// templates, producer rates, ECU-pair paths, the contract report — is
-// mapping-independent and computed exactly once.
+// task set and report. Reverify derives what a mapping change can affect —
+// the source and target ECUs of every moved component and the buses a
+// changed route crosses, before or after — and runs the verifier's update
+// step on just those; the step re-evaluates only the constraint chains
+// that read a dirty ECU or bus. Everything mapping-independent (runnable
+// protos, route templates, ECU-pair paths, chain stage plans, the contract
+// report) is computed once, when the state is built.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync/atomic"
 
-	"autorte/internal/can"
-	"autorte/internal/contract"
-	"autorte/internal/model"
 	"autorte/internal/obs"
-	"autorte/internal/rte"
-	"autorte/internal/sched"
-	"autorte/internal/sim"
 	"autorte/internal/vfb"
 )
-
-// protoTask is the mapping-independent part of one runnable's analysis
-// input. Effective periods derive from triggers and connectors only, so a
-// runnable's proto survives any re-mapping; only the hosting ECU's speed
-// scaling and priority ranks are deployment-dependent.
-type protoTask struct {
-	compName string
-	runName  string
-	taskName string // compName + "." + runName (sched.Task.Name)
-	sortKey  string // compName + runName (the RTE generator's tie-break)
-	period   sim.Duration
-	wcet     sim.Duration
-	deadline sim.Duration
-}
-
-// pathInfo memoizes one ECU pair's communication path. Topology (ECUs and
-// their bus attachments) is fixed for the lifetime of an Incremental, so
-// the memo never invalidates.
-type pathInfo struct {
-	bus, via, bus2 string
-	err            error
-}
-
-// Incremental verifies a system once in full and then re-verifies mutated
-// mappings at the cost of the delta. Reports are identical — field for
-// field — to a fresh Pipeline.Verify of the same mapping. Not safe for
-// concurrent use: a DSE loop owns one Incremental per search thread.
-type Incremental struct {
-	p         *Pipeline
-	sys       *model.System
-	contracts map[string]*contract.Contract
-	opts      rte.Options
-
-	// Mapping-independent precomputation.
-	protos      map[string][]protoTask // per component, in runnable order
-	tmpls       []vfb.Template         // sorted by SignalName
-	tmplsByComp map[string][]int       // template indexes touching a comp
-	paths       map[[2]string]pathInfo
-
-	// State of the last verified mapping.
-	mapping   map[string]string
-	routes    []vfb.Route
-	byBus     map[string][]vfb.Route
-	busMsgs   map[string][]*can.Message
-	taskSets  map[string][]sched.Task
-	ecuProtos map[string][]protoTask // per hosting ECU, analysis order
-	warnings  []string
-
-	ecuRep      map[string]ECUReport
-	busRep      map[string]BusReport
-	busUsed     map[string]bool
-	chainRep    []ChainReport
-	chainECUs   [][]string // ECUs the chain's stages read (last eval)
-	chainBuses  [][]string // bus segments the chain's bound crossed
-	contractRep *contract.Report
-
-	reverifies atomic.Uint64
-	recomputed atomic.Uint64 // items re-analyzed across reverifies
-	reused     atomic.Uint64 // items served from retained state
-}
-
-// NewIncremental verifies sys in full through p's caches and retains the
-// state needed to re-verify mutated mappings incrementally. The initial
-// report is available via Report().
-func NewIncremental(p *Pipeline, sys *model.System, contracts map[string]*contract.Contract, opts rte.Options) (*Incremental, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	if err := vfb.CheckConnectivity(sys); err != nil {
-		return nil, err
-	}
-	inc := &Incremental{
-		p: p, sys: sys, contracts: contracts, opts: opts,
-		protos:      map[string][]protoTask{},
-		tmplsByComp: map[string][]int{},
-		paths:       map[[2]string]pathInfo{},
-		mapping:     make(map[string]string, len(sys.Mapping)),
-		ecuRep:      map[string]ECUReport{},
-		busRep:      map[string]BusReport{},
-		busUsed:     map[string]bool{},
-	}
-	for c, e := range sys.Mapping {
-		inc.mapping[c] = e
-	}
-	for _, comp := range sys.Components {
-		ps := make([]protoTask, len(comp.Runnables))
-		for i := range comp.Runnables {
-			run := &comp.Runnables[i]
-			ps[i] = protoTask{
-				compName: comp.Name, runName: run.Name,
-				taskName: comp.Name + "." + run.Name,
-				sortKey:  comp.Name + run.Name,
-				period:   sys.EffectivePeriod(comp, run),
-				wcet:     run.WCETNominal,
-				deadline: run.Deadline,
-			}
-		}
-		inc.protos[comp.Name] = ps
-	}
-	inc.tmpls = vfb.Templates(sys)
-	for i, t := range inc.tmpls {
-		inc.tmplsByComp[t.Conn.FromSWC] = append(inc.tmplsByComp[t.Conn.FromSWC], i)
-		if t.Conn.ToSWC != t.Conn.FromSWC {
-			inc.tmplsByComp[t.Conn.ToSWC] = append(inc.tmplsByComp[t.Conn.ToSWC], i)
-		}
-	}
-	// Initial full pass.
-	routes := make([]vfb.Route, len(inc.tmpls))
-	for i, t := range inc.tmpls {
-		r, err := t.Materialize(inc.mapping, inc.pathFor)
-		if err != nil {
-			return nil, err
-		}
-		routes[i] = r
-	}
-	inc.routes = routes
-	inc.byBus = vfb.ByBus(routes)
-	inc.busMsgs = buildBusMessages(sys, inc.byBus)
-	inc.taskSets = map[string][]sched.Task{}
-	inc.ecuProtos = map[string][]protoTask{}
-	dirty := map[string]bool{}
-	for _, comp := range sys.Components {
-		dirty[inc.mapping[comp.Name]] = true
-	}
-	for _, ecu := range sortedKeys(dirty) {
-		inc.rebuildECU(ecu)
-	}
-	inc.rebuildWarnings()
-	for _, ecu := range sortedKeys(inc.taskSets) {
-		rep, err := inc.ecuVerdict(ecu)
-		if err != nil {
-			return nil, err
-		}
-		inc.ecuRep[ecu] = rep
-	}
-	for _, b := range sys.Buses {
-		if len(inc.byBus[b.Name]) == 0 {
-			continue
-		}
-		inc.busUsed[b.Name] = true
-		br, err := p.verifyBus(sys, b, inc.byBus[b.Name], inc.busMsgs[b.Name], opts)
-		if err != nil {
-			return nil, err
-		}
-		inc.busRep[b.Name] = br
-	}
-	if contracts != nil {
-		crep, err := contract.CheckSystem(sys, contracts)
-		if err != nil {
-			return nil, err
-		}
-		inc.contractRep = crep
-	}
-	inc.chainRep = make([]ChainReport, len(sys.Constraints))
-	inc.chainECUs = make([][]string, len(sys.Constraints))
-	inc.chainBuses = make([][]string, len(sys.Constraints))
-	ctx := p.newAnalysisCtx(opts)
-	for i, lc := range sys.Constraints {
-		inc.evalChain(i, lc, ctx)
-	}
-	return inc, nil
-}
-
-// pathFor resolves and memoizes the communication path of one ECU pair.
-func (inc *Incremental) pathFor(src, dst string) (string, string, string, error) {
-	k := [2]string{src, dst}
-	if p, ok := inc.paths[k]; ok {
-		return p.bus, p.via, p.bus2, p.err
-	}
-	bus, via, bus2, err := vfb.Path(inc.sys, src, dst)
-	inc.paths[k] = pathInfo{bus, via, bus2, err}
-	return bus, via, bus2, err
-}
-
-// rebuildECU re-derives one ECU's sorted proto list and task set from the
-// current mapping, reproducing taskset.Build exactly: components grouped in
-// declaration order, stable-sorted by (period, name-concat tie-break),
-// rate-less runnables ranked but excluded, WCET scaled by ECU speed.
-func (inc *Incremental) rebuildECU(ecu string) {
-	var infos []protoTask
-	for _, comp := range inc.sys.Components {
-		if inc.mapping[comp.Name] == ecu {
-			infos = append(infos, inc.protos[comp.Name]...)
-		}
-	}
-	if len(infos) == 0 {
-		delete(inc.ecuProtos, ecu)
-		delete(inc.taskSets, ecu)
-		return
-	}
-	sort.SliceStable(infos, func(i, j int) bool {
-		if infos[i].period != infos[j].period {
-			return infos[i].period < infos[j].period
-		}
-		return infos[i].sortKey < infos[j].sortKey
-	})
-	inc.ecuProtos[ecu] = infos
-	speed := 1.0
-	if e := inc.sys.ECUByName(ecu); e != nil {
-		speed = e.Speed
-	}
-	var tasks []sched.Task
-	for rank, ti := range infos {
-		if ti.period <= 0 {
-			continue
-		}
-		tasks = append(tasks, sched.Task{
-			Name:     ti.taskName,
-			C:        sim.Duration(float64(ti.wcet) / speed),
-			T:        ti.period,
-			D:        ti.deadline,
-			Priority: 1000 - rank,
-		})
-	}
-	if tasks == nil {
-		delete(inc.taskSets, ecu)
-		return
-	}
-	inc.taskSets[ecu] = tasks
-}
-
-// rebuildWarnings regenerates the rate-less-runnable warnings in the same
-// order taskset.Build emits them: sorted ECUs, each ECU's runnables in
-// analysis order.
-func (inc *Incremental) rebuildWarnings() {
-	ecus := make([]string, 0, len(inc.ecuProtos))
-	for e := range inc.ecuProtos {
-		ecus = append(ecus, e)
-	}
-	sort.Strings(ecus)
-	inc.warnings = nil
-	for _, ecu := range ecus {
-		for _, ti := range inc.ecuProtos[ecu] {
-			if ti.period <= 0 {
-				inc.warnings = append(inc.warnings,
-					fmt.Sprintf("%s.%s: no derivable rate; excluded from analysis", ti.compName, ti.runName))
-			}
-		}
-	}
-}
-
-// ecuVerdict runs the schedulability check of one ECU's current task set.
-func (inc *Incremental) ecuVerdict(ecu string) (ECUReport, error) {
-	tasks := inc.taskSets[ecu]
-	ok, results, err := inc.p.RTA.SchedulableShared(tasks)
-	if err != nil {
-		return ECUReport{}, err
-	}
-	return ECUReport{
-		Name: ecu, Utilization: sched.TotalUtilization(tasks),
-		Results: results, Schedulable: ok,
-	}, nil
-}
-
-// evalChain re-evaluates constraint i and records its dependency sets.
-// ctx pins the pass's resolved analyses: chains over the same ECUs and
-// buses share one cache lookup per resource.
-func (inc *Incremental) evalChain(i int, lc model.LatencyConstraint, ctx *analysisCtx) {
-	cr := ChainReport{Name: lc.Name, Budget: lc.Budget}
-	bound, depBuses, err := inc.p.chainBound(inc.sys, lc, inc.taskSets, inc.byBus, inc.busMsgs, ctx, inc.opts)
-	if err != nil {
-		cr.Err = err.Error()
-	} else {
-		cr.Bound = bound
-		cr.OK = bound <= lc.Budget
-	}
-	inc.chainRep[i] = cr
-	seen := map[string]bool{}
-	ecus := make([]string, 0, len(lc.Chain))
-	for _, hop := range lc.Chain {
-		if e, ok := inc.mapping[hop.SWC]; ok && !seen[e] {
-			seen[e] = true
-			ecus = append(ecus, e)
-		}
-	}
-	inc.chainECUs[i] = ecus
-	inc.chainBuses[i] = depBuses
-}
-
-// Report assembles the retained state into a Report identical to what a
-// fresh Pipeline.Verify of the current mapping returns.
-func (inc *Incremental) Report() *Report {
-	rep := &Report{}
-	ecus := make([]string, 0, len(inc.taskSets))
-	for e := range inc.taskSets {
-		ecus = append(ecus, e)
-	}
-	sort.Strings(ecus)
-	rep.ECUs = make([]ECUReport, len(ecus))
-	for i, e := range ecus {
-		rep.ECUs[i] = inc.ecuRep[e]
-	}
-	for _, b := range inc.sys.Buses {
-		if inc.busUsed[b.Name] {
-			rep.Buses = append(rep.Buses, inc.busRep[b.Name])
-		}
-	}
-	rep.Chains = make([]ChainReport, len(inc.chainRep))
-	copy(rep.Chains, inc.chainRep)
-	rep.Contracts = inc.contractRep
-	if len(inc.warnings) > 0 {
-		rep.Warnings = append([]string(nil), inc.warnings...)
-	}
-	return rep
-}
 
 // Reverify re-verifies the system under a mutated mapping, re-analyzing
 // only the ECUs, buses and chains the moves can affect. mapping must cover
 // exactly the mapped components of the original system. On success the
 // system's Mapping reflects the new deployment and the retained state
 // advances; on error the retained state still describes the previous
-// verified mapping.
+// verified mapping. The report, and the error for a mapping onto an
+// unknown or unreachable ECU, is the one a fresh Verify of the new
+// mapping returns.
 func (inc *Incremental) Reverify(mapping map[string]string) (*Report, error) {
 	defer inc.p.stage(nil, "verify/reverify", "")()
 	inc.reverifies.Add(1)
 	if len(mapping) != len(inc.mapping) {
 		return nil, fmt.Errorf("core: incremental reverify: mapping has %d entries, want %d", len(mapping), len(inc.mapping))
 	}
-	// Sorted component names: with several unknown components the
-	// returned error must not depend on map iteration order, and moved
-	// comes out sorted for the commit/restore bookkeeping below.
+	// Sorted component names: with several bad entries the returned error
+	// must not depend on map iteration order.
 	comps := make([]string, 0, len(mapping))
 	for comp := range mapping {
 		comps = append(comps, comp)
@@ -356,52 +45,48 @@ func (inc *Incremental) Reverify(mapping map[string]string) (*Report, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: incremental reverify: unknown component %s", comp)
 		}
-		if old != mapping[comp] {
-			moved = append(moved, comp)
+		ecu := mapping[comp]
+		if ecu == old {
+			continue
 		}
+		if _, ok := inc.ecuIdx[ecu]; !ok {
+			return nil, fmt.Errorf("mapping of %s references unknown ECU %q", comp, ecu)
+		}
+		moved = append(moved, comp)
 	}
 	if len(moved) == 0 {
-		inc.reused.Add(uint64(len(inc.ecuRep) + len(inc.busRep) + len(inc.chainRep)))
-		return inc.Report(), nil
+		rep := inc.Report()
+		inc.reused.Add(uint64(len(rep.ECUs) + len(rep.Buses) + len(rep.Chains)))
+		return rep, nil
 	}
 
-	dirtyECU := map[string]bool{}
-	for _, comp := range moved {
-		dirtyECU[inc.mapping[comp]] = true
-		dirtyECU[mapping[comp]] = true
-	}
-
-	// Commit the mapping move first: route materialization and chain
-	// evaluation read it. On error below, restore before returning.
-	oldECUs := make([]string, len(moved))
+	// Commit the moves: route materialization and the update step read
+	// the mapping. On error below, restore before returning.
+	ecuDirty := make([]bool, len(inc.sys.ECUs))
+	prev := make([]string, len(moved))
 	for i, comp := range moved {
-		oldECUs[i] = inc.mapping[comp]
-		inc.mapping[comp] = mapping[comp]
-		inc.sys.Mapping[comp] = mapping[comp]
+		prev[i] = inc.mapping[comp]
+		ecuDirty[inc.ecuIdx[prev[i]]] = true
+		ecuDirty[inc.ecuIdx[mapping[comp]]] = true
+		inc.place(comp, mapping[comp])
 	}
 	restore := func() {
 		for i, comp := range moved {
-			inc.mapping[comp] = oldECUs[i]
-			inc.sys.Mapping[comp] = oldECUs[i]
+			inc.place(comp, prev[i])
 		}
 	}
 
 	// Re-materialize the routes of every connector touching a moved
-	// component; buses a changed route crossed (before or after) are dirty.
-	dirtyBus := map[string]bool{}
-	touched := map[int]bool{}
-	for _, comp := range moved {
-		for _, ti := range inc.tmplsByComp[comp] {
-			touched[ti] = true
+	// component, in declaration order so the first unroutable connector
+	// is the one Verify reports; buses a changed route crossed (before or
+	// after) are dirty.
+	var routes []vfb.Route // copied from inc.routes on the first change
+	busDirty := make([]bool, len(inc.sys.Buses))
+	for ti, t := range inc.tmpls {
+		if !slices.Contains(moved, t.Conn.FromSWC) && !slices.Contains(moved, t.Conn.ToSWC) {
+			continue
 		}
-	}
-	type routeChange struct {
-		idx int
-		r   vfb.Route
-	}
-	var changes []routeChange
-	for _, ti := range sortedIntKeys(touched) {
-		r, err := inc.tmpls[ti].Materialize(inc.mapping, inc.pathFor)
+		r, err := t.Materialize(inc.mapping, inc.paths)
 		if err != nil {
 			restore()
 			return nil, err
@@ -410,173 +95,42 @@ func (inc *Incremental) Reverify(mapping map[string]string) (*Report, error) {
 		if r == old {
 			continue
 		}
-		for _, b := range []string{old.Bus, old.Bus2, r.Bus, r.Bus2} {
-			if b != "" {
-				dirtyBus[b] = true
+		for b, bus := range inc.sys.Buses {
+			if crosses(&old, bus.Name) || crosses(&r, bus.Name) {
+				busDirty[b] = true
 			}
 		}
-		changes = append(changes, routeChange{ti, r})
+		if routes == nil {
+			routes = slices.Clone(inc.routes)
+		}
+		routes[ti] = r
+	}
+	if routes == nil {
+		routes = inc.routes
 	}
 
-	// Compute the new state into temporaries so an analysis error leaves
-	// the retained state describing the previous verified mapping.
-	routes := inc.routes
-	if len(changes) > 0 {
-		routes = append([]vfb.Route(nil), inc.routes...)
-		for _, ch := range changes {
-			routes[ch.idx] = ch.r
+	var ecus, buses []int
+	for _, e := range inc.ecuOrder {
+		if ecuDirty[e] {
+			ecus = append(ecus, e)
 		}
 	}
-	byBus := inc.byBus
-	busMsgs := inc.busMsgs
-	if len(dirtyBus) > 0 {
-		byBus = make(map[string][]vfb.Route, len(inc.byBus))
-		for b, rs := range inc.byBus {
-			if !dirtyBus[b] {
-				byBus[b] = rs
-			}
-		}
-		for _, r := range routes {
-			if r.Local {
-				continue
-			}
-			if dirtyBus[r.Bus] {
-				byBus[r.Bus] = append(byBus[r.Bus], r)
-			}
-			if r.Via != "" && dirtyBus[r.Bus2] {
-				byBus[r.Bus2] = append(byBus[r.Bus2], r)
-			}
-		}
-		busMsgs = make(map[string][]*can.Message, len(inc.busMsgs))
-		for b, ms := range inc.busMsgs {
-			if !dirtyBus[b] {
-				busMsgs[b] = ms
-			}
-		}
-		for b := range dirtyBus {
-			bus := inc.sys.BusByName(b)
-			if bus == nil || bus.Kind != model.BusCAN || len(byBus[b]) == 0 {
-				continue
-			}
-			busMsgs[b] = canMessages(byBus[b], bus.BitRate)
+	for b, dirty := range busDirty {
+		if dirty {
+			buses = append(buses, b)
 		}
 	}
-
-	// Swap the delta-rebuilt comm state in before re-running analyses (the
-	// chain evaluator reads it through the receiver); the previous maps are
-	// kept for restoration on error.
-	prevRoutes, prevByBus, prevBusMsgs := inc.routes, inc.byBus, inc.busMsgs
-	inc.routes, inc.byBus, inc.busMsgs = routes, byBus, busMsgs
-	prevTaskSets := make(map[string][]sched.Task, len(dirtyECU))
-	prevEcuProtos := make(map[string][]protoTask, len(dirtyECU))
-	for _, e := range sortedKeys(dirtyECU) {
-		if ts, ok := inc.taskSets[e]; ok {
-			prevTaskSets[e] = ts
-		}
-		if ps, ok := inc.ecuProtos[e]; ok {
-			prevEcuProtos[e] = ps
-		}
-		inc.rebuildECU(e)
-	}
-	restoreAll := func() {
-		inc.routes, inc.byBus, inc.busMsgs = prevRoutes, prevByBus, prevBusMsgs
-		for e := range dirtyECU {
-			if ts, ok := prevTaskSets[e]; ok {
-				inc.taskSets[e] = ts
-			} else {
-				delete(inc.taskSets, e)
-			}
-			if ps, ok := prevEcuProtos[e]; ok {
-				inc.ecuProtos[e] = ps
-			} else {
-				delete(inc.ecuProtos, e)
-			}
-		}
+	if err := inc.update(nil, routes, ecus, buses, false); err != nil {
 		restore()
-	}
-	inc.rebuildWarnings()
-
-	// Re-analyze dirty ECUs.
-	newEcuRep := make(map[string]ECUReport, len(dirtyECU))
-	for _, e := range sortedKeys(dirtyECU) {
-		if _, ok := inc.taskSets[e]; !ok {
-			continue // ECU lost its last runnable
-		}
-		rep, err := inc.ecuVerdict(e)
-		if err != nil {
-			restoreAll()
-			return nil, err
-		}
-		newEcuRep[e] = rep
-		inc.recomputed.Add(1)
-	}
-	inc.reused.Add(uint64(len(inc.ecuRep) - len(prevTaskSets)))
-
-	// Re-analyze dirty buses.
-	newBusRep := make(map[string]BusReport, len(dirtyBus))
-	newBusUsed := make(map[string]bool, len(dirtyBus))
-	for _, b := range sortedKeys(dirtyBus) {
-		bus := inc.sys.BusByName(b)
-		if bus == nil || len(inc.byBus[b]) == 0 {
-			continue
-		}
-		newBusUsed[b] = true
-		br, err := inc.p.verifyBus(inc.sys, bus, inc.byBus[b], inc.busMsgs[b], inc.opts)
-		if err != nil {
-			restoreAll()
-			return nil, err
-		}
-		newBusRep[b] = br
-		inc.recomputed.Add(1)
-	}
-
-	// Commit: the analyses can no longer fail (chain errors are recorded
-	// in the report, not returned).
-	for e := range dirtyECU {
-		if rep, ok := newEcuRep[e]; ok {
-			inc.ecuRep[e] = rep
-		} else {
-			delete(inc.ecuRep, e)
-		}
-	}
-	for b := range dirtyBus {
-		if br, ok := newBusRep[b]; ok {
-			inc.busRep[b] = br
-			inc.busUsed[b] = true
-		} else {
-			delete(inc.busRep, b)
-			delete(inc.busUsed, b)
-		}
-	}
-
-	// Re-evaluate chains whose recorded dependencies intersect the dirty
-	// sets (or whose last evaluation errored — conservative, since an
-	// errored evaluation recorded no complete dependency set).
-	ctx := inc.p.newAnalysisCtx(inc.opts)
-	for i, lc := range inc.sys.Constraints {
-		dirty := inc.chainRep[i].Err != ""
-		for _, e := range inc.chainECUs[i] {
-			if dirtyECU[e] {
-				dirty = true
-				break
-			}
-		}
-		if !dirty {
-			for _, b := range inc.chainBuses[i] {
-				if dirtyBus[b] {
-					dirty = true
-					break
-				}
-			}
-		}
-		if !dirty {
-			inc.reused.Add(1)
-			continue
-		}
-		inc.evalChain(i, lc, ctx)
-		inc.recomputed.Add(1)
+		return nil, err
 	}
 	return inc.Report(), nil
+}
+
+// place maps comp onto ecu in the retained mapping and the system.
+func (inc *Incremental) place(comp, ecu string) {
+	inc.mapping[comp] = ecu
+	inc.sys.Mapping[comp] = ecu
 }
 
 // Stats reports how many per-item analyses Reverify calls re-ran versus
@@ -590,28 +144,4 @@ func (inc *Incremental) Observe(reg *obs.Registry) {
 	reg.CounterFunc("incremental_reverify_total", "Incremental re-verification passes.", inc.reverifies.Load)
 	reg.CounterFunc("incremental_recomputed_total", "Per-item analyses re-run by incremental re-verification.", inc.recomputed.Load)
 	reg.CounterFunc("incremental_reused_total", "Per-item results served from retained state by incremental re-verification.", inc.reused.Load)
-}
-
-// sortedKeys returns m's keys sorted. The incremental rebuild and
-// verdict loops iterate maps; a fixed order keeps first-error-wins
-// reporting (and the rebuild sequence itself) independent of map
-// iteration order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// sortedIntKeys is sortedKeys for integer-indexed maps (route template
-// indices).
-func sortedIntKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

@@ -32,7 +32,8 @@ func reportBytes(t *testing.T, rep *Report) []byte {
 
 // The parallel pipeline must produce byte-identical reports for any
 // worker count and with or without the analysis caches — on both the
-// federated demo vehicle and a consolidated mapping (dense task sets).
+// federated demo vehicle and a consolidated mapping (dense task sets) —
+// and they must be the reference derivation's report.
 func TestVerifyParallelMatchesSequential(t *testing.T) {
 	federated := demoVehicle(t, 1)
 	consolidated, err := deploy.Greedy(federated, deploy.Constraints{})
@@ -49,6 +50,13 @@ func TestVerifyParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: sequential verify: %v", name, err)
 		}
 		wantB := reportBytes(t, want)
+		ref, err := refVerify(sys, nil, rte.Options{})
+		if err != nil {
+			t.Fatalf("%s: reference verify: %v", name, err)
+		}
+		if !bytes.Equal(reportBytes(t, ref), wantB) {
+			t.Fatalf("%s: sequential report diverges from the reference", name)
+		}
 		for _, workers := range []int{0, 2, 8} {
 			p := NewPipeline(workers)         // caches on
 			for pass := 0; pass < 2; pass++ { // second pass hits the caches
@@ -102,6 +110,13 @@ func TestVerifyParallelFlexRayBackbone(t *testing.T) {
 	}
 	if !bytes.Equal(reportBytes(t, want), reportBytes(t, got)) {
 		t.Fatal("FlexRay report diverges between sequential and parallel")
+	}
+	ref, err := refVerify(sys, nil, rte.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reportBytes(t, ref), reportBytes(t, got)) {
+		t.Fatal("FlexRay report diverges from the reference")
 	}
 	if hits, misses := p.FlexRay.Stats(); hits+misses == 0 {
 		t.Fatal("synthesis cache unused on a FlexRay backbone")

@@ -48,28 +48,6 @@ func TestTaskStageSingleTargetStillWorks(t *testing.T) {
 	}
 }
 
-func TestTaskStageCustomRTAIsUsed(t *testing.T) {
-	cache := sched.NewCache()
-	st := &TaskStage{
-		Name: "stage",
-		Tasks: []sched.Task{
-			{Name: "tgt", C: sim.MS(1), T: sim.MS(10), Priority: 1},
-		},
-		Target: "tgt",
-		RTA:    cache.ResponseTimes,
-	}
-	if _, err := st.Bound(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Bound(0); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := cache.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
-	}
-}
-
 func TestCANStageRejectsDuplicateTarget(t *testing.T) {
 	st := &CANStage{
 		Name: "bus",

@@ -28,14 +28,10 @@ type TaskStage struct {
 	Name   string
 	Tasks  []sched.Task
 	Target string
-	// RTA optionally replaces sched.ResponseTimes — the verification
-	// pipeline injects a memoized analysis here (sched.Cache) so repeated
-	// chain bounds over unchanged task sets are free.
-	RTA func([]sched.Task) ([]sched.Result, error)
 	// Results optionally carries the pre-resolved analysis of Tasks; when
-	// non-nil, Bound reads it instead of calling RTA. Callers that bound
-	// many stages over the same task set resolve the analysis once and
-	// share it here (read-only).
+	// non-nil, Bound reads it instead of running sched.ResponseTimes.
+	// Callers that bound many stages over the same task set resolve the
+	// analysis once and share it here (read-only).
 	Results []sched.Result
 }
 
@@ -69,13 +65,8 @@ func (s *TaskStage) Bound(inputJitter sim.Duration) (sim.Duration, error) {
 	}
 	rs := s.Results
 	if rs == nil {
-		rta := s.RTA
-		if rta == nil {
-			rta = sched.ResponseTimes
-		}
 		var err error
-		rs, err = rta(s.Tasks)
-		if err != nil {
+		if rs, err = sched.ResponseTimes(s.Tasks); err != nil {
 			return 0, err
 		}
 	}
@@ -97,11 +88,9 @@ type CANStage struct {
 	Cfg      can.Config
 	Messages []*can.Message
 	Target   string
-	// Analyze optionally replaces can.Analyze — the verification pipeline
-	// injects a memoized analysis here (can.Cache).
-	Analyze func(can.Config, []*can.Message) ([]can.Response, error)
 	// Responses optionally carries the pre-resolved analysis of Messages;
-	// when non-nil, Bound reads it instead of calling Analyze (read-only).
+	// when non-nil, Bound reads it instead of running can.Analyze
+	// (read-only).
 	Responses []can.Response
 }
 
@@ -136,13 +125,8 @@ func (s *CANStage) Bound(inputJitter sim.Duration) (sim.Duration, error) {
 	}
 	rs := s.Responses
 	if rs == nil {
-		analyze := s.Analyze
-		if analyze == nil {
-			analyze = can.Analyze
-		}
 		var err error
-		rs, err = analyze(s.Cfg, s.Messages)
-		if err != nil {
+		if rs, err = can.Analyze(s.Cfg, s.Messages); err != nil {
 			return 0, err
 		}
 	}

@@ -105,91 +105,55 @@ func oneLogicalProvider(s *model.System, provs []string) bool {
 	return true
 }
 
-// Resolve maps every connector element onto a route under the system's
-// current mapping. Every component must be mapped, and remote connectors
-// need a bus shared by both ECUs.
-func Resolve(s *model.System) ([]Route, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return ResolveValidated(s)
-}
-
-// pathResult memoizes one ECU pair's resolved communication path for the
-// duration of a Resolve call — vehicle topologies route many connectors
-// over few ECU pairs, so the shared-bus scan runs once per pair.
+// pathResult is one memoized ECU-pair path.
 type pathResult struct {
 	bus, via, bus2 string
 	err            error
 }
 
-// ResolveValidated is Resolve for callers that have already validated the
-// system — the verification pipeline validates once up front and must not
-// pay for (or double-report) a second full validation per verify.
-func ResolveValidated(s *model.System) ([]Route, error) {
-	var routes []Route
-	var paths map[[2]string]pathResult
-	pathFor := func(srcECU, dstECU string) (string, string, string, error) {
-		k := [2]string{srcECU, dstECU}
-		if p, ok := paths[k]; ok {
-			return p.bus, p.via, p.bus2, p.err
-		}
-		bus, via, bus2, err := resolvePath(s, srcECU, dstECU)
-		if paths == nil {
-			paths = map[[2]string]pathResult{}
-		}
-		paths[k] = pathResult{bus, via, bus2, err}
-		return bus, via, bus2, err
+// Paths memoizes Path per ordered ECU pair: vehicle topologies route many
+// connectors over few ECU pairs, and a system's topology — its ECUs and
+// their bus attachments — is fixed, so entries never expire. Not safe for
+// concurrent use.
+type Paths struct {
+	s *model.System
+	m map[[2]string]pathResult
+}
+
+// NewPaths returns an empty path memo over s.
+func NewPaths(s *model.System) *Paths {
+	return &Paths{s: s, m: map[[2]string]pathResult{}}
+}
+
+// Path is the memoized Path between two ECUs.
+func (p *Paths) Path(srcECU, dstECU string) (bus, via, bus2 string, err error) {
+	k := [2]string{srcECU, dstECU}
+	r, ok := p.m[k]
+	if !ok {
+		r.bus, r.via, r.bus2, r.err = Path(p.s, srcECU, dstECU)
+		p.m[k] = r
 	}
-	for _, c := range s.Connectors {
-		srcECU, ok := s.Mapping[c.FromSWC]
-		if !ok {
-			return nil, fmt.Errorf("vfb: component %s is not mapped", c.FromSWC)
+	return r.bus, r.via, r.bus2, r.err
+}
+
+// Resolve maps every connector element onto a route under the system's
+// current mapping. Every component must be mapped, and remote connectors
+// need a path between their ECUs. Routes are materialized connector by
+// connector in declaration order, so the first unroutable connector is
+// the one reported, and come back sorted by SignalName.
+func Resolve(s *model.System) ([]Route, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	paths := NewPaths(s)
+	tmpls := Templates(s)
+	routes := make([]Route, len(tmpls))
+	for i, t := range tmpls {
+		r, err := t.Materialize(s.Mapping, paths)
+		if err != nil {
+			return nil, err
 		}
-		dstECU, ok := s.Mapping[c.ToSWC]
-		if !ok {
-			return nil, fmt.Errorf("vfb: component %s is not mapped", c.ToSWC)
-		}
-		prov := s.Component(c.FromSWC).Port(c.FromPort)
-		req := s.Component(c.ToSWC).Port(c.ToPort)
-		if prov.Interface.Kind != model.SenderReceiver {
-			// Client-server connectors route the request and response as a
-			// pair of events; we model them as a single logical element.
-			routes = append(routes, Route{
-				Conn: c, Elem: "__call__",
-				Local:      srcECU == dstECU,
-				SignalName: signalName(c, "__call__"),
-				Bits:       32,
-			})
-			if srcECU != dstECU {
-				bus, via, bus2, err := pathFor(srcECU, dstECU)
-				if err != nil {
-					return nil, err
-				}
-				routes[len(routes)-1].Bus = bus
-				routes[len(routes)-1].Via = via
-				routes[len(routes)-1].Bus2 = bus2
-			}
-			continue
-		}
-		// One route per data element the requirer consumes.
-		for _, el := range req.Interface.Elements {
-			r := Route{
-				Conn: c, Elem: el.Name,
-				Local:      srcECU == dstECU,
-				SignalName: signalName(c, el.Name),
-				Bits:       el.Type.Bits,
-				Period:     producerPeriod(s, s.Component(c.FromSWC), c.FromPort, el.Name),
-			}
-			if !r.Local {
-				bus, via, bus2, err := pathFor(srcECU, dstECU)
-				if err != nil {
-					return nil, err
-				}
-				r.Bus, r.Via, r.Bus2 = bus, via, bus2
-			}
-			routes = append(routes, r)
-		}
+		routes[i] = r
 	}
 	sort.Slice(routes, func(i, j int) bool { return routes[i].SignalName < routes[j].SignalName })
 	return routes, nil
@@ -201,7 +165,9 @@ func ResolveValidated(s *model.System) ([]Route, error) {
 // re-evaluates the mapping-dependent fields (Local, Bus, Via, Bus2) when
 // the deployment changes.
 type Template struct {
-	Conn       model.Connector
+	Conn model.Connector
+	// Connector is Conn's index in the system's connector list.
+	Connector  int
 	Elem       string
 	SignalName string
 	Bits       int
@@ -209,16 +175,18 @@ type Template struct {
 }
 
 // Templates precomputes one Template per connector element of a validated
-// system, sorted by SignalName — the same order and content Resolve gives
-// its routes, minus the mapping-dependent fields.
+// system, connector by connector in declaration order: one per data
+// element the requirer consumes, or a single "__call__" element for a
+// client-server connector (its request and response modelled as one
+// logical element).
 func Templates(s *model.System) []Template {
 	var tmpls []Template
-	for _, c := range s.Connectors {
+	for ci, c := range s.Connectors {
 		prov := s.Component(c.FromSWC).Port(c.FromPort)
 		req := s.Component(c.ToSWC).Port(c.ToPort)
 		if prov.Interface.Kind != model.SenderReceiver {
 			tmpls = append(tmpls, Template{
-				Conn: c, Elem: "__call__",
+				Conn: c, Connector: ci, Elem: "__call__",
 				SignalName: signalName(c, "__call__"),
 				Bits:       32,
 			})
@@ -226,21 +194,19 @@ func Templates(s *model.System) []Template {
 		}
 		for _, el := range req.Interface.Elements {
 			tmpls = append(tmpls, Template{
-				Conn: c, Elem: el.Name,
+				Conn: c, Connector: ci, Elem: el.Name,
 				SignalName: signalName(c, el.Name),
 				Bits:       el.Type.Bits,
 				Period:     producerPeriod(s, s.Component(c.FromSWC), c.FromPort, el.Name),
 			})
 		}
 	}
-	sort.Slice(tmpls, func(i, j int) bool { return tmpls[i].SignalName < tmpls[j].SignalName })
 	return tmpls
 }
 
 // Materialize turns a Template into a Route under the given mapping,
-// using pathFor to resolve remote ECU pairs (callers memoize it).
-func (t Template) Materialize(mapping map[string]string,
-	pathFor func(srcECU, dstECU string) (bus, via, bus2 string, err error)) (Route, error) {
+// resolving a remote ECU pair through paths.
+func (t Template) Materialize(mapping map[string]string, paths *Paths) (Route, error) {
 	src, ok := mapping[t.Conn.FromSWC]
 	if !ok {
 		return Route{}, fmt.Errorf("vfb: component %s is not mapped", t.Conn.FromSWC)
@@ -257,7 +223,7 @@ func (t Template) Materialize(mapping map[string]string,
 		Period:     t.Period,
 	}
 	if !r.Local {
-		bus, via, bus2, err := pathFor(src, dst)
+		bus, via, bus2, err := paths.Path(src, dst)
 		if err != nil {
 			return Route{}, err
 		}
@@ -289,18 +255,12 @@ func producerPeriod(s *model.System, swc *model.SWC, port, elem string) int64 {
 
 // Path resolves the communication path between two ECUs without routing a
 // full system: a directly shared bus when one exists, else a two-segment
-// path through a gateway. Deployment search uses this to precompute the
+// path through a gateway ECU attached to a bus of each side. Longer paths
+// are rejected — in practice vehicle topologies gateway between adjacent
+// domain buses only. Deployment search uses this to precompute the
 // ECU-pair reachability that Resolve would discover connector by
 // connector.
 func Path(s *model.System, srcECU, dstECU string) (bus, via, bus2 string, err error) {
-	return resolvePath(s, srcECU, dstECU)
-}
-
-// resolvePath finds the communication path between two ECUs: a directly
-// shared bus when one exists, else a two-segment path through a gateway
-// ECU attached to a bus of each side. Longer paths are rejected — in
-// practice vehicle topologies gateway between adjacent domain buses only.
-func resolvePath(s *model.System, srcECU, dstECU string) (bus, via, bus2 string, err error) {
 	if b, err := sharedBus(s, srcECU, dstECU); err == nil {
 		return b, "", "", nil
 	}
