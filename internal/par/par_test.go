@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -131,5 +132,33 @@ func TestForEachSingleFailureMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d failAt=%d: err = %q, want %q", workers, failAt, err, want)
 			}
 		}
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// With one processor the helpers ForEach starts cannot run while the
+// caller works. The caller runs every chunk itself and returns without
+// waiting for them: a helper that starts late neither takes work from
+// the batch nor delays it.
+func TestForEachLateHelpersDoNotDelayTheCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	caller := goid()
+	var elsewhere atomic.Int32
+	if err := ForEach(4, 64, func(i int) error {
+		if goid() != caller {
+			elsewhere.Add(1)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := elsewhere.Load(); n != 0 {
+		t.Fatalf("%d of 64 jobs ran on helpers that started after the caller took the batch", n)
 	}
 }
