@@ -71,13 +71,15 @@ bench-all:
 # FuzzCostFirst holds cost-first move scoring and the Descend/Anneal
 # loops to their score-everything references; FuzzReverify holds
 # incremental re-verification after random mapping changes to a fresh
-# Verify and to the reference derivation. The committed corpus under each
+# Verify and to the reference derivation; FuzzRank holds the priority
+# ranking to the reference comparator. The committed corpus under each
 # package's testdata/fuzz runs first; a failure leaves the minimized input
 # there, to be committed as a regression seed.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzFaultSweep$$' -fuzztime=10s -parallel 2 ./internal/deploy
 	go test -run '^$$' -fuzz '^FuzzCostFirst$$' -fuzztime=10s -parallel 2 ./internal/deploy
 	go test -run '^$$' -fuzz '^FuzzReverify$$' -fuzztime=10s -parallel 2 ./internal/core
+	go test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime=10s -parallel 2 ./internal/taskset
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational

@@ -68,70 +68,17 @@ type Cache struct {
 // NewCache returns an empty CAN analysis cache.
 func NewCache() *Cache { return &Cache{} }
 
-// rebind copies cached numeric results and re-binds them to the caller's
-// *Message values, matched by priority order. It fails when duplicate IDs
-// shuffled the order (names mismatch), in which case the caller must
-// recompute directly.
-func rebind(cached []Response, msgs []*Message) ([]Response, bool) {
-	byPrio := msgs
-	if !sortedByID(msgs) {
-		byPrio = append([]*Message(nil), msgs...)
-		sort.SliceStable(byPrio, func(i, j int) bool { return byPrio[i].ID < byPrio[j].ID })
-	}
-	out := append([]Response(nil), cached...)
-	for i := range out {
-		if out[i].Message.Name != byPrio[i].Name {
-			return nil, false
-		}
-		out[i].Message = byPrio[i]
-	}
-	return out, true
-}
-
-// lookup returns the cache-owned response slice for the message set,
-// computing and storing it on a miss. Callers must treat the result as
-// read-only; its Message pointers belong to whichever key-equal set first
-// populated the entry.
-func (c *Cache) lookup(cfg Config, msgs []*Message) ([]Response, error) {
-	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, cfg, msgs) },
-		func() ([]Response, error) { return Analyze(cfg, msgs) })
-}
-
-// Analyze is the memoized equivalent of the package function. On a hit
-// the cached numeric results are re-bound to the caller's *Message values
-// (matched by priority order), so callers always see their own messages in
-// the responses. A nil receiver degrades to the direct analysis.
-func (c *Cache) Analyze(cfg Config, msgs []*Message) ([]Response, error) {
-	if c == nil {
-		return Analyze(cfg, msgs)
-	}
-	rs, err := c.lookup(cfg, msgs)
-	if err != nil {
-		return nil, err
-	}
-	// Re-bind a private copy to the caller's messages. The rebind also
-	// guards the degenerate duplicate-ID case, where the cached priority
-	// order is ambiguous: recompute directly for this caller without
-	// disturbing the stored entry.
-	out, ok := rebind(rs, msgs)
-	if !ok {
-		c.memo.Miss()
-		return Analyze(cfg, msgs)
-	}
-	return out, nil
-}
-
-// AnalyzeShared is Analyze minus the per-call result copy: the returned
-// slice is cache-owned and must not be mutated or retained across cache
-// lifetimes, and its Message pointers are those of whichever key-equal
-// set first populated the entry — match results by Name, not by pointer.
-// The e2e chain stages read one response per call, so handing them the
-// shared slice keeps chain-heavy verification allocation-free on hits.
+// AnalyzeShared is the memoized equivalent of the package function
+// Analyze. The returned slice is cache-owned and must not be mutated or
+// retained across cache lifetimes, and its Message pointers are those of
+// whichever key-equal set first populated the entry — match results by
+// Name, not by pointer. A nil receiver degrades to the direct analysis.
 func (c *Cache) AnalyzeShared(cfg Config, msgs []*Message) ([]Response, error) {
 	if c == nil {
 		return Analyze(cfg, msgs)
 	}
-	return c.lookup(cfg, msgs)
+	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, cfg, msgs) },
+		func() ([]Response, error) { return Analyze(cfg, msgs) })
 }
 
 // Stats reports lookup hits and misses since creation.

@@ -8,7 +8,6 @@ import (
 	"autorte/internal/model"
 	"autorte/internal/rte"
 	"autorte/internal/sim"
-	"autorte/internal/taskset"
 	"autorte/internal/workload"
 )
 
@@ -60,27 +59,6 @@ func TestVerifyDetectsOverload(t *testing.T) {
 	}
 	if rep.OK() {
 		t.Fatal("overloaded single-ECU mapping verified")
-	}
-}
-
-func TestBuildTaskSetsDerivesEventRates(t *testing.T) {
-	sys := vehicle(t, 3)
-	sets, warnings := taskset.Build(sys)
-	if len(warnings) != 0 {
-		t.Fatalf("unexpected warnings: %v", warnings)
-	}
-	total := 0
-	for _, tasks := range sets {
-		total += len(tasks)
-		for _, tk := range tasks {
-			if tk.T <= 0 {
-				t.Fatalf("task %s has no derived period", tk.Name)
-			}
-		}
-	}
-	// 39 components x 1 runnable each.
-	if total != 39 {
-		t.Fatalf("analyzed %d tasks, want 39", total)
 	}
 }
 

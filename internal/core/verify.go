@@ -278,7 +278,7 @@ func newIncremental(p *Pipeline, sys *model.System, contracts map[string]*contra
 		ecuIdx:   make(map[string]int, len(sys.ECUs)),
 		busIdx:   make(map[string]int, len(sys.Buses)),
 		ecuOrder: make([]int, len(sys.ECUs)),
-		protos:   make([][]taskset.Proto, len(sys.Components)),
+		protos:   taskset.Protos(sys),
 		paths:    vfb.NewPaths(sys),
 		mapping:  maps.Clone(sys.Mapping),
 		ecus:     make([]ecuState, len(sys.ECUs)),
@@ -291,16 +291,6 @@ func newIncremental(p *Pipeline, sys *model.System, contracts map[string]*contra
 	slices.SortFunc(inc.ecuOrder, func(a, b int) int { return strings.Compare(sys.ECUs[a].Name, sys.ECUs[b].Name) })
 	for i := len(sys.Buses) - 1; i >= 0; i-- {
 		inc.busIdx[sys.Buses[i].Name] = i // the first of a duplicated name wins, as in BusByName
-	}
-	n := 0
-	for _, comp := range sys.Components {
-		n += len(comp.Runnables)
-	}
-	all := make([]taskset.Proto, 0, n)
-	for i, comp := range sys.Components {
-		lo := len(all)
-		all = taskset.Protos(all, sys, comp)
-		inc.protos[i] = all[lo:len(all):len(all)]
 	}
 	inc.tmpls = vfb.Templates(sys)
 	inc.bySignal = make([]int, len(inc.tmpls))
@@ -449,9 +439,8 @@ func (inc *Incremental) hosts(ecus []int) ([]int, error) {
 	return at, nil
 }
 
-// analyzeECU derives the task set of ecus[k] — its hosted protos, in
-// component declaration order, ranked by taskset.Rank — and runs its
-// schedulability check.
+// analyzeECU ranks the protos ecus[k] hosts through taskset.Rank and
+// runs the resulting task set's schedulability check.
 func (inc *Incremental) analyzeECU(root *obs.Span, e int, hosts []int, k int, st *ecuState) error {
 	n := 0
 	for ci, host := range hosts {
@@ -459,10 +448,12 @@ func (inc *Incremental) analyzeECU(root *obs.Span, e int, hosts []int, k int, st
 			n += len(inc.protos[ci])
 		}
 	}
-	hosted := make([]taskset.Proto, 0, n)
+	hosted := make([]*taskset.Proto, 0, n)
 	for ci, host := range hosts {
 		if host == k {
-			hosted = append(hosted, inc.protos[ci]...)
+			for j := range inc.protos[ci] {
+				hosted = append(hosted, &inc.protos[ci][j])
+			}
 		}
 	}
 	ecu := inc.sys.ECUs[e]

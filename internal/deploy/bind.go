@@ -14,23 +14,9 @@ import (
 	"sort"
 
 	"autorte/internal/model"
-	"autorte/internal/sim"
+	"autorte/internal/taskset"
 	"autorte/internal/vfb"
 )
-
-// protoTask is the mapping-independent part of one runnable's analyzable
-// task: everything except the hosting ECU's speed and the per-ECU
-// priority rank, which depend on the candidate mapping.
-type protoTask struct {
-	name     string // comp.runnable, the analyzable task name
-	sortKey  string // comp name + runnable name, taskset's tie-break key
-	wcet     sim.Duration
-	period   sim.Duration // derived effective period; 0 = no rate
-	deadline sim.Duration
-	// ord is the proto's position in the global (period, sortKey) order,
-	// precomputed at Bind so per-ECU ranking needs only integer compares.
-	ord int
-}
 
 type boundComp struct {
 	name     string
@@ -48,7 +34,7 @@ type boundComp struct {
 	// protos lists all runnables (rate-less included: they consume
 	// priority ranks in the task set even though they are excluded from
 	// the analysis).
-	protos []protoTask
+	protos []taskset.Proto
 }
 
 type boundECU struct {
@@ -184,46 +170,24 @@ func bindECUs(sys *model.System) []boundECU {
 
 // bindComps derives the mapping-independent per-component terms — shared
 // by Bind and by the unbound evaluator's fail-operational check, so both
-// see identical load terms and proto orderings. Passive standbys keep
-// their loadTerms and protos — the fail-over absorption analysis charges
-// them to the promotion target — but the normal-case accumulation loops
-// skip them, matching AnalyzedLoad and taskset.Build.
+// see identical load terms and protos. Passive standbys keep their
+// loadTerms and protos — the fail-over absorption analysis charges them
+// to the promotion target — but the normal-case accumulation loops skip
+// them, matching AnalyzedLoad and taskset.Build.
 func bindComps(sys *model.System) []boundComp {
-	var comps []boundComp
-	for _, c := range sys.Components {
-		bc := boundComp{
+	protos := taskset.Protos(sys)
+	comps := make([]boundComp, len(sys.Components))
+	for i, c := range sys.Components {
+		comps[i] = boundComp{
 			name: c.Name, memoryKB: c.MemoryKB, asil: c.ASIL,
 			replicaOf: c.ReplicaOf, passive: c.PassiveStandby(),
+			protos: protos[i],
 		}
-		for j := range c.Runnables {
-			r := &c.Runnables[j]
-			period := sys.EffectivePeriod(c, r)
-			if period > 0 {
-				bc.loadTerms = append(bc.loadTerms, float64(r.WCETNominal)/float64(period))
+		for _, p := range protos[i] {
+			if p.Period > 0 {
+				comps[i].loadTerms = append(comps[i].loadTerms, float64(p.WCET)/float64(p.Period))
 			}
-			bc.protos = append(bc.protos, protoTask{
-				name: c.Name + "." + r.Name, sortKey: c.Name + r.Name,
-				wcet: r.WCETNominal, period: period, deadline: r.Deadline,
-			})
 		}
-		comps = append(comps, bc)
-	}
-	// Rank all protos once in taskset.Build's (period, tie-break) order;
-	// per-candidate ranking then reduces to sorting small int keys.
-	var all []*protoTask
-	for i := range comps {
-		for j := range comps[i].protos {
-			all = append(all, &comps[i].protos[j])
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].period != all[j].period {
-			return all[i].period < all[j].period
-		}
-		return all[i].sortKey < all[j].sortKey
-	})
-	for ord, p := range all {
-		p.ord = ord
 	}
 	return comps
 }

@@ -27,8 +27,7 @@ import (
 	"sync"
 
 	"autorte/internal/model"
-	"autorte/internal/sched"
-	"autorte/internal/sim"
+	"autorte/internal/taskset"
 )
 
 // ecuAcc is one ECU's per-candidate accumulator state, retained per
@@ -105,10 +104,10 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 	return p, nil
 }
 
-// computeECU re-derives one ECU's accumulator and, when verdict is set,
-// its schedulability verdict, reproducing the unbound path's
-// per-component accumulation order (AnalyzedLoad) and task-set ranking
-// (taskset.Build) exactly. The hosted set is the incumbent's, minus comp
+// computeECU re-derives one ECU's accumulator, in the unbound path's
+// per-component accumulation order (AnalyzedLoad), and, when verdict is
+// set, the schedulability verdict of the task set taskset.Rank derives
+// from the hosted protos. The hosted set is the incumbent's, minus comp
 // index skip, plus comp index add (-1 for none) — the two adjustments a
 // single-component move needs. The verdict is "" when schedulable, when
 // not asked for, and without RequireSchedulable: nothing reads it then.
@@ -118,7 +117,7 @@ func (p *Prepared) computeECU(idx, skip, add int, verdict bool) (ecuAcc, string)
 	speed := b.ecus[idx].speed
 	needRTA := verdict && b.cons.RequireSchedulable
 	var a ecuAcc
-	var protos []*protoTask
+	var hosted []*taskset.Proto
 	for i := range b.comps {
 		if (p.curIdx[i] != idx || i == skip) && i != add {
 			continue
@@ -140,24 +139,11 @@ func (p *Prepared) computeECU(idx, skip, add int, verdict bool) (ecuAcc, string)
 		}
 		if needRTA {
 			for j := range c.protos {
-				protos = append(protos, &c.protos[j])
+				hosted = append(hosted, &c.protos[j])
 			}
 		}
 	}
-	if len(protos) == 0 {
-		return a, ""
-	}
-	sortProtos(protos)
-	var tasks []sched.Task
-	for rank, pt := range protos {
-		if pt.period <= 0 {
-			continue
-		}
-		tasks = append(tasks, sched.Task{
-			Name: pt.name, C: sim.Duration(float64(pt.wcet) / speed),
-			T: pt.period, D: pt.deadline, Priority: 1000 - rank,
-		})
-	}
+	tasks, _ := taskset.Rank(hosted, speed, nil, nil)
 	if len(tasks) == 0 {
 		return a, ""
 	}

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"strings"
 	"testing"
 
 	"autorte/internal/model"
@@ -28,6 +29,27 @@ func TestEvaluateFederatedBaseline(t *testing.T) {
 	}
 	if m.Harness <= 0 {
 		t.Fatal("federated harness should be positive")
+	}
+}
+
+// An unmapped component is reported as unmapped, not analyzed on an ECU
+// named "".
+func TestEvaluateUnmappedComponentsHaveNoECU(t *testing.T) {
+	sys := vehicle(t, 1)
+	sys.Mapping = map[string]string{}
+	m := Evaluate(sys, Constraints{RequireSchedulable: true})
+	if m.Feasible {
+		t.Fatal("unmapped system scored feasible")
+	}
+	unmapped := false
+	for _, v := range m.Violations {
+		if strings.HasPrefix(v, " ") {
+			t.Errorf("violation names an empty ECU: %q", v)
+		}
+		unmapped = unmapped || strings.Contains(v, "is not mapped")
+	}
+	if !unmapped {
+		t.Fatalf("no unmapped-component violation in %q", m.Violations)
 	}
 }
 

@@ -22,25 +22,17 @@ package deploy
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
 	"autorte/internal/model"
 	"autorte/internal/sched"
-	"autorte/internal/sim"
+	"autorte/internal/taskset"
 )
 
 // promo is one fail-over promotion a single-ECU failure forces: the
 // standby (component index) and the ECU index absorbing it.
 type promo struct{ standby, target int }
-
-// sortProtos orders a proto subset by the precomputed global ord —
-// identical to taskset.Build's stable (period, name) sort restricted to
-// the subset.
-func sortProtos(protos []*protoTask) {
-	sort.Slice(protos, func(i, j int) bool { return protos[i].ord < protos[j].ord })
-}
 
 // redGroup is one replica group in bound component indices: the primary
 // plus its standbys in declaration order (deploy.Replicate keeps groups
@@ -404,8 +396,7 @@ func (rc *redCheck) strike(m *Metrics, s *sweep, c candidate, ev faultEvent, hit
 
 // failoverSchedulable runs response-time analysis on the target ECU's
 // post-promotion task set: its normal-case tasks plus the promoted
-// passive standbys', ranked rate-monotonically in the shared global proto
-// order (the exact ranking taskset.Build would derive for that hosting).
+// passive standbys'.
 func (rc *redCheck) failoverSchedulable(c candidate, target int, promos []promo) bool {
 	promoted := make(map[int]bool, len(promos))
 	for _, pr := range promos {
@@ -413,7 +404,7 @@ func (rc *redCheck) failoverSchedulable(c candidate, target int, promos []promo)
 			promoted[pr.standby] = true
 		}
 	}
-	var protos []*protoTask
+	var protos []*taskset.Proto
 	for ci := range rc.comps {
 		comp := &rc.comps[ci]
 		ce, ok := c.ecuOf(ci)
@@ -425,18 +416,7 @@ func (rc *redCheck) failoverSchedulable(c candidate, target int, promos []promo)
 			protos = append(protos, &comp.protos[j])
 		}
 	}
-	sortProtos(protos)
-	speed := rc.ecus[target].speed
-	var tasks []sched.Task
-	for rank, p := range protos {
-		if p.period <= 0 {
-			continue
-		}
-		tasks = append(tasks, sched.Task{
-			Name: p.name, C: sim.Duration(float64(p.wcet) / speed),
-			T: p.period, D: p.deadline, Priority: 1000 - rank,
-		})
-	}
+	tasks, _ := taskset.Rank(protos, rc.ecus[target].speed, nil, nil)
 	if len(tasks) == 0 {
 		return true
 	}

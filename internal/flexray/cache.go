@@ -59,32 +59,13 @@ type SynthCache struct {
 // NewSynthCache returns an empty synthesis cache.
 func NewSynthCache() *SynthCache { return &SynthCache{} }
 
-// Synthesize is the memoized equivalent of the package function. The
-// returned slice is a fresh copy on every call (Assignment holds no
-// pointers). A nil receiver degrades to the direct synthesis.
-func (c *SynthCache) Synthesize(cfg Config, signals []Signal) ([]Assignment, error) {
-	if c == nil {
-		return Synthesize(cfg, signals)
-	}
-	as, err := c.lookup(cfg, signals)
-	if err != nil {
-		return nil, err
-	}
-	return append([]Assignment(nil), as...), nil
-}
-
-// SynthesizeShared is Synthesize without the defensive copy: the returned
-// slice is the cache's own and MUST be treated as read-only.
+// SynthesizeShared is the memoized equivalent of the package function
+// Synthesize. The returned slice is the cache's own and MUST be treated
+// as read-only. A nil receiver degrades to the direct synthesis.
 func (c *SynthCache) SynthesizeShared(cfg Config, signals []Signal) ([]Assignment, error) {
 	if c == nil {
 		return Synthesize(cfg, signals)
 	}
-	return c.lookup(cfg, signals)
-}
-
-// lookup returns the cache-owned assignment slice for the problem,
-// synthesizing and storing it on a miss.
-func (c *SynthCache) lookup(cfg Config, signals []Signal) ([]Assignment, error) {
 	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, cfg, signals) },
 		func() ([]Assignment, error) { return Synthesize(cfg, signals) })
 }

@@ -74,9 +74,6 @@ func (c *Memo[V]) Get(appendKey func([]byte) []byte, compute func() (V, error)) 
 	return v, err
 }
 
-// Miss counts a lookup the caller had to compute outside the memo.
-func (c *Memo[V]) Miss() { c.misses.Add(1) }
-
 // Stats reports lookup hits, misses and coalesced (dedup) lookups since
 // creation.
 func (c *Memo[V]) Stats() (hits, misses, dedup uint64) {

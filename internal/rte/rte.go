@@ -21,6 +21,7 @@ import (
 	"autorte/internal/osek"
 	"autorte/internal/protection"
 	"autorte/internal/sim"
+	"autorte/internal/taskset"
 	"autorte/internal/trace"
 	"autorte/internal/ttp"
 	"autorte/internal/vfb"
@@ -185,7 +186,7 @@ type Platform struct {
 	primaryOf map[string]string
 	muted     map[string][]*mutedEntry
 	switchAt  map[string]switchMark
-	started  bool
+	started   bool
 	// Virtual-time sampling state (EnableSampling).
 	sampler       *obs.Sampler
 	samplerCancel func()
@@ -390,19 +391,16 @@ func (p *Platform) buildCPUs() error {
 	return nil
 }
 
-// buildTasks creates OS tasks for every runnable with rate-monotonic
-// priorities per CPU and the selected isolation policy.
+// buildTasks creates OS tasks for every runnable with the priorities
+// taskset assigns per CPU and the selected isolation policy. Every mapped
+// component is ranked, standbys included.
 func (p *Platform) buildTasks() error {
-	type tinfo struct {
-		comp *model.SWC
-		run  *model.Runnable
-		ecu  string
-	}
-	perECU := map[string][]tinfo{}
-	for _, comp := range p.Sys.Components {
+	protos := taskset.Protos(p.Sys)
+	perECU := map[string][]*taskset.Proto{}
+	for ci, comp := range p.Sys.Components {
 		ecu := p.Sys.Mapping[comp.Name]
-		for i := range comp.Runnables {
-			perECU[ecu] = append(perECU[ecu], tinfo{comp: comp, run: &comp.Runnables[i], ecu: ecu})
+		for j := range protos[ci] {
+			perECU[ecu] = append(perECU[ecu], &protos[ci][j])
 		}
 	}
 	ecus := make([]string, 0, len(perECU))
@@ -411,63 +409,52 @@ func (p *Platform) buildTasks() error {
 	}
 	sort.Strings(ecus)
 	for _, ecu := range ecus {
-		infos := perECU[ecu]
-		// Rate-monotonic order on the derived rate (event-driven runnables
-		// inherit their producer's period); rate-less runnables sort first.
-		// Package core's analysis applies the identical ordering.
-		sort.SliceStable(infos, func(i, j int) bool {
-			pi := p.Sys.EffectivePeriod(infos[i].comp, infos[i].run)
-			pj := p.Sys.EffectivePeriod(infos[j].comp, infos[j].run)
-			if pi != pj {
-				return pi < pj
-			}
-			return infos[i].comp.Name+infos[i].run.Name < infos[j].comp.Name+infos[j].run.Name
-		})
+		hosted := perECU[ecu]
+		taskset.Order(hosted)
 		seen := map[string]bool{}
 		var comps []*model.SWC
-		for _, ti := range infos {
-			if !seen[ti.comp.Name] {
-				seen[ti.comp.Name] = true
-				comps = append(comps, ti.comp)
+		for _, pt := range hosted {
+			if !seen[pt.Comp.Name] {
+				seen[pt.Comp.Name] = true
+				comps = append(comps, pt.Comp)
 			}
 		}
 		throttles, err := p.buildIsolation(ecu, comps)
 		if err != nil {
 			return err
 		}
-		for rank, ti := range infos {
-			name := ti.comp.Name + "." + ti.run.Name
+		for rank, pt := range hosted {
+			comp, run := pt.Comp, pt.Run // captured by the callbacks below
 			task := &osek.Task{
-				Name:      name,
-				Priority:  1000 - rank,
-				WCET:      ti.run.WCETNominal,
-				Deadline:  ti.run.Deadline,
-				Supplier:  ti.comp.Supplier,
+				Name:      pt.Name,
+				Priority:  taskset.Priority(rank),
+				WCET:      run.WCETNominal,
+				Deadline:  run.Deadline,
+				Supplier:  comp.Supplier,
 				MaxQueued: 4,
 			}
-			if ti.run.Trigger.Kind == model.TimingEvent {
-				task.Period = ti.run.Trigger.Period
-				task.Offset = ti.run.Trigger.Offset
+			if run.Trigger.Kind == model.TimingEvent {
+				task.Period = run.Trigger.Period
+				task.Offset = run.Trigger.Offset
 			}
 			if p.opts.EnforceBudgets {
-				task.Budget = ti.run.WCETNominal
+				task.Budget = run.WCETNominal
 			}
-			if th := throttles[ti.comp.Supplier]; th != nil {
+			if th := throttles[comp.Supplier]; th != nil {
 				task.Throttle = th
 			}
-			ti := ti
-			task.OnFinish = func(job int64) { p.execute(ti.comp, ti.run, job) }
+			task.OnFinish = func(job int64) { p.execute(comp, run, job) }
 			// Budget exhaustion is a timing error: report it through the
 			// consistent error path so mode management and diagnostics
 			// see it (§2).
 			task.OnAbort = func(job int64) {
-				p.Errors.Report(ti.comp.Name, ErrTiming,
-					fmt.Sprintf("%s job %d exceeded its execution budget", ti.run.Name, job))
+				p.Errors.Report(comp.Name, ErrTiming,
+					fmt.Sprintf("%s job %d exceeded its execution budget", run.Name, job))
 			}
 			if err := p.cpus[ecu].AddTask(task); err != nil {
 				return err
 			}
-			p.tasks[name] = task
+			p.tasks[pt.Name] = task
 		}
 	}
 	return nil

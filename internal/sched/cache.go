@@ -45,9 +45,6 @@ func appendKey(buf []byte, tasks []Task) []byte {
 	return buf
 }
 
-// Key returns the canonical cache key of a task set (see appendKey).
-func Key(tasks []Task) string { return string(appendKey(nil, tasks)) }
-
 // entry is one memoized analysis: the per-task results plus the folded
 // schedulability verdict, so Check can answer without touching the slice.
 type entry struct {
@@ -68,8 +65,7 @@ func NewCache() *Cache { return &Cache{} }
 
 // lookup returns the memoized entry for tasks, computing and storing it on
 // a miss. Concurrent misses on the same key coalesce onto one analysis.
-// The returned slice is the cache's own — callers must copy before handing
-// it out mutably.
+// The returned slice is the cache's own.
 func (c *Cache) lookup(tasks []Task) (entry, error) {
 	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, tasks) }, func() (entry, error) {
 		rs, err := ResponseTimes(tasks)
@@ -87,59 +83,10 @@ func (c *Cache) lookup(tasks []Task) (entry, error) {
 	})
 }
 
-// ResponseTimes is the memoized equivalent of the package function. The
-// returned slice is a fresh copy on every call (Result holds no pointers),
-// so callers may mutate it freely. A nil receiver degrades to the direct
-// analysis.
-func (c *Cache) ResponseTimes(tasks []Task) ([]Result, error) {
-	if c == nil {
-		return ResponseTimes(tasks)
-	}
-	e, err := c.lookup(tasks)
-	if err != nil {
-		return nil, err
-	}
-	return append([]Result(nil), e.rs...), nil
-}
-
-// ResponseTimesShared is ResponseTimes without the defensive copy: the
-// returned slice is the cache's own and MUST be treated as read-only.
-// The verification pipeline's hot paths (per-ECU verdicts, chain-stage
-// bounds) only read results, so they skip the per-hit copy.
-func (c *Cache) ResponseTimesShared(tasks []Task) ([]Result, error) {
-	if c == nil {
-		return ResponseTimes(tasks)
-	}
-	e, err := c.lookup(tasks)
-	if err != nil {
-		return nil, err
-	}
-	return e.rs, nil
-}
-
-// Schedulable is the memoized equivalent of the package function.
-func (c *Cache) Schedulable(tasks []Task) (bool, []Result, error) {
-	if c == nil {
-		rs, err := ResponseTimes(tasks)
-		if err != nil {
-			return false, nil, err
-		}
-		for _, r := range rs {
-			if !r.Schedulable {
-				return false, rs, nil
-			}
-		}
-		return true, rs, nil
-	}
-	e, err := c.lookup(tasks)
-	if err != nil {
-		return false, nil, err
-	}
-	return e.ok, append([]Result(nil), e.rs...), nil
-}
-
-// SchedulableShared is Schedulable without the defensive copy: the
-// returned slice is the cache's own and MUST be treated as read-only.
+// SchedulableShared is the memoized equivalent of the package function
+// Schedulable. The returned slice is the cache's own and MUST be treated
+// as read-only: the verifier only reads it. A nil receiver degrades to
+// the direct analysis.
 func (c *Cache) SchedulableShared(tasks []Task) (bool, []Result, error) {
 	if c == nil {
 		return Schedulable(tasks)
@@ -151,27 +98,13 @@ func (c *Cache) SchedulableShared(tasks []Task) (bool, []Result, error) {
 	return e.ok, e.rs, nil
 }
 
-// Check answers only the schedulability verdict, skipping the per-call
-// result copy — the hot shape in design-space exploration, where the
-// search cares about feasibility and discards the response times.
+// Check answers only the schedulability verdict — the hot shape in
+// design-space exploration, where the search cares about feasibility and
+// discards the response times. A nil receiver degrades to the direct
+// analysis.
 func (c *Cache) Check(tasks []Task) (bool, error) {
-	if c == nil {
-		rs, err := ResponseTimes(tasks)
-		if err != nil {
-			return false, err
-		}
-		for _, r := range rs {
-			if !r.Schedulable {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	e, err := c.lookup(tasks)
-	if err != nil {
-		return false, err
-	}
-	return e.ok, nil
+	ok, _, err := c.SchedulableShared(tasks)
+	return ok, err
 }
 
 // Stats reports lookup hits and misses since creation.

@@ -25,11 +25,11 @@ func TestCacheMatchesDirectAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := c.ResponseTimes(tasks)
+		ok, got, err := c.SchedulableShared(tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !ok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: cached results diverge:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
@@ -39,12 +39,15 @@ func TestCacheMatchesDirectAnalysis(t *testing.T) {
 	}
 }
 
+// key materializes a task set's cache key.
+func key(tasks []Task) string { return string(appendKey(nil, tasks)) }
+
 func TestCacheKeyCanonicalOrder(t *testing.T) {
 	// Priority order differs from input order: both inputs analyze
 	// identically, so they must share a key.
 	a := cacheDemoSet()
 	b := []Task{a[2], a[0], a[1]}
-	if Key(a) != Key(b) {
+	if key(a) != key(b) {
 		t.Fatal("permuted distinct-priority sets should share a key")
 	}
 	// Equal-priority ties are order-sensitive in the analysis (stable
@@ -54,48 +57,31 @@ func TestCacheKeyCanonicalOrder(t *testing.T) {
 		{Name: "y", C: 2, T: 10, Priority: 5},
 	}
 	tie2 := []Task{tie1[1], tie1[0]}
-	if Key(tie1) == Key(tie2) {
+	if key(tie1) == key(tie2) {
 		t.Fatal("reordered equal-priority tasks must not share a key")
 	}
 	// Any parameter change must change the key.
 	mod := cacheDemoSet()
 	mod[1].J = 1
-	if Key(a) == Key(mod) {
+	if key(a) == key(mod) {
 		t.Fatal("jitter change must change the key")
-	}
-}
-
-func TestCacheReturnsFreshCopies(t *testing.T) {
-	c := NewCache()
-	tasks := cacheDemoSet()
-	first, err := c.ResponseTimes(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first[0].WCRT = -42 // caller mutation must not poison the cache
-	second, err := c.ResponseTimes(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second[0].WCRT == -42 {
-		t.Fatal("cache returned aliased slice")
 	}
 }
 
 func TestCacheNilReceiverDegrades(t *testing.T) {
 	var c *Cache
 	tasks := cacheDemoSet()
-	got, err := c.ResponseTimes(tasks)
-	if err != nil {
-		t.Fatal(err)
+	ok, got, err := c.SchedulableShared(tasks)
+	if err != nil || !ok {
+		t.Fatalf("nil cache SchedulableShared = %v, %v", ok, err)
 	}
 	want, _ := ResponseTimes(tasks)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("nil cache should behave like the direct analysis")
 	}
-	ok, _, err := c.Schedulable(tasks)
+	ok, err = c.Check(tasks)
 	if err != nil || !ok {
-		t.Fatalf("nil cache Schedulable = %v, %v", ok, err)
+		t.Fatalf("nil cache Check = %v, %v", ok, err)
 	}
 }
 
@@ -111,7 +97,7 @@ func TestKeyStableUnderConcurrentPooledUse(t *testing.T) {
 		sets[i] = cacheDemoSet()
 		sets[i][0].C = sim.MS(1) + sim.Duration(i)
 		sets[i][2].Name = string(rune('a' + i))
-		want[i] = Key(sets[i])
+		want[i] = key(sets[i])
 		rs, err := ResponseTimes(sets[i])
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +117,7 @@ func TestKeyStableUnderConcurrentPooledUse(t *testing.T) {
 		go func() {
 			for round := 0; round < 200; round++ {
 				for i := range sets {
-					got, err := c.ResponseTimesShared(sets[i])
+					_, got, err := c.SchedulableShared(sets[i])
 					if err != nil || !reflect.DeepEqual(got, results[i]) {
 						done <- fmt.Errorf("set %d: wrong results under concurrency (err %v)", i, err)
 						return
@@ -162,7 +148,7 @@ func TestCacheConcurrentMissesCountOnce(t *testing.T) {
 	for g := 0; g < callers; g++ {
 		go func() {
 			<-start
-			_, err := c.ResponseTimes(tasks)
+			_, err := c.Check(tasks)
 			done <- err
 		}()
 	}
@@ -184,33 +170,16 @@ func TestCacheConcurrentMissesCountOnce(t *testing.T) {
 func TestCacheSharedResultsAliasTheEntry(t *testing.T) {
 	c := NewCache()
 	tasks := cacheDemoSet()
-	a, err := c.ResponseTimesShared(tasks)
+	_, a, err := c.SchedulableShared(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.ResponseTimesShared(tasks)
+	_, b, err := c.SchedulableShared(tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &a[0] != &b[0] {
 		t.Fatal("shared lookups should return the cache-owned slice, not copies")
-	}
-	ok, rs, err := c.SchedulableShared(tasks)
-	if err != nil || !ok {
-		t.Fatalf("SchedulableShared = %v, %v", ok, err)
-	}
-	if &rs[0] != &a[0] {
-		t.Fatal("SchedulableShared should share the same entry slice")
-	}
-	cp, err := c.ResponseTimes(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cp, a) {
-		t.Fatal("shared and copied results diverge")
-	}
-	if &cp[0] == &a[0] {
-		t.Fatal("copying variant must not alias the cache entry")
 	}
 }
 
@@ -221,7 +190,7 @@ func TestCacheConcurrentUse(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				if _, err := c.ResponseTimes(tasks); err != nil {
+				if _, err := c.Check(tasks); err != nil {
 					done <- err
 					return
 				}

@@ -1,20 +1,21 @@
-// Package taskset derives the analyzable per-ECU task sets of a deployed
-// component system, using the same priority assignment the RTE generator
-// applies (event-driven runnables inherit their producer's rate; the
-// resulting set is rate-monotonic). It sits below core so the deployment
-// search can run the same schedulability analysis the verifier does,
-// through the shared response-time cache.
+// Package taskset owns the RTE generator's priority assignment: rate-
+// monotonic order on each runnable's derived rate (event-driven runnables
+// inherit their producer's), ties broken on component name + runnable
+// name, Priority = 1000 − rank, WCETs scaled by the ECU's speed, and
+// rate-less runnables ranked but left out of the analysis with a warning.
+// rte, core's verifier and deploy's scorers all rank through it, so the
+// OS tasks the RTE generates and every analysis of them agree.
 //
-// The derivation has two halves. Protos captures what a runnable
-// contributes independently of where it is deployed; Rank turns the
-// protos one ECU hosts into that ECU's task set. Build applies both to a
-// whole mapping; core's verifier keeps the protos and re-ranks only the
-// ECUs a mapping change touches.
+// Protos derives what each runnable contributes independently of where
+// it is deployed, including its place in the system-wide order; Rank
+// turns the protos one ECU hosts into that ECU's task set. Each caller
+// picks the hosted set: Build and the verifier skip passive standbys and
+// unmapped components, deploy's fail-over check adds promoted standbys,
+// and rte ranks every mapped component.
 package taskset
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -27,52 +28,85 @@ import (
 // Proto is the mapping-independent analysis input of one runnable.
 // Effective periods derive from triggers and connectors only, so a proto
 // survives any re-mapping; only the hosting ECU's speed scaling and the
-// priority ranks are deployment-dependent.
+// per-ECU ranks are deployment-dependent.
 type Proto struct {
-	Comp, Run string
-	// Name is the sched.Task name, Comp + "." + Run.
+	Comp *model.SWC
+	Run  *model.Runnable
+	// Name is the sched.Task name, Comp.Name + "." + Run.Name.
 	Name string
 	// Period is the derived rate; <= 0 when none is derivable.
 	Period   sim.Duration
 	WCET     sim.Duration
 	Deadline sim.Duration
-	key      string // Comp + Run: the RTE generator's priority tie-break
+	// ord is the proto's place in the system-wide priority order, so a
+	// per-ECU ranking compares integers only.
+	ord int
 }
 
-// Protos appends one Proto per runnable of comp, in declaration order.
-func Protos(dst []Proto, sys *model.System, comp *model.SWC) []Proto {
-	for i := range comp.Runnables {
-		run := &comp.Runnables[i]
-		dst = append(dst, Proto{
-			Comp: comp.Name, Run: run.Name,
-			Name:     comp.Name + "." + run.Name,
-			Period:   sys.EffectivePeriod(comp, run),
-			WCET:     run.WCETNominal,
-			Deadline: run.Deadline,
-			key:      comp.Name + run.Name,
-		})
+// Protos derives one Proto per runnable of sys, indexed like
+// sys.Components, and places them in the system-wide priority order: a
+// stable sort of all runnables, in declaration order, on (Period,
+// component name + runnable name). Restricted to any hosted subset that
+// is the subset's own stable sort, so Rank compares integers only.
+func Protos(sys *model.System) [][]Proto {
+	n := 0
+	for _, comp := range sys.Components {
+		n += len(comp.Runnables)
 	}
-	return dst
-}
-
-// Rank sorts the protos one ECU hosts — gathered component by component
-// in declaration order — into the RTE generator's priority order and
-// appends the ECU's analyzable task set to tasks and one warning per
-// rate-less runnable to warnings. The order is rate-monotonic on the
-// derived rate with the generator's tie-break, stable; rate-less
-// runnables sort first (treated as urgent sporadic handlers) and take a
-// priority rank but are excluded from the analysis. WCETs scale by the
-// ECU's speed. hosted is sorted in place.
-func Rank(hosted []Proto, speed float64, tasks []sched.Task, warnings []string) ([]sched.Task, []string) {
-	slices.SortStableFunc(hosted, func(a, b Proto) int {
-		if c := cmp.Compare(a.Period, b.Period); c != 0 {
+	all := make([]Proto, 0, n)
+	out := make([][]Proto, len(sys.Components))
+	for i, comp := range sys.Components {
+		lo := len(all)
+		for j := range comp.Runnables {
+			run := &comp.Runnables[j]
+			all = append(all, Proto{
+				Comp: comp, Run: run,
+				Name:     comp.Name + "." + run.Name,
+				Period:   sys.EffectivePeriod(comp, run),
+				WCET:     run.WCETNominal,
+				Deadline: run.Deadline,
+			})
+		}
+		out[i] = all[lo:len(all):len(all)]
+	}
+	keys := make([]string, n)
+	order := make([]int, n)
+	for i := range all {
+		keys[i] = all[i].Comp.Name + all[i].Run.Name
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(all[a].Period, all[b].Period); c != 0 {
 			return c
 		}
-		return strings.Compare(a.key, b.key)
+		return strings.Compare(keys[a], keys[b])
 	})
+	for ord, i := range order {
+		all[i].ord = ord
+	}
+	return out
+}
+
+// Order sorts the protos one ECU hosts, all from one Protos call, into
+// the RTE generator's priority order: hosted[rank] runs at
+// Priority(rank).
+func Order(hosted []*Proto) {
+	slices.SortFunc(hosted, func(a, b *Proto) int { return cmp.Compare(a.ord, b.ord) })
+}
+
+// Priority is the OS priority of the runnable at rank in its ECU's order.
+func Priority(rank int) int { return 1000 - rank }
+
+// Rank orders the protos one ECU hosts (see Order) and appends the ECU's
+// analyzable task set to tasks and one warning per rate-less runnable to
+// warnings. Rate-less runnables sort first (treated as urgent sporadic
+// handlers) and take a priority rank but are excluded from the analysis.
+// WCETs scale by the ECU's speed. hosted is sorted in place.
+func Rank(hosted []*Proto, speed float64, tasks []sched.Task, warnings []string) ([]sched.Task, []string) {
+	Order(hosted)
 	for rank, p := range hosted {
 		if p.Period <= 0 {
-			warnings = append(warnings, fmt.Sprintf("%s.%s: no derivable rate; excluded from analysis", p.Comp, p.Run))
+			warnings = append(warnings, p.Name+": no derivable rate; excluded from analysis")
 			continue
 		}
 		tasks = append(tasks, sched.Task{
@@ -80,31 +114,34 @@ func Rank(hosted []Proto, speed float64, tasks []sched.Task, warnings []string) 
 			C:        sim.Duration(float64(p.WCET) / speed),
 			T:        p.Period,
 			D:        p.Deadline,
-			Priority: 1000 - rank,
+			Priority: Priority(rank),
 		})
 	}
 	return tasks, warnings
 }
 
-// Build derives the analyzable task set per ECU. Event-driven runnables
-// inherit the period of their triggering producer; runnables whose rate
-// cannot be derived are skipped with a warning. Passive standby replicas
-// are excluded entirely — suspended until a fail-over promotes them, they
-// exert no demand in the normal case the analysis models (deploy's
-// fail-over validity check analyzes the post-promotion sets). The output
-// — including the warning order — is deterministic for a given system.
+// Build derives the analyzable task set per ECU. Passive standby
+// replicas are excluded — suspended until a fail-over promotes them, they
+// exert no demand in the normal case the analysis models — and so are
+// components without a mapping entry, which have no ECU. The output,
+// warning order included, is deterministic for a given system.
 func Build(sys *model.System) (map[string][]sched.Task, []string) {
-	perECU := map[string][]Proto{}
+	protos := Protos(sys)
+	perECU := map[string][]*Proto{}
 	var ecus []string
-	for _, comp := range sys.Components {
-		if comp.PassiveStandby() {
+	for ci, comp := range sys.Components {
+		ecu, ok := sys.Mapping[comp.Name]
+		if !ok || comp.PassiveStandby() {
 			continue
 		}
-		ecu := sys.Mapping[comp.Name]
-		if _, seen := perECU[ecu]; !seen {
+		hosted, seen := perECU[ecu]
+		if !seen {
 			ecus = append(ecus, ecu)
 		}
-		perECU[ecu] = Protos(perECU[ecu], sys, comp)
+		for j := range protos[ci] {
+			hosted = append(hosted, &protos[ci][j])
+		}
+		perECU[ecu] = hosted
 	}
 	sort.Strings(ecus)
 	out := map[string][]sched.Task{}
