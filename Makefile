@@ -30,7 +30,9 @@ test:
 
 # Verification & DSE pipeline benchmarks (see EXPERIMENTS.md "Performance"),
 # with the deployment-scoring rungs: the per-move cost of
-# Prepared.EvaluateMove (ns/move) and the PlaceReplicas search.
+# Prepared.EvaluateMove (ns/move) and the PlaceReplicas search; and the
+# simulation-step rungs: kernel dispatch and schedule+cancel (ns/event),
+# the OSEK scheduler (ns/event) and the trace recorder (ns/record).
 # Emits BENCH_pipeline.json (name -> ns/op, allocs/op) alongside the
 # human-readable output, then enforces the performance budget: Verify
 # par no slower than seq, every paired par-vs-seq benchmark (the E13
@@ -46,6 +48,7 @@ test:
 bench:
 	go test -run '^$$' -bench 'BenchmarkVerify$$|BenchmarkVerifyDSESweep|BenchmarkDSEDescend|BenchmarkDSEAnnealParallel|BenchmarkE13Availability|BenchmarkE14Observer|BenchmarkEvaluateMove|BenchmarkPlaceReplicas' -benchmem . > BENCH_pipeline.txt
 	go test -run '^$$' -bench 'BenchmarkPlatformFlight|BenchmarkE11Flight|BenchmarkVerifyFlight' -benchmem -benchtime=2s -count=2 . >> BENCH_pipeline.txt
+	go test -p 1 -run '^$$' -bench '^(BenchmarkKernelThroughput|BenchmarkKernelCancel|BenchmarkScheduler|BenchmarkRecorderAdd)$$' -benchmem ./internal/sim ./internal/osek ./internal/trace >> BENCH_pipeline.txt
 	go run ./cmd/benchjson -o BENCH_pipeline.json < BENCH_pipeline.txt
 	go run ./cmd/benchguard -bench BENCH_pipeline.json
 
@@ -72,14 +75,20 @@ bench-all:
 # loops to their score-everything references; FuzzReverify holds
 # incremental re-verification after random mapping changes to a fresh
 # Verify and to the reference derivation; FuzzRank holds the priority
-# ranking to the reference comparator. The committed corpus under each
-# package's testdata/fuzz runs first; a failure leaves the minimized input
-# there, to be committed as a regression seed.
+# ranking to the reference comparator; FuzzIPdu holds the in-place signal
+# bit walk, Pack and Unpack to the reference walk on random layouts and
+# payloads; FuzzKernel holds the typed-heap, free-list kernel to the
+# container/heap reference on random schedule/cancel/run programs. The
+# committed corpus under each package's testdata/fuzz runs first; a
+# failure leaves the minimized input there, to be committed as a
+# regression seed.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzFaultSweep$$' -fuzztime=10s -parallel 2 ./internal/deploy
 	go test -run '^$$' -fuzz '^FuzzCostFirst$$' -fuzztime=10s -parallel 2 ./internal/deploy
 	go test -run '^$$' -fuzz '^FuzzReverify$$' -fuzztime=10s -parallel 2 ./internal/core
 	go test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime=10s -parallel 2 ./internal/taskset
+	go test -run '^$$' -fuzz '^FuzzIPdu$$' -fuzztime=10s -parallel 2 ./internal/com
+	go test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime=10s -parallel 2 ./internal/sim
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational

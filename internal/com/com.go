@@ -40,15 +40,17 @@ func (s *Signal) scale() float64 {
 }
 
 // ToRaw quantizes a physical value into the signal's raw integer range,
-// saturating at the representable bounds.
+// saturating at the representable bounds. NaN maps to raw 0.
 func (s *Signal) ToRaw(phys float64) uint64 {
 	raw := math.Round((phys - s.ZeroOffset) / s.scale())
-	max := float64(uint64(1)<<uint(s.Bits) - 1)
-	if raw < 0 {
-		raw = 0
+	if !(raw > 0) {
+		return 0
 	}
-	if raw > max {
-		raw = max
+	// Above 53 bits float64(max) rounds up to 2^Bits, which does not
+	// convert; compare against it and return the integer bound instead.
+	max := uint64(1)<<uint(s.Bits) - 1
+	if raw >= float64(max) {
+		return max
 	}
 	return uint64(raw)
 }
@@ -130,11 +132,11 @@ func (p *IPdu) Validate() error {
 		if s.Bits < 1 || s.Bits > 64 {
 			return fmt.Errorf("com: PDU %s signal %s: width %d outside 1..64", p.Name, s.Name, s.Bits)
 		}
-		positions, err := s.bitPositions(len(used))
+		b, err := s.firstBit(len(used))
 		if err != nil {
 			return fmt.Errorf("com: PDU %s signal %s: %w", p.Name, s.Name, err)
 		}
-		for _, b := range positions {
+		for j := 0; j < s.Bits; j, b = j+1, s.nextBit(b) {
 			if b >= e2eFrom && b < e2eTo {
 				return fmt.Errorf("com: PDU %s signal %s: overlaps the E2E protection header at bit %d", p.Name, s.Name, b)
 			}
@@ -160,33 +162,36 @@ func (p *IPdu) Signal(name string) *Signal {
 	return nil
 }
 
-// bitPositions returns the payload bit indices the signal occupies, in
-// MSB-to-LSB value order. Intel signals ascend from StartBit (LSB);
-// Motorola signals walk down from StartBit (MSB) per the DBC convention.
-func (s *Signal) bitPositions(payloadBits int) ([]int, error) {
-	out := make([]int, s.Bits)
+// firstBit returns the payload bit of the signal's value MSB, after
+// checking that every bit of the signal lies inside a payload of
+// payloadBits (a whole number of bytes). Intel signals ascend from
+// StartBit (LSB); Motorola signals walk down from StartBit (MSB) per the
+// DBC convention, continuing at bit 7 of the next byte. nextBit steps
+// from one bit to the next lower-order one.
+func (s *Signal) firstBit(payloadBits int) (int, error) {
 	if !s.BigEndian {
 		if s.StartBit < 0 || s.StartBit+s.Bits > payloadBits {
-			return nil, fmt.Errorf("bits [%d,%d) outside payload", s.StartBit, s.StartBit+s.Bits)
+			return 0, fmt.Errorf("bits [%d,%d) outside payload", s.StartBit, s.StartBit+s.Bits)
 		}
-		for i := 0; i < s.Bits; i++ {
-			out[i] = s.StartBit + s.Bits - 1 - i // MSB first
-		}
-		return out, nil
+		return s.StartBit + s.Bits - 1, nil
 	}
-	pos := s.StartBit
-	for i := 0; i < s.Bits; i++ {
-		if pos < 0 || pos >= payloadBits {
-			return nil, fmt.Errorf("motorola bit %d outside payload", pos)
-		}
-		out[i] = pos
-		if pos%8 == 0 {
-			pos += 15 // wrap to bit 7 of the next byte
-		} else {
-			pos--
-		}
+	if s.StartBit < 0 || s.StartBit >= payloadBits {
+		return 0, fmt.Errorf("motorola bit %d outside payload", s.StartBit)
 	}
-	return out, nil
+	// The walk takes StartBit%8+1 bits from the first byte, then whole
+	// bytes entered at bit 7; it leaves the payload at the first bit of
+	// the byte past the end.
+	if rest := s.Bits - (s.StartBit%8 + 1); rest > 0 && s.StartBit/8+(rest+7)/8 >= payloadBits/8 {
+		return 0, fmt.Errorf("motorola bit %d outside payload", payloadBits+7)
+	}
+	return s.StartBit, nil
+}
+
+func (s *Signal) nextBit(pos int) int {
+	if s.BigEndian && pos%8 == 0 {
+		return pos + 15 // wrap to bit 7 of the next byte
+	}
+	return pos - 1
 }
 
 // Pack serializes physical signal values into a payload. Missing signals
@@ -195,16 +200,20 @@ func (p *IPdu) Pack(values map[string]float64) []byte {
 	payload := make([]byte, p.Length)
 	for i := range p.Signals {
 		s := &p.Signals[i]
-		raw := uint64(0)
-		if v, ok := values[s.Name]; ok {
-			raw = s.ToRaw(v)
+		pos, err := s.firstBit(p.Length * 8)
+		if err != nil {
+			continue
 		}
-		positions, _ := s.bitPositions(p.Length * 8)
-		for j, pos := range positions {
-			bit := (raw >> uint(s.Bits-1-j)) & 1
-			if bit == 1 {
+		v, ok := values[s.Name]
+		if !ok {
+			continue
+		}
+		raw := s.ToRaw(v)
+		for j := s.Bits - 1; j >= 0; j-- {
+			if raw>>uint(j)&1 != 0 {
 				payload[pos/8] |= 1 << uint(pos%8)
 			}
+			pos = s.nextBit(pos)
 		}
 	}
 	return payload
@@ -213,24 +222,55 @@ func (p *IPdu) Pack(values map[string]float64) []byte {
 // Unpack deserializes a payload into physical values. Short payloads
 // return an error (a communication fault the error-handling layer reports).
 func (p *IPdu) Unpack(payload []byte) (map[string]float64, error) {
-	if len(payload) < p.Length {
-		return nil, fmt.Errorf("com: PDU %s: payload %d bytes, want %d", p.Name, len(payload), p.Length)
+	if err := p.checkLength(payload); err != nil {
+		return nil, err
 	}
 	out := make(map[string]float64, len(p.Signals))
 	for i := range p.Signals {
-		s := &p.Signals[i]
-		positions, err := s.bitPositions(p.Length * 8)
+		v, err := p.decode(&p.Signals[i], payload)
 		if err != nil {
-			return nil, fmt.Errorf("com: PDU %s signal %s: %w", p.Name, s.Name, err)
+			return nil, err
 		}
-		var raw uint64
-		for _, pos := range positions {
-			raw <<= 1
-			if payload[pos/8]&(1<<uint(pos%8)) != 0 {
-				raw |= 1
-			}
-		}
-		out[s.Name] = s.FromRaw(raw)
+		out[p.Signals[i].Name] = v
 	}
 	return out, nil
+}
+
+// UnpackSignal is Unpack for a receiver that reads one signal: it decodes
+// only the named signal and builds no map. An unknown name reads as zero,
+// like a missing map key.
+func (p *IPdu) UnpackSignal(payload []byte, name string) (float64, error) {
+	if err := p.checkLength(payload); err != nil {
+		return 0, err
+	}
+	s := p.Signal(name)
+	if s == nil {
+		return 0, nil
+	}
+	return p.decode(s, payload)
+}
+
+func (p *IPdu) checkLength(payload []byte) error {
+	if len(payload) < p.Length {
+		return fmt.Errorf("com: PDU %s: payload %d bytes, want %d", p.Name, len(payload), p.Length)
+	}
+	return nil
+}
+
+// decode reads one signal's physical value from a payload of at least
+// p.Length bytes.
+func (p *IPdu) decode(s *Signal, payload []byte) (float64, error) {
+	pos, err := s.firstBit(p.Length * 8)
+	if err != nil {
+		return 0, fmt.Errorf("com: PDU %s signal %s: %w", p.Name, s.Name, err)
+	}
+	var raw uint64
+	for j := 0; j < s.Bits; j++ {
+		raw <<= 1
+		if payload[pos/8]&(1<<uint(pos%8)) != 0 {
+			raw |= 1
+		}
+		pos = s.nextBit(pos)
+	}
+	return s.FromRaw(raw), nil
 }

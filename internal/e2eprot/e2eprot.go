@@ -137,61 +137,59 @@ func (c Config) Validate(payloadLen int) error {
 	return nil
 }
 
-// crc8 is the SAE J1850 CRC-8 (poly 0x1D, init 0xFF, xor-out 0xFF) used
-// by AUTOSAR profile 1.
-func crc8(init uint8, data []byte) uint8 {
-	crc := init
-	for _, b := range data {
-		crc ^= b
-		for i := 0; i < 8; i++ {
-			if crc&0x80 != 0 {
-				crc = crc<<1 ^ 0x1D
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
+// crc8Table and crc16Table are the byte-at-a-time lookup tables of the
+// SAE J1850 CRC-8 (poly 0x1D, init 0xFF, xor-out 0xFF) used by AUTOSAR
+// profile 1 and of CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) used by
+// AUTOSAR profile 5.
+var crc8Table, crc16Table = crcTables()
 
-// crc16 is CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) used by AUTOSAR
-// profile 5.
-func crc16(init uint16, data []byte) uint16 {
-	crc := init
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
+func crcTables() (t8 [256]uint8, t16 [256]uint16) {
+	for i := range t8 {
+		c8, c16 := uint8(i), uint16(i)<<8
+		for b := 0; b < 8; b++ {
+			if c8&0x80 != 0 {
+				c8 = c8<<1 ^ 0x1D
 			} else {
-				crc <<= 1
+				c8 <<= 1
+			}
+			if c16&0x8000 != 0 {
+				c16 = c16<<1 ^ 0x1021
+			} else {
+				c16 <<= 1
 			}
 		}
+		t8[i], t16[i] = c8, c16
 	}
-	return crc
+	return t8, t16
 }
 
 // computeCRC computes the profile CRC over DataID and the payload with
 // the CRC field bytes treated as zero (the counter byte is covered).
 func (c Config) computeCRC(payload []byte) uint16 {
 	id := [2]byte{byte(c.DataID >> 8), byte(c.DataID)}
-	crcLen := c.Profile.HeaderLen() - 1 // trailing byte is the counter
+	from, to := c.Offset, c.Offset+c.Profile.HeaderLen()-1 // trailing byte is the counter
 	if c.Profile == P01 {
-		crc := crc8(0xFF, id[:])
+		crc := uint8(0xFF)
+		for _, b := range id {
+			crc = crc8Table[crc^b]
+		}
 		for i, b := range payload {
-			if i >= c.Offset && i < c.Offset+crcLen {
+			if i >= from && i < to {
 				b = 0
 			}
-			crc = crc8(crc, []byte{b})
+			crc = crc8Table[crc^b]
 		}
 		return uint16(crc ^ 0xFF)
 	}
-	crc := crc16(0xFFFF, id[:])
+	crc := uint16(0xFFFF)
+	for _, b := range id {
+		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
+	}
 	for i, b := range payload {
-		if i >= c.Offset && i < c.Offset+crcLen {
+		if i >= from && i < to {
 			b = 0
 		}
-		crc = crc16(crc, []byte{b})
+		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
 	}
 	return crc
 }

@@ -224,8 +224,8 @@ func E11LimpHome(cfg E11Config) (*Table, error) {
 
 	count := func(source string, kind trace.Kind, from, to sim.Time) int {
 		n := 0
-		for _, rec := range p.Trace.BySource(source) {
-			if rec.Kind == kind && rec.At > from && rec.At <= to {
+		for i := range p.Trace.Records {
+			if rec := &p.Trace.Records[i]; rec.Source == source && rec.Kind == kind && rec.At > from && rec.At <= to {
 				n++
 			}
 		}

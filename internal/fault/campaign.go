@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -210,18 +211,29 @@ func AvailabilityAny(r *trace.Recorder, sources []string, period sim.Duration, f
 		return 1, nil
 	}
 	n := int64(0)
-	for _, source := range sources {
-		for _, rec := range r.BySource(source) {
-			if rec.Kind == trace.Finish && rec.At >= from && rec.At < to {
-				n++
-			}
+	eachFinish(r, sources, func(at sim.Time) {
+		if at >= from && at < to {
+			n++
 		}
-	}
+	})
 	av := float64(n) / float64(expected)
 	if av > 1 {
 		av = 1
 	}
 	return av, nil
+}
+
+// eachFinish calls fn with the time of every Finish record of the
+// sources, scanning the trace in place.
+func eachFinish(r *trace.Recorder, sources []string, fn func(at sim.Time)) {
+	if r == nil {
+		return
+	}
+	for i := range r.Records {
+		if rec := &r.Records[i]; rec.Kind == trace.Finish && slices.Contains(sources, rec.Source) {
+			fn(rec.At)
+		}
+	}
 }
 
 // ServiceRecovery examines a periodic source's finish stream after an
@@ -244,13 +256,11 @@ func ServiceRecoveryAny(r *trace.Recorder, sources []string, period sim.Duration
 		return 0, false, err
 	}
 	var finishes []sim.Time
-	for _, source := range sources {
-		for _, rec := range r.BySource(source) {
-			if rec.Kind == trace.Finish && rec.At > injectAt {
-				finishes = append(finishes, rec.At)
-			}
+	eachFinish(r, sources, func(at sim.Time) {
+		if at > injectAt {
+			finishes = append(finishes, at)
 		}
-	}
+	})
 	sort.Slice(finishes, func(i, j int) bool { return finishes[i] < finishes[j] })
 	gap := sim.Time(2 * period)
 	prev := injectAt

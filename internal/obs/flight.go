@@ -140,29 +140,35 @@ func (f *Flight) Span(e SpanEvent) {
 // turn, say) still folds per source, while the scan stays O(1).
 const instantLookback = 4
 
-// mergeInstant absorbs an instant into a retained identical one: the
-// burst's Count grows and its End stretches to the newest occurrence.
-func mergeInstant(prev *SpanEvent, v SpanEvent) bool {
-	if prev.Open || prev.Name != v.Name || prev.Kind != v.Kind || prev.Detail != v.Detail {
-		return false
-	}
-	if prev.Count == 0 {
-		prev.Count = 1
-	}
-	prev.Count++
-	prev.End = v.End
-	return true
-}
-
 // Instant records an instantaneous span event (Start == End == at).
 // Identical instants repeated in a burst coalesce into one counted
-// event (see SpanEvent). Safe on a nil receiver (discards).
+// event (see SpanEvent): scanning the newest instantLookback retained
+// spans, the first identical one absorbs the instant, its Count growing
+// and its End stretching to the newest occurrence. Total counts the
+// instant either way. Safe on a nil receiver (discards).
 func (f *Flight) Instant(at int64, name, kind, detail string) {
-	if f == nil {
+	if f == nil || f.spans == nil {
 		return
 	}
-	f.spans.PushMerge(SpanEvent{Name: name, Start: at, End: at, Kind: kind, Detail: detail},
-		instantLookback, mergeInstant)
+	r := f.spans
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.buf)
+	for i := 0; i < instantLookback && i < n; i++ {
+		// Newest-first: the most recent entry sits just before the wrap
+		// point (start) once full, at the slice end while still filling.
+		prev := &r.buf[(r.start-1-i+2*n)%n]
+		if !prev.Open && prev.Name == name && prev.Kind == kind && prev.Detail == detail {
+			if prev.Count == 0 {
+				prev.Count = 1
+			}
+			prev.Count++
+			prev.End = at
+			r.total++
+			return
+		}
+	}
+	r.push(SpanEvent{Name: name, Start: at, End: at, Kind: kind, Detail: detail})
 }
 
 // OnDelta records one counter increment; its signature matches

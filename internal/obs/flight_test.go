@@ -111,6 +111,34 @@ func TestFlightInstantCoalesces(t *testing.T) {
 	}
 }
 
+// TestFlightInstantCoalescesAcrossWrap: the coalescing scan reaches the
+// whole lookback past the newest span, indexes correctly once the ring
+// has wrapped, and skips spans that are still open.
+func TestFlightInstantCoalescesAcrossWrap(t *testing.T) {
+	f := NewFlight(FlightConfig{SpanCap: 4})
+	for i, name := range []string{"a", "b", "c", "d", "e"} {
+		f.Instant(int64(i), name, "miss", "") // a is evicted: b c d e
+	}
+	f.Instant(10, "b", "miss", "") // four back, across the wrap point
+	f.Span(SpanEvent{Name: "e", Kind: "miss", Start: 11, Open: true})
+	f.Instant(12, "e", "miss", "") // skips the open e, merges into the closed one
+	f.Instant(13, "a", "miss", "") // not retained: pushed, evicting b
+	v := f.Snapshot()
+	if v.SpanTotal != 9 {
+		t.Fatalf("span total = %d, want every occurrence counted", v.SpanTotal)
+	}
+	var names []string
+	for _, sp := range v.Spans {
+		names = append(names, sp.Name)
+	}
+	if got := strings.Join(names, ""); got != "deea" {
+		t.Fatalf("retained spans %q, want deea (oldest first)", got)
+	}
+	if e := v.Spans[1]; e.Open || e.Count != 2 || e.Start != 4 || e.End != 12 {
+		t.Fatalf("e = %+v, want the closed e holding two occurrences 4..12", e)
+	}
+}
+
 func TestLogSubscribe(t *testing.T) {
 	l := NewBoundedLog(LevelInfo, 8)
 	// Records before subscribe are not replayed.

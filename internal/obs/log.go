@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"strconv"
 	"sync"
 )
 
@@ -183,7 +185,78 @@ func (l *Log) Emitf(at int64, level Level, app, ctx, format string, args ...any)
 	if l == nil {
 		return
 	}
-	l.Emit(at, level, app, ctx, fmt.Sprintf(format, args...))
+	l.Emit(at, level, app, ctx, sprintf(format, args))
+}
+
+// sprintf is fmt.Sprintf with a fast path for what the platform's log
+// lines use: plain %s and %v of strings, errors and Stringers, and %d and
+// %v of integers, including named string and integer types. Anything
+// else (flags, widths, %%, other verbs, Formatters, other kinds, a
+// panicking method, a mismatched argument count) is rendered by
+// fmt.Sprintf, so the result is always fmt's.
+func sprintf(format string, args []any) string {
+	var buf [128]byte
+	b, n := buf[:0], 0
+	for i := 0; i < len(format); i++ {
+		c := format[i]
+		if c != '%' {
+			b = append(b, c)
+			continue
+		}
+		if i+1 == len(format) || n == len(args) {
+			return fmt.Sprintf(format, args...)
+		}
+		i++
+		var ok bool
+		if b, ok = appendArg(b, format[i], args[n]); !ok {
+			return fmt.Sprintf(format, args...)
+		}
+		n++
+	}
+	if n != len(args) {
+		return fmt.Sprintf(format, args...)
+	}
+	return string(b)
+}
+
+// appendArg renders one argument for sprintf's fast path the way fmt
+// does, or reports false to leave the whole line to fmt.
+func appendArg(b []byte, verb byte, arg any) ([]byte, bool) {
+	text := verb == 's' || verb == 'v'
+	num := verb == 'd' || verb == 'v'
+	switch v := arg.(type) {
+	case fmt.Formatter:
+		return b, false
+	case error:
+		return appendMethod(b, v.Error, text)
+	case fmt.Stringer:
+		return appendMethod(b, v.String, text)
+	}
+	switch rv := reflect.ValueOf(arg); rv.Kind() {
+	case reflect.String:
+		return append(b, rv.String()...), text
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return strconv.AppendInt(b, rv.Int(), 10), num
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return strconv.AppendUint(b, rv.Uint(), 10), num
+	default:
+		return b, false
+	}
+}
+
+// appendMethod appends the text of an Error or String method for %s and
+// %v, as fmt does. A method that panics (a nil pointer receiver, say)
+// reports false, so fmt renders the line and reports the panic its way.
+func appendMethod(b []byte, method func() string, text bool) (out []byte, ok bool) {
+	if !text {
+		return b, false
+	}
+	defer func() {
+		if recover() != nil {
+			out, ok = b, false
+		}
+	}()
+	return append(b, method()...), true
 }
 
 // Len returns the number of kept records. Zero on a nil receiver.

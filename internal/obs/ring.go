@@ -46,35 +46,6 @@ func (r *Ring[T]) Push(v T) {
 	r.push(v)
 }
 
-// PushMerge appends v unless merge absorbs it into one of the newest
-// lookback retained entries. merge receives a pointer to a retained
-// entry (scanned newest-first) and may mutate it in place; returning
-// true stops the scan and drops v. Total counts the event either way:
-// coalescing compresses the ring's representation, not its history.
-// Safe on a nil receiver (discards).
-func (r *Ring[T]) PushMerge(v T, lookback int, merge func(prev *T, v T) bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	if lookback > n {
-		lookback = n
-	}
-	for i := 0; i < lookback; i++ {
-		// Newest-first: the most recent entry sits just before the wrap
-		// point (start) once full, at the slice end while still filling.
-		idx := (r.start - 1 - i + 2*n) % n
-		//autovet:allow lockorder documented PushMerge contract: merge is pure in-place coalescing and must not take locks
-		if merge(&r.buf[idx], v) {
-			r.total++
-			return
-		}
-	}
-	r.push(v)
-}
-
 // push stores v; callers hold r.mu.
 func (r *Ring[T]) push(v T) {
 	if r.cap <= 0 {

@@ -53,43 +53,6 @@ func TestRingSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-func TestRingPushMerge(t *testing.T) {
-	sameParity := func(prev *int, v int) bool {
-		if (*prev)%2 != v%2 {
-			return false
-		}
-		*prev += v
-		return true
-	}
-	r := NewRing[int](4)
-	r.PushMerge(1, 2, sameParity) // empty ring: plain push
-	r.PushMerge(3, 2, sameParity) // merges into 1 -> 4
-	r.PushMerge(5, 2, sameParity) // 4 is even: pushed
-	r.PushMerge(7, 2, sameParity) // merges into 5 -> 12
-	got := r.Snapshot()
-	if len(got) != 2 || got[0] != 4 || got[1] != 12 {
-		t.Fatalf("snapshot = %v, want [4 12]", got)
-	}
-	if r.Total() != 4 {
-		t.Fatalf("total = %d, want every merged event counted", r.Total())
-	}
-	// Lookback reaches past the newest entry, and indexing stays correct
-	// after the ring wraps.
-	for _, v := range []int{2, 9, 11} {
-		r.Push(v) // ring now holds [12 2 9 11] wrapped past [4]
-	}
-	r.PushMerge(6, 3, sameParity) // skips 11 and 9, merges into 2 -> 8
-	got = r.Snapshot()
-	if len(got) != 4 || got[1] != 8 {
-		t.Fatalf("wrapped merge snapshot = %v, want 2 absorbed to 8", got)
-	}
-	var nilRing *Ring[int]
-	nilRing.PushMerge(1, 2, sameParity)
-	if nilRing.Total() != 0 {
-		t.Fatal("nil ring recorded a merged push")
-	}
-}
-
 func TestRingDefaultCap(t *testing.T) {
 	r := NewRing[int](0)
 	if r.Cap() != DefaultRingCap {

@@ -33,7 +33,7 @@ type Alarm struct {
 	Cycle   int64
 	Action  func()
 	counter *Counter
-	event   *sim.Event
+	event   sim.Event
 	stopped bool
 }
 
@@ -70,7 +70,5 @@ func (a *Alarm) schedule(at sim.Time) {
 // Cancel stops the alarm (OSEK CancelAlarm).
 func (a *Alarm) Cancel() {
 	a.stopped = true
-	if a.event != nil {
-		a.event.Cancel()
-	}
+	a.event.Cancel()
 }

@@ -9,8 +9,10 @@ import (
 
 // BenchmarkScheduler measures the cost of simulating one virtual second of
 // a 20-task fixed-priority workload (activations, preemptions, completion
-// bookkeeping).
+// bookkeeping), and reports it per kernel event (ns/event).
 func BenchmarkScheduler(b *testing.B) {
+	b.ReportAllocs()
+	events := uint64(0)
 	for i := 0; i < b.N; i++ {
 		k := sim.NewKernel()
 		cpu := NewCPU(k, "ecu", 1, nil)
@@ -26,7 +28,9 @@ func BenchmarkScheduler(b *testing.B) {
 		}
 		cpu.Start()
 		k.Run(sim.Second)
+		events += k.Executed()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 // BenchmarkSchedulerWithBudgets adds budget enforcement to the same

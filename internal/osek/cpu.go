@@ -27,7 +27,7 @@ type CPU struct {
 
 	running    *job
 	runStart   sim.Time
-	checkpoint *sim.Event
+	checkpoint sim.Event
 
 	busy    sim.Duration // total executed time (utilization accounting)
 	started bool
@@ -233,10 +233,7 @@ func (c *CPU) pick() *job {
 // picks the best eligible job and programs the next checkpoint.
 func (c *CPU) reschedule() {
 	c.charge()
-	if c.checkpoint != nil {
-		c.checkpoint.Cancel()
-		c.checkpoint = nil
-	}
+	c.checkpoint.Cancel()
 	// Charging may have completed (or budget-exhausted) the running job:
 	// handle that here, because the checkpoint that would have detected it
 	// was just cancelled.
@@ -287,7 +284,6 @@ func (c *CPU) reschedule() {
 // onCheckpoint fires when the running job completes its slice: it either
 // finished, exhausted its budget, or exhausted its throttle.
 func (c *CPU) onCheckpoint() {
-	c.checkpoint = nil
 	c.charge()
 	j := c.running
 	if j == nil {
@@ -321,9 +317,7 @@ func (c *CPU) Kill(t *Task, reason string) bool {
 		c.charge()
 		c.running = nil
 	}
-	if j.deadline != nil {
-		j.deadline.Cancel()
-	}
+	j.deadline.Cancel()
 	for i, a := range c.active {
 		if a == j {
 			c.active = append(c.active[:i], c.active[i+1:]...)
@@ -372,9 +366,7 @@ func (c *CPU) throttleHasWork(th Throttle) bool {
 func (c *CPU) finish(j *job, aborted bool) {
 	t := j.task
 	now := c.k.Now()
-	if j.deadline != nil {
-		j.deadline.Cancel()
-	}
+	j.deadline.Cancel()
 	for i, a := range c.active {
 		if a == j {
 			c.active = append(c.active[:i], c.active[i+1:]...)

@@ -102,7 +102,7 @@ type job struct {
 	remaining sim.Duration // demand left, in CPU-time units
 	budget    sim.Duration // budget left (Infinity when unenforced)
 	started   bool
-	deadline  *sim.Event
+	deadline  sim.Event
 	missed    bool
 }
 

@@ -54,6 +54,9 @@ type e2eChannel struct {
 	// channel (dual-channel FlexRay); it reports whether it switched.
 	failover   func() bool
 	failedOver bool
+	// checks caches the e2e_checks_total counter of each status (StatusError
+	// is the last), registered on the status's first check.
+	checks [e2eprot.StatusError + 1]*obs.Counter
 }
 
 // RxTamper intercepts one signal's bus reception before E2E verification
@@ -159,12 +162,12 @@ func (p *Platform) receivePath(seg busSegment, pdu *com.IPdu, ch *e2eChannel) fu
 		if ch != nil && !p.e2eAccept(ch, payload) {
 			return
 		}
-		vals, err := pdu.Unpack(payload)
+		v, err := pdu.UnpackSignal(payload, "v")
 		if err != nil {
 			p.Errors.Report(signal, ErrComm, err.Error())
 			return
 		}
-		deliver(vals["v"])
+		deliver(v)
 	}
 }
 
@@ -191,9 +194,14 @@ func (p *Platform) e2eAccept(ch *e2eChannel, payload []byte) bool {
 // ladder) and triggers channel failover once the window qualifies the
 // channel as invalid.
 func (p *Platform) noteE2E(ch *e2eChannel, st e2eprot.Status) {
-	p.Metrics.Counter("e2e_checks_total",
-		"E2E verification checks on protected channels, by check status.",
-		obs.Label{Key: "status", Value: st.String()}).Inc()
+	c := ch.checks[st]
+	if c == nil {
+		c = p.Metrics.Counter("e2e_checks_total",
+			"E2E verification checks on protected channels, by check status.",
+			obs.Label{Key: "status", Value: st.String()})
+		ch.checks[st] = c
+	}
+	c.Inc()
 	cls := st.DetectedClass()
 	if cls == "" {
 		return

@@ -82,36 +82,92 @@ type Recorder struct {
 	// for every activation and completion the platform makes.
 	SinkKinds KindMask
 
-	// counts indexes records by kind (all sources) and by (kind, source)
+	// totals counts records by kind over all sources, and sources holds
+	// one counter block per source, resolved on the source's first record,
 	// so Count is O(1): supervision and health monitors poll counts every
-	// window, which would otherwise rescan the whole trace each time.
-	// Maintained by Add; callers must not append to Records directly.
-	counts map[countKey]int
+	// window, which would otherwise rescan the whole trace each time. last
+	// caches the block of the most recent source, since a job's records
+	// come in runs. Maintained by Add; callers must not append to Records
+	// directly.
+	totals  kindCounts
+	sources map[string]*sourceCounts
+	last    *sourceCounts
 }
 
-// countKey indexes the incremental counters; an empty source holds the
-// all-sources total for a kind.
-type countKey struct {
-	kind   Kind
-	source string
+// kindCounts is a dense per-kind counter. Kinds outside the named enum
+// are counted too, in a map made on first use.
+type kindCounts struct {
+	named [numKinds]int
+	other map[Kind]int
 }
+
+const numKinds = len(kindNames)
+
+func (c *kindCounts) inc(k Kind) {
+	if int(k) < numKinds {
+		c.named[k]++
+		return
+	}
+	if c.other == nil {
+		c.other = map[Kind]int{}
+	}
+	c.other[k]++
+}
+
+func (c *kindCounts) get(k Kind) int {
+	if int(k) < numKinds {
+		return c.named[k]
+	}
+	return c.other[k]
+}
+
+// sourceCounts is one source's counter block.
+type sourceCounts struct {
+	source string
+	kindCounts
+}
+
+// minRecords is the capacity of the first Records allocation.
+const minRecords = 256
 
 // Add appends a record. Safe on a nil receiver (no-op).
 func (r *Recorder) Add(rec Record) {
 	if r == nil {
 		return
 	}
+	if n := len(r.Records); n == cap(r.Records) {
+		// Grow by doubling: append's 1.25x growth for large slices
+		// allocates about five times the final trace over a long run.
+		grown := make([]Record, n, max(2*n, minRecords))
+		copy(grown, r.Records)
+		r.Records = grown
+	}
 	r.Records = append(r.Records, rec)
-	if r.counts == nil {
-		r.counts = map[countKey]int{}
-	}
+	r.totals.inc(rec.Kind)
 	if rec.Source != "" {
-		r.counts[countKey{rec.Kind, rec.Source}]++
+		r.counter(rec.Source).inc(rec.Kind)
 	}
-	r.counts[countKey{rec.Kind, ""}]++
 	if r.Sink != nil && (r.SinkKinds == 0 || r.SinkKinds.Has(rec.Kind)) {
 		r.Sink(rec)
 	}
+}
+
+// counter returns the counter block of a source, making it on the
+// source's first record.
+func (r *Recorder) counter(source string) *sourceCounts {
+	if c := r.last; c != nil && c.source == source {
+		return c
+	}
+	c := r.sources[source]
+	if c == nil {
+		if r.sources == nil {
+			r.sources = map[string]*sourceCounts{}
+		}
+		c = &sourceCounts{source: source}
+		r.sources[source] = c
+	}
+	r.last = c
+	return c
 }
 
 // Emit is shorthand for Add. Safe on a nil receiver (no-op).
@@ -126,7 +182,8 @@ func (r *Recorder) Emit(at sim.Time, kind Kind, source string, job int64, info s
 func (r *Recorder) Reset() {
 	if r != nil {
 		r.Records = r.Records[:0]
-		r.counts = nil
+		r.totals = kindCounts{}
+		r.sources, r.last = nil, nil
 	}
 }
 
@@ -152,7 +209,13 @@ func (r *Recorder) Count(kind Kind, source string) int {
 	if r == nil {
 		return 0
 	}
-	return r.counts[countKey{kind, source}]
+	if source == "" {
+		return r.totals.get(kind)
+	}
+	if c := r.sources[source]; c != nil {
+		return c.get(kind)
+	}
+	return 0
 }
 
 // WriteCSV writes all records as CSV. Safe on a nil receiver (writes

@@ -253,3 +253,53 @@ func TestGanttAbortMarker(t *testing.T) {
 		t.Fatalf("abort marker missing:\n%s", sb.String())
 	}
 }
+
+// TestCountMatchesScanAfterResets holds the dense per-kind and per-source
+// counters to a brute-force scan of Records for every (kind, source),
+// kinds outside the named enum included, across random Add/Reset
+// sequences.
+func TestCountMatchesScanAfterResets(t *testing.T) {
+	sources := []string{"", "a", "b", "c", "ghost"}
+	kinds := []Kind{Activate, Start, Finish, Miss, Recover, Kind(numKinds), 17, 200, 255}
+	rnd := sim.NewRand(3)
+	for round := 0; round < 20; round++ {
+		var r Recorder
+		for i := 0; i < 400; i++ {
+			if rnd.Intn(100) == 0 {
+				r.Reset()
+			}
+			r.Emit(sim.Time(i), kinds[rnd.Intn(len(kinds))], sources[rnd.Intn(4)], int64(i), "")
+		}
+		for _, k := range kinds {
+			for _, src := range sources {
+				want := 0
+				for _, rec := range r.Records {
+					if rec.Kind == k && (src == "" || rec.Source == src) {
+						want++
+					}
+				}
+				if got := r.Count(k, src); got != want {
+					t.Fatalf("round %d: Count(%v, %q) = %d, scan says %d", round, k, src, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRecorderAdd measures one record into a growing trace from a
+// rotating set of sources, the shape of a platform run. Every 65536
+// records it starts a fresh recorder, so the cost includes growing the
+// trace but memory stays bounded.
+func BenchmarkRecorderAdd(b *testing.B) {
+	sources := []string{"A.sense", "A.sense", "B.ctrl", "B.ctrl", "msg1", "C.act"}
+	kinds := []Kind{Activate, Start, Finish}
+	var r *Recorder
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%(1<<16) == 0 {
+			r = &Recorder{}
+		}
+		r.Emit(sim.Time(i), kinds[i%len(kinds)], sources[i%len(sources)], int64(i), "")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
+}
