@@ -72,7 +72,9 @@ bench-all:
 # FuzzFaultSweep holds the fail-operational sweep to its reference and
 # the delta scorer to full scoring under random fault models;
 # FuzzCostFirst holds cost-first move scoring and the Descend/Anneal
-# loops to their score-everything references; FuzzReverify holds
+# loops to their score-everything references; FuzzFirstFit holds the
+# Greedy/Place first-fit packer to the mapping-scan reference packers;
+# FuzzReverify holds
 # incremental re-verification after random mapping changes to a fresh
 # Verify and to the reference derivation; FuzzRank holds the priority
 # ranking to the reference comparator; FuzzIPdu holds the in-place signal
@@ -85,6 +87,7 @@ bench-all:
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzFaultSweep$$' -fuzztime=10s -parallel 2 ./internal/deploy
 	go test -run '^$$' -fuzz '^FuzzCostFirst$$' -fuzztime=10s -parallel 2 ./internal/deploy
+	go test -run '^$$' -fuzz '^FuzzFirstFit$$' -fuzztime=10s -parallel 2 ./internal/deploy
 	go test -run '^$$' -fuzz '^FuzzReverify$$' -fuzztime=10s -parallel 2 ./internal/core
 	go test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime=10s -parallel 2 ./internal/taskset
 	go test -run '^$$' -fuzz '^FuzzIPdu$$' -fuzztime=10s -parallel 2 ./internal/com

@@ -404,14 +404,15 @@ func dseCandidates(b *testing.B, sys *model.System, n int) (*model.System, []*mo
 
 // BenchmarkVerifyDSESweep measures a full Verify+DSE pass: score a
 // 32-candidate sweep under RequireSchedulable, then statically verify the
-// winner. seq is the pre-pipeline workflow — every candidate evaluated
-// through the unbound, uncached evaluator, the winner verified on one
-// worker with cold analyses. par is the pipeline workflow — candidates
-// scored through a bound evaluator (Prepare, then Evaluate) sharing the
-// memoized response-time cache, the winner verified through a shared
-// parallel pipeline. Both pick the same winner and produce byte-identical
-// reports (TestBoundEvaluateMatchesUnbound holds the two scorers together,
-// TestVerifyParallelMatchesSequential the two verifiers).
+// winner. seq is the pre-pipeline workflow — every candidate scored by
+// deploy.Evaluate, a fresh uncached Bind per candidate, the winner
+// verified on one worker with cold analyses. par is the pipeline
+// workflow — candidates scored through one bound evaluator (Prepare,
+// then Evaluate) sharing the memoized response-time cache, the winner
+// verified through a shared parallel pipeline. Both pick the same winner
+// and produce byte-identical reports (both score through the same
+// Bound; TestVerifyParallelMatchesSequential holds the two verifiers
+// together).
 func BenchmarkVerifyDSESweep(b *testing.B) {
 	const candidates = 32
 	cons := deploy.Constraints{RequireSchedulable: true}

@@ -5,9 +5,12 @@ package deploy
 // never change between candidates, only the Mapping does. Evaluator.Bind
 // exploits that invariant — it derives everything mapping-independent
 // once (effective runnable rates, per-component load terms, ECU-pair bus
-// reachability and harness distances, proto task sets) so that the delta
-// evaluator (Bound.Prepare, delta.go) scores a candidate mapping with
-// just the per-ECU grouping plus (cached) response-time analysis.
+// reachability and harness distances, proto task sets, replica groups)
+// so that the delta evaluator (Bound.Prepare, delta.go) scores a
+// candidate mapping with just the per-ECU grouping plus (cached)
+// response-time analysis. It is the only scorer in the package:
+// Evaluator.Evaluate is Bind, Prepare and Evaluate in one call, and
+// Greedy and Place pack over a Bound's index state (firstFit).
 
 import (
 	"math"
@@ -75,8 +78,12 @@ type Bound struct {
 	path [][]error
 	dist [][]float64
 	// ecuByName lists ECU indices in name order — the order the RTA
-	// verdicts are reported in.
+	// verdicts are reported in and first-fit tries ECUs in.
 	ecuByName []int
+	// group is each component's materialized replica group (an index
+	// into redGroups), -1 outside one: first-fit keeps a group's
+	// instances on distinct ECUs.
+	group []int
 	// cons is the evaluator's Constraints as of Bind, filled, and consErr
 	// their Validate verdict: a Bound never reads ev.Cons again, so
 	// changing it after Bind cannot change (or race with) scoring.
@@ -115,6 +122,16 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 		b.compIdx[b.comps[i].name] = i
 	}
 	b.red = newRedCheck(b.comps, b.ecus, cons, ev.RTA)
+	b.group = make([]int, len(b.comps))
+	for i := range b.group {
+		b.group[i] = -1
+	}
+	for gi, g := range redGroups(b.comps) {
+		b.group[g.primary] = gi
+		for _, sb := range g.standbys {
+			b.group[sb] = gi
+		}
+	}
 	// Validate guarantees every connector endpoint is a known component.
 	for _, c := range sys.Connectors {
 		prov := sys.Component(c.FromSWC).Port(c.FromPort)
@@ -168,12 +185,11 @@ func bindECUs(sys *model.System) []boundECU {
 	return ecus
 }
 
-// bindComps derives the mapping-independent per-component terms — shared
-// by Bind and by the unbound evaluator's fail-operational check, so both
-// see identical load terms and protos. Passive standbys keep their
-// loadTerms and protos — the fail-over absorption analysis charges them
-// to the promotion target — but the normal-case accumulation loops skip
-// them, matching AnalyzedLoad and taskset.Build.
+// bindComps derives the mapping-independent per-component terms, in
+// declaration order. Passive standbys keep their loadTerms and protos —
+// the fail-over absorption analysis charges them to the promotion target
+// — but the normal-case accumulation loops skip them, matching
+// AnalyzedLoad and taskset.Build.
 func bindComps(sys *model.System) []boundComp {
 	protos := taskset.Protos(sys)
 	comps := make([]boundComp, len(sys.Components))

@@ -21,10 +21,10 @@ func demoSystem(t *testing.T) *model.System {
 }
 
 // Scoring a mapping through a Bound — Prepare, then Evaluate — must
-// reproduce the unbound evaluator exactly: same feasibility, same
-// violation strings in the same order, bit-identical cost terms, across a
-// walk of random candidate mappings and every constraint shape, feasible
-// and infeasible.
+// reproduce the reference scorer (refEvaluate) exactly: same
+// feasibility, same violation strings in the same order, bit-identical
+// cost terms, across a walk of random candidate mappings and every
+// constraint shape, feasible and infeasible.
 func TestBoundEvaluateMatchesUnbound(t *testing.T) {
 	base := demoSystem(t)
 	consSet := map[string]Constraints{
@@ -44,14 +44,14 @@ func TestBoundEvaluateMatchesUnbound(t *testing.T) {
 			cur := base.Clone()
 			r := sim.NewRand(7)
 			for step := 0; step < 40; step++ {
-				want := ev.Evaluate(cur)
+				want := refEvaluate(ev, cur)
 				prep, err := bound.Prepare(cur.Mapping)
 				if err != nil {
 					t.Fatalf("step %d: prepare: %v", step, err)
 				}
 				got := prep.Evaluate()
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d: bound metrics diverge\nunbound: %+v\nbound:   %+v", step, want, got)
+					t.Fatalf("step %d: bound metrics diverge\nreference: %+v\nbound:     %+v", step, want, got)
 				}
 				obj := DefaultObjective()
 				wc, gc := want.Cost(obj), got.Cost(obj)
@@ -68,10 +68,10 @@ func TestBoundEvaluateMatchesUnbound(t *testing.T) {
 }
 
 // Degenerate mappings on a bound evaluator: an unmapped component and a
-// mapping onto an unknown ECU score infeasible in the unbound evaluator,
-// Prepare refuses them, and an unknown-ECU move from a prepared incumbent
-// scores infeasible with exactly the diagnostic the unbound evaluator
-// emits for that mapping.
+// mapping onto an unknown ECU score infeasible through Evaluate, Prepare
+// refuses them, and an unknown-ECU move from a prepared incumbent scores
+// infeasible with exactly the diagnostic Evaluate emits for that
+// mapping.
 func TestBoundEvaluateDegenerateMappings(t *testing.T) {
 	base := demoSystem(t)
 	ev := NewEvaluator(Constraints{RequireSchedulable: true})
@@ -105,12 +105,12 @@ func TestBoundEvaluateDegenerateMappings(t *testing.T) {
 	}
 	got := prep.EvaluateMove(comp, "no-such-ecu")
 	if got.Feasible || len(got.Violations) != 1 || !slices.Contains(want.Violations, got.Violations[0]) {
-		t.Fatalf("unknown-ECU move scored %+v; unbound violations %q", got, want.Violations)
+		t.Fatalf("unknown-ECU move scored %+v; Evaluate's violations %q", got, want.Violations)
 	}
 }
 
 // One Bound must be safe to share: goroutines that each Prepare and
-// Evaluate the same mapping all reproduce the unbound score (run with
+// Evaluate the same mapping all reproduce Evaluate's score (run with
 // -race).
 func TestBoundEvaluateConcurrent(t *testing.T) {
 	base := demoSystem(t)
@@ -177,7 +177,7 @@ func TestBoundSnapshotsConstraints(t *testing.T) {
 			t.Fatalf("Cons %+v changed after Bind leaked into the Bound\nbefore: %+v\nafter:  %+v", cons, before, after)
 		}
 		if fresh := ev.Evaluate(base); reflect.DeepEqual(fresh, before[0]) {
-			t.Fatalf("Cons %+v does not change the unbound score; the test proves nothing", cons)
+			t.Fatalf("Cons %+v does not change a fresh Evaluate's score; the test proves nothing", cons)
 		}
 	}
 }

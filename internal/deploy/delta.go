@@ -2,15 +2,17 @@ package deploy
 
 // A candidate that differs from the incumbent by ONE mapping entry should
 // not cost O(system) to score. Prepared is the delta evaluator on top of
-// Bound and the only scorer the searches use: it retains the incumbent's
-// per-ECU accumulators and schedulability verdicts, and a move re-derives
-// only the two ECUs it touches. The fail-operational sweep runs against
-// the fault model Bind resolved. The metrics are bit-identical to the
-// unbound Evaluator.Evaluate — same summation order, same violation
-// strings in the same order — which stays the reference oracle
-// (TestPreparedEvaluateMoveMatchesBoundEvaluate, the random walks in
-// redundant_test.go and faultmodel_test.go, and FuzzFaultSweep hold the
-// two paths together).
+// Bound and the only code in this package that turns a mapping into
+// Metrics: Evaluator.Evaluate, Greedy, Place and every search score
+// through it. It retains the incumbent's per-ECU accumulators and
+// schedulability verdicts, and a move re-derives only the two ECUs it
+// touches. The fail-operational sweep runs against the fault model Bind
+// resolved. The independent oracle is the straight-line derivation kept
+// as a test (refEvaluate, evaluate_ref_test.go), which re-derives every
+// term from the system itself; TestPreparedEvaluateMoveMatchesBoundEvaluate,
+// the random walks in redundant_test.go and faultmodel_test.go, and
+// FuzzFaultSweep hold Prepared to it — same summation order, same
+// violation strings in the same order.
 //
 // The searches score cost first. Most candidates of a round never win,
 // so scoreMove in cost-only mode formats no violation text, stops at the
@@ -74,19 +76,10 @@ type Prepared struct {
 
 // Prepare binds the evaluator state to an incumbent mapping. It rejects
 // mappings outside the DSE invariant — every component mapped to a known
-// ECU, no stray entries — because only there does the delta path
-// reproduce the unbound Evaluate exactly; a search bootstraps from
-// Greedy instead.
+// ECU, no stray entries: Evaluator.Evaluate reports the refusal as the
+// mapping's one violation, and a search bootstraps from Greedy instead.
 func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
-	if len(mapping) != len(b.comps) {
-		return nil, fmt.Errorf("deploy: prepare: mapping has %d entries for %d components", len(mapping), len(b.comps))
-	}
-	p := &Prepared{
-		b:        b,
-		curIdx:   make([]int, len(b.comps)),
-		accs:     make([]ecuAcc, len(b.ecus)),
-		schedMsg: make([]string, len(b.ecus)),
-	}
+	cur := make([]int, len(b.comps))
 	for i := range b.comps {
 		ecu, ok := mapping[b.comps[i].name]
 		if !ok {
@@ -96,30 +89,46 @@ func (b *Bound) Prepare(mapping map[string]string) (*Prepared, error) {
 		if !ok {
 			return nil, fmt.Errorf("deploy: prepare: %s mapped to unknown ECU %q", b.comps[i].name, ecu)
 		}
-		p.curIdx[i] = ei
+		cur[i] = ei
 	}
-	for i := range b.ecus {
-		p.accs[i], p.schedMsg[i] = p.computeECU(i, -1, -1, true)
+	// Every component is mapped, so a surplus entry names none of them.
+	if len(mapping) != len(b.comps) {
+		return nil, fmt.Errorf("deploy: prepare: mapping has %d entries for %d components", len(mapping), len(b.comps))
 	}
-	return p, nil
+	return b.prepare(cur), nil
 }
 
-// computeECU re-derives one ECU's accumulator, in the unbound path's
-// per-component accumulation order (AnalyzedLoad), and, when verdict is
-// set, the schedulability verdict of the task set taskset.Rank derives
-// from the hosted protos. The hosted set is the incumbent's, minus comp
-// index skip, plus comp index add (-1 for none) — the two adjustments a
-// single-component move needs. The verdict is "" when schedulable, when
-// not asked for, and without RequireSchedulable: nothing reads it then.
-func (p *Prepared) computeECU(idx, skip, add int, verdict bool) (ecuAcc, string) {
-	b := p.b
+// prepare is Prepare from a complete comp index -> ECU index assignment,
+// which the Prepared takes over.
+func (b *Bound) prepare(cur []int) *Prepared {
+	p := &Prepared{
+		b:        b,
+		curIdx:   cur,
+		accs:     make([]ecuAcc, len(b.ecus)),
+		schedMsg: make([]string, len(b.ecus)),
+	}
+	for i := range b.ecus {
+		p.accs[i], p.schedMsg[i] = b.computeECU(cur, i, -1, -1, true)
+	}
+	return p
+}
+
+// computeECU re-derives one ECU's accumulator, summing over components
+// in declaration order, and, when verdict is set, the schedulability
+// verdict of the task set taskset.Rank derives from the hosted protos.
+// The hosted set is the one cur maps to ECU index idx (-1 entries are
+// unplaced), minus comp index skip, plus comp index add (-1 for none) —
+// the two adjustments a single-component move needs. The verdict is ""
+// when schedulable, when not asked for, and without RequireSchedulable:
+// nothing reads it then.
+func (b *Bound) computeECU(cur []int, idx, skip, add int, verdict bool) (ecuAcc, string) {
 	name := b.ecus[idx].name
 	speed := b.ecus[idx].speed
 	needRTA := verdict && b.cons.RequireSchedulable
 	var a ecuAcc
 	var hosted []*taskset.Proto
 	for i := range b.comps {
-		if (p.curIdx[i] != idx || i == skip) && i != add {
+		if (cur[i] != idx || i == skip) && i != add {
 			continue
 		}
 		c := &b.comps[i]
@@ -142,6 +151,9 @@ func (p *Prepared) computeECU(idx, skip, add int, verdict bool) (ecuAcc, string)
 				hosted = append(hosted, &c.protos[j])
 			}
 		}
+	}
+	if len(hosted) == 0 {
+		return a, ""
 	}
 	tasks, _ := taskset.Rank(hosted, speed, nil, nil)
 	if len(tasks) == 0 {
@@ -168,7 +180,7 @@ func (p *Prepared) dirty(idx, skip, add int, verdict bool) (ecuAcc, string) {
 	if ok && (e.checked || !verdict) {
 		return e.acc, e.msg
 	}
-	e.acc, e.msg = p.computeECU(idx, skip, add, verdict)
+	e.acc, e.msg = p.b.computeECU(p.curIdx, idx, skip, add, verdict)
 	e.checked = verdict
 	p.mu.Lock()
 	if p.memo == nil {
@@ -204,10 +216,10 @@ func (p *Prepared) scoreMove(ci, ei int, full bool) Metrics {
 		// The move is a no-op: the candidate mapping IS the incumbent.
 		return p.Evaluate()
 	}
-	d := dirtyECUs{idx: [2]int{oi, ei}}
+	d := delta{moved: ci, target: ei, idx: [2]int{oi, ei}}
 	d.acc[0], d.msg[0] = p.dirty(oi, ci, -1, full)
 	d.acc[1], d.msg[1] = p.dirty(ei, -1, ci, full)
-	return p.assemble(ci, ei, &d, full)
+	return p.assemble(&d, full)
 }
 
 // schedulable reports whether the two ECUs moving comp index ci to ECU
@@ -245,7 +257,7 @@ func (p *Prepared) moveCost(ci, ei int, obj Objective) float64 {
 
 // Evaluate scores the incumbent mapping itself from the retained state.
 func (p *Prepared) Evaluate() Metrics {
-	return p.assemble(-1, -1, &dirtyECUs{idx: [2]int{-1, -1}}, true)
+	return p.assemble(&noDelta, true)
 }
 
 // Apply commits a previously scored move into the incumbent state. Not
@@ -279,34 +291,38 @@ func (p *Prepared) apply(ci, ei int) {
 		}
 	}
 	p.mu.Unlock()
-	p.accs[oi], p.schedMsg[oi] = p.computeECU(oi, -1, -1, true)
+	p.accs[oi], p.schedMsg[oi] = p.b.computeECU(p.curIdx, oi, -1, -1, true)
 	if ei != oi {
-		p.accs[ei], p.schedMsg[ei] = p.computeECU(ei, -1, -1, true)
+		p.accs[ei], p.schedMsg[ei] = p.b.computeECU(p.curIdx, ei, -1, -1, true)
 	}
 }
 
 // Mapping returns a copy of the incumbent mapping.
 func (p *Prepared) Mapping() map[string]string { return p.b.mapping(p.curIdx) }
 
-// ecuOf resolves a component's ECU index under the incumbent with one
-// moved component overridden (moved -1 for none).
-func (p *Prepared) ecuOf(ci, moved, target int) int {
-	if ci == moved {
-		return target
+// delta is a candidate relative to the incumbent: comp index moved
+// relocated to ECU index target, and the state of the (at most) two ECUs
+// that dirties. Unused indices hold -1.
+type delta struct {
+	moved, target int
+	idx           [2]int
+	acc           [2]ecuAcc
+	msg           [2]string
+}
+
+// noDelta is the incumbent itself as a candidate.
+var noDelta = delta{moved: -1, target: -1, idx: [2]int{-1, -1}}
+
+// ecuOf resolves comp index ci's ECU index under the candidate.
+func (p *Prepared) ecuOf(d *delta, ci int) int {
+	if ci == d.moved {
+		return d.target
 	}
 	return p.curIdx[ci]
 }
 
-// dirtyECUs overrides the incumbent's per-ECU state at the (at most) two
-// ECUs a move dirties; an unused slot holds index -1.
-type dirtyECUs struct {
-	idx [2]int
-	acc [2]ecuAcc
-	msg [2]string
-}
-
 // get returns ECU index i's state under the candidate.
-func (p *Prepared) get(d *dirtyECUs, i int) (ecuAcc, string) {
+func (p *Prepared) get(d *delta, i int) (ecuAcc, string) {
 	for j, di := range d.idx {
 		if di == i {
 			return d.acc[j], d.msg[j]
@@ -315,14 +331,13 @@ func (p *Prepared) get(d *dirtyECUs, i int) (ecuAcc, string) {
 	return p.accs[i], p.schedMsg[i]
 }
 
-// assemble folds per-ECU state into Metrics with the unbound path's exact
-// term order: ECU count, harness sum in connector order, per-ECU checks in
-// declaration order, communication verdict, RTA verdicts in sorted ECU
-// order, then load variance. The candidate mapping is the incumbent with
-// comp index moved relocated to ECU index target and the state of d's
-// ECUs. With full unset it formats no violation and returns at the first
+// assemble folds the candidate d's per-ECU state into Metrics in a fixed
+// term order: ECU count, harness sum in connector order, per-ECU checks
+// in declaration order, the fail-operational check, communication
+// verdict, RTA verdicts in sorted ECU order, then load variance. With
+// full unset it formats no violation and returns at the first
 // infeasibility: the cost is +Inf from there on.
-func (p *Prepared) assemble(moved, target int, d *dirtyECUs, full bool) Metrics {
+func (p *Prepared) assemble(d *delta, full bool) Metrics {
 	b := p.b
 	cons := &b.cons
 	m := Metrics{Feasible: true}
@@ -337,7 +352,7 @@ func (p *Prepared) assemble(moved, target int, d *dirtyECUs, full bool) Metrics 
 		}
 	}
 	for _, c := range b.conns {
-		if si, di := p.ecuOf(c.from, moved, target), p.ecuOf(c.to, moved, target); si != di {
+		if si, di := p.ecuOf(d, c.from), p.ecuOf(d, c.to); si != di {
 			m.Harness += b.dist[si][di]
 		}
 	}
@@ -379,15 +394,11 @@ func (p *Prepared) assemble(moved, target int, d *dirtyECUs, full bool) Metrics 
 			m.Violations = append(m.Violations, msg)
 		}
 	}
-	b.red.run(&m, candidate{
-		ecuOf: func(ci int) (int, bool) { return p.ecuOf(ci, moved, target), true },
-		load:  func(ei int) float64 { a, _ := p.get(d, ei); return a.load },
-		hosts: func(ei int) bool { a, _ := p.get(d, ei); return a.hosts },
-	})
+	b.red.run(&m, p, d)
 	if !m.Feasible && !full {
 		return m
 	}
-	if err := p.commCheck(moved, target); err != nil {
+	if err := p.commCheck(d); err != nil {
 		m.Feasible = false
 		if !full {
 			return m
@@ -405,8 +416,7 @@ func (p *Prepared) assemble(moved, target int, d *dirtyECUs, full bool) Metrics 
 			}
 		}
 	}
-	// Load variance over used ECUs, summed in declaration order like the
-	// unbound path's loads slice.
+	// Load variance over used ECUs, summed in declaration order.
 	if m.ECUs > 0 {
 		mean := 0.0
 		for i := range b.ecus {
@@ -431,9 +441,9 @@ func (p *Prepared) assemble(moved, target int, d *dirtyECUs, full bool) Metrics 
 // reachable ECU pair. Resolve's other failures (unknown or unmapped
 // names) cannot occur here: Prepare validated the incumbent and a move
 // only substitutes known names.
-func (p *Prepared) commCheck(moved, target int) error {
+func (p *Prepared) commCheck(d *delta) error {
 	for _, c := range p.b.conns {
-		si, di := p.ecuOf(c.from, moved, target), p.ecuOf(c.to, moved, target)
+		si, di := p.ecuOf(d, c.from), p.ecuOf(d, c.to)
 		if si == di || !c.needsPath {
 			continue
 		}

@@ -11,10 +11,10 @@ import (
 	"autorte/internal/workload"
 )
 
-// The delta evaluator must reproduce the unbound evaluation exactly — same
-// feasibility, same violation strings in the same order, bit-identical
-// cost terms — for every scored move, across constraint shapes and as the
-// incumbent advances through applied moves.
+// The delta evaluator must reproduce the reference scorer (refEvaluate)
+// exactly — same feasibility, same violation strings in the same order,
+// bit-identical cost terms — for every scored move, across constraint
+// shapes and as the incumbent advances through applied moves.
 func TestPreparedEvaluateMoveMatchesBoundEvaluate(t *testing.T) {
 	base := demoSystem(t)
 	consSet := map[string]Constraints{
@@ -42,10 +42,10 @@ func TestPreparedEvaluateMoveMatchesBoundEvaluate(t *testing.T) {
 				cand := base.Clone()
 				cand.Mapping = prep.Mapping()
 				cand.Mapping[comp] = ecu
-				want := ev.Evaluate(cand)
+				want := refEvaluate(ev, cand)
 				got := prep.EvaluateMove(comp, ecu)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d (%s -> %s): delta metrics diverge\nunbound: %+v\ndelta:   %+v", step, comp, ecu, want, got)
+					t.Fatalf("step %d (%s -> %s): delta metrics diverge\nreference: %+v\ndelta:     %+v", step, comp, ecu, want, got)
 				}
 				// Advance the incumbent on every third step so both paths
 				// walk the same trajectory.
@@ -107,9 +107,9 @@ func TestPreparedEvaluateMoveConcurrent(t *testing.T) {
 	}
 }
 
-// Prepare must reject mappings outside the DSE invariant — which the
-// unbound evaluator scores infeasible — and an unknown move target must
-// score infeasible with the diagnostic vfb.Resolve gives, without
+// Prepare must reject mappings outside the DSE invariant — which
+// Evaluate scores infeasible — and an unknown move target must score
+// infeasible with the diagnostic model.Validate gives, without
 // corrupting the incumbent.
 func TestPreparedRejectsIncompleteMapping(t *testing.T) {
 	base := demoSystem(t)
@@ -129,7 +129,7 @@ func TestPreparedRejectsIncompleteMapping(t *testing.T) {
 			t.Fatalf("prepare should reject a mapping with a %s", name)
 		}
 		if m := ev.Evaluate(sys); m.Feasible {
-			t.Fatalf("unbound evaluation of a mapping with a %s should be infeasible", name)
+			t.Fatalf("Evaluate of a mapping with a %s should be infeasible", name)
 		}
 	}
 	prep, err := bound.Prepare(base.Mapping)
@@ -144,7 +144,7 @@ func TestPreparedRejectsIncompleteMapping(t *testing.T) {
 		t.Fatalf("unknown-ECU move scored %+v, want infeasible with %q", got, diag)
 	}
 	if !slices.Contains(ev.Evaluate(ghost).Violations, diag) {
-		t.Fatalf("unbound evaluation lacks the %q diagnostic", diag)
+		t.Fatalf("Evaluate lacks the %q diagnostic", diag)
 	}
 	got = prep.EvaluateMove("ghost", base.ECUs[0].Name)
 	if got.Feasible || len(got.Violations) != 1 || got.Violations[0] != `mapping references unknown component "ghost"` {

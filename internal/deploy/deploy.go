@@ -19,8 +19,6 @@ import (
 	"autorte/internal/par"
 	"autorte/internal/sched"
 	"autorte/internal/sim"
-	"autorte/internal/taskset"
-	"autorte/internal/vfb"
 )
 
 // RejectAllLoad is an explicit MaxUtilization sentinel meaning "no compute
@@ -169,133 +167,20 @@ func Evaluate(sys *model.System, cons Constraints) Metrics {
 	return (&Evaluator{Cons: cons}).Evaluate(sys)
 }
 
-// Evaluate computes the metrics of the system's current mapping.
+// Evaluate computes the metrics of the system's current mapping: Bind,
+// Prepare, then the prepared incumbent's Evaluate. A topology Bind
+// rejects, or a mapping Prepare rejects (a component left unmapped),
+// scores infeasible with that error as its one violation.
 func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
-	cons := ev.Cons
-	cons.fill()
-	m := Metrics{Feasible: true}
-	if err := cons.Validate(); err != nil {
-		m.Feasible = false
-		m.Violations = append(m.Violations, err.Error())
-		return m
+	b, err := ev.Bind(sys)
+	if err != nil {
+		return Metrics{Violations: []string{err.Error()}}
 	}
-	m.ECUs = len(sys.UsedECUs())
-	m.Harness = sys.HarnessLength()
-	// IncludeSingletons scores unreplicated components too, so the check
-	// must run even on systems without any standby.
-	hasRed := cons.Faults.IncludeSingletons
-	for _, c := range sys.Components {
-		if hasRed {
-			break
-		}
-		if c.ReplicaOf != "" {
-			hasRed = true
-		}
+	prep, err := b.Prepare(sys.Mapping)
+	if err != nil {
+		return Metrics{Violations: []string{err.Error()}}
 	}
-	// Per-ECU checks.
-	var loads []float64
-	loadByIdx := make([]float64, len(sys.ECUs))
-	hostsByIdx := make([]bool, len(sys.ECUs))
-	for ei, e := range sys.ECUs {
-		load := sys.AnalyzedLoad(e.Name)
-		memory := 0
-		hosts := false
-		worstASIL, bestASIL := model.QM, model.QM
-		for _, c := range sys.Components {
-			if sys.Mapping[c.Name] != e.Name {
-				continue
-			}
-			if !hosts || c.ASIL < bestASIL {
-				bestASIL = c.ASIL
-			}
-			hosts = true
-			memory += c.MemoryKB
-			if c.ASIL > worstASIL {
-				worstASIL = c.ASIL
-			}
-		}
-		loadByIdx[ei], hostsByIdx[ei] = load, hosts
-		if !hosts {
-			continue
-		}
-		loads = append(loads, load)
-		if load > m.MaxLoad {
-			m.MaxLoad = load
-		}
-		if load > cons.MaxUtilization {
-			m.Feasible = false
-			m.Violations = append(m.Violations, fmt.Sprintf("%s overloaded: %.3f > %.3f", e.Name, load, cons.MaxUtilization))
-		}
-		if cons.RespectMemory && e.MemoryKB > 0 && memory > e.MemoryKB {
-			m.Feasible = false
-			m.Violations = append(m.Violations, fmt.Sprintf("%s out of memory: %d > %d KB", e.Name, memory, e.MemoryKB))
-		}
-		if cons.RespectASIL && worstASIL > e.MaxASIL {
-			m.Feasible = false
-			m.Violations = append(m.Violations, fmt.Sprintf("%s hosts %v components but qualifies only for %v", e.Name, worstASIL, e.MaxASIL))
-		}
-		if msg := asilSpreadViolation(e.Name, worstASIL, bestASIL, cons.MaxASILSpread); msg != "" {
-			m.Feasible = false
-			m.Violations = append(m.Violations, msg)
-		}
-	}
-	// Fail-operational feasibility: replica anti-affinity, fail-over
-	// validity and the survivability fraction, through the same checker
-	// the delta path runs.
-	m.Survivability = 1
-	if hasRed {
-		comps := bindComps(sys)
-		ecus := bindECUs(sys)
-		ecuIdx := make(map[string]int, len(ecus))
-		for i := range ecus {
-			ecuIdx[ecus[i].name] = i
-		}
-		newRedCheck(comps, ecus, cons, ev.RTA).run(&m, candidate{
-			ecuOf: func(ci int) (int, bool) { idx, ok := ecuIdx[sys.Mapping[comps[ci].name]]; return idx, ok },
-			load:  func(ei int) float64 { return loadByIdx[ei] },
-			hosts: func(ei int) bool { return hostsByIdx[ei] },
-		})
-	}
-	// Communication feasibility: every remote connector needs a shared bus.
-	if _, err := vfb.Resolve(sys); err != nil {
-		m.Feasible = false
-		m.Violations = append(m.Violations, err.Error())
-	}
-	// Schedulability feasibility: exact per-ECU RTA on demand, through the
-	// shared cache (most candidate moves leave most ECUs' sets unchanged).
-	if cons.RequireSchedulable {
-		tsets, _ := taskset.Build(sys)
-		var ecus []string
-		for e := range tsets {
-			ecus = append(ecus, e)
-		}
-		sort.Strings(ecus)
-		for _, ecu := range ecus {
-			ok, err := ev.RTA.Check(tsets[ecu])
-			if err != nil {
-				m.Feasible = false
-				m.Violations = append(m.Violations, fmt.Sprintf("%s: RTA failed: %v", ecu, err))
-				continue
-			}
-			if !ok {
-				m.Feasible = false
-				m.Violations = append(m.Violations, fmt.Sprintf("%s unschedulable under response-time analysis", ecu))
-			}
-		}
-	}
-	// Load variance over used ECUs.
-	if len(loads) > 0 {
-		mean := 0.0
-		for _, l := range loads {
-			mean += l
-		}
-		mean /= float64(len(loads))
-		for _, l := range loads {
-			m.LoadVar += (l - mean) * (l - mean)
-		}
-		m.LoadVar /= float64(len(loads))
-	}
-	return m
+	return prep.Evaluate()
 }
 
 // Greedy consolidates with first-fit decreasing: components sorted by
@@ -303,104 +188,7 @@ func (ev *Evaluator) Evaluate(sys *model.System) Metrics {
 // constraints. ECUs are tried in name order (deterministic). The input is
 // not modified; the returned clone carries the new mapping.
 func Greedy(sys *model.System, cons Constraints) (*model.System, error) {
-	cons.fill()
-	if err := cons.Validate(); err != nil {
-		return nil, err
-	}
-	out := sys.Clone()
-	comps := append([]*model.SWC(nil), out.Components...)
-	sort.SliceStable(comps, func(i, j int) bool {
-		ui, uj := comps[i].Utilization(), comps[j].Utilization()
-		if ui != uj {
-			return ui > uj
-		}
-		return comps[i].Name < comps[j].Name
-	})
-	ecus := append([]*model.ECU(nil), out.ECUs...)
-	sort.SliceStable(ecus, func(i, j int) bool { return ecus[i].Name < ecus[j].Name })
-	out.Mapping = map[string]string{}
-	for _, c := range comps {
-		placed := false
-		for _, e := range ecus {
-			out.Mapping[c.Name] = e.Name
-			if fits(out, c, e, cons) {
-				placed = true
-				break
-			}
-			delete(out.Mapping, c.Name)
-		}
-		if !placed {
-			return nil, fmt.Errorf("deploy: cannot place %s (u=%.3f) on any ECU", c.Name, c.Utilization())
-		}
-	}
-	// The packing respects local constraints; verify globally (bus
-	// reachability included).
-	if m := Evaluate(out, cons); !m.Feasible {
-		return nil, fmt.Errorf("deploy: greedy result infeasible: %v", m.Violations)
-	}
-	return out, nil
-}
-
-// fits checks the per-ECU constraints for c on e under the current
-// (partial) mapping of out.
-func fits(out *model.System, c *model.SWC, e *model.ECU, cons Constraints) bool {
-	if out.AnalyzedLoad(e.Name) > cons.MaxUtilization {
-		return false
-	}
-	if cons.RespectASIL && c.ASIL > e.MaxASIL {
-		return false
-	}
-	if cons.RespectMemory && e.MemoryKB > 0 {
-		mem := 0
-		for _, o := range out.Components {
-			if out.Mapping[o.Name] == e.Name {
-				mem += o.MemoryKB
-			}
-		}
-		if mem > e.MemoryKB {
-			return false
-		}
-	}
-	// Replica anti-affinity: never pack two instances of one group onto
-	// the same ECU — they would fail together.
-	if c.ReplicaOf != "" || c.Redundancy.Replicated() || hasStandbyOf(out, c.Name) {
-		for _, o := range out.Components {
-			if o.Name != c.Name && out.Mapping[o.Name] == e.Name && sameReplicaGroup(c, o) {
-				return false
-			}
-		}
-	}
-	if cons.MaxASILSpread != 0 {
-		hosts := false
-		var worst, best model.ASIL
-		for _, o := range out.Components {
-			if out.Mapping[o.Name] != e.Name {
-				continue
-			}
-			if !hosts || o.ASIL < best {
-				best = o.ASIL
-			}
-			if !hosts || o.ASIL > worst {
-				worst = o.ASIL
-			}
-			hosts = true
-		}
-		if asilSpreadViolation(e.Name, worst, best, cons.MaxASILSpread) != "" {
-			return false
-		}
-	}
-	return true
-}
-
-// hasStandbyOf reports whether any materialized standby names c as its
-// primary (the primary itself carries no back-pointer).
-func hasStandbyOf(out *model.System, name string) bool {
-	for _, o := range out.Components {
-		if o.ReplicaOf == name {
-			return true
-		}
-	}
-	return false
+	return fitSystem(sys, cons, false)
 }
 
 // Place maps only the unmapped components of a system into the existing
@@ -410,47 +198,95 @@ func hasStandbyOf(out *model.System, name string) bool {
 // mappings are never touched; an error is returned when a new component
 // fits nowhere.
 func Place(sys *model.System, cons Constraints) (*model.System, error) {
-	cons.fill()
-	if err := cons.Validate(); err != nil {
+	return fitSystem(sys, cons, true)
+}
+
+// fitSystem binds sys under cons and runs Bound.firstFit on it.
+func fitSystem(sys *model.System, cons Constraints, keep bool) (*model.System, error) {
+	b, err := (&Evaluator{Cons: cons}).Bind(sys)
+	if err != nil {
+		return nil, fmt.Errorf("deploy: invalid topology: %w", err)
+	}
+	prep, err := b.firstFit(sys, keep)
+	if err != nil {
 		return nil, err
 	}
-	out := sys.Clone()
-	if out.Mapping == nil {
-		out.Mapping = map[string]string{}
+	return withMapping(sys, prep.Mapping()), nil
+}
+
+// firstFit is the packer behind Greedy (keep unset: every component
+// pending) and Place (keep set: the components sys maps stay put, the
+// rest are pending). It maps each pending component onto the first ECU
+// in name order that still passes the per-ECU checks with it added,
+// taking them by descending SWC.Utilization, names breaking ties, and
+// prepares the result if the full evaluation — bus reachability, RTA,
+// fail-over — finds it feasible.
+func (b *Bound) firstFit(sys *model.System, keep bool) (*Prepared, error) {
+	if b.consErr != nil {
+		return nil, b.consErr
 	}
-	ecus := append([]*model.ECU(nil), out.ECUs...)
-	sort.SliceStable(ecus, func(i, j int) bool { return ecus[i].Name < ecus[j].Name })
-	var pending []*model.SWC
-	for _, c := range out.Components {
-		if out.Mapping[c.Name] == "" {
-			pending = append(pending, c)
+	cur := make([]int, len(b.comps))
+	var pending []int
+	for ci := range cur {
+		// Bind validated every mapped ECU name.
+		if ecu, ok := sys.Mapping[b.comps[ci].name]; keep && ok {
+			cur[ci] = b.ecuIdx[ecu]
+			continue
 		}
+		cur[ci] = -1
+		pending = append(pending, ci)
+	}
+	util := make([]float64, len(cur))
+	for _, ci := range pending {
+		util[ci] = sys.Components[ci].Utilization()
 	}
 	sort.SliceStable(pending, func(i, j int) bool {
-		ui, uj := pending[i].Utilization(), pending[j].Utilization()
+		ui, uj := util[pending[i]], util[pending[j]]
 		if ui != uj {
 			return ui > uj
 		}
-		return pending[i].Name < pending[j].Name
+		return b.comps[pending[i]].name < b.comps[pending[j]].name
 	})
-	for _, c := range pending {
-		placed := false
-		for _, e := range ecus {
-			out.Mapping[c.Name] = e.Name
-			if fits(out, c, e, cons) {
-				placed = true
+	for _, ci := range pending {
+		for _, ei := range b.ecuByName {
+			if b.admits(cur, ci, ei) {
+				cur[ci] = ei
 				break
 			}
-			delete(out.Mapping, c.Name)
 		}
-		if !placed {
-			return nil, fmt.Errorf("deploy: no spare capacity for new component %s", c.Name)
+		if cur[ci] < 0 {
+			return nil, fmt.Errorf("deploy: cannot place %s (u=%.3f) on any ECU", b.comps[ci].name, util[ci])
 		}
 	}
-	if m := Evaluate(out, cons); !m.Feasible {
-		return nil, fmt.Errorf("deploy: incremental placement infeasible: %v", m.Violations)
+	prep := b.prepare(cur)
+	if m := prep.Evaluate(); !m.Feasible {
+		return nil, fmt.Errorf("deploy: first-fit result infeasible: %v", m.Violations)
 	}
-	return out, nil
+	return prep, nil
+}
+
+// admits reports whether ECU index ei passes the per-ECU checks with comp
+// index ci added to what cur maps there. The load is summed in
+// declaration order, as the scorer sums it.
+func (b *Bound) admits(cur []int, ci, ei int) bool {
+	a, _ := b.computeECU(cur, ei, -1, ci, false)
+	e, cons := &b.ecus[ei], &b.cons
+	if a.load > cons.MaxUtilization ||
+		cons.RespectMemory && e.memoryKB > 0 && a.memory > e.memoryKB ||
+		cons.RespectASIL && a.worst > e.maxASIL ||
+		asilSpreadViolation(e.name, a.worst, a.best, cons.MaxASILSpread) != "" {
+		return false
+	}
+	// Replica anti-affinity: never pack two instances of one group onto
+	// the same ECU — they would fail together.
+	if g := b.group[ci]; g >= 0 {
+		for oi, oe := range cur {
+			if oe == ei && b.group[oi] == g {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Anneal refines a feasible mapping by simulated annealing: random
@@ -475,11 +311,7 @@ func (ev *Evaluator) prepare(sys *model.System) (*Prepared, error) {
 	if prep, err := bound.Prepare(sys.Mapping); err == nil && prep.Evaluate().Feasible {
 		return prep, nil
 	}
-	g, err := Greedy(sys, ev.Cons)
-	if err != nil {
-		return nil, err
-	}
-	return bound.Prepare(g.Mapping)
+	return bound.firstFit(sys, false)
 }
 
 // withMapping materializes a search result: a clone of sys carrying the
@@ -615,16 +447,17 @@ func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIt
 }
 
 // descend is DescendWith that also returns the result's metrics.
+// Invalid constraints surface through prepare's Greedy bootstrap.
 func descend(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters int) (*model.System, Metrics, error) {
-	cons := ev.Cons
-	cons.fill()
-	if err := cons.Validate(); err != nil {
-		return nil, Metrics{}, err
-	}
 	prep, err := ev.prepare(sys)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
+	return descendFrom(ev, sys, prep, obj, workers, maxIters)
+}
+
+// descendFrom runs the descent from a prepared incumbent of sys.
+func descendFrom(ev *Evaluator, sys *model.System, prep *Prepared, obj Objective, workers, maxIters int) (*model.System, Metrics, error) {
 	b := prep.b
 	curCost := prep.Evaluate().Cost(obj)
 	compOrder := byName(len(b.comps), func(i int) string { return b.comps[i].name })

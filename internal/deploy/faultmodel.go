@@ -6,17 +6,17 @@ package deploy
 // bus channels, correlated ECU+bus failures) and to any k of those
 // units failing concurrently. The zero value reproduces the v1 sweep
 // bit-exactly — same events, same violation strings, same
-// Survivability fraction — so existing callers and the full-vs-delta
-// DeepEqual identity are untouched.
+// Survivability fraction — so existing callers and the DeepEqual
+// identity with the reference sweep are untouched.
 //
 // Everything the model resolves without looking at a mapping — the
 // effective replica groups, the explicit loss units and their
 // k-combinations as per-ECU loss bitmaps with bus isolation folded in,
 // the malformed-unit violations — is resolved when the redCheck is
-// built: once per Bind (per call on the unbound path). The default
+// built, once per Bind. The default
 // universe depends on which ECUs host anything, so the sweep derives it
 // per candidate. Scoring runs RTA only under RequireSchedulable:
-// Prepared.computeECU skips the task set otherwise, and the fail-over
+// Bound.computeECU skips the task set otherwise, and the fail-over
 // RTA is gated the same way.
 
 import (

@@ -10,11 +10,11 @@ import (
 	"autorte/internal/sim"
 )
 
-// The k-of-n generalization must stay indistinguishable between the full
-// and delta evaluation paths exactly like the v1 single-failure sweep —
-// scoring a move and scoring the incumbent after applying it: same
-// Survivability, same violation strings in the same order, through a
-// random walk of moves under non-trivial fault models (concurrent
+// The k-of-n generalization must stay indistinguishable between the
+// reference scorer and the delta path exactly like the v1 single-failure
+// sweep — scoring a move and scoring the incumbent after applying it:
+// same Survivability, same violation strings in the same order, through
+// a random walk of moves under non-trivial fault models (concurrent
 // failures, explicit ECU/bus/correlated losses, soft scoring with
 // singleton groups).
 func TestFaultModelThreePathIdentity(t *testing.T) {
@@ -53,16 +53,16 @@ func TestFaultModelThreePathIdentity(t *testing.T) {
 				e := cur.ECUs[r.Intn(len(cur.ECUs))].Name
 				cand := cur.Clone()
 				cand.Mapping[c] = e
-				want := ev.Evaluate(cand)
+				want := refEvaluate(ev, cand)
 				if got := prep.EvaluateMove(c, e); !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d (%s->%s): delta diverges\nunbound: %+v\ndelta:   %+v", step, c, e, want, got)
+					t.Fatalf("step %d (%s->%s): delta diverges\nreference: %+v\ndelta:     %+v", step, c, e, want, got)
 				}
 				cur = cand
 				if err := prep.Apply(c, e); err != nil {
 					t.Fatalf("apply: %v", err)
 				}
 				if got := prep.Evaluate(); !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d (%s->%s): incumbent diverges after apply\nunbound: %+v\ndelta:   %+v", step, c, e, want, got)
+					t.Fatalf("step %d (%s->%s): incumbent diverges after apply\nreference: %+v\ndelta:     %+v", step, c, e, want, got)
 				}
 			}
 		})
@@ -186,8 +186,8 @@ func TestFaultModelSweep(t *testing.T) {
 	})
 }
 
-// redCheck boundary cases, table-driven across the unbound path with a
-// Prepared-path cross-check: each case mutates the fixture, evaluates,
+// redCheck boundary cases, table-driven through Evaluate with a
+// move-scoring cross-check: each case mutates the fixture, evaluates,
 // and pins feasibility, a diagnostic substring and the Survivability.
 func TestRedCheckBoundaryCases(t *testing.T) {
 	cases := []struct {

@@ -125,6 +125,7 @@ func TestSearchesHandleDegenerateSystems(t *testing.T) {
 	obj := DefaultObjective()
 	searches := map[string]func(*model.System) (*model.System, error){
 		"Greedy":  func(sys *model.System) (*model.System, error) { return Greedy(sys, Constraints{}) },
+		"Place":   func(sys *model.System) (*model.System, error) { return Place(sys, Constraints{}) },
 		"Descend": func(sys *model.System) (*model.System, error) { return Descend(sys, Constraints{}, obj, 2, 4) },
 		"Anneal":  func(sys *model.System) (*model.System, error) { return Anneal(sys, Constraints{}, obj, 1, 50) },
 		"AnnealParallel": func(sys *model.System) (*model.System, error) {
@@ -155,7 +156,7 @@ func TestSearchesHandleDegenerateSystems(t *testing.T) {
 				if sname == "no-components" && err != nil {
 					t.Fatalf("a component-less system is trivially deployable: %v", err)
 				}
-				if sname == "invalid-topology" && err == nil && name != "Greedy" {
+				if sname == "invalid-topology" && err == nil {
 					t.Fatal("accepted an invalid topology")
 				}
 			})

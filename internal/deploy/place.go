@@ -5,22 +5,24 @@ package deploy
 // PlaceReplicas derives the redundancy spec itself — how many replicas
 // of which components, hot or cold, hosted where — by greedy marginal
 // ascent over the same Cost the mapping searches minimize. Each scored
-// configuration materializes its standbys (Replicate), sites them
-// (Place) and refines the whole mapping through the incremental
-// delta-evaluator path (DescendWith → Prepared), so the placement search
-// pays O(dirty-ECU) per candidate move like every other search here.
+// configuration materializes its standbys (Replicate), binds the result
+// once, sites the standbys (Place's first-fit) and refines the whole
+// mapping through the incremental delta-evaluator path (descend →
+// Prepared) on that one Bound, so the placement search pays
+// O(dirty-ECU) per candidate move like every other search here.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"autorte/internal/model"
 )
 
 // PlacementOptions bounds the replica-placement search.
 type PlacementOptions struct {
-	// Candidates are the components eligible for replication; empty
-	// means every component of the seed system.
+	// Candidates are the components eligible for replication, each named
+	// once; empty means every component of the seed system. The search
+	// takes them in name order and leaves the caller's slice as it is.
 	Candidates []string
 	// MaxReplicas caps the instances (primary included) per candidate.
 	// Default 2 — one standby each.
@@ -48,12 +50,13 @@ func (o *PlacementOptions) fill(sys *model.System) {
 	if o.DescendIters == 0 {
 		o.DescendIters = 16
 	}
+	o.Candidates = slices.Clone(o.Candidates) // sorted below; the caller's stays as it is
 	if len(o.Candidates) == 0 {
 		for _, c := range sys.Components {
 			o.Candidates = append(o.Candidates, c.Name)
 		}
 	}
-	sort.Strings(o.Candidates)
+	slices.Sort(o.Candidates)
 }
 
 // Placement is one scored replica configuration: the materialized,
@@ -94,9 +97,12 @@ func PlaceReplicas(sys *model.System, cons Constraints, obj Objective, opts Plac
 		}
 	}
 	opts.fill(sys)
-	for _, name := range opts.Candidates {
+	for i, name := range opts.Candidates {
 		if sys.Component(name) == nil {
 			return nil, fmt.Errorf("deploy: place replicas: unknown candidate %q", name)
+		}
+		if i > 0 && name == opts.Candidates[i-1] {
+			return nil, fmt.Errorf("deploy: place replicas: duplicate candidate %q", name)
 		}
 	}
 	modesOf := func(name string) []model.ReplicaMode {
@@ -130,13 +136,18 @@ func PlaceReplicas(sys *model.System, cons Constraints, obj Objective, opts Plac
 		if err != nil {
 			return nil, Metrics{}, err
 		}
-		// Site the new standbys without disturbing the seed mapping, then
-		// let the incremental descent refine everything together.
-		placed, err := Place(rep, cons)
+		ev := NewEvaluator(cons)
+		b, err := ev.Bind(rep)
 		if err != nil {
 			return nil, Metrics{}, err
 		}
-		return descend(NewEvaluator(cons), placed, obj, opts.Workers, opts.DescendIters)
+		// Site the new standbys without disturbing the seed mapping, then
+		// let the incremental descent refine everything together.
+		prep, err := b.firstFit(rep, true)
+		if err != nil {
+			return nil, Metrics{}, err
+		}
+		return descendFrom(ev, rep, prep, obj, opts.Workers, opts.DescendIters)
 	}
 	bestSys, bestM, err := score(counts, modes)
 	if err != nil {

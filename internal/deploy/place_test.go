@@ -143,4 +143,22 @@ func TestPlaceReplicasRejectsBadSeeds(t *testing.T) {
 			t.Fatal("unknown candidate accepted")
 		}
 	})
+	t.Run("duplicate-candidate", func(t *testing.T) {
+		_, err := PlaceReplicas(placeSeed(), Constraints{}, Objective{},
+			PlacementOptions{Candidates: []string{"Ctrl", "Act", "Ctrl"}})
+		if err == nil {
+			t.Fatal("duplicate candidate accepted")
+		}
+	})
+	t.Run("caller-slice-unchanged", func(t *testing.T) {
+		cands := []string{"Ctrl", "Act"}
+		obj := DefaultObjective()
+		obj.WAvail = 5000
+		if _, err := PlaceReplicas(placeSeed(), placeCons(), obj, PlacementOptions{Candidates: cands}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cands, []string{"Ctrl", "Act"}) {
+			t.Fatalf("PlaceReplicas reordered the caller's Candidates to %v", cands)
+		}
+	})
 }

@@ -6,9 +6,8 @@ package deploy
 // correlated losses) leaves each replica group with a promotable
 // instance AND the promoted instance's ECU still fits within its
 // capacity after absorbing the failed-over load. redCheck is that
-// analysis, shared verbatim by the full (Evaluator.Evaluate) and delta
-// (Prepared.assemble) paths so the two stay DeepEqual-identical — same
-// violations in the same order, same Survivability float.
+// analysis; Prepared.assemble runs it on the incumbent and on every
+// scored move, reading the candidate straight from the Prepared state.
 //
 // A check costs O(replica groups + events) with no per-move setup:
 // newRedCheck resolves everything mapping-independent of the fault model
@@ -16,7 +15,7 @@ package deploy
 // ECU so each single-ECU event visits only the groups it takes down.
 // The sweep's scratch is pooled, so a warm move allocates nothing. The
 // normal-case RTA verdicts the check reads beside it are computed only
-// under RequireSchedulable: Prepared.computeECU skips the task set and
+// under RequireSchedulable: Bound.computeECU skips the task set and
 // the analysis otherwise.
 
 import (
@@ -80,11 +79,8 @@ func (g *redGroup) inst(i int) int {
 }
 
 // redCheck runs the fail-operational checks of candidate mappings of
-// one topology. Everything observable (violation strings, their order,
-// the Survivability value) is computed here so the evaluation paths
-// cannot drift. Built once per Bind (per call on the unbound path), it
-// holds the fault model resolved against the topology and is read-only
-// afterwards.
+// one topology. Built once per Bind, it holds the fault model resolved
+// against the topology and is read-only afterwards.
 type redCheck struct {
 	comps []boundComp
 	ecus  []boundECU
@@ -115,23 +111,10 @@ func newRedCheck(comps []boundComp, ecus []boundECU, cons Constraints, rta *sche
 	return rc
 }
 
-// candidate abstracts over how an evaluation path stores the checked
-// mapping and its per-ECU state. It is passed by value rather than kept
-// in redCheck so that the closures stay on the caller's stack.
-type candidate struct {
-	// ecuOf resolves a component index to its candidate ECU index; false
-	// when the component is unmapped.
-	ecuOf func(ci int) (int, bool)
-	// load returns the normal-case analyzed load of one ECU index.
-	load func(ei int) float64
-	// hosts reports whether the ECU index hosts any component.
-	hosts func(ei int) bool
-}
-
 // sweep is the per-candidate scratch of one fault sweep, pooled so that
 // a warm search scores a move without allocating.
 type sweep struct {
-	// primary holds each group's primary ECU index, -1 when unmapped.
+	// primary holds each group's primary ECU index.
 	primary []int
 	// order lists group indices bucketed by primary ECU: the groups whose
 	// primary sits on ECU e are order[start[e]:start[e+1]], in group
@@ -162,12 +145,12 @@ func ints(buf []int, n int) []int {
 }
 
 // run appends fail-operational violations to m and sets m.Survivability:
-// the fraction of (fault event, replica group) pairs the deployment
-// survives with a valid fail-over. The explicit universe was resolved
+// the fraction of (fault event, replica group) pairs the candidate d of
+// p survives with a valid fail-over. The explicit universe was resolved
 // with the check; the default one sweeps every single hosted-ECU
 // failure, reproducing the v1 analysis exactly. 1.0 when nothing is
 // scored.
-func (rc *redCheck) run(m *Metrics, c candidate) {
+func (rc *redCheck) run(m *Metrics, p *Prepared, d *delta) {
 	m.Survivability = 1
 	groups := rc.groups
 	if len(groups) == 0 {
@@ -181,12 +164,9 @@ func (rc *redCheck) run(m *Metrics, c candidate) {
 		g := &groups[gi]
 		n := 1 + len(g.standbys)
 		for x := 0; x < n; x++ {
-			ex, okx := c.ecuOf(g.inst(x))
-			if !okx {
-				continue
-			}
+			ex := p.ecuOf(d, g.inst(x))
 			for y := x + 1; y < n; y++ {
-				if ey, oky := c.ecuOf(g.inst(y)); oky && ey == ex {
+				if p.ecuOf(d, g.inst(y)) == ex {
 					m.Feasible = false
 					m.Violations = append(m.Violations, fmt.Sprintf(
 						"replicas %s and %s co-located on %s",
@@ -204,10 +184,10 @@ func (rc *redCheck) run(m *Metrics, c candidate) {
 	s.combo = s.combo[:0]
 	if rc.explicit() {
 		for _, ev := range rc.events {
-			rc.strike(m, s, c, ev, nil)
+			rc.strike(m, s, p, d, ev, nil)
 		}
 	} else {
-		rc.sweepDefault(m, s, c)
+		rc.sweepDefault(m, s, p, d)
 	}
 	if s.events > 0 {
 		m.Survivability = float64(s.survived) / float64(s.events)
@@ -221,17 +201,15 @@ func (rc *redCheck) run(m *Metrics, c candidate) {
 // exactly the groups whose primary it hosts, so the groups are bucketed
 // by primary ECU in one counting pass and each event visits only its
 // bucket; the groups it leaves alone are counted, not scanned.
-func (rc *redCheck) sweepDefault(m *Metrics, s *sweep, c candidate) {
+func (rc *redCheck) sweepDefault(m *Metrics, s *sweep, p *Prepared, d *delta) {
 	groups := rc.groups
 	necus := len(rc.ecus)
 	s.primary = ints(s.primary, len(groups))
 	s.start = ints(s.start, necus+1)
 	for gi := range groups {
-		s.primary[gi] = -1
-		if pe, ok := c.ecuOf(groups[gi].primary); ok {
-			s.primary[gi] = pe
-			s.start[pe+1]++
-		}
+		pe := p.ecuOf(d, groups[gi].primary)
+		s.primary[gi] = pe
+		s.start[pe+1]++
 	}
 	for e := 0; e < necus; e++ {
 		s.start[e+1] += s.start[e]
@@ -239,10 +217,8 @@ func (rc *redCheck) sweepDefault(m *Metrics, s *sweep, c candidate) {
 	s.next = append(ints(s.next, 0), s.start[:necus]...)
 	s.order = ints(s.order, s.start[necus])
 	for gi, pe := range s.primary {
-		if pe >= 0 {
-			s.order[s.next[pe]] = gi
-			s.next[pe]++
-		}
+		s.order[s.next[pe]] = gi
+		s.next[pe]++
 	}
 	if cap(s.lost) < necus {
 		s.lost = make([]bool, necus)
@@ -251,7 +227,7 @@ func (rc *redCheck) sweepDefault(m *Metrics, s *sweep, c candidate) {
 	clear(lost)
 	s.hosted = s.hosted[:0]
 	for ei := 0; ei < necus; ei++ {
-		if !c.hosts(ei) {
+		if a, _ := p.get(d, ei); !a.hosts {
 			continue
 		}
 		s.hosted = append(s.hosted, ei)
@@ -262,7 +238,7 @@ func (rc *redCheck) sweepDefault(m *Metrics, s *sweep, c candidate) {
 			continue
 		}
 		lost[ei] = true
-		rc.strike(m, s, c, faultEvent{label: rc.ecus[ei].name, lost: lost}, bucket)
+		rc.strike(m, s, p, d, faultEvent{label: rc.ecus[ei].name, lost: lost}, bucket)
 		lost[ei] = false
 	}
 	k := min(rc.cons.Faults.MaxConcurrent, len(s.hosted))
@@ -277,7 +253,7 @@ func (rc *redCheck) sweepDefault(m *Metrics, s *sweep, c candidate) {
 				lost[s.hosted[i]] = true
 			}
 			// The label is built only if a violation needs it.
-			rc.strike(m, s, c, faultEvent{lost: lost}, nil)
+			rc.strike(m, s, p, d, faultEvent{lost: lost}, nil)
 			for _, i := range idx {
 				lost[s.hosted[i]] = false
 			}
@@ -304,7 +280,7 @@ func (rc *redCheck) label(ev faultEvent, s *sweep) string {
 // takes down fails over to its first standby (preference order) outside
 // the loss set — the instance rte.FailOver would promote — and every
 // target ECU must absorb the promotions the event sends its way.
-func (rc *redCheck) strike(m *Metrics, s *sweep, c candidate, ev faultEvent, hit []int) {
+func (rc *redCheck) strike(m *Metrics, s *sweep, p *Prepared, d *delta, ev faultEvent, hit []int) {
 	soft := rc.cons.Faults.Soft
 	n := len(hit)
 	if hit == nil {
@@ -318,14 +294,13 @@ func (rc *redCheck) strike(m *Metrics, s *sweep, c candidate, ev faultEvent, hit
 			gi = hit[i]
 		}
 		g := &rc.groups[gi]
-		pe, ok := c.ecuOf(g.primary)
-		if !ok || !ev.lost[pe] {
+		if !ev.lost[p.ecuOf(d, g.primary)] {
 			s.survived++ // this event does not take the primary down
 			continue
 		}
 		sb, target := -1, -1
 		for _, sbi := range g.standbys {
-			if se, ok := c.ecuOf(sbi); ok && !ev.lost[se] {
+			if se := p.ecuOf(d, sbi); !ev.lost[se] {
 				sb, target = sbi, se
 				break
 			}
@@ -357,7 +332,8 @@ func (rc *redCheck) strike(m *Metrics, s *sweep, c candidate, ev faultEvent, hit
 	slices.Sort(s.targets)
 	for _, ti := range s.targets {
 		n := 0
-		al := c.load(ti)
+		a, _ := p.get(d, ti)
+		al := a.load
 		speed := rc.ecus[ti].speed
 		for _, pr := range s.promos {
 			if pr.target != ti {
@@ -379,7 +355,7 @@ func (rc *redCheck) strike(m *Metrics, s *sweep, c candidate, ev faultEvent, hit
 					"%s failure overloads fail-over target %s: %.3f > %.3f",
 					rc.label(ev, s), rc.ecus[ti].name, al, rc.cons.MaxUtilization))
 			}
-		} else if rc.cons.RequireSchedulable && !rc.failoverSchedulable(c, ti, s.promos) {
+		} else if rc.cons.RequireSchedulable && !rc.failoverSchedulable(p, d, ti, s.promos) {
 			ok = false
 			if !soft {
 				m.Feasible = false
@@ -397,7 +373,7 @@ func (rc *redCheck) strike(m *Metrics, s *sweep, c candidate, ev faultEvent, hit
 // failoverSchedulable runs response-time analysis on the target ECU's
 // post-promotion task set: its normal-case tasks plus the promoted
 // passive standbys'.
-func (rc *redCheck) failoverSchedulable(c candidate, target int, promos []promo) bool {
+func (rc *redCheck) failoverSchedulable(p *Prepared, d *delta, target int, promos []promo) bool {
 	promoted := make(map[int]bool, len(promos))
 	for _, pr := range promos {
 		if pr.target == target && rc.comps[pr.standby].passive {
@@ -407,8 +383,7 @@ func (rc *redCheck) failoverSchedulable(c candidate, target int, promos []promo)
 	var protos []*taskset.Proto
 	for ci := range rc.comps {
 		comp := &rc.comps[ci]
-		ce, ok := c.ecuOf(ci)
-		hosted := ok && ce == target && !comp.passive
+		hosted := p.ecuOf(d, ci) == target && !comp.passive
 		if !hosted && !promoted[ci] {
 			continue
 		}
@@ -424,16 +399,9 @@ func (rc *redCheck) failoverSchedulable(c candidate, target int, promos []promo)
 	return err == nil && ok
 }
 
-// sameReplicaGroup reports whether two distinct components are instances
-// of one replica group — the pairs anti-affinity keeps apart.
-func sameReplicaGroup(a, b *model.SWC) bool {
-	return a.ReplicaOf == b.Name || b.ReplicaOf == a.Name ||
-		(a.ReplicaOf != "" && a.ReplicaOf == b.ReplicaOf)
-}
-
 // asilSpreadViolation formats the MaxASILSpread violation for one ECU's
-// criticality span, "" when admissible. Shared by every evaluation path
-// (and fits) so the diagnostic cannot drift between them.
+// criticality span, "" when admissible. Shared by the scorer and the
+// first-fit packer so the bound cannot drift between them.
 func asilSpreadViolation(ecu string, worst, best model.ASIL, maxSpread int) string {
 	if maxSpread == 0 {
 		return ""

@@ -2,9 +2,11 @@ package deploy
 
 // The reference fail-operational sweep: the original O(events × groups)
 // analysis, which rebuilds the fault universe on every call and visits
-// every (event, replica group) pair. The production redCheck resolves the
-// mapping-independent part once per Bind and buckets the default universe
-// by primary ECU; FuzzFaultSweep holds the two to DeepEqual Metrics.
+// every (event, replica group) pair, reading the mapping through a
+// refView. The production redCheck resolves the mapping-independent part
+// once per Bind, buckets the default universe by primary ECU and reads
+// the candidate off a Prepared; FuzzFaultSweep holds the two to
+// DeepEqual Metrics.
 
 import (
 	"fmt"
@@ -15,20 +17,24 @@ import (
 
 	"autorte/internal/model"
 	"autorte/internal/sim"
+	"autorte/internal/taskset"
 	"autorte/internal/workload"
 )
 
-// refRedCheck runs the reference sweep over the same inputs as a
-// production redCheck. groups are the materialized replica groups;
+// refRedCheck runs the reference sweep over a candidate mapping. cons
+// is filled; groups are the materialized replica groups, and
 // effectiveGroups adds the singletons per call.
 type refRedCheck struct {
-	*redCheck
-	candidate
+	comps []boundComp
+	ecus  []boundECU
+	cons  Constraints
+	ev    *Evaluator // response-time analysis for the fail-over check
+	refView
 	groups []redGroup
 }
 
-func newRefRedCheck(rc *redCheck, c candidate) *refRedCheck {
-	return &refRedCheck{redCheck: rc, candidate: c, groups: redGroups(rc.comps)}
+func newRefRedCheck(comps []boundComp, ecus []boundECU, cons Constraints, ev *Evaluator, v refView) *refRedCheck {
+	return &refRedCheck{comps: comps, ecus: ecus, cons: cons, ev: ev, refView: v, groups: redGroups(comps)}
 }
 
 // run appends fail-operational violations to m and sets m.Survivability:
@@ -133,7 +139,7 @@ func (rc *refRedCheck) run(m *Metrics) {
 						"%s failure overloads fail-over target %s: %.3f > %.3f",
 						ev.label, rc.ecus[ti].name, al, rc.cons.MaxUtilization))
 				}
-			} else if rc.cons.RequireSchedulable && !rc.failoverSchedulable(rc.candidate, ti, promos) {
+			} else if rc.cons.RequireSchedulable && !rc.failoverSchedulable(ti, promos) {
 				ok = false
 				if !soft {
 					m.Feasible = false
@@ -150,6 +156,32 @@ func (rc *refRedCheck) run(m *Metrics) {
 	if events > 0 {
 		m.Survivability = float64(survived) / float64(events)
 	}
+}
+
+// failoverSchedulable runs response-time analysis on the target ECU's
+// post-promotion task set: its normal-case tasks plus the promoted
+// passive standbys'.
+func (rc *refRedCheck) failoverSchedulable(target int, promos []promo) bool {
+	var protos []*taskset.Proto
+	for ci := range rc.comps {
+		comp := &rc.comps[ci]
+		promoted := false
+		for _, pr := range promos {
+			promoted = promoted || pr.target == target && pr.standby == ci && comp.passive
+		}
+		if ce, ok := rc.ecuOf(ci); !promoted && (!ok || ce != target || comp.passive) {
+			continue
+		}
+		for j := range comp.protos {
+			protos = append(protos, &comp.protos[j])
+		}
+	}
+	tasks, _ := taskset.Rank(protos, rc.ecus[target].speed, nil, nil)
+	if len(tasks) == 0 {
+		return true
+	}
+	ok, err := rc.ev.RTA.Check(tasks)
+	return err == nil && ok
 }
 
 // refLossEvent is one resolved fault event of the sweep: the label used in
@@ -357,7 +389,7 @@ func (in *fuzzInput) next(n int) int {
 
 // fuzzCase is one decoded FuzzFaultSweep input: a replicated system with
 // a complete mapping, the constraints to score it under, the components
-// the unbound check leaves unmapped and the moves to score.
+// FuzzFirstFit leaves to Place and the moves to score.
 type fuzzCase struct {
 	sys      *model.System
 	cons     Constraints
@@ -445,43 +477,34 @@ func decodeFuzzCase(in *fuzzInput) (*fuzzCase, error) {
 	return fc, nil
 }
 
-// sweepBoth runs the production and the reference sweep on the unbound
-// path's view of sys and fails on any difference in their Metrics.
-func sweepBoth(t *testing.T, sys *model.System, cons Constraints, rta *Evaluator) {
+// sweepBoth runs the production sweep on the prepared incumbent sys and
+// the reference sweep on sys itself, and fails on any difference in
+// their Metrics.
+func sweepBoth(t *testing.T, ev *Evaluator, sys *model.System) {
 	t.Helper()
-	cons.fill()
-	comps, ecus := bindComps(sys), bindECUs(sys)
-	ecuIdx := make(map[string]int, len(ecus))
-	for i := range ecus {
-		ecuIdx[ecus[i].name] = i
+	bound, err := ev.Bind(sys)
+	if err != nil {
+		t.Fatalf("bind: %v", err)
 	}
-	hosts := make([]bool, len(ecus))
-	for _, c := range sys.Components {
-		if ei, ok := ecuIdx[sys.Mapping[c.Name]]; ok {
-			hosts[ei] = true
-		}
+	prep, err := bound.Prepare(sys.Mapping)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
 	}
-	c := candidate{
-		ecuOf: func(ci int) (int, bool) { idx, ok := ecuIdx[sys.Mapping[comps[ci].name]]; return idx, ok },
-		load:  func(ei int) float64 { return sys.AnalyzedLoad(ecus[ei].name) },
-		hosts: func(ei int) bool { return hosts[ei] },
-	}
-	rc := newRedCheck(comps, ecus, cons, rta.RTA)
 	got, want := Metrics{Feasible: true}, Metrics{Feasible: true}
-	rc.run(&got, c)
-	newRefRedCheck(rc, c).run(&want)
+	bound.red.run(&got, prep, &noDelta)
+	comps, ecus := bindComps(sys), bindECUs(sys)
+	newRefRedCheck(comps, ecus, bound.cons, ev, newRefView(sys, comps, ecus)).run(&want)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("sweep diverges from the reference under %+v\nmapping:   %v\nreference: %+v\nsweep:     %+v",
-			cons.Faults, sys.Mapping, want, got)
+			bound.cons.Faults, sys.Mapping, want, got)
 	}
 }
 
 // FuzzFaultSweep holds the per-Bind fault plan and the bucketed default
-// sweep to the reference O(events × groups) sweep, and the delta path to
-// full scoring, under random replicated systems, mappings and fault
-// models: explicit ECU, bus and ECU+bus losses, malformed units, k up
-// to 3, Soft and IncludeSingletons. The reference comparison also runs
-// with components left unmapped, which only the unbound path sees.
+// sweep to the reference O(events × groups) sweep, and the prepared
+// scorer to the reference scorer, under random replicated systems,
+// mappings and fault models: explicit ECU, bus and ECU+bus losses,
+// malformed units, k up to 3, Soft and IncludeSingletons.
 func FuzzFaultSweep(f *testing.F) {
 	// The redundancy fixture: Ctrl with one passive standby.
 	f.Add([]byte{0, 0, 0})
@@ -508,24 +531,19 @@ func FuzzFaultSweep(f *testing.F) {
 		if err != nil {
 			t.Fatalf("prepare: %v", err)
 		}
-		sweepBoth(t, fc.sys, fc.cons, ev)
-		if want, got := ev.Evaluate(fc.sys), prep.Evaluate(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("prepared incumbent diverges\nunbound:  %+v\nprepared: %+v", want, got)
+		sweepBoth(t, ev, fc.sys)
+		if want, got := refEvaluate(ev, fc.sys), prep.Evaluate(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("prepared incumbent diverges\nreference: %+v\nprepared:  %+v", want, got)
 		}
-		partial := fc.sys.Clone()
-		for _, name := range fc.unmapped {
-			delete(partial.Mapping, name)
-		}
-		sweepBoth(t, partial, fc.cons, ev)
 		cur := fc.sys.Clone()
 		for _, mv := range fc.moves {
 			cand := cur.Clone()
 			cand.Mapping[mv[0]] = mv[1]
-			want := ev.Evaluate(cand)
+			want := refEvaluate(ev, cand)
 			if got := prep.EvaluateMove(mv[0], mv[1]); !reflect.DeepEqual(want, got) {
-				t.Fatalf("move %s->%s diverges\nunbound: %+v\ndelta:   %+v", mv[0], mv[1], want, got)
+				t.Fatalf("move %s->%s diverges\nreference: %+v\ndelta:     %+v", mv[0], mv[1], want, got)
 			}
-			sweepBoth(t, cand, fc.cons, ev)
+			sweepBoth(t, ev, cand)
 			if err := prep.Apply(mv[0], mv[1]); err != nil {
 				t.Fatal(err)
 			}

@@ -10,8 +10,8 @@ import (
 	"autorte/internal/sim"
 )
 
-// The fail-operational checks must be indistinguishable between the full
-// (unbound) and delta evaluation paths on a replicated system — scoring a
+// The fail-operational checks must be indistinguishable between the
+// reference scorer and the delta path on a replicated system — scoring a
 // move and scoring the incumbent after applying it: same Survivability
 // float, same violation strings in the same order, through a random walk
 // of single-component moves under every constraint shape.
@@ -41,16 +41,16 @@ func TestRedundantThreePathIdentity(t *testing.T) {
 				e := cur.ECUs[r.Intn(len(cur.ECUs))].Name
 				cand := cur.Clone()
 				cand.Mapping[c] = e
-				want := ev.Evaluate(cand)
+				want := refEvaluate(ev, cand)
 				if got := prep.EvaluateMove(c, e); !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d (%s->%s): delta diverges\nunbound: %+v\ndelta:   %+v", step, c, e, want, got)
+					t.Fatalf("step %d (%s->%s): delta diverges\nreference: %+v\ndelta:     %+v", step, c, e, want, got)
 				}
 				cur = cand
 				if err := prep.Apply(c, e); err != nil {
 					t.Fatalf("apply: %v", err)
 				}
 				if got := prep.Evaluate(); !reflect.DeepEqual(want, got) {
-					t.Fatalf("step %d (%s->%s): incumbent diverges after apply\nunbound: %+v\ndelta:   %+v", step, c, e, want, got)
+					t.Fatalf("step %d (%s->%s): incumbent diverges after apply\nreference: %+v\ndelta:     %+v", step, c, e, want, got)
 				}
 			}
 		})

@@ -216,7 +216,7 @@ func FuzzCostFirst(f *testing.F) {
 			if !sameCost(gotCost, wantM.Cost(obj)) {
 				t.Fatalf("anneal: cost %v, reference %v", gotCost, wantM.Cost(obj))
 			}
-			if m := NewEvaluator(fc.cons).Evaluate(got); !reflect.DeepEqual(m, wantM) {
+			if m := refEvaluate(NewEvaluator(fc.cons), got); !reflect.DeepEqual(m, wantM) {
 				t.Fatalf("anneal: metrics diverge\ngot:  %+v\nwant: %+v", m, wantM)
 			}
 		}

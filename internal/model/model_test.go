@@ -100,6 +100,21 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// With several bad Mapping entries, Validate names the first in
+// component-name order on every call.
+func TestValidateMappingDiagnosticIsStable(t *testing.T) {
+	want := `mapping references unknown component "Aaa"`
+	for i := 0; i < 20; i++ {
+		s := testSystem()
+		s.Mapping["WheelSensor"] = "ghost-w"
+		s.Mapping["BrakeCtrl"] = "ghost-b"
+		s.Mapping["Aaa"] = "ecu1"
+		if err := s.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate = %v, want %q", err, want)
+		}
+	}
+}
+
 func TestSWCValidateRejects(t *testing.T) {
 	pi := speedIface()
 	cases := []struct {

@@ -191,13 +191,19 @@ func (s *System) Validate() error {
 			return fmt.Errorf("connector %d: %w", i, err)
 		}
 	}
+	// The first bad entry in component-name order, so that the diagnostic
+	// does not vary with map iteration order.
+	bad, found := "", false
 	for swc, ecu := range s.Mapping {
-		if s.Component(swc) == nil {
-			return fmt.Errorf("mapping references unknown component %q", swc)
+		if (s.Component(swc) == nil || s.ECUByName(ecu) == nil) && (!found || swc < bad) {
+			bad, found = swc, true
 		}
-		if s.ECUByName(ecu) == nil {
-			return fmt.Errorf("mapping of %s references unknown ECU %q", swc, ecu)
+	}
+	if found {
+		if s.Component(bad) == nil {
+			return fmt.Errorf("mapping references unknown component %q", bad)
 		}
+		return fmt.Errorf("mapping of %s references unknown ECU %q", bad, s.Mapping[bad])
 	}
 	for _, lc := range s.Constraints {
 		if len(lc.Chain) < 2 {
