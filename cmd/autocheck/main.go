@@ -7,16 +7,11 @@
 //
 // Usage:
 //
-//	autocheck -system vehicle.json [-v] [-j N]
+//	autocheck -system vehicle.json [-v]
 //	autocheck -demo
 //
-// Verification fans out per ECU, bus and constraint chain on a bounded
-// worker pool; -j caps the workers (default 0 = GOMAXPROCS). The report
-// is identical for every worker count.
-//
 // Observability artifacts: -metrics dumps the pipeline's metric registry
-// in Prometheus text format (cache hits, pool occupancy, per-stage
-// duration histograms); -trace-out writes the stage spans as Chrome
+// in Prometheus text format (cache hits, per-stage duration histograms); -trace-out writes the stage spans as Chrome
 // trace-event JSON loadable in Perfetto; -trace-txt renders the same
 // spans as an indented text tree.
 package main
@@ -43,7 +38,6 @@ func main() {
 		demo          = flag.Bool("demo", false, "verify the generated demo vehicle")
 		seed          = flag.Uint64("seed", 1, "workload generator seed (with -demo)")
 		verbose       = flag.Bool("v", false, "print per-task response times and cache stats")
-		jobs          = flag.Int("j", 0, "verification workers (0 = GOMAXPROCS)")
 		metricsPath   = flag.String("metrics", "", "write pipeline metrics (Prometheus text format) to file")
 		traceOutPath  = flag.String("trace-out", "", "write pipeline stage spans as Chrome trace JSON to file")
 		traceTxtPath  = flag.String("trace-txt", "", "write pipeline stage spans as a text tree to file")
@@ -84,7 +78,7 @@ func main() {
 		}
 	}
 
-	pipe := core.NewPipeline(*jobs)
+	pipe := core.NewPipeline(0)
 	var reg *obs.Registry
 	if *metricsPath != "" || *bundlePath != "" {
 		reg = obs.NewRegistry()

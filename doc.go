@@ -20,13 +20,14 @@
 //   - the verification/composability layer tying it together
 //     (internal/core) and the reproduction suite (internal/experiments).
 //
-// Verification and exploration are parallel and memoized: core.Pipeline
-// fans per-ECU/bus analyses out on a bounded worker pool
-// (internal/par) with deterministic, byte-identical reports for any
-// worker count, and deploy's searches score candidate moves through one
-// delta evaluator (deploy.Prepared) backed by canonical-key analysis
-// caches (sched.Cache, can.Cache, flexray.SynthCache). See the
-// Performance sections of README.md and EXPERIMENTS.md.
+// Verification and exploration are memoized: a core.Pipeline pass and
+// each search round run on the caller, deploy's searches score candidate
+// moves through one delta evaluator (deploy.Prepared), and both are
+// backed by canonical-key analysis caches (sched.Cache, can.Cache,
+// flexray.SynthCache). A bounded worker pool (internal/par) runs only
+// independent units — campaign scenarios and annealing restarts — with
+// results identical for any worker count. See the Performance sections
+// of README.md and EXPERIMENTS.md.
 //
 // The whole stack is observable through internal/obs — a dependency-free
 // metrics registry (Prometheus-text and JSON exporters), a DLT-style

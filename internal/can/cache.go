@@ -60,7 +60,7 @@ func cacheKey(cfg Config, msgs []*Message) string { return string(appendKey(nil,
 // Cache memoizes Analyze by message-set key. During verification and DSE
 // the same bus frame set is analyzed once per candidate mapping and once
 // per chain stage; the cache collapses the repeats to a lookup. Safe for
-// concurrent use; concurrent misses on one key coalesce onto one analysis.
+// concurrent use.
 type Cache struct {
 	memo flight.Memo[[]Response]
 }
@@ -86,8 +86,7 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	hits, misses, _ = c.memo.Stats()
-	return hits, misses
+	return c.memo.Stats()
 }
 
 // Len reports the number of distinct message sets cached.

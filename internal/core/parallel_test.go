@@ -30,10 +30,10 @@ func reportBytes(t *testing.T, rep *Report) []byte {
 	return b
 }
 
-// The parallel pipeline must produce byte-identical reports for any
-// worker count and with or without the analysis caches — on both the
-// federated demo vehicle and a consolidated mapping (dense task sets) —
-// and they must be the reference derivation's report.
+// The pipeline must produce byte-identical reports with or without the
+// analysis caches, cold or warm — on both the federated demo vehicle and
+// a consolidated mapping (dense task sets) — and they must be the
+// reference derivation's report.
 func TestVerifyParallelMatchesSequential(t *testing.T) {
 	federated := demoVehicle(t, 1)
 	consolidated, err := deploy.Greedy(federated, deploy.Constraints{})
@@ -44,10 +44,9 @@ func TestVerifyParallelMatchesSequential(t *testing.T) {
 		"federated":    federated,
 		"consolidated": consolidated,
 	} {
-		seq := &Pipeline{Workers: 1} // no caches, strictly sequential
-		want, err := seq.Verify(sys, nil, rte.Options{})
+		want, err := (&Pipeline{}).Verify(sys, nil, rte.Options{}) // no caches
 		if err != nil {
-			t.Fatalf("%s: sequential verify: %v", name, err)
+			t.Fatalf("%s: uncached verify: %v", name, err)
 		}
 		wantB := reportBytes(t, want)
 		ref, err := refVerify(sys, nil, rte.Options{})
@@ -55,18 +54,16 @@ func TestVerifyParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: reference verify: %v", name, err)
 		}
 		if !bytes.Equal(reportBytes(t, ref), wantB) {
-			t.Fatalf("%s: sequential report diverges from the reference", name)
+			t.Fatalf("%s: uncached report diverges from the reference", name)
 		}
-		for _, workers := range []int{0, 2, 8} {
-			p := NewPipeline(workers)         // caches on
-			for pass := 0; pass < 2; pass++ { // second pass hits the caches
-				got, err := p.Verify(sys, nil, rte.Options{})
-				if err != nil {
-					t.Fatalf("%s workers=%d pass=%d: %v", name, workers, pass, err)
-				}
-				if !bytes.Equal(reportBytes(t, got), wantB) {
-					t.Fatalf("%s workers=%d pass=%d: report diverges from sequential", name, workers, pass)
-				}
+		p := NewPipeline(0)               // caches on
+		for pass := 0; pass < 2; pass++ { // second pass hits the caches
+			got, err := p.Verify(sys, nil, rte.Options{})
+			if err != nil {
+				t.Fatalf("%s pass=%d: %v", name, pass, err)
+			}
+			if !bytes.Equal(reportBytes(t, got), wantB) {
+				t.Fatalf("%s pass=%d: cached report diverges from uncached", name, pass)
 			}
 		}
 	}
@@ -92,24 +89,23 @@ func TestPipelineCachesAreExercised(t *testing.T) {
 }
 
 // The demo vehicle on a FlexRay backbone exercises the synthesis cache
-// and the parallel FlexRay bus path.
+// and the FlexRay bus path.
 func TestVerifyParallelFlexRayBackbone(t *testing.T) {
 	sys, err := workload.GenerateVehicle(workload.VehicleSpec{BusKind: model.BusFlexRay}, sim.NewRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := &Pipeline{Workers: 1}
-	want, err := seq.Verify(sys, nil, rte.Options{})
+	want, err := (&Pipeline{}).Verify(sys, nil, rte.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(4)
+	p := NewPipeline(0)
 	got, err := p.Verify(sys, nil, rte.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(reportBytes(t, want), reportBytes(t, got)) {
-		t.Fatal("FlexRay report diverges between sequential and parallel")
+		t.Fatal("FlexRay report diverges between uncached and cached")
 	}
 	ref, err := refVerify(sys, nil, rte.Options{})
 	if err != nil {

@@ -8,15 +8,16 @@
 //
 // One verifier serves both a full check and design-space exploration. Its
 // state (Incremental) holds the verified analysis of one mapping; a single
-// update step re-analyzes a set of dirty ECUs and buses, fanned out on a
-// bounded worker pool with every result merged in deterministic order,
-// and then the constraint chains that read them. Verify is that step with
-// everything dirty; Incremental.Reverify derives the dirty sets of a
-// mapping change and runs the same step. Each pass resolves every ECU and
-// bus analysis once — the chains read those results directly — and a
-// Pipeline carries the worker count plus memoized analysis caches, so a
-// search that re-verifies near-identical mappings pays for each distinct
-// task set and bus frame set only once.
+// update step re-analyzes a set of dirty ECUs and buses, and then the
+// constraint chains that read them. Verify is that step with everything
+// dirty; Incremental.Reverify derives the dirty sets of a mapping change
+// and runs the same step. Each pass resolves every ECU and bus analysis
+// once — the chains read those results directly — and a Pipeline carries
+// memoized analysis caches, so a search that re-verifies near-identical
+// mappings pays for each distinct task set and bus frame set only once.
+// A pass runs on its caller's goroutine: it is a dozen jobs of about a
+// microsecond each, which a worker pool only slows down. Parallelism
+// belongs a level up, across independent passes.
 package core
 
 import (
@@ -32,7 +33,6 @@ import (
 	"autorte/internal/flexray"
 	"autorte/internal/model"
 	"autorte/internal/obs"
-	"autorte/internal/par"
 	"autorte/internal/rte"
 	"autorte/internal/sched"
 	"autorte/internal/sim"
@@ -95,14 +95,14 @@ func (r *Report) OK() bool {
 	return r.Contracts == nil || r.Contracts.OK()
 }
 
-// Pipeline is a reusable verification context: a bounded worker pool size
-// plus memoized analysis caches shared across Verify calls. The zero
-// value is valid (GOMAXPROCS workers, no caching); NewPipeline enables
-// all caches. A single Pipeline is safe for concurrent use and is meant
-// to be shared across the candidate evaluations of a DSE run, where most
-// ECUs' task sets survive from one mapping to the next.
+// Pipeline is a reusable verification context: memoized analysis caches
+// shared across Verify calls. The zero value is valid (no caching);
+// NewPipeline enables all caches. A single Pipeline is safe for
+// concurrent use and is meant to be shared across the candidate
+// evaluations of a DSE run, where most ECUs' task sets survive from one
+// mapping to the next.
 type Pipeline struct {
-	// Workers bounds the fan-out; <= 0 selects GOMAXPROCS.
+	// Deprecated: Workers is ignored; a pass runs on the caller.
 	Workers int
 	// RTA memoizes per-ECU response-time analysis.
 	RTA *sched.Cache
@@ -120,15 +120,13 @@ type Pipeline struct {
 }
 
 // Observe attaches a metrics registry to the pipeline: stage-duration
-// histograms (pipeline_stage_duration_ns by stage), the hit/miss/size
-// series of all three analysis caches, and the shared worker-pool
-// occupancy metrics.
+// histograms (pipeline_stage_duration_ns by stage) and the hit/miss/size
+// series of all three analysis caches.
 func (p *Pipeline) Observe(reg *obs.Registry) {
 	p.reg = reg
 	p.RTA.Observe(reg)
 	p.CAN.Observe(reg)
 	p.FlexRay.Observe(reg)
-	par.Observe(reg)
 }
 
 // stage opens one timed pipeline stage: a tracer span (named by stage
@@ -155,7 +153,8 @@ func (p *Pipeline) stage(parent *obs.Span, stage, detail string) func() {
 	}
 }
 
-// NewPipeline returns a pipeline with all analysis caches enabled.
+// NewPipeline returns a pipeline with all analysis caches enabled. The
+// workers argument is deprecated and ignored: a pass runs on the caller.
 func NewPipeline(workers int) *Pipeline {
 	return &Pipeline{
 		Workers: workers,
@@ -176,9 +175,9 @@ func Verify(sys *model.System, contracts map[string]*contract.Contract, opts rte
 	return NewPipeline(0).Verify(sys, contracts, opts)
 }
 
-// Verify runs the full static check through the pipeline's worker pool
-// and caches: the verifier's full pass, reported. The report does not
-// depend on the worker count or the caches. sys is not modified.
+// Verify runs the full static check through the pipeline's caches: the
+// verifier's full pass, reported. The report does not depend on the
+// caches. sys is not modified.
 func (p *Pipeline) Verify(sys *model.System, contracts map[string]*contract.Contract, opts rte.Options) (*Report, error) {
 	inc, err := NewIncremental(p, sys, contracts, opts)
 	if err != nil {
@@ -240,8 +239,7 @@ type busState struct {
 	rep      BusReport
 }
 
-// NewIncremental verifies sys in full through p's worker pool and caches
-// and retains the state needed to re-verify mutated mappings
+// NewIncremental verifies sys in full through p's caches and retains the state needed to re-verify mutated mappings
 // incrementally. The initial report is available via Report(). sys is
 // modified only by later Reverify calls.
 func NewIncremental(p *Pipeline, sys *model.System, contracts map[string]*contract.Contract, opts rte.Options) (*Incremental, error) {
@@ -319,16 +317,13 @@ func newIncremental(p *Pipeline, sys *model.System, contracts map[string]*contra
 // the mapping to verify and routes its routes; ecus (in name order) and
 // buses (in declaration order) are the items whose analysis may have
 // changed. Phase 1 re-derives each such ECU's task set and bus's frame
-// set and analyzes them, plus, on a full pass, the contract check. It
-// runs on the pipeline's worker pool, each job writing only its own
-// scratch slot; job order is ECUs, buses, contracts, so the lowest-index
-// error is the one a sequential pass meets first. The slots are committed
-// only when no job failed, so an error leaves the retained state as it
-// was. Phase 2 then evaluates every chain on a full pass, else the chains
-// that read a dirty ECU or bus. A chain only reads the analyses phase 1
-// resolved — a couple of microseconds each — so the chains run inline:
-// handing them to the pool costs more in worker wake-ups than it saves.
-// Chain evaluation cannot fail (a chain's error is part of its report).
+// set and analyzes them into scratch slots, ECUs first, then buses, then,
+// on a full pass, the contract check; the first error is returned. The
+// slots are committed only when every analysis succeeded, so an error
+// leaves the retained state as it was. Phase 2 then evaluates every chain
+// on a full pass, else the chains that read a dirty ECU or bus. A chain
+// only reads the analyses phase 1 resolved. Chain evaluation cannot fail
+// (a chain's error is part of its report).
 func (inc *Incremental) update(root *obs.Span, routes []vfb.Route, ecus, buses []int, full bool) error {
 	p, sys := inc.p, inc.sys
 	endTasksets := func() {}
@@ -342,29 +337,25 @@ func (inc *Incremental) update(root *obs.Span, routes []vfb.Route, ecus, buses [
 	}
 
 	nextECU := make([]ecuState, len(ecus))
-	nextBus := make([]busState, len(buses))
-	var contractRep *contract.Report
-	contracts := 0
-	if full && inc.contracts != nil {
-		contracts = 1
-	}
-	nb := len(ecus) + len(buses)
-	err = par.ForEach(p.Workers, nb+contracts, func(j int) error {
-		switch {
-		case j < len(ecus):
-			return inc.analyzeECU(root, ecus[j], hosts, j, &nextECU[j])
-		case j < nb:
-			k := j - len(ecus)
-			return inc.analyzeBus(root, sys.Buses[buses[k]], routes, &nextBus[k])
-		default:
-			defer p.stage(root, "verify/contracts", "")()
-			crep, err := contract.CheckSystem(sys, inc.contracts)
-			contractRep = crep
+	for k, e := range ecus {
+		if err := inc.analyzeECU(root, e, hosts, k, &nextECU[k]); err != nil {
 			return err
 		}
-	})
-	if err != nil {
-		return err
+	}
+	nextBus := make([]busState, len(buses))
+	for k, b := range buses {
+		if err := inc.analyzeBus(root, sys.Buses[b], routes, &nextBus[k]); err != nil {
+			return err
+		}
+	}
+	var contractRep *contract.Report
+	if full && inc.contracts != nil {
+		endContracts := p.stage(root, "verify/contracts", "")
+		contractRep, err = contract.CheckSystem(sys, inc.contracts)
+		endContracts()
+		if err != nil {
+			return err
+		}
 	}
 	inc.routes = routes
 	ecuDirty := make([]bool, len(sys.ECUs))

@@ -26,7 +26,6 @@ package deploy
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"autorte/internal/model"
 	"autorte/internal/taskset"
@@ -55,9 +54,8 @@ type moveEntry struct {
 }
 
 // Prepared scores single-component moves against an incumbent mapping in
-// O(dirty ECUs) instead of O(system). EvaluateMove and MoveCost are
-// read-only and safe for concurrent use (parallel steepest descent scores
-// all moves of a round concurrently); Apply commits a move and is not.
+// O(dirty ECUs) instead of O(system); Apply commits a move. Not safe for
+// concurrent use: one per search thread.
 type Prepared struct {
 	b *Bound
 	// curIdx is the incumbent as comp index -> ECU index, so the hot loops
@@ -70,7 +68,6 @@ type Prepared struct {
 	// incumbent: a search rescoring its neighborhood between accepted
 	// moves hits the same (ECU, leave, join) combinations over and over.
 	// Apply invalidates the entries of the two ECUs it dirties.
-	mu   sync.RWMutex
 	memo map[moveKey]moveEntry
 }
 
@@ -174,20 +171,16 @@ func (b *Bound) computeECU(cur []int, idx, skip, add int, verdict bool) (ecuAcc,
 func (p *Prepared) dirty(idx, skip, add int, verdict bool) (ecuAcc, string) {
 	verdict = verdict && p.b.cons.RequireSchedulable
 	k := moveKey{idx, skip, add}
-	p.mu.RLock()
 	e, ok := p.memo[k]
-	p.mu.RUnlock()
 	if ok && (e.checked || !verdict) {
 		return e.acc, e.msg
 	}
 	e.acc, e.msg = p.b.computeECU(p.curIdx, idx, skip, add, verdict)
 	e.checked = verdict
-	p.mu.Lock()
 	if p.memo == nil {
 		p.memo = map[moveKey]moveEntry{}
 	}
 	p.memo[k] = e
-	p.mu.Unlock()
 	return e.acc, e.msg
 }
 
@@ -260,8 +253,7 @@ func (p *Prepared) Evaluate() Metrics {
 	return p.assemble(&noDelta, true)
 }
 
-// Apply commits a previously scored move into the incumbent state. Not
-// safe for concurrent use with EvaluateMove.
+// Apply commits a previously scored move into the incumbent state.
 func (p *Prepared) Apply(comp, ecu string) error {
 	ci, ok := p.b.compIdx[comp]
 	if !ok {
@@ -284,13 +276,11 @@ func (p *Prepared) apply(ci, ei int) {
 	// entry the moved component's own membership is forced by skip/add
 	// rather than read from the incumbent. Keeping the rest warm is what
 	// lets a search reuse scores across accepted moves.
-	p.mu.Lock()
 	for k := range p.memo {
 		if k.idx == oi || k.idx == ei {
 			delete(p.memo, k)
 		}
 	}
-	p.mu.Unlock()
 	p.accs[oi], p.schedMsg[oi] = p.b.computeECU(p.curIdx, oi, -1, -1, true)
 	if ei != oi {
 		p.accs[ei], p.schedMsg[ei] = p.b.computeECU(p.curIdx, ei, -1, -1, true)

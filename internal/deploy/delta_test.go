@@ -62,51 +62,6 @@ func TestPreparedEvaluateMoveMatchesBoundEvaluate(t *testing.T) {
 	}
 }
 
-// Score-only calls must be safe to fan out concurrently over one shared
-// incumbent — the parallel steepest-descent shape. Sharing the Bound itself
-// is TestBoundEvaluateConcurrent.
-func TestPreparedEvaluateMoveConcurrent(t *testing.T) {
-	base := demoSystem(t)
-	ev := NewEvaluator(Constraints{RequireSchedulable: true})
-	bound, err := ev.Bind(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := bound.Prepare(base.Mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type move struct{ comp, ecu string }
-	var moves []move
-	var want []Metrics
-	for _, c := range base.Components {
-		for _, e := range base.ECUs[:4] {
-			cand := base.Clone()
-			cand.Mapping[c.Name] = e.Name
-			moves = append(moves, move{c.Name, e.Name})
-			want = append(want, ev.Evaluate(cand))
-		}
-	}
-	done := make(chan int, 8)
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			bad := -1
-			for i := g; i < len(moves); i += 8 {
-				if got := prep.EvaluateMove(moves[i].comp, moves[i].ecu); !reflect.DeepEqual(got, want[i]) {
-					bad = i
-					break
-				}
-			}
-			done <- bad
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		if bad := <-done; bad != -1 {
-			t.Fatalf("concurrent EvaluateMove diverged on move %d (%s -> %s)", bad, moves[bad].comp, moves[bad].ecu)
-		}
-	}
-}
-
 // Prepare must reject mappings outside the DSE invariant — which
 // Evaluate scores infeasible — and an unknown move target must score
 // infeasible with the diagnostic model.Validate gives, without

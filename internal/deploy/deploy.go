@@ -372,10 +372,12 @@ func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters 
 
 // AnnealParallel runs `restarts` independent annealing chains (seeds
 // derived deterministically from seed) through par.ForEach and returns
-// the best mapping found. par.ForEach runs batches below its fan-out
-// threshold (four jobs) inline, so up to three chains run one after
-// another on the caller's goroutine; only larger restart counts use the
-// worker pool. All chains share one response-time cache, so with
+// the best mapping found. The chains are the unit of parallelism: each
+// prepares its own delta evaluator and scores its moves on its own
+// goroutine. par.ForEach runs batches below its fan-out threshold (four
+// jobs) inline, so up to three chains run one after another on the
+// caller's goroutine; only larger restart counts use the worker pool.
+// All chains share one response-time cache, so with
 // Constraints.RequireSchedulable the per-ECU RTA of recurring candidate
 // task sets is paid once across the whole search. The result is
 // deterministic: chains are seeded by index and compared by (cost, chain
@@ -425,44 +427,46 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 	return results[best], nil
 }
 
-// Descend refines a feasible mapping by parallel steepest descent: every
-// iteration scores all single-component moves concurrently against the
-// shared delta evaluator, cost first, and applies the strictly best
-// improving one (whose dirty ECUs pass response-time analysis under
+// Descend refines a feasible mapping by steepest descent: every
+// iteration scores all single-component moves against the incumbent's
+// delta evaluator, cost first, and applies the strictly best improving
+// one (whose dirty ECUs pass response-time analysis under
 // RequireSchedulable); it stops at a local optimum or after maxIters
-// rounds. Deterministic:
-// candidates are enumerated in sorted (component, ECU) order and ties
-// break to the lowest index. An infeasible input is bootstrapped through
-// Greedy.
+// rounds. Deterministic: candidates are enumerated in sorted (component,
+// ECU) order and ties break to the lowest index. An infeasible input is
+// bootstrapped through Greedy. workers is ignored: a move scores in about
+// a microsecond, too little to hand to another goroutine, so every round
+// runs on the caller.
 func Descend(sys *model.System, cons Constraints, obj Objective, workers, maxIters int) (*model.System, error) {
 	return DescendWith(NewEvaluator(cons), sys, obj, workers, maxIters)
 }
 
 // DescendWith is Descend under a caller-supplied evaluator, so a DSE
 // driver can share one response-time cache across multiple searches (or
-// benchmark the uncached baseline).
+// benchmark the uncached baseline). workers is ignored, as in Descend.
 func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters int) (*model.System, error) {
-	out, _, err := descend(ev, sys, obj, workers, maxIters)
+	out, _, err := descend(ev, sys, obj, maxIters)
 	return out, err
 }
 
 // descend is DescendWith that also returns the result's metrics.
 // Invalid constraints surface through prepare's Greedy bootstrap.
-func descend(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters int) (*model.System, Metrics, error) {
+func descend(ev *Evaluator, sys *model.System, obj Objective, maxIters int) (*model.System, Metrics, error) {
 	prep, err := ev.prepare(sys)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	return descendFrom(ev, sys, prep, obj, workers, maxIters)
+	return descendFrom(ev, sys, prep, obj, maxIters)
 }
 
 // descendFrom runs the descent from a prepared incumbent of sys.
-func descendFrom(ev *Evaluator, sys *model.System, prep *Prepared, obj Objective, workers, maxIters int) (*model.System, Metrics, error) {
+func descendFrom(ev *Evaluator, sys *model.System, prep *Prepared, obj Objective, maxIters int) (*model.System, Metrics, error) {
 	b := prep.b
 	curCost := prep.Evaluate().Cost(obj)
 	compOrder := byName(len(b.comps), func(i int) string { return b.comps[i].name })
 	type move struct{ ci, ei int }
 	var moves []move
+	var costs []float64
 	var improving []int
 	for iter := 0; iter < maxIters; iter++ {
 		moves = moves[:0]
@@ -473,14 +477,11 @@ func descendFrom(ev *Evaluator, sys *model.System, prep *Prepared, obj Objective
 				}
 			}
 		}
-		// Scoring is read-only, so the round's candidates share the
-		// incumbent's delta evaluator concurrently — cost-only, without
-		// the dirty ECUs' RTA verdicts.
-		costs := make([]float64, len(moves))
-		_ = par.ForEach(workers, len(moves), func(i int) error {
-			costs[i] = prep.scoreMove(moves[i].ci, moves[i].ei, false).Cost(obj)
-			return nil
-		})
+		// Cost-only, without the dirty ECUs' RTA verdicts.
+		costs = costs[:0]
+		for _, mv := range moves {
+			costs = append(costs, prep.scoreMove(mv.ci, mv.ei, false).Cost(obj))
+		}
 		ev.movesEvaluated.Add(uint64(len(moves)))
 		// The winner is the lowest (cost, index) improving move whose dirty
 		// ECUs pass RTA — the move full scoring picks, because a verdict

@@ -33,7 +33,8 @@ type PlacementOptions struct {
 	// ModesFor overrides Modes per component — e.g. forcing a detection
 	// observer to hot standbys so its votes never lapse during resume.
 	ModesFor map[string][]model.ReplicaMode
-	// Workers bounds the per-round descent fan-out (0 = GOMAXPROCS).
+	// Deprecated: Workers is ignored; each descent round runs on the
+	// caller.
 	Workers int
 	// DescendIters caps the mapping-refinement rounds per scored
 	// configuration. Default 16.
@@ -147,7 +148,7 @@ func PlaceReplicas(sys *model.System, cons Constraints, obj Objective, opts Plac
 		if err != nil {
 			return nil, Metrics{}, err
 		}
-		return descendFrom(ev, rep, prep, obj, opts.Workers, opts.DescendIters)
+		return descendFrom(ev, rep, prep, obj, opts.DescendIters)
 	}
 	bestSys, bestM, err := score(counts, modes)
 	if err != nil {

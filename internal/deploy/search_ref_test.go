@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"autorte/internal/model"
-	"autorte/internal/par"
 	"autorte/internal/race"
 	"autorte/internal/sim"
 )
@@ -22,7 +21,7 @@ import (
 // refDescend is descend with every candidate of a round scored in full
 // and the strictly cheapest improving move (lowest index on ties)
 // applied.
-func refDescend(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters int) (*model.System, Metrics, error) {
+func refDescend(ev *Evaluator, sys *model.System, obj Objective, maxIters int) (*model.System, Metrics, error) {
 	cons := ev.Cons
 	cons.fill()
 	if err := cons.Validate(); err != nil {
@@ -46,10 +45,9 @@ func refDescend(ev *Evaluator, sys *model.System, obj Objective, workers, maxIte
 			}
 		}
 		costs := make([]float64, len(moves))
-		_ = par.ForEach(workers, len(moves), func(i int) error {
-			costs[i] = prep.scoreMove(moves[i].ci, moves[i].ei, true).Cost(obj)
-			return nil
-		})
+		for i, mv := range moves {
+			costs[i] = prep.scoreMove(mv.ci, mv.ei, true).Cost(obj)
+		}
 		best := -1
 		for i := range moves {
 			if costs[i] < curCost && (best == -1 || costs[i] < costs[best]) {
@@ -205,8 +203,8 @@ func FuzzCostFirst(f *testing.F) {
 			prep.apply(ci, ei)
 		}
 
-		got, gotM, gotErr := descend(NewEvaluator(fc.cons), fc.sys, obj, 2, rounds)
-		want, wantM, wantErr := refDescend(NewEvaluator(fc.cons), fc.sys, obj, 2, rounds)
+		got, gotM, gotErr := descend(NewEvaluator(fc.cons), fc.sys, obj, rounds)
+		want, wantM, wantErr := refDescend(NewEvaluator(fc.cons), fc.sys, obj, rounds)
 		if sameOutcome(t, "descend", got, want, gotErr, wantErr) && !reflect.DeepEqual(gotM, wantM) {
 			t.Fatalf("descend: metrics diverge\ngot:  %+v\nwant: %+v", gotM, wantM)
 		}
@@ -230,8 +228,8 @@ func TestDescendCostFirstSkipsRTA(t *testing.T) {
 	sys := vehicle(t, 1)
 	cons := Constraints{RequireSchedulable: true}
 	ev, ref := NewEvaluator(cons), NewEvaluator(cons)
-	got, _, err := descend(ev, sys, DefaultObjective(), 2, 16)
-	want, _, refErr := refDescend(ref, sys, DefaultObjective(), 2, 16)
+	got, _, err := descend(ev, sys, DefaultObjective(), 16)
+	want, _, refErr := refDescend(ref, sys, DefaultObjective(), 16)
 	sameOutcome(t, "descend", got, want, err, refErr)
 	lookups := func(ev *Evaluator) uint64 { hits, misses := ev.RTA.Stats(); return hits + misses }
 	if n, refN := lookups(ev), lookups(ref); 10*n > refN {

@@ -187,9 +187,9 @@ func e14AutoPlace(cfg E14Config) (e14Deployment, *deploy.Placement, error) {
 	}
 	obj := deploy.Objective{WECU: 1000, WHarness: 10, WLoad: 1, WAvail: 100_000}
 	pl, err := deploy.PlaceReplicas(seed, cons, obj, deploy.PlacementOptions{
-		MaxReplicas: 3,
-		ModesFor:    map[string][]model.ReplicaMode{"Watch": {model.StandbyActive}},
-		Workers:     cfg.Workers, DescendIters: 8,
+		MaxReplicas:  3,
+		ModesFor:     map[string][]model.ReplicaMode{"Watch": {model.StandbyActive}},
+		DescendIters: 8,
 	})
 	if err != nil {
 		return e14Deployment{}, nil, fmt.Errorf("e14 auto placement: %w", err)

@@ -50,8 +50,7 @@ func cacheKey(cfg Config, signals []Signal) string { return string(appendKey(nil
 // SynthCache memoizes static-segment schedule synthesis. The verifier
 // synthesizes the same bus schedule once for the schedulability verdict
 // and once per chain stage crossing the bus — and the DSE loop repeats
-// both per candidate mapping. Safe for concurrent use; concurrent misses
-// on one key coalesce onto one synthesis.
+// both per candidate mapping. Safe for concurrent use.
 type SynthCache struct {
 	memo flight.Memo[[]Assignment]
 }
@@ -75,8 +74,7 @@ func (c *SynthCache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	hits, misses, _ = c.memo.Stats()
-	return hits, misses
+	return c.memo.Stats()
 }
 
 // Len reports the number of distinct synthesis problems cached.

@@ -1,3 +1,6 @@
+// Package flight provides Memo, the result cache behind the analysis
+// caches (sched, can, flexray): results keyed by an exact byte
+// serialization of the analysis problem, with hit/miss counters.
 package flight
 
 import (
@@ -12,17 +15,15 @@ import (
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Memo is the result cache behind the analysis caches (sched, can,
-// flexray): results keyed by an exact byte serialization of the analysis
-// problem, concurrent misses on one key coalesced onto one computation,
-// and hit/miss/dedup counters. The zero value is ready to use and safe
-// for concurrent use.
+// flexray). The zero value is ready to use and safe for concurrent use:
+// annealing chains on separate goroutines share one response-time cache.
+// Concurrent misses on one key are not coalesced; each computes, and
+// they store equal values.
 type Memo[V any] struct {
 	mu     sync.RWMutex
 	m      map[string]V
-	flight Group[V]
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	dedup  atomic.Uint64
 }
 
 // Get returns the memoized value for the key appendKey serializes,
@@ -45,39 +46,23 @@ func (c *Memo[V]) Get(appendKey func([]byte) []byte, compute func() (V, error)) 
 	key := string(buf)
 	*bp = buf
 	keyBufPool.Put(bp)
-	v, err, shared := c.flight.Do(key, func() (V, error) {
-		// A racer may have stored the entry between our miss and winning
-		// the flight; re-check before computing.
-		c.mu.RLock()
-		v, ok := c.m[key]
-		c.mu.RUnlock()
-		if ok {
-			c.hits.Add(1)
-			return v, nil
-		}
-		c.misses.Add(1)
-		v, err := compute()
-		if err != nil {
-			return v, err
-		}
-		c.mu.Lock()
-		if c.m == nil {
-			c.m = map[string]V{}
-		}
-		c.m[key] = v
-		c.mu.Unlock()
-		return v, nil
-	})
-	if shared {
-		c.dedup.Add(1)
+	c.misses.Add(1)
+	v, err := compute()
+	if err != nil {
+		return v, err
 	}
-	return v, err
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[string]V{}
+	}
+	c.m[key] = v
+	c.mu.Unlock()
+	return v, nil
 }
 
-// Stats reports lookup hits, misses and coalesced (dedup) lookups since
-// creation.
-func (c *Memo[V]) Stats() (hits, misses, dedup uint64) {
-	return c.hits.Load(), c.misses.Load(), c.dedup.Load()
+// Stats reports lookup hits and misses since creation.
+func (c *Memo[V]) Stats() (hits, misses uint64) {
+	return c.hits.Load(), c.misses.Load()
 }
 
 // Len reports the number of distinct keys held.
@@ -87,12 +72,11 @@ func (c *Memo[V]) Len() int {
 	return len(c.m)
 }
 
-// Observe registers the memo's hit/miss/dedup/size series into a registry
+// Observe registers the memo's hit/miss/size series into a registry
 // under the shared analysis-cache metric names, labeled cache=<label>.
 func (c *Memo[V]) Observe(reg *obs.Registry, label string) {
 	l := obs.Label{Key: "cache", Value: label}
 	reg.CounterFunc("analysis_cache_hits_total", "Memoized analysis lookups served from cache.", c.hits.Load, l)
 	reg.CounterFunc("analysis_cache_misses_total", "Memoized analysis lookups that ran the analysis.", c.misses.Load, l)
-	reg.CounterFunc("analysis_cache_dedup_total", "Memoized analysis lookups coalesced onto a concurrent identical computation.", c.dedup.Load, l)
 	reg.GaugeFunc("analysis_cache_entries", "Distinct problems held by the analysis cache.", func() float64 { return float64(c.Len()) }, l)
 }

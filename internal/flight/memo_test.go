@@ -2,8 +2,6 @@ package flight
 
 import (
 	"errors"
-	"runtime"
-	"sync"
 	"testing"
 
 	"autorte/internal/obs"
@@ -23,8 +21,8 @@ func TestMemoHitsAfterFirstMiss(t *testing.T) {
 			t.Fatalf("get %d: v=%d err=%v", i, v, err)
 		}
 	}
-	if hits, misses, dedup := m.Stats(); calls != 1 || hits != 2 || misses != 1 || dedup != 0 {
-		t.Fatalf("calls=%d hits/misses/dedup = %d/%d/%d, want 1 and 2/1/0", calls, hits, misses, dedup)
+	if hits, misses := m.Stats(); calls != 1 || hits != 2 || misses != 1 {
+		t.Fatalf("calls=%d hits/misses = %d/%d, want 1 and 2/1", calls, hits, misses)
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
@@ -44,58 +42,8 @@ func TestMemoDoesNotCacheErrors(t *testing.T) {
 	if err != nil || v != 3 {
 		t.Fatalf("retry after error: v=%d err=%v", v, err)
 	}
-	if _, misses, _ := m.Stats(); misses != 2 {
+	if _, misses := m.Stats(); misses != 2 {
 		t.Fatalf("misses = %d, want 2 (the error and the retry)", misses)
-	}
-}
-
-// N concurrent misses on one key run the computation once: one miss, and
-// every caller that coalesced onto the in-flight call counts as dedup.
-func TestMemoConcurrentMissesCoalesce(t *testing.T) {
-	var m Memo[int]
-	const callers = 8
-	release := make(chan struct{})
-	started := make(chan struct{})
-	compute := func() (int, error) {
-		close(started)
-		<-release
-		return 42, nil
-	}
-	var wg sync.WaitGroup
-	wg.Add(callers)
-	go func() {
-		defer wg.Done()
-		if v, err := m.Get(keyOf("k"), compute); err != nil || v != 42 {
-			t.Errorf("leader: v=%d err=%v", v, err)
-		}
-	}()
-	<-started
-	for i := 1; i < callers; i++ {
-		go func() {
-			defer wg.Done()
-			if v, err := m.Get(keyOf("k"), compute); err != nil || v != 42 {
-				t.Errorf("waiter: v=%d err=%v", v, err)
-			}
-		}()
-	}
-	// Let every waiter miss the map and reach the in-flight call before
-	// the leader stores its result.
-	for i := 0; i < 1000; i++ {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-	hits, misses, dedup := m.Stats()
-	if misses != 1 {
-		t.Fatalf("misses = %d, want 1", misses)
-	}
-	// A waiter scheduled only after the leader stored the entry is a plain
-	// hit; every other one is deduplicated.
-	if hits+dedup != callers-1 {
-		t.Fatalf("hits %d + dedup %d, want %d", hits, dedup, callers-1)
-	}
-	if dedup == 0 {
-		t.Fatal("no caller was coalesced onto the in-flight computation")
 	}
 }
 
@@ -129,7 +77,7 @@ func TestMemoObserve(t *testing.T) {
 	}
 	want := map[string]float64{
 		"analysis_cache_hits_total": 1, "analysis_cache_misses_total": 1,
-		"analysis_cache_dedup_total": 0, "analysis_cache_entries": 1,
+		"analysis_cache_entries": 1,
 	}
 	for name, v := range want {
 		if g, ok := got[name]; !ok || g != v {

@@ -1,9 +1,12 @@
-// Package par provides the bounded fan-out primitive shared by the
-// static-verification pipeline (core.Verify) and the design-space
-// exploration search (deploy): a GOMAXPROCS-sized worker pool that runs
+// Package par provides the bounded fan-out primitive of the fault
+// campaigns (fault.RunCampaign) and the restart-based annealing search
+// (deploy.AnnealParallel): a GOMAXPROCS-sized worker pool that runs
 // indexed jobs and merges results deterministically. Callers pre-size an
 // output slice and have job i write only slot i, so the merged output is
-// identical to a sequential loop regardless of scheduling.
+// identical to a sequential loop regardless of scheduling. It pays across
+// independent units of work of about 100 µs or more (scenarios,
+// restarts); a pass made of microsecond jobs, such as one verification
+// pass or one descent round, runs faster inline on its caller.
 package par
 
 import (

@@ -64,8 +64,7 @@ type Cache struct {
 func NewCache() *Cache { return &Cache{} }
 
 // lookup returns the memoized entry for tasks, computing and storing it on
-// a miss. Concurrent misses on the same key coalesce onto one analysis.
-// The returned slice is the cache's own.
+// a miss. The returned slice is the cache's own.
 func (c *Cache) lookup(tasks []Task) (entry, error) {
 	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, tasks) }, func() (entry, error) {
 		rs, err := ResponseTimes(tasks)
@@ -112,8 +111,7 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	hits, misses, _ = c.memo.Stats()
-	return hits, misses
+	return c.memo.Stats()
 }
 
 // Len reports the number of distinct task sets cached.

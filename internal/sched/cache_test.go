@@ -137,36 +137,6 @@ func TestKeyStableUnderConcurrentPooledUse(t *testing.T) {
 	}
 }
 
-func TestCacheConcurrentMissesCountOnce(t *testing.T) {
-	// However many goroutines race the first lookup of a key, exactly one
-	// analysis runs: every other caller is a hit or a coalesced waiter.
-	c := NewCache()
-	tasks := cacheDemoSet()
-	const callers = 16
-	start := make(chan struct{})
-	done := make(chan error, callers)
-	for g := 0; g < callers; g++ {
-		go func() {
-			<-start
-			_, err := c.Check(tasks)
-			done <- err
-		}()
-	}
-	close(start)
-	for g := 0; g < callers; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := c.Stats()
-	if misses != 1 {
-		t.Fatalf("misses = %d, want exactly 1", misses)
-	}
-	if _, _, dedup := c.memo.Stats(); hits+dedup != callers-1 {
-		t.Fatalf("hits %d + dedup %d should cover the %d non-miss callers", hits, dedup, callers-1)
-	}
-}
-
 func TestCacheSharedResultsAliasTheEntry(t *testing.T) {
 	c := NewCache()
 	tasks := cacheDemoSet()
