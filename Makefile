@@ -34,12 +34,13 @@ test:
 # simulation-step rungs: kernel dispatch and schedule+cancel (ns/event),
 # the OSEK scheduler (ns/event) and the trace recorder (ns/record).
 # Emits BENCH_pipeline.json (name -> ns/op, allocs/op) alongside the
-# human-readable output, then enforces the performance budget: Verify
-# par no slower than seq, every paired par-vs-seq benchmark (the E13
-# availability and E14 observer campaigns) within its par/seq-ratio
-# budget, BenchmarkVerify/large within its allocs/op ceiling,
-# the incremental DSE path at least 3x faster than cached-par, and the
-# always-on flight recorder within 5% of recorder-off. The flight
+# human-readable output, then enforces the performance budget: every
+# place the code runs in parallel (the E13 availability and E14 observer
+# campaigns, the DSEAnnealParallel restarts) reports a paired
+# par/seq-ratio within its budget, BenchmarkVerify/large within its
+# allocs/op ceiling, the incremental DSE path at least 3x faster than the
+# cached sweep, and the always-on flight recorder within 5% of
+# recorder-off. The flight
 # benchmarks interleave on and off within each iteration and report the
 # paired "on/off-ratio" metric benchguard gates — pairing cancels
 # shared-runner noise a 5% budget could never be measured under from

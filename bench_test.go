@@ -132,11 +132,12 @@ func BenchmarkE12DetectionCoverage(b *testing.B) {
 // and bus-burst scenario matrix — as a paired par/seq comparison: the
 // GOMAXPROCS campaign against the single-worker campaign, interleaved
 // within each iteration (same pairing rationale as the flight-recorder
-// benchmarks). benchguard gates the reported "par/seq-ratio": on a
-// multicore host the fan-out must win outright, and even on a one-CPU
-// host — where both arms degenerate to the same single worker — the
-// parallel dispatch must stay within the overhead budget rather than
-// becoming a tax.
+// benchmarks). benchguard requires and gates the reported
+// "par/seq-ratio" here, on E14Observer and on DSEAnnealParallel — the
+// places the code runs in parallel: on a multicore host the fan-out must
+// win outright, and even on a one-CPU host — where both arms degenerate
+// to the same single worker — the parallel dispatch must stay within the
+// overhead budget rather than becoming a tax.
 func BenchmarkE13Availability(b *testing.B) {
 	campaign := func(workers int) func() {
 		cfg := experiments.DefaultE13()
@@ -281,11 +282,11 @@ func BenchmarkE11Flight(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Parallel verification & DSE pipeline benchmarks. Three demo-vehicle
-// sizes; for each, `seq` is the pre-pipeline behavior (one worker, no
-// caches, cold per candidate) and `par` the full pipeline (GOMAXPROCS
-// workers, shared memoized analyses). Reports are byte-identical between
-// the two (TestVerifyParallelMatchesSequential); the numbers go into
+// Verification & DSE pipeline benchmarks. Three demo-vehicle sizes; for
+// each, `uncached` runs without the analysis caches (cold per candidate)
+// and `cached` with the pipeline's shared memoized analyses. Both run on
+// the caller's goroutine. Reports are byte-identical between the two
+// (TestVerifyParallelMatchesSequential); the numbers go into
 // EXPERIMENTS.md.
 
 func vehicleSpecSized(scale int) workload.VehicleSpec {
@@ -327,21 +328,19 @@ func demoVehicleScaled(b *testing.B, scale int) *model.System {
 }
 
 // BenchmarkVerify measures one full static verification of the demo
-// vehicle. seq/par differ only in worker count and caching; on a
-// multicore host the fan-out over ECUs, buses and chains is the win, on
-// one core the two are equivalent.
+// vehicle. uncached/cached differ only in the analysis caches, which a
+// single cold pass fills but cannot hit much.
 func BenchmarkVerify(b *testing.B) {
 	for _, size := range verifySizes {
 		sys := demoVehicleScaled(b, size.scale)
-		b.Run(size.name+"/seq", func(b *testing.B) {
+		b.Run(size.name+"/uncached", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := &core.Pipeline{Workers: 1}
-				if _, err := p.Verify(sys, nil, rte.Options{}); err != nil {
+				if _, err := (&core.Pipeline{}).Verify(sys, nil, rte.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(size.name+"/par", func(b *testing.B) {
+		b.Run(size.name+"/cached", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := core.NewPipeline(0)
 				if _, err := p.Verify(sys, nil, rte.Options{}); err != nil {
@@ -353,7 +352,7 @@ func BenchmarkVerify(b *testing.B) {
 }
 
 // BenchmarkVerifyFlight is the recorder on/off comparison on the
-// pipeline's hottest path: the large parallel verify, which builds a
+// pipeline's hottest path: the large cached verify, which builds a
 // simulated platform (now carrying the flight recorder by default) per
 // run.
 func BenchmarkVerifyFlight(b *testing.B) {
@@ -404,15 +403,14 @@ func dseCandidates(b *testing.B, sys *model.System, n int) (*model.System, []*mo
 
 // BenchmarkVerifyDSESweep measures a full Verify+DSE pass: score a
 // 32-candidate sweep under RequireSchedulable, then statically verify the
-// winner. seq is the pre-pipeline workflow — every candidate scored by
-// deploy.Evaluate, a fresh uncached Bind per candidate, the winner
-// verified on one worker with cold analyses. par is the pipeline
-// workflow — candidates scored through one bound evaluator (Prepare,
-// then Evaluate) sharing the memoized response-time cache, the winner
-// verified through a shared parallel pipeline. Both pick the same winner
-// and produce byte-identical reports (both score through the same
-// Bound; TestVerifyParallelMatchesSequential holds the two verifiers
-// together).
+// winner. uncached is the pre-pipeline workflow — every candidate scored
+// by deploy.Evaluate, a fresh uncached Bind per candidate, the winner
+// verified with cold analyses. cached is the pipeline workflow —
+// candidates scored through one bound evaluator (Prepare, then Evaluate)
+// sharing the memoized response-time cache, the winner verified through
+// a shared cached pipeline. Both pick the same winner and produce
+// byte-identical reports (both score through the same Bound;
+// TestVerifyParallelMatchesSequential holds the two verifiers together).
 func BenchmarkVerifyDSESweep(b *testing.B) {
 	const candidates = 32
 	cons := deploy.Constraints{RequireSchedulable: true}
@@ -420,7 +418,7 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 	for _, size := range verifySizes {
 		sys := demoVehicleScaled(b, size.scale)
 		_, cands := dseCandidates(b, sys, candidates)
-		b.Run(size.name+"/seq", func(b *testing.B) {
+		b.Run(size.name+"/uncached", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				best, bestCost := 0, math.Inf(1)
 				for j, cand := range cands {
@@ -428,13 +426,12 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 						best, bestCost = j, cost
 					}
 				}
-				p := &core.Pipeline{Workers: 1}
-				if _, err := p.Verify(cands[best], nil, rte.Options{}); err != nil {
+				if _, err := (&core.Pipeline{}).Verify(cands[best], nil, rte.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(size.name+"/par", func(b *testing.B) {
+		b.Run(size.name+"/cached", func(b *testing.B) {
 			ev := deploy.NewEvaluator(cons)
 			bound, err := ev.Bind(cands[0])
 			if err != nil {
@@ -464,8 +461,8 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 // BenchmarkVerifyDSESweepInc is the sweep with the delta layers engaged:
 // candidates scored through the prepared (per-move) evaluator, the winner
 // re-verified through core.Incremental — only the ECUs, buses and chains
-// the winning move touches are re-analyzed, against the par variant's full
-// (cached) re-verification. Each iteration advances the incumbent to the
+// the winning move touches are re-analyzed, against the cached variant's
+// full re-verification. Each iteration advances the incumbent to the
 // winner and back, so every pass exercises two real single-move deltas.
 func BenchmarkVerifyDSESweepInc(b *testing.B) {
 	const candidates = 32
@@ -527,14 +524,15 @@ func BenchmarkVerifyDSESweepInc(b *testing.B) {
 
 // BenchmarkDSEDescend measures the schedulability-constrained descent
 // search, refining the Greedy consolidation (dense task sets, where RTA
-// dominates candidate evaluation): seq runs single-worker with an
-// uncached evaluator (every candidate re-runs RTA on the changed ECUs),
-// par shares the response-time cache across all moves and iterations.
+// dominates candidate evaluation): uncached runs with an evaluator
+// without a response-time cache (every candidate re-runs RTA on the
+// changed ECUs), cached shares the cache across all moves and
+// iterations.
 func BenchmarkDSEDescend(b *testing.B) {
 	sys, _ := dseCandidates(b, demoVehicleScaled(b, 2), 1)
 	cons := deploy.Constraints{RequireSchedulable: true}
 	obj := deploy.DefaultObjective()
-	b.Run("seq-uncached", func(b *testing.B) {
+	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev := &deploy.Evaluator{Cons: cons}
 			if _, err := deploy.DescendWith(ev, sys, obj, 1, 2); err != nil {
@@ -542,7 +540,7 @@ func BenchmarkDSEDescend(b *testing.B) {
 			}
 		}
 	})
-	b.Run("par-cached", func(b *testing.B) {
+	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := deploy.Descend(sys, cons, obj, 0, 2); err != nil {
 				b.Fatal(err)
@@ -552,30 +550,23 @@ func BenchmarkDSEDescend(b *testing.B) {
 }
 
 // BenchmarkDSEAnnealParallel measures the restart-based annealing search
-// (4 chains, shared RTA cache) against the equivalent sequential chain
-// loop without a shared cache.
+// (4 chains) as a paired par/seq comparison under the same discipline as
+// E13: AnnealParallel on GOMAXPROCS workers against the same call on one
+// worker. Each call builds its own evaluator, so both arms run the same
+// code with the same cold cache and the ratio credits only the fan-out.
 func BenchmarkDSEAnnealParallel(b *testing.B) {
 	sys := demoVehicleScaled(b, 1)
 	cons := deploy.Constraints{}
 	obj := deploy.DefaultObjective()
 	const iters, restarts = 300, 4
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < restarts; r++ {
-				seed := uint64(99) ^ (uint64(r+1) * 0x9e3779b97f4a7c15)
-				if _, err := deploy.Anneal(sys, cons, obj, seed, iters); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("par", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := deploy.AnnealParallel(sys, cons, obj, 99, iters, restarts, 0); err != nil {
+	anneal := func(workers int) func() {
+		return func() {
+			if _, err := deploy.AnnealParallel(sys, cons, obj, 99, iters, restarts, workers); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
+	benchPairedMetric(b, "par/seq-ratio", anneal(0), anneal(1))
 }
 
 // The place workload's fault model and objective (rtebench/search.go):

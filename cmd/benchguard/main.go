@@ -7,21 +7,21 @@
 //
 // The guarded invariants must not regress:
 //
-//   - BenchmarkVerify/<size>/par must not be slower than .../seq — the
-//     cached-parallel path exists only because it wins; a par-slower-
-//     than-seq run means the per-pass sharing broke again.
-//   - BenchmarkVerify/large-*/{seq,par} allocs/op must stay under the
-//     budget (default 1690, half the 3380 the seed shipped with).
+//   - BenchmarkVerify/<size>/uncached needs a .../cached counterpart, and
+//     BenchmarkVerify/large-*/{uncached,cached} allocs/op must stay under
+//     the budget (default 1690, half the 3380 the seed shipped with).
 //   - BenchmarkVerifyDSESweepInc/<size>/inc must be at least -incratio
-//     (default 3.0) times faster than BenchmarkVerifyDSESweep/<size>/par.
-//   - Every benchmark reporting a "par/seq-ratio" metric (the paired
-//     par-vs-seq campaigns, BenchmarkE13Availability and
-//     BenchmarkE14Observer: a study fanned out across GOMAXPROCS
-//     workers, paired against the single-worker run) must stay at or
-//     under -parratio (default 1.15): on multicore the fan-out must win
-//     outright, and even on a one-CPU host — where both arms degenerate
-//     to one worker — the parallel dispatch must remain overhead, not a
-//     tax.
+//     (default 3.0) times faster than
+//     BenchmarkVerifyDSESweep/<size>/cached.
+//   - A parallel path must not lose to its sequential run. Each place the
+//     code runs in parallel reports a paired "par/seq-ratio" metric: the
+//     run on GOMAXPROCS workers over the same run on one worker. The
+//     campaigns (BenchmarkE13Availability, BenchmarkE14Observer) and the
+//     annealing restarts (BenchmarkDSEAnnealParallel) must report one,
+//     and every reported ratio must stay at or under -parratio (default
+//     1.15): on multicore the fan-out must win outright, and even on a
+//     one-CPU host — where both arms degenerate to one worker — the
+//     parallel dispatch must remain overhead, not a tax.
 //   - Every benchmark reporting an "on/off-ratio" metric (the paired
 //     Benchmark*Flight comparisons): the always-on flight recorder must
 //     cost at most -flightratio (default 1.05, i.e. 5%) over the
@@ -63,7 +63,7 @@ func main() {
 	bench := flag.String("bench", "BENCH_pipeline.json", "benchmark artifact to guard")
 	old := flag.String("old", "", "optional baseline artifact for the comparison table")
 	allocs := flag.Int64("allocs", 1690, "allocs/op ceiling for BenchmarkVerify/large")
-	incRatio := flag.Float64("incratio", 3.0, "minimum DSE sweep speedup of the incremental path over cached-par")
+	incRatio := flag.Float64("incratio", 3.0, "minimum DSE sweep speedup of the incremental path over the cached sweep")
 	flightRatio := flag.Float64("flightratio", 1.05, "maximum flight-recorder on/off ns/op ratio (observability budget)")
 	parRatio := flag.Float64("parratio", 1.15, "maximum par/seq ns/op ratio of every paired par-vs-seq benchmark")
 	flag.Parse()
@@ -101,26 +101,27 @@ func load(path string) (map[string]Result, error) {
 	return m, nil
 }
 
+// parPairs are the benchmarks that must report a par/seq-ratio: the
+// places the code runs in parallel.
+var parPairs = []string{"BenchmarkDSEAnnealParallel", "BenchmarkE13Availability", "BenchmarkE14Observer"}
+
 // guard checks the budget invariants and returns the violations found.
 func guard(cur map[string]Result, allocCeiling int64, incRatio, flightRatio, parRatio float64) []string {
 	var out []string
 	pairs := 0
-	for name, seq := range cur {
-		size, ok := verifySize(name, "/seq")
+	for name, uncached := range cur {
+		size, ok := verifySize(name, "/uncached")
 		if !ok {
 			continue
 		}
 		pairs++
-		par, okPar := cur["BenchmarkVerify/"+size+"/par"]
-		if !okPar {
-			out = append(out, fmt.Sprintf("BenchmarkVerify/%s has seq but no par run", size))
+		cached, ok := cur["BenchmarkVerify/"+size+"/cached"]
+		if !ok {
+			out = append(out, fmt.Sprintf("BenchmarkVerify/%s has uncached but no cached run", size))
 			continue
 		}
-		if par.NsPerOp > seq.NsPerOp {
-			out = append(out, fmt.Sprintf("BenchmarkVerify/%s: par %.0f ns/op slower than seq %.0f ns/op", size, par.NsPerOp, seq.NsPerOp))
-		}
 		if strings.HasPrefix(size, "large") {
-			for variant, r := range map[string]Result{"seq": seq, "par": par} {
+			for variant, r := range map[string]Result{"uncached": uncached, "cached": cached} {
 				if r.AllocsPerOp > allocCeiling {
 					out = append(out, fmt.Sprintf("BenchmarkVerify/%s/%s: %d allocs/op exceeds budget %d", size, variant, r.AllocsPerOp, allocCeiling))
 				}
@@ -128,7 +129,7 @@ func guard(cur map[string]Result, allocCeiling int64, incRatio, flightRatio, par
 		}
 	}
 	if pairs == 0 {
-		out = append(out, "no BenchmarkVerify seq/par pairs found — guard would pass vacuously")
+		out = append(out, "no BenchmarkVerify uncached/cached pairs found — guard would pass vacuously")
 	}
 	incPairs := 0
 	for name, inc := range cur {
@@ -138,33 +139,39 @@ func guard(cur map[string]Result, allocCeiling int64, incRatio, flightRatio, par
 		}
 		size := strings.TrimSuffix(strings.TrimPrefix(name, pfx), "/inc")
 		incPairs++
-		par, ok := cur["BenchmarkVerifyDSESweep/"+size+"/par"]
+		cached, ok := cur["BenchmarkVerifyDSESweep/"+size+"/cached"]
 		if !ok {
-			out = append(out, fmt.Sprintf("BenchmarkVerifyDSESweepInc/%s has no cached-par sweep to compare against", size))
+			out = append(out, fmt.Sprintf("BenchmarkVerifyDSESweepInc/%s has no cached sweep to compare against", size))
 			continue
 		}
 		if inc.NsPerOp <= 0 {
 			out = append(out, fmt.Sprintf("BenchmarkVerifyDSESweepInc/%s: non-positive ns/op", size))
 			continue
 		}
-		if ratio := par.NsPerOp / inc.NsPerOp; ratio < incRatio {
-			out = append(out, fmt.Sprintf("DSE sweep %s: incremental only %.2fx faster than cached-par (budget %.1fx)", size, ratio, incRatio))
+		if ratio := cached.NsPerOp / inc.NsPerOp; ratio < incRatio {
+			out = append(out, fmt.Sprintf("DSE sweep %s: incremental only %.2fx faster than the cached sweep (budget %.1fx)", size, ratio, incRatio))
 		}
 	}
 	if incPairs == 0 {
-		out = append(out, "no DSE sweep inc/par pairs found — guard would pass vacuously")
+		out = append(out, "no DSE sweep inc/cached pairs found — guard would pass vacuously")
 	}
-	out = append(out, ratioGuard(cur, "par/seq-ratio", "par", "seq", "par/seq-ratio", parRatio)...)
+	out = append(out, ratioGuard(cur, "par/seq-ratio", "par", "seq", "par/seq-ratio", parRatio, parPairs...)...)
 	out = append(out, ratioGuard(cur, "on/off-ratio", "flight recorder", "off", "flight-recorder on/off-ratio", flightRatio)...)
 	sort.Strings(out)
 	return out
 }
 
 // ratioGuard checks every benchmark reporting a paired ratio metric (the
-// slow arm's ns/op over the fast arm's) against its ceiling. Finding no
-// such metric is itself a violation.
-func ratioGuard(cur map[string]Result, metric, slow, fast, kind string, ceiling float64) []string {
+// slow arm's ns/op over the fast arm's) against its ceiling. A required
+// benchmark without the metric is a violation, and so, when none is
+// required, is finding no such metric at all.
+func ratioGuard(cur map[string]Result, metric, slow, fast, kind string, ceiling float64, required ...string) []string {
 	var out []string
+	for _, name := range required {
+		if _, ok := cur[name].Metrics[metric]; !ok {
+			out = append(out, fmt.Sprintf("%s: no %s metric", name, metric))
+		}
+	}
 	found := 0
 	for name, r := range cur {
 		ratio, ok := r.Metrics[metric]
@@ -180,7 +187,7 @@ func ratioGuard(cur map[string]Result, metric, slow, fast, kind string, ceiling 
 				name, slow, (ratio-1)*100, fast, (ceiling-1)*100))
 		}
 	}
-	if found == 0 {
+	if found == 0 && len(required) == 0 {
 		out = append(out, fmt.Sprintf("no %s metrics found — guard would pass vacuously", kind))
 	}
 	return out

@@ -8,13 +8,14 @@ import (
 // healthy is an artifact satisfying every budget invariant.
 func healthy() map[string]Result {
 	return map[string]Result{
-		"BenchmarkVerify/small-13chains/seq":            {NsPerOp: 240000, AllocsPerOp: 495},
-		"BenchmarkVerify/small-13chains/par":            {NsPerOp: 140000, AllocsPerOp: 471},
-		"BenchmarkVerify/large-52chains/seq":            {NsPerOp: 11600000, AllocsPerOp: 1599},
-		"BenchmarkVerify/large-52chains/par":            {NsPerOp: 1080000, AllocsPerOp: 1388},
-		"BenchmarkVerifyDSESweep/large-52chains/par":    {NsPerOp: 2500000},
+		"BenchmarkVerify/small-13chains/uncached":       {NsPerOp: 240000, AllocsPerOp: 495},
+		"BenchmarkVerify/small-13chains/cached":         {NsPerOp: 140000, AllocsPerOp: 471},
+		"BenchmarkVerify/large-52chains/uncached":       {NsPerOp: 11600000, AllocsPerOp: 1599},
+		"BenchmarkVerify/large-52chains/cached":         {NsPerOp: 1080000, AllocsPerOp: 1388},
+		"BenchmarkVerifyDSESweep/large-52chains/cached": {NsPerOp: 2500000},
 		"BenchmarkVerifyDSESweepInc/large-52chains/inc": {NsPerOp: 430000},
 		"BenchmarkVerifyFlight":                         {NsPerOp: 2170000, Metrics: map[string]float64{"on/off-ratio": 1.009}},
+		"BenchmarkDSEAnnealParallel":                    {NsPerOp: 2200000, Metrics: map[string]float64{"par/seq-ratio": 0.62}},
 		"BenchmarkE13Availability":                      {NsPerOp: 16000000, Metrics: map[string]float64{"par/seq-ratio": 0.41}},
 		"BenchmarkE14Observer":                          {NsPerOp: 25000000, Metrics: map[string]float64{"par/seq-ratio": 0.96}},
 	}
@@ -26,31 +27,50 @@ func TestGuardPassesHealthyArtifact(t *testing.T) {
 	}
 }
 
-func TestGuardFlagsParSlowerThanSeq(t *testing.T) {
+// Parallel annealing restarts that lose to one worker by more than
+// -parratio fail the guard.
+func TestGuardFlagsAnnealParRatio(t *testing.T) {
 	m := healthy()
-	r := m["BenchmarkVerify/small-13chains/par"]
-	r.NsPerOp = 250000 // slower than seq's 240000
-	m["BenchmarkVerify/small-13chains/par"] = r
+	m["BenchmarkDSEAnnealParallel"] = Result{NsPerOp: 3900000, Metrics: map[string]float64{"par/seq-ratio": 1.25}}
 	v := guard(m, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 1 || !strings.Contains(v[0], "par 250000 ns/op slower than seq") {
-		t.Fatalf("want one par-slower violation, got %v", v)
+	if len(v) != 1 || !strings.Contains(v[0], "BenchmarkDSEAnnealParallel: par costs 25.0% over seq (budget 15.0%)") {
+		t.Fatalf("want one anneal ratio violation, got %v", v)
+	}
+}
+
+// Each named par/seq pair is required: dropping one from the artifact
+// fails the guard even while the others still report a ratio.
+func TestGuardFlagsMissingParPair(t *testing.T) {
+	for _, name := range parPairs {
+		m := healthy()
+		delete(m, name)
+		v := guard(m, 1690, 3.0, 1.03, 1.15)
+		if len(v) != 1 || v[0] != name+": no par/seq-ratio metric" {
+			t.Fatalf("without %s: want one missing-pair violation, got %v", name, v)
+		}
+	}
+	m := healthy()
+	m["BenchmarkDSEAnnealParallel"] = Result{NsPerOp: 2200000} // run, but unpaired
+	v := guard(m, 1690, 3.0, 1.03, 1.15)
+	if len(v) != 1 || v[0] != "BenchmarkDSEAnnealParallel: no par/seq-ratio metric" {
+		t.Fatalf("want one missing-ratio violation, got %v", v)
 	}
 }
 
 func TestGuardFlagsAllocBudget(t *testing.T) {
 	m := healthy()
-	r := m["BenchmarkVerify/large-52chains/par"]
+	r := m["BenchmarkVerify/large-52chains/cached"]
 	r.AllocsPerOp = 1700
-	m["BenchmarkVerify/large-52chains/par"] = r
+	m["BenchmarkVerify/large-52chains/cached"] = r
 	v := guard(m, 1690, 3.0, 1.03, 1.15)
 	if len(v) != 1 || !strings.Contains(v[0], "1700 allocs/op exceeds budget 1690") {
 		t.Fatalf("want one alloc-budget violation, got %v", v)
 	}
 	// Only the large size is under the alloc budget; small is exempt.
 	m = healthy()
-	r = m["BenchmarkVerify/small-13chains/par"]
+	r = m["BenchmarkVerify/small-13chains/cached"]
 	r.AllocsPerOp = 5000
-	m["BenchmarkVerify/small-13chains/par"] = r
+	m["BenchmarkVerify/small-13chains/cached"] = r
 	if v := guard(m, 1690, 3.0, 1.03, 1.15); len(v) != 0 {
 		t.Fatalf("small size should be exempt from alloc budget, got %v", v)
 	}
@@ -96,11 +116,11 @@ func TestGuardFlagsE13Ratio(t *testing.T) {
 
 func TestGuardFailsVacuousArtifact(t *testing.T) {
 	v := guard(map[string]Result{}, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 4 {
-		t.Fatalf("empty artifact must flag all four vacuous-pass guards, got %v", v)
+	if len(v) != 3+len(parPairs) {
+		t.Fatalf("empty artifact must flag the three vacuous-pass guards and every required par/seq pair, got %v", v)
 	}
 	for _, s := range v {
-		if !strings.Contains(s, "vacuously") {
+		if !strings.Contains(s, "vacuously") && !strings.HasSuffix(s, ": no par/seq-ratio metric") {
 			t.Fatalf("unexpected violation %q", s)
 		}
 	}
@@ -108,15 +128,15 @@ func TestGuardFailsVacuousArtifact(t *testing.T) {
 
 func TestGuardFlagsMissingCounterpart(t *testing.T) {
 	m := healthy()
-	delete(m, "BenchmarkVerify/large-52chains/par")
+	delete(m, "BenchmarkVerify/large-52chains/cached")
 	v := guard(m, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 1 || !strings.Contains(v[0], "has seq but no par run") {
-		t.Fatalf("want missing-par violation, got %v", v)
+	if len(v) != 1 || !strings.Contains(v[0], "has uncached but no cached run") {
+		t.Fatalf("want missing-cached violation, got %v", v)
 	}
 	m = healthy()
-	delete(m, "BenchmarkVerifyDSESweep/large-52chains/par")
+	delete(m, "BenchmarkVerifyDSESweep/large-52chains/cached")
 	v = guard(m, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 1 || !strings.Contains(v[0], "no cached-par sweep") {
+	if len(v) != 1 || !strings.Contains(v[0], "no cached sweep") {
 		t.Fatalf("want missing-sweep violation, got %v", v)
 	}
 	m = healthy()
@@ -125,28 +145,21 @@ func TestGuardFlagsMissingCounterpart(t *testing.T) {
 	if len(v) != 1 || !strings.Contains(v[0], "no flight-recorder on/off-ratio metrics") {
 		t.Fatalf("want vacuous flight-ratio violation, got %v", v)
 	}
-	m = healthy()
-	delete(m, "BenchmarkE13Availability")
-	delete(m, "BenchmarkE14Observer")
-	v = guard(m, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 1 || !strings.Contains(v[0], "no par/seq-ratio metrics found") {
-		t.Fatalf("want vacuous par/seq-ratio violation, got %v", v)
-	}
 }
 
 func TestCompareTable(t *testing.T) {
 	old := map[string]Result{
-		"BenchmarkVerify/large-52chains/par": {NsPerOp: 953649, AllocsPerOp: 3447},
-		"BenchmarkRemoved/only-old":          {NsPerOp: 100},
+		"BenchmarkVerify/large-52chains/cached": {NsPerOp: 953649, AllocsPerOp: 3447},
+		"BenchmarkRemoved/only-old":             {NsPerOp: 100},
 	}
 	cur := map[string]Result{
-		"BenchmarkVerify/large-52chains/par": {NsPerOp: 1080000, AllocsPerOp: 1388},
-		"BenchmarkAdded/only-new":            {NsPerOp: 200},
+		"BenchmarkVerify/large-52chains/cached": {NsPerOp: 1080000, AllocsPerOp: 1388},
+		"BenchmarkAdded/only-new":               {NsPerOp: 200},
 	}
 	var sb strings.Builder
 	compare(&sb, old, cur)
 	out := sb.String()
-	for _, want := range []string{"-59.7%", "gone", "new", "BenchmarkVerify/large-52chains/par"} {
+	for _, want := range []string{"-59.7%", "gone", "new", "BenchmarkVerify/large-52chains/cached"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("comparison table missing %q:\n%s", want, out)
 		}
