@@ -84,15 +84,20 @@ bench-all:
 # container/heap reference on random schedule/cancel/run programs. The
 # committed corpus under each package's testdata/fuzz runs first; a
 # failure leaves the minimized input there, to be committed as a
-# regression seed.
+# regression seed. -fuzzminimizetime=100x caps minimization at 100 execs
+# per input: at the default 60 s, minimizing one new-coverage input
+# could take a whole 10 s budget (on a 2-vCPU VM with an empty fuzz
+# cache, FuzzCostFirst ran 30 inputs in 10 s without the cap and 3706
+# with it). Crashers are still reported; only their minimization is
+# shorter.
 fuzz:
-	go test -run '^$$' -fuzz '^FuzzFaultSweep$$' -fuzztime=10s -parallel 2 ./internal/deploy
-	go test -run '^$$' -fuzz '^FuzzCostFirst$$' -fuzztime=10s -parallel 2 ./internal/deploy
-	go test -run '^$$' -fuzz '^FuzzFirstFit$$' -fuzztime=10s -parallel 2 ./internal/deploy
-	go test -run '^$$' -fuzz '^FuzzReverify$$' -fuzztime=10s -parallel 2 ./internal/core
-	go test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime=10s -parallel 2 ./internal/taskset
-	go test -run '^$$' -fuzz '^FuzzIPdu$$' -fuzztime=10s -parallel 2 ./internal/com
-	go test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime=10s -parallel 2 ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzFaultSweep$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/deploy
+	go test -run '^$$' -fuzz '^FuzzCostFirst$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/deploy
+	go test -run '^$$' -fuzz '^FuzzFirstFit$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/deploy
+	go test -run '^$$' -fuzz '^FuzzReverify$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/core
+	go test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/taskset
+	go test -run '^$$' -fuzz '^FuzzIPdu$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/com
+	go test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/sim
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational
