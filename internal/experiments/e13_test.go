@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // shrunkE13 keeps the sweep cheap for unit tests without changing its
 // structure: same candidates, same scenario set, shorter horizon.
@@ -82,20 +79,15 @@ func TestE13RedundancyBeatsFederation(t *testing.T) {
 	}
 }
 
-// The campaign is deterministic: two full runs produce identical tables.
+// The campaign is deterministic: identical tables across runs and worker
+// counts.
 func TestE13Deterministic(t *testing.T) {
 	cfg := shrunkE13()
-	a, err := E13Availability(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := E13Availability(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
-		t.Fatalf("E13 rows differ between runs:\n%v\n%v", a.Rows, b.Rows)
-	}
+	sameAcrossWorkers(t, func(workers int) (*Table, error) {
+		cfg := cfg
+		cfg.Workers = workers
+		return E13Availability(cfg)
+	})
 	c, err := E13Curve(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -217,3 +217,21 @@ func TestE14Deterministic(t *testing.T) {
 		t.Fatalf("E14Observer rows differ between runs:\n%v\n%v", tab.Rows, tab2.Rows)
 	}
 }
+
+// The switchover and placement studies render identically at every
+// worker count.
+func TestE14SwitchoverWorkerIndependent(t *testing.T) {
+	sameAcrossWorkers(t, func(workers int) (*Table, error) {
+		cfg := shrunkE14()
+		cfg.Workers = workers
+		return E14Switchover(cfg)
+	})
+}
+
+func TestE14PlacementWorkerIndependent(t *testing.T) {
+	sameAcrossWorkers(t, func(workers int) (*Table, error) {
+		cfg := shrunkE14()
+		cfg.Workers = workers
+		return E14Placement(cfg)
+	})
+}

@@ -246,19 +246,33 @@ func TestE11CampaignShape(t *testing.T) {
 	}
 }
 
-func TestE11CampaignDeterministic(t *testing.T) {
-	render := func() string {
-		tab, err := E11FaultCampaign(DefaultE11())
+// sameAcrossWorkers renders the table run builds at 1, 2 and 8 campaign
+// workers and fails unless the three renderings are byte-identical: a
+// study's result is a function of its inputs, not of the thread schedule.
+func sameAcrossWorkers(t *testing.T, run func(workers int) (*Table, error)) {
+	t.Helper()
+	var want string
+	for _, workers := range []int{1, 2, 8} {
+		tab, err := run(workers)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var sb strings.Builder
 		tab.Render(&sb)
-		return sb.String()
+		if workers == 1 {
+			want = sb.String()
+		} else if got := sb.String(); got != want {
+			t.Fatalf("workers=%d renders differently from workers=1:\n%s\nvs\n%s", workers, got, want)
+		}
 	}
-	if a, b := render(), render(); a != b {
-		t.Fatalf("campaign not deterministic:\n%s\nvs\n%s", a, b)
-	}
+}
+
+func TestE11CampaignDeterministic(t *testing.T) {
+	sameAcrossWorkers(t, func(workers int) (*Table, error) {
+		cfg := DefaultE11()
+		cfg.Workers = workers
+		return E11FaultCampaign(cfg)
+	})
 }
 
 func TestE11LimpHomePhases(t *testing.T) {
