@@ -239,9 +239,10 @@ type busState struct {
 	rep      BusReport
 }
 
-// NewIncremental verifies sys in full through p's caches and retains the state needed to re-verify mutated mappings
-// incrementally. The initial report is available via Report(). sys is
-// modified only by later Reverify calls.
+// NewIncremental verifies sys in full through p's caches and retains the
+// state needed to re-verify mutated mappings incrementally. The initial
+// report is available via Report(). sys is modified only by later
+// Reverify calls.
 func NewIncremental(p *Pipeline, sys *model.System, contracts map[string]*contract.Contract, opts rte.Options) (*Incremental, error) {
 	root := p.Tracer.Start("verify")
 	defer root.End()

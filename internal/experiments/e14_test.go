@@ -216,22 +216,11 @@ func TestE14Deterministic(t *testing.T) {
 	if !reflect.DeepEqual(tab.Rows, tab2.Rows) {
 		t.Fatalf("E14Observer rows differ between runs:\n%v\n%v", tab.Rows, tab2.Rows)
 	}
-}
-
-// The switchover and placement studies render identically at every
-// worker count.
-func TestE14SwitchoverWorkerIndependent(t *testing.T) {
-	sameAcrossWorkers(t, func(workers int) (*Table, error) {
-		cfg := shrunkE14()
-		cfg.Workers = workers
-		return E14Switchover(cfg)
-	})
-}
-
-func TestE14PlacementWorkerIndependent(t *testing.T) {
-	sameAcrossWorkers(t, func(workers int) (*Table, error) {
-		cfg := shrunkE14()
-		cfg.Workers = workers
-		return E14Placement(cfg)
-	})
+	for _, study := range []func(E14Config) (*Table, error){E14Switchover, E14Placement} {
+		sameAcrossWorkers(t, func(workers int) (*Table, error) {
+			cfg := cfg
+			cfg.Workers = workers
+			return study(cfg)
+		})
+	}
 }
