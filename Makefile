@@ -81,7 +81,10 @@ bench-all:
 # ranking to the reference comparator; FuzzIPdu holds the in-place signal
 # bit walk, Pack and Unpack to the reference walk on random layouts and
 # payloads; FuzzKernel holds the typed-heap, free-list kernel to the
-# container/heap reference on random schedule/cancel/run programs. The
+# container/heap reference on random schedule/cancel/run programs;
+# FuzzReceiverCheck holds the E2E receiver's input boundary to its
+# properties (no panic on any bytes, a freshly protected payload checks
+# OK, any one corrupted byte does not). The
 # committed corpus under each package's testdata/fuzz runs first; a
 # failure leaves the minimized input there, to be committed as a
 # regression seed. -fuzzminimizetime=100x caps minimization at 100 execs
@@ -98,6 +101,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzRank$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/taskset
 	go test -run '^$$' -fuzz '^FuzzIPdu$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/com
 	go test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/sim
+	go test -run '^$$' -fuzz '^FuzzReceiverCheck$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/e2eprot
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"autorte/internal/can"
 	"autorte/internal/contract"
 	"autorte/internal/model"
 	"autorte/internal/rte"
@@ -332,40 +333,58 @@ func TestVerifyGatewayedChain(t *testing.T) {
 			Budget: sim.MS(20),
 		}},
 	}
-	rep, err := Verify(sys, nil, rte.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Chains[0].Err != "" {
-		t.Fatal(rep.Chains[0].Err)
-	}
-	bound := rep.Chains[0].Bound
-	if !rep.Chains[0].OK {
-		t.Fatalf("cross-domain chain bound %v exceeds budget", bound)
-	}
-	// Both buses carry load in the report.
-	if len(rep.Buses) != 2 {
-		t.Fatalf("buses analyzed = %d, want 2", len(rep.Buses))
-	}
-	// Measure and compare.
-	p := rte.MustBuild(sys.Clone(), rte.Options{})
-	var worst sim.Duration
-	var produced sim.Time
-	p.SetBehavior("Sensor", "sample", func(c *rte.Context) {
-		produced = c.Now()
-		c.Write("out", "v", 1)
-	})
-	p.SetBehavior("Ctrl", "law", func(c *rte.Context) {
-		if d := c.Now() - produced; d > worst {
-			worst = d
+	// The bound must dominate the measurement under protection and
+	// extended identifiers too, and grow with their longer frames.
+	var plain sim.Duration
+	for _, tc := range []struct {
+		name string
+		opts rte.Options
+	}{
+		{"default", rte.Options{}},
+		{"e2e", rte.Options{E2E: &rte.E2EOptions{}}},
+		{"extended", rte.Options{CANConfig: can.Config{Extended: true}}},
+	} {
+		rep, err := Verify(sys, nil, tc.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	p.Run(sim.Second)
-	if worst == 0 {
-		t.Fatal("gatewayed chain never completed")
-	}
-	if worst > bound {
-		t.Fatalf("measured %v exceeds bound %v", worst, bound)
+		if rep.Chains[0].Err != "" {
+			t.Fatal(rep.Chains[0].Err)
+		}
+		bound := rep.Chains[0].Bound
+		if !rep.Chains[0].OK {
+			t.Fatalf("%s: cross-domain chain bound %v exceeds budget", tc.name, bound)
+		}
+		// Both buses carry load in the report.
+		if len(rep.Buses) != 2 {
+			t.Fatalf("%s: buses analyzed = %d, want 2", tc.name, len(rep.Buses))
+		}
+		if plain == 0 {
+			plain = bound
+		} else if bound <= plain {
+			t.Fatalf("%s: bound %v not above the plain frames' %v", tc.name, bound, plain)
+		}
+		// Measure and compare.
+		p := rte.MustBuild(sys.Clone(), tc.opts)
+		var worst sim.Duration
+		var produced sim.Time
+		p.SetBehavior("Sensor", "sample", func(c *rte.Context) {
+			produced = c.Now()
+			c.Write("out", "v", 1)
+		})
+		p.SetBehavior("Ctrl", "law", func(c *rte.Context) {
+			if d := c.Now() - produced; d > worst {
+				worst = d
+			}
+		})
+		p.Run(sim.Second)
+		if worst == 0 {
+			t.Fatalf("%s: gatewayed chain never completed", tc.name)
+		}
+		if worst > bound {
+			t.Fatalf("%s: measured %v exceeds bound %v", tc.name, worst, bound)
+		}
+		t.Logf("%s: bound %v, measured %v", tc.name, bound, worst)
 	}
 }
 

@@ -93,21 +93,54 @@ func refVerify(sys *model.System, contracts map[string]*contract.Contract, opts 
 }
 
 // refCANMessages is the frame set the RTE puts on a CAN bus: periodic
-// routes in SignalName order, IDs assigned by position.
-func refCANMessages(routes []vfb.Route, bitRate int64) []*can.Message {
+// routes in SignalName order, IDs assigned by position, each DLC the
+// signal's bytes plus, under E2E, the 2-byte P01 header. A frame past 8
+// bytes is an error, named as the RTE names its segment.
+func refCANMessages(bus string, routes []vfb.Route, opts rte.Options) ([]*can.Message, error) {
 	sorted := append([]vfb.Route(nil), routes...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].SignalName < sorted[j].SignalName })
 	var out []*can.Message
 	for i, r := range sorted {
+		dlc := (r.Bits + 7) / 8
+		if opts.E2E != nil {
+			dlc += 2
+		}
+		if dlc > 8 {
+			name := r.SignalName
+			if r.Via != "" && r.Bus == bus {
+				name += "~1"
+			} else if r.Via != "" {
+				name += "~2"
+			}
+			return nil, fmt.Errorf("rte: bus %s: frame %s: DLC %d outside 0..8", bus, name, dlc)
+		}
 		if r.Period <= 0 {
 			continue
 		}
 		out = append(out, &can.Message{
 			Name: r.SignalName, ID: uint32(0x100 + i),
-			DLC: (r.Bits + 7) / 8, Period: sim.Duration(r.Period),
+			DLC: dlc, Period: sim.Duration(r.Period),
 		})
 	}
-	return out
+	return out, nil
+}
+
+// refCANConfig is a CAN bus's channel: its bit rate, with the identifier
+// format the options select.
+func refCANConfig(b *model.Bus, opts rte.Options) can.Config {
+	return can.Config{BitRate: b.BitRate, Extended: opts.CANConfig.Extended}
+}
+
+// refFlexRayConfig is the FlexRay cycle the RTE runs: the configured one,
+// else 8 static slots of 100µs, 40 minislots of 5µs and a 100µs NIT.
+func refFlexRayConfig(opts rte.Options) flexray.Config {
+	if opts.FlexRayConfig.CycleLength() != 0 {
+		return opts.FlexRayConfig
+	}
+	return flexray.Config{
+		StaticSlots: 8, SlotLength: sim.US(100),
+		Minislots: 40, MinislotLength: sim.US(5), NIT: sim.US(100),
+	}
 }
 
 // refTTP is a TTP bus's slot length and its node count.
@@ -135,7 +168,7 @@ func refFlexRay(routes []vfb.Route, opts rte.Options) (map[string]flexray.Assign
 			sigs = append(sigs, flexray.Signal{Name: r.SignalName, Period: sim.Duration(r.Period)})
 		}
 	}
-	as, err := flexray.Synthesize(defaultFlexRay(opts), sigs)
+	as, err := flexray.Synthesize(refFlexRayConfig(opts), sigs)
 	if err != nil {
 		return nil, err
 	}
@@ -150,8 +183,11 @@ func refBus(sys *model.System, b *model.Bus, routes []vfb.Route, opts rte.Option
 	br := BusReport{Name: b.Name, Kind: b.Kind, Schedulable: true}
 	switch b.Kind {
 	case model.BusCAN:
-		cfg := can.Config{BitRate: b.BitRate}
-		msgs := refCANMessages(routes, b.BitRate)
+		cfg := refCANConfig(b, opts)
+		msgs, err := refCANMessages(b.Name, routes, opts)
+		if err != nil {
+			return br, err
+		}
 		rs, err := can.Analyze(cfg, msgs)
 		if err != nil {
 			return br, err
@@ -296,9 +332,13 @@ func refBusStage(sys *model.System, name string, signal *vfb.Route, routes []vfb
 	bus := sys.BusByName(name)
 	switch bus.Kind {
 	case model.BusCAN:
+		msgs, err := refCANMessages(name, routes, opts)
+		if err != nil {
+			return nil, err
+		}
 		return &e2e.CANStage{
-			Name: name, Cfg: can.Config{BitRate: bus.BitRate},
-			Messages: refCANMessages(routes, bus.BitRate), Target: signal.SignalName,
+			Name: name, Cfg: refCANConfig(bus, opts),
+			Messages: msgs, Target: signal.SignalName,
 		}, nil
 	case model.BusFlexRay:
 		as, err := refFlexRay(routes, opts)
@@ -309,7 +349,7 @@ func refBusStage(sys *model.System, name string, signal *vfb.Route, routes []vfb
 		if !ok {
 			return nil, fmt.Errorf("signal %s not in static schedule of %s", signal.SignalName, name)
 		}
-		cfg := defaultFlexRay(opts)
+		cfg := refFlexRayConfig(opts)
 		return &e2e.SamplingStage{Name: name, Period: sim.Duration(a.Repetition) * cfg.CycleLength(), Transfer: sim.Duration(a.SlotID) * cfg.SlotLength}, nil
 	default:
 		slot, nodes := refTTP(sys, name, opts)

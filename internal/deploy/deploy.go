@@ -395,17 +395,11 @@ func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 	results := make([]*model.System, restarts)
 	costs := make([]float64, restarts)
 	errs := make([]error, restarts)
-	_ = par.ForEach(workers, restarts, func(i int) error {
+	par.ForEach(workers, restarts, func(i int) {
 		// Chain errors are values here: one failed chain must not cancel
 		// its siblings, and the merge below stays deterministic.
 		chainSeed := seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-		out, cost, err := anneal(ev, sys, obj, chainSeed, iters)
-		if err != nil {
-			errs[i] = err
-			return nil
-		}
-		results[i], costs[i] = out, cost
-		return nil
+		results[i], costs[i], errs[i] = anneal(ev, sys, obj, chainSeed, iters)
 	})
 	best := -1
 	for i := range results {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"autorte/internal/can"
-	"autorte/internal/e2eprot"
 	"autorte/internal/fault"
 	"autorte/internal/flexray"
 	"autorte/internal/health"
@@ -165,16 +164,11 @@ func E12Overhead(cfg E12Config) (*Table, error) {
 			"classic CAN stuffing formula, so relative overhead shrinks with payload size.",
 		},
 	}
-	bitRate := can.Config{BitRate: 500_000}
-	dataBytes := 2 // one UInt16 element
-	protBytes := dataBytes + e2eprot.P01.HeaderLen()
-	baseBits := can.FrameBits(dataBytes, false)
+	baseBits := 0
 	for _, protected := range []bool{false, true} {
 		opts := rte.Options{}
-		bytes := dataBytes
 		if protected {
 			opts.E2E = &rte.E2EOptions{}
-			bytes = protBytes
 		}
 		p, err := rte.Build(e12System(model.BusCAN), opts)
 		if err != nil {
@@ -193,12 +187,17 @@ func E12Overhead(cfg E12Config) (*Table, error) {
 		if n == 0 {
 			return nil, fmt.Errorf("e12 overhead: chain delivered nothing")
 		}
-		bits := can.FrameBits(bytes, false)
+		// Both of the chain's frames carry one UInt16 element.
+		bus := p.CANBus("bus0")
+		bytes := bus.Messages()[0].DLC
+		bits := can.FrameBits(bytes, bus.Cfg.Extended)
 		ch := "unprotected"
 		if protected {
 			ch = "protected"
+		} else {
+			baseBits = bits
 		}
-		tab.Add(ch, bytes, bits, bitRate.FrameTime(bytes), total/sim.Duration(n),
+		tab.Add(ch, bytes, bits, bus.Cfg.FrameTime(bytes), total/sim.Duration(n),
 			fmt.Sprintf("%+.1f%%", 100*float64(bits-baseBits)/float64(baseBits)))
 	}
 	return tab, nil

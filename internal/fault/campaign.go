@@ -182,9 +182,8 @@ func RunCampaign(workers int, scenarios []Scenario, run func(Scenario) Result) (
 	out := make([]Result, len(scenarios))
 	// The job function never errors: a scenario's outcome — including a
 	// crashed or undetected fault — is data, not a campaign failure.
-	_ = par.ForEach(workers, len(scenarios), func(i int) error {
+	par.ForEach(workers, len(scenarios), func(i int) {
 		out[i] = run(scenarios[i])
-		return nil
 	})
 	return out, nil
 }

@@ -41,9 +41,8 @@ func RunCampaignSeries(workers int, scenarios []Scenario, run func(Scenario) (Re
 	}
 	results := make([]Result, len(scenarios))
 	series := make([][]obs.Series, len(scenarios))
-	_ = par.ForEach(workers, len(scenarios), func(i int) error {
+	par.ForEach(workers, len(scenarios), func(i int) {
 		results[i], series[i] = run(scenarios[i])
-		return nil
 	})
 	return results, series, nil
 }

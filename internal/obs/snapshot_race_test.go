@@ -60,7 +60,7 @@ func TestSnapshotConsistencyUnderConcurrentWriters(t *testing.T) {
 		snapshotsDone <- cuts
 	}()
 
-	err := par.ForEach(workers, jobs, func(i int) error {
+	par.ForEach(workers, jobs, func(i int) {
 		for k := 0; k < perJob; k++ {
 			counter.Inc()
 			hist.Observe(int64(k + 1))
@@ -71,13 +71,9 @@ func TestSnapshotConsistencyUnderConcurrentWriters(t *testing.T) {
 			flight.Instant(int64(k), "hammer", "test", uniq)
 			flight.OnDelta(int64(k), "hammer_total", nil, 1)
 		}
-		return nil
 	})
 	stop.Store(true)
 	cuts := <-snapshotsDone
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cuts == 0 {
 		t.Log("no snapshot cut concurrently (machine too fast/slow); final checks still apply")
 	}

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"errors"
 	"testing"
 
 	"autorte/internal/obs"
@@ -15,9 +14,7 @@ func TestObserveCountsJobs(t *testing.T) {
 	Observe(reg)
 	jobsBefore := poolStats.jobs.Load()
 	batchesBefore := poolStats.batches.Load()
-	if err := ForEach(4, 16, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
+	ForEach(4, 16, func(i int) {})
 	if got := poolStats.jobs.Load() - jobsBefore; got != 16 {
 		t.Fatalf("jobs counted %d, want 16", got)
 	}
@@ -50,38 +47,8 @@ func TestSequentialPathRecordsNoQueueWait(t *testing.T) {
 	reg := obs.NewRegistry()
 	Observe(reg)
 	waitBefore := poolStats.waitNS.Load()
-	if err := ForEach(1, 64, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
+	ForEach(1, 64, func(i int) {})
 	if d := poolStats.waitNS.Load() - waitBefore; d != 0 {
 		t.Fatalf("sequential path accrued %dns queue wait, want 0", d)
-	}
-}
-
-// TestSkippedPlusExecutedCoversBatch checks cancellation accounting: after
-// an error, every job in the batch is either executed or counted skipped,
-// never both and never dropped.
-func TestSkippedPlusExecutedCoversBatch(t *testing.T) {
-	reg := obs.NewRegistry()
-	Observe(reg)
-	jobsBefore := poolStats.jobs.Load()
-	skippedBefore := poolStats.skipped.Load()
-	const n = 200
-	err := ForEach(8, n, func(i int) error {
-		if i == 0 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	executed := poolStats.jobs.Load() - jobsBefore
-	skipped := poolStats.skipped.Load() - skippedBefore
-	if executed+skipped != n {
-		t.Fatalf("executed %d + skipped %d = %d, want %d", executed, skipped, executed+skipped, n)
-	}
-	if skipped == 0 {
-		t.Fatal("cancellation skipped no jobs")
 	}
 }

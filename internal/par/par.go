@@ -11,7 +11,6 @@ package par
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +29,6 @@ var poolStats struct {
 	busyNS  atomic.Uint64 // total ns workers spent inside job functions
 	busy    atomic.Int64  // workers currently inside a job function
 	busyMax atomic.Int64  // high-water mark of busy
-	skipped atomic.Uint64 // jobs skipped after a sibling error
 }
 
 // Observe registers the pool's occupancy metrics into a registry and
@@ -39,7 +37,6 @@ var poolStats struct {
 //
 //	par_batches_total       ForEach invocations
 //	par_jobs_total          jobs executed
-//	par_jobs_skipped_total  jobs skipped by error cancellation
 //	par_queue_wait_ns_total ns dispatched chunks spent queued before a
 //	                        worker picked them up (the fan-out path only:
 //	                        on the sequential path every job starts the
@@ -51,7 +48,6 @@ func Observe(reg *obs.Registry) {
 	poolStats.enabled.Store(true)
 	reg.CounterFunc("par_batches_total", "ForEach invocations that dispatched jobs.", poolStats.batches.Load)
 	reg.CounterFunc("par_jobs_total", "Jobs executed by the worker pool.", poolStats.jobs.Load)
-	reg.CounterFunc("par_jobs_skipped_total", "Jobs skipped after a sibling job error.", poolStats.skipped.Load)
 	reg.CounterFunc("par_queue_wait_ns_total", "Nanoseconds dispatched work chunks spent queued before a worker picked them up.", poolStats.waitNS.Load)
 	reg.CounterFunc("par_busy_ns_total", "Nanoseconds workers spent inside job functions.", poolStats.busyNS.Load)
 	reg.GaugeFunc("par_busy_workers", "Workers currently executing a job.", func() float64 { return float64(poolStats.busy.Load()) })
@@ -63,9 +59,10 @@ func Observe(reg *obs.Registry) {
 // not queuing, so per-job wait measured from batch start would wrongly
 // charge each job with every sibling's runtime (it used to). Pickup
 // delay is accounted per dispatched chunk in ForEach instead.
-func runJob(instrumented bool, job func(i int) error, i int) error {
+func runJob(instrumented bool, job func(i int), i int) {
 	if !instrumented {
-		return job(i)
+		job(i)
+		return
 	}
 	started := time.Now() //autovet:allow walltime pool busy metric measures the host
 	busy := poolStats.busy.Add(1)
@@ -75,11 +72,10 @@ func runJob(instrumented bool, job func(i int) error, i int) error {
 			break
 		}
 	}
-	err := job(i)
+	job(i)
 	poolStats.busyNS.Add(uint64(time.Since(started).Nanoseconds())) //autovet:allow walltime pool busy metric measures the host
 	poolStats.busy.Add(-1)
 	poolStats.jobs.Add(1)
-	return err
 }
 
 // Workers normalizes a requested worker count: values <= 0 select
@@ -107,20 +103,16 @@ const (
 type chunkSpan struct{ lo, hi int }
 
 // ForEach runs job(0) … job(n-1) on at most workers goroutines
-// (normalized via Workers) and blocks until all dispatched jobs return.
-// Work is dispatched in index order as contiguous chunks through a
-// buffered queue, so dispatch never blocks on a worker and batches below
+// (normalized via Workers) and blocks until every job has returned. Work
+// is dispatched in index order as contiguous chunks through a buffered
+// queue, so dispatch never blocks on a worker, and batches below
 // minFanOut (or with one worker) run inline on the caller's goroutine.
-// After the first job error, jobs that have not yet started are skipped —
-// queued chunks are dropped wholesale, so cancellation costs O(chunks),
-// not one handoff per remaining job — and jobs already running finish.
-// The returned error is the lowest-index error among jobs that ran;
-// because chunks are claimed in order, this is the same error a
-// sequential loop would have returned whenever at most one job can fail,
-// and results written by successful jobs are always deterministic.
-func ForEach(workers, n int, job func(i int) error) error {
+// Jobs report outcomes through their slots: job i writes only slot i of a
+// pre-sized output, so the merged output is the same whatever the
+// scheduling.
+func ForEach(workers, n int, job func(i int)) {
 	if n <= 0 {
-		return nil
+		return
 	}
 	instrumented := poolStats.enabled.Load()
 	var batchStart time.Time
@@ -136,20 +128,17 @@ func ForEach(workers, n int, job func(i int) error) error {
 		// Inline path: each job starts the moment it is dispatched, so no
 		// queue wait accrues (and none is recorded).
 		for i := 0; i < n; i++ {
-			if err := runJob(instrumented, job, i); err != nil {
-				return err
-			}
+			runJob(instrumented, job, i)
 		}
-		return nil
+		return
 	}
 	chunk := n / (w * chunksPerWorker)
 	if chunk < 1 {
 		chunk = 1
 	}
 	// The whole batch is enqueued up front into a buffered channel and the
-	// channel closed: dispatch is a non-blocking O(chunks) loop, there is
-	// no producer goroutine left to short-circuit on error, and workers
-	// drain cancelled chunks with one counter update each.
+	// channel closed: dispatch is a non-blocking O(chunks) loop and no
+	// producer goroutine is left behind.
 	spans := make(chan chunkSpan, (n+chunk-1)/chunk)
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -160,54 +149,20 @@ func ForEach(workers, n int, job func(i int) error) error {
 	}
 	close(spans)
 	var (
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		errIdx   = -1
-		firstErr error
-		left     atomic.Int64 // chunks neither run nor dropped yet
-		done     = make(chan struct{})
+		left atomic.Int64 // chunks not run yet
+		done = make(chan struct{})
 	)
 	left.Store(int64(cap(spans)))
-	fail := func(i int, err error) {
-		errMu.Lock()
-		if errIdx == -1 || i < errIdx {
-			errIdx, firstErr = i, err
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	run := func(sp chunkSpan) {
-		if stop.Load() {
-			// Cancelled: drop the chunk wholesale.
-			if instrumented {
-				poolStats.skipped.Add(uint64(sp.hi - sp.lo))
-			}
-			return
-		}
-		if instrumented {
-			// Queue wait: how long the chunk sat dispatched before
-			// any worker was free to start it.
-			poolStats.waitNS.Add(uint64(time.Since(batchStart).Nanoseconds())) //autovet:allow walltime pool queue-wait metric measures the host
-		}
-		for i := sp.lo; i < sp.hi; i++ {
-			if stop.Load() {
-				if instrumented {
-					poolStats.skipped.Add(uint64(sp.hi - i))
-				}
-				return
-			}
-			if err := runJob(instrumented, job, i); err != nil {
-				fail(i, err)
-				if instrumented && i+1 < sp.hi {
-					poolStats.skipped.Add(uint64(sp.hi - i - 1))
-				}
-				return
-			}
-		}
-	}
 	work := func() {
 		for sp := range spans {
-			run(sp)
+			if instrumented {
+				// Queue wait: how long the chunk sat dispatched before
+				// any worker was free to start it.
+				poolStats.waitNS.Add(uint64(time.Since(batchStart).Nanoseconds())) //autovet:allow walltime pool queue-wait metric measures the host
+			}
+			for i := sp.lo; i < sp.hi; i++ {
+				runJob(instrumented, job, i)
+			}
 			if left.Add(-1) == 0 {
 				close(done)
 			}
@@ -226,5 +181,4 @@ func ForEach(workers, n int, job func(i int) error) error {
 	}
 	work()
 	<-done
-	return firstErr
 }
