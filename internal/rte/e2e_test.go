@@ -134,22 +134,25 @@ func TestE2EDuplicateSilentWhenUnprotected(t *testing.T) {
 }
 
 func TestContextE2EStatus(t *testing.T) {
-	p := MustBuild(chainSystem(model.BusCAN), Options{E2E: &E2EOptions{}})
 	var state e2eprot.SMState
 	var protected bool
-	p.SetBehavior("Ctrl", "law", func(c *Context) {
-		state, protected = c.E2EStatus("in", "v")
-		c.Write("cmd", "u", c.Read("in", "v"))
-	})
-	p.Run(sim.MS(195))
-	if !protected {
-		t.Fatal("remote protected element not reported as protected")
-	}
-	if state != e2eprot.SMValid {
-		t.Fatalf("qualified state after a healthy run = %v, want valid", state)
-	}
-	if st, ok := p.E2EState(sigSensorCtrl); !ok || st != e2eprot.SMValid {
-		t.Fatalf("platform E2EState = %v/%v, want valid/true", st, ok)
+	// Both byte-payload media report the consumer's qualified state.
+	for _, kind := range []model.BusKind{model.BusCAN, model.BusFlexRay} {
+		p := MustBuild(chainSystem(kind), Options{E2E: &E2EOptions{}})
+		p.SetBehavior("Ctrl", "law", func(c *Context) {
+			state, protected = c.E2EStatus("in", "v")
+			c.Write("cmd", "u", c.Read("in", "v"))
+		})
+		p.Run(sim.MS(195))
+		if !protected {
+			t.Fatalf("%v: remote protected element not reported as protected", kind)
+		}
+		if state != e2eprot.SMValid {
+			t.Fatalf("%v: qualified state after a healthy run = %v, want valid", kind, state)
+		}
+		if st, ok := p.E2EState(sigSensorCtrl); !ok || st != e2eprot.SMValid {
+			t.Fatalf("%v: platform E2EState = %v/%v, want valid/true", kind, st, ok)
+		}
 	}
 
 	// Local elements have no protected channel.
