@@ -96,7 +96,7 @@ func (inc *Incremental) Reverify(mapping map[string]string) (*Report, error) {
 			continue
 		}
 		for b, bus := range inc.sys.Buses {
-			if crosses(&old, bus.Name) || crosses(&r, bus.Name) {
+			if old.Crosses(bus.Name) || r.Crosses(bus.Name) {
 				busDirty[b] = true
 			}
 		}
