@@ -290,9 +290,9 @@ func BenchmarkE11Flight(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Verification & DSE pipeline benchmarks. Three demo-vehicle sizes; for
-// each, `uncached` runs without the analysis caches (cold per candidate)
-// and `cached` with the pipeline's shared memoized analyses. Both run on
-// the caller's goroutine. Reports are byte-identical between the two
+// each, `uncached` runs without the CAN analysis cache and `cached` with
+// it (the one analysis memo; the sweep's cached arm also binds once).
+// Both run on the caller's goroutine. Reports are byte-identical between the two
 // (TestVerifyParallelMatchesSequential); the numbers go into
 // EXPERIMENTS.md.
 
@@ -335,8 +335,8 @@ func demoVehicleScaled(b *testing.B, scale int) *model.System {
 }
 
 // BenchmarkVerify measures one full static verification of the demo
-// vehicle. uncached/cached differ only in the analysis caches, which a
-// single cold pass fills but cannot hit much.
+// vehicle. uncached/cached differ only in the CAN analysis cache, which a
+// single cold pass fills but cannot hit.
 func BenchmarkVerify(b *testing.B) {
 	for _, size := range verifySizes {
 		sys := demoVehicleScaled(b, size.scale)
@@ -411,11 +411,11 @@ func dseCandidates(b *testing.B, sys *model.System, n int) (*model.System, []*mo
 // BenchmarkVerifyDSESweep measures a full Verify+DSE pass: score a
 // 32-candidate sweep under RequireSchedulable, then statically verify the
 // winner. uncached is the pre-pipeline workflow — every candidate scored
-// by deploy.Evaluate, a fresh uncached Bind per candidate, the winner
-// verified with cold analyses. cached is the pipeline workflow —
-// candidates scored through one bound evaluator (Prepare, then Evaluate)
-// sharing the memoized response-time cache, the winner verified through
-// a shared cached pipeline. Both pick the same winner and produce
+// by deploy.Evaluate, a fresh Bind per candidate, the winner verified
+// without the CAN cache. cached is the pipeline workflow — candidates
+// scored through one Bind (Prepare, then Evaluate), the winner verified
+// through a pipeline whose CAN cache persists across iterations. Both
+// pick the same winner and produce
 // byte-identical reports (both score through the same Bound;
 // TestVerifyParallelMatchesSequential holds the two verifiers together).
 func BenchmarkVerifyDSESweep(b *testing.B) {
@@ -531,36 +531,24 @@ func BenchmarkVerifyDSESweepInc(b *testing.B) {
 
 // BenchmarkDSEDescend measures the schedulability-constrained descent
 // search, refining the Greedy consolidation (dense task sets, where RTA
-// dominates candidate evaluation): uncached runs with an evaluator
-// without a response-time cache (every candidate re-runs RTA on the
-// changed ECUs), cached shares the cache across all moves and
-// iterations.
+// dominates candidate evaluation). The incumbent's move memo keeps each
+// dirty ECU's verdict; no analysis cache outlives the call.
 func BenchmarkDSEDescend(b *testing.B) {
 	sys, _ := dseCandidates(b, demoVehicleScaled(b, 2), 1)
 	cons := deploy.Constraints{RequireSchedulable: true}
 	obj := deploy.DefaultObjective()
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ev := &deploy.Evaluator{Cons: cons}
-			if _, err := deploy.DescendWith(ev, sys, obj, 1, 2); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := deploy.Descend(sys, cons, obj, 0, 2); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := deploy.Descend(sys, cons, obj, 0, 2); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkDSEAnnealParallel measures the restart-based annealing search
 // (4 chains) as a paired par/seq comparison under the same discipline as
 // E13: AnnealParallel on GOMAXPROCS workers against the same call on one
 // worker. Each call builds its own evaluator, so both arms run the same
-// code with the same cold cache and the ratio credits only the fan-out.
+// code and the ratio credits only the fan-out.
 func BenchmarkDSEAnnealParallel(b *testing.B) {
 	sys := demoVehicleScaled(b, 1)
 	cons := deploy.Constraints{}

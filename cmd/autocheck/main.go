@@ -153,8 +153,8 @@ func main() {
 		fmt.Println("warning:", w)
 	}
 	if *verbose {
-		h, m := pipe.RTA.Stats()
-		fmt.Printf("rta cache: %d hits / %d misses\n", h, m)
+		h, m := pipe.CAN.Stats()
+		fmt.Printf("can cache: %d hits / %d misses\n", h, m)
 	}
 	if !rep.OK() {
 		fmt.Println("\nVERIFICATION FAILED")

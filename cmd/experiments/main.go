@@ -1,4 +1,4 @@
-// Command experiments runs the full reproduction suite E1–E11 from
+// Command experiments runs the full reproduction suite E1–E14 from
 // DESIGN.md and prints one result table per experiment (see
 // EXPERIMENTS.md for the interpretation of each).
 //
@@ -6,6 +6,9 @@
 //
 //	experiments [-only E4]
 //	experiments -bundle chaos.bundle
+//
+// -only runs one table by its name in experiments.Runs (E4, E11series,
+// E13Curve, E14Placement, ...); an unknown name prints the list.
 //
 // -bundle runs the E11 forced safe-stop scenario and writes its terminal
 // diagnostic bundle to the given path (inspect with autodiag) — the
@@ -17,12 +20,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"autorte/internal/experiments"
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment (E1..E12series)")
+	only := flag.String("only", "", "run a single table by name (E1..E14Placement; see experiments.Runs)")
 	bundle := flag.String("bundle", "", "write the E11 forced safe-stop diagnostic bundle to this path")
 	flag.Parse()
 	if *bundle != "" {
@@ -42,46 +46,16 @@ func main() {
 		}
 		return
 	}
-	runs := map[string]func() (*experiments.Table, error){
-		"E1":  func() (*experiments.Table, error) { return experiments.E1Interference(experiments.DefaultE1()) },
-		"E2":  func() (*experiments.Table, error) { return experiments.E2IsolationOverhead(experiments.DefaultE2()) },
-		"E3":  func() (*experiments.Table, error) { return experiments.E3OverrunContainment(experiments.DefaultE3()) },
-		"E4":  func() (*experiments.Table, error) { return experiments.E4BusComparison(experiments.DefaultE4()) },
-		"E5":  func() (*experiments.Table, error) { return experiments.E5AnalysisVsSim(experiments.DefaultE5()) },
-		"E6":  func() (*experiments.Table, error) { return experiments.E6Contracts(experiments.DefaultE6()) },
-		"E7":  func() (*experiments.Table, error) { return experiments.E7Consolidation(experiments.DefaultE7()) },
-		"E8":  func() (*experiments.Table, error) { return experiments.E8NoC(experiments.DefaultE8()) },
-		"E9":  func() (*experiments.Table, error) { return experiments.E9Extensibility(experiments.DefaultE9()) },
-		"E10": func() (*experiments.Table, error) { return experiments.E10ErrorHandling(experiments.DefaultE10()) },
-		"E11": func() (*experiments.Table, error) { return experiments.E11FaultCampaign(experiments.DefaultE11()) },
-		"E11limp": func() (*experiments.Table, error) {
-			return experiments.E11LimpHome(experiments.DefaultE11())
-		},
-		"E11series": func() (*experiments.Table, error) {
-			return experiments.E11RecoverySeries(experiments.DefaultE11())
-		},
-		"E11timeline": func() (*experiments.Table, error) {
-			return experiments.E11EscalationTimeline(experiments.DefaultE11())
-		},
-		"E12": func() (*experiments.Table, error) {
-			return experiments.E12DetectionCoverage(experiments.DefaultE12())
-		},
-		"E12overhead": func() (*experiments.Table, error) {
-			return experiments.E12Overhead(experiments.DefaultE12())
-		},
-		"E12recovery": func() (*experiments.Table, error) {
-			return experiments.E12Recovery(experiments.DefaultE12())
-		},
-		"E12series": func() (*experiments.Table, error) {
-			return experiments.E12RecoverySeries(experiments.DefaultE12())
-		},
-	}
-	run, ok := runs[*only]
+	run, ok := experiments.Lookup(*only)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want E1..E12series)\n", *only)
+		names := make([]string, len(experiments.Runs))
+		for i, r := range experiments.Runs {
+			names[i] = r.Name
+		}
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want one of %s)\n", *only, strings.Join(names, ", "))
 		os.Exit(2)
 	}
-	tab, err := run()
+	tab, err := run.Table()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

@@ -20,22 +20,24 @@
 //   - the verification/composability layer tying it together
 //     (internal/core) and the reproduction suite (internal/experiments).
 //
-// Verification and exploration are memoized: a core.Pipeline pass and
-// each search round run on the caller, deploy's searches score candidate
-// moves through one delta evaluator (deploy.Prepared), and both are
-// backed by canonical-key analysis caches (sched.Cache, can.Cache,
-// flexray.SynthCache). A bounded worker pool (internal/par) runs only
-// independent units — campaign scenarios and annealing restarts — with
-// results identical for any worker count. See the Performance sections
+// Verification and exploration keep what a move leaves unchanged: a
+// core.Pipeline pass and each search round run on the caller,
+// core.Incremental re-analyzes only the ECUs and buses a mapping change
+// dirties, deploy's searches score candidate moves through one delta
+// evaluator (deploy.Prepared), and the CAN bus analysis is memoized by a
+// canonical key (can.Cache). A bounded worker pool (internal/par) runs
+// only independent units — campaign scenarios and annealing restarts —
+// with results identical for any worker count. See the Performance sections
 // of README.md and EXPERIMENTS.md.
 //
 // The whole stack is observable through internal/obs — a dependency-free
 // metrics registry (Prometheus-text and JSON exporters), a DLT-style
 // structured event log, and span tracing exportable as Chrome trace
-// JSON. Caches, the worker pool, the kernel, the RTE error manager, the
-// verification pipeline and the DSE searches are instrumented; autocheck
-// and autosim expose the artifacts via -metrics/-trace-out/-dlt. All
-// instrumentation is opt-in and nil-safe (see README "Observability").
+// JSON. The CAN cache, the worker pool, the kernel, the RTE error
+// manager, the verification pipeline and the DSE searches are
+// instrumented; autocheck and autosim expose the artifacts via
+// -metrics/-trace-out/-dlt. All instrumentation is opt-in and nil-safe
+// (see README "Observability").
 //
 // Everything timed runs on a deterministic virtual-time discrete-event
 // kernel (internal/sim): the Go scheduler and garbage collector cannot

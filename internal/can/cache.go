@@ -3,8 +3,9 @@ package can
 import (
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
-	"autorte/internal/flight"
 	"autorte/internal/obs"
 )
 
@@ -53,16 +54,20 @@ func appendKey(buf []byte, cfg Config, msgs []*Message) []byte {
 	return buf
 }
 
-// cacheKey materializes appendKey as a string (kept for tests and
-// debugging; the cache itself looks up via pooled buffers).
-func cacheKey(cfg Config, msgs []*Message) string { return string(appendKey(nil, cfg, msgs)) }
+// keyBufPool recycles key scratch buffers across lookups, so a warm
+// lookup builds its key without allocating.
+var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Cache memoizes Analyze by message-set key. During verification and DSE
-// the same bus frame set is analyzed once per candidate mapping and once
-// per chain stage; the cache collapses the repeats to a lookup. Safe for
-// concurrent use.
+// the same bus frame set is analyzed once per candidate mapping; the
+// cache collapses the repeats to a lookup. Safe for concurrent use.
+// Concurrent misses on one key are not coalesced: each analyzes, and
+// they store equal responses.
 type Cache struct {
-	memo flight.Memo[[]Response]
+	mu     sync.RWMutex
+	m      map[string][]Response
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // NewCache returns an empty CAN analysis cache.
@@ -72,13 +77,38 @@ func NewCache() *Cache { return &Cache{} }
 // Analyze. The returned slice is cache-owned and must not be mutated or
 // retained across cache lifetimes, and its Message pointers are those of
 // whichever key-equal set first populated the entry — match results by
-// Name, not by pointer. A nil receiver degrades to the direct analysis.
+// Name, not by pointer. Errors are returned but not cached. A nil
+// receiver degrades to the direct analysis.
 func (c *Cache) AnalyzeShared(cfg Config, msgs []*Message) ([]Response, error) {
 	if c == nil {
 		return Analyze(cfg, msgs)
 	}
-	return c.memo.Get(func(buf []byte) []byte { return appendKey(buf, cfg, msgs) },
-		func() ([]Response, error) { return Analyze(cfg, msgs) })
+	bp := keyBufPool.Get().(*[]byte)
+	buf := appendKey((*bp)[:0], cfg, msgs)
+	c.mu.RLock()
+	rs, ok := c.m[string(buf)] // map index on converted bytes: no allocation
+	c.mu.RUnlock()
+	if ok {
+		*bp = buf
+		keyBufPool.Put(bp)
+		c.hits.Add(1)
+		return rs, nil
+	}
+	key := string(buf)
+	*bp = buf
+	keyBufPool.Put(bp)
+	c.misses.Add(1)
+	rs, err := Analyze(cfg, msgs)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[string][]Response{}
+	}
+	c.m[key] = rs
+	c.mu.Unlock()
+	return rs, nil
 }
 
 // Stats reports lookup hits and misses since creation.
@@ -86,7 +116,7 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	return c.memo.Stats()
+	return c.hits.Load(), c.misses.Load()
 }
 
 // Len reports the number of distinct message sets cached.
@@ -94,15 +124,20 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return c.memo.Len()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m)
 }
 
 // Observe registers the cache's hit/miss/size series into a registry
-// under the shared cache metric names, labeled cache="can". Safe on a
-// nil receiver (registers nothing).
+// under the shared analysis-cache metric names, labeled cache="can".
+// Safe on a nil receiver (registers nothing).
 func (c *Cache) Observe(reg *obs.Registry) {
 	if c == nil {
 		return
 	}
-	c.memo.Observe(reg, "can")
+	l := obs.Label{Key: "cache", Value: "can"}
+	reg.CounterFunc("analysis_cache_hits_total", "Memoized analysis lookups served from cache.", c.hits.Load, l)
+	reg.CounterFunc("analysis_cache_misses_total", "Memoized analysis lookups that ran the analysis.", c.misses.Load, l)
+	reg.GaugeFunc("analysis_cache_entries", "Distinct problems held by the analysis cache.", func() float64 { return float64(c.Len()) }, l)
 }

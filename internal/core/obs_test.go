@@ -35,11 +35,11 @@ func TestVerifyPopulatesMetrics(t *testing.T) {
 			hist[key] = s.Count
 		}
 	}
-	if byName["analysis_cache_misses_total{cache=rta}"] == 0 {
-		t.Fatal("no RTA cache misses recorded after verify")
+	if byName["analysis_cache_misses_total{cache=can}"] == 0 {
+		t.Fatal("no CAN cache misses recorded after verify")
 	}
-	if byName["analysis_cache_hits_total{cache=rta}"] == 0 {
-		t.Fatal("second verify of the same system should hit the RTA cache")
+	if byName["analysis_cache_hits_total{cache=can}"] == 0 {
+		t.Fatal("second verify of the same system should hit the CAN cache")
 	}
 	for _, stage := range []string{"verify/setup", "verify/ecu", "verify/bus"} {
 		if hist["pipeline_stage_duration_ns{stage="+stage+"}"] == 0 {

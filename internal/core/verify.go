@@ -12,9 +12,10 @@
 // constraint chains that read them. Verify is that step with everything
 // dirty; Incremental.Reverify derives the dirty sets of a mapping change
 // and runs the same step. Each pass resolves every ECU and bus analysis
-// once — the chains read those results directly — and a Pipeline carries
-// memoized analysis caches, so a search that re-verifies near-identical
-// mappings pays for each distinct task set and bus frame set only once.
+// once — the chains read those results directly — and an Incremental
+// keeps every ECU and bus a move leaves clean. A Pipeline memoizes only
+// the CAN bus analysis, the costliest one a move redoes: a re-verifying
+// walk revisits each backbone frame set.
 // A pass runs on its caller's goroutine: it is a dozen jobs of about a
 // microsecond each, which a worker pool only slows down. Parallelism
 // belongs a level up, across independent passes.
@@ -95,21 +96,17 @@ func (r *Report) OK() bool {
 	return r.Contracts == nil || r.Contracts.OK()
 }
 
-// Pipeline is a reusable verification context: memoized analysis caches
-// shared across Verify calls. The zero value is valid (no caching);
-// NewPipeline enables all caches. A single Pipeline is safe for
-// concurrent use and is meant to be shared across the candidate
-// evaluations of a DSE run, where most ECUs' task sets survive from one
-// mapping to the next.
+// Pipeline is a reusable verification context: the CAN analysis cache
+// and the observability hooks shared across Verify calls. The zero value
+// is valid (no caching); NewPipeline enables the cache. A single
+// Pipeline is safe for concurrent use; a search that re-verifies mapping
+// after mapping shares one, so each distinct CAN frame set is analyzed
+// once.
 type Pipeline struct {
 	// Deprecated: Workers is ignored; a pass runs on the caller.
 	Workers int
-	// RTA memoizes per-ECU response-time analysis.
-	RTA *sched.Cache
 	// CAN memoizes CAN bus analysis.
 	CAN *can.Cache
-	// FlexRay memoizes static-segment schedule synthesis.
-	FlexRay *flexray.SynthCache
 	// Tracer records wall-clock spans around every Verify stage and
 	// per-item job when non-nil (export with Tracer.WriteChrome or
 	// Tracer.WriteTree). Nil — the default — traces nothing.
@@ -121,12 +118,10 @@ type Pipeline struct {
 
 // Observe attaches a metrics registry to the pipeline: stage-duration
 // histograms (pipeline_stage_duration_ns by stage) and the hit/miss/size
-// series of all three analysis caches.
+// series of the CAN analysis cache.
 func (p *Pipeline) Observe(reg *obs.Registry) {
 	p.reg = reg
-	p.RTA.Observe(reg)
 	p.CAN.Observe(reg)
-	p.FlexRay.Observe(reg)
 }
 
 // stage opens one timed pipeline stage: a tracer span (named by stage
@@ -153,15 +148,11 @@ func (p *Pipeline) stage(parent *obs.Span, stage, detail string) func() {
 	}
 }
 
-// NewPipeline returns a pipeline with all analysis caches enabled. The
-// workers argument is deprecated and ignored: a pass runs on the caller.
+// NewPipeline returns a pipeline with the CAN analysis cache enabled.
+// The workers argument is deprecated and ignored: a pass runs on the
+// caller.
 func NewPipeline(workers int) *Pipeline {
-	return &Pipeline{
-		Workers: workers,
-		RTA:     sched.NewCache(),
-		CAN:     can.NewCache(),
-		FlexRay: flexray.NewSynthCache(),
-	}
+	return &Pipeline{Workers: workers, CAN: can.NewCache()}
 }
 
 // Verify statically checks a deployed system with a default pipeline:
@@ -175,9 +166,9 @@ func Verify(sys *model.System, contracts map[string]*contract.Contract, opts rte
 	return NewPipeline(0).Verify(sys, contracts, opts)
 }
 
-// Verify runs the full static check through the pipeline's caches: the
+// Verify runs the full static check through the pipeline's cache: the
 // verifier's full pass, reported. The report does not depend on the
-// caches. sys is not modified.
+// cache. sys is not modified.
 func (p *Pipeline) Verify(sys *model.System, contracts map[string]*contract.Contract, opts rte.Options) (*Report, error) {
 	inc, err := NewIncremental(p, sys, contracts, opts)
 	if err != nil {
@@ -240,7 +231,7 @@ type busState struct {
 	rep      BusReport
 }
 
-// NewIncremental verifies sys in full through p's caches and retains the
+// NewIncremental verifies sys in full through p's cache and retains the
 // state needed to re-verify mutated mappings incrementally. The initial
 // report is available via Report(). sys is modified only by later
 // Reverify calls.
@@ -457,8 +448,7 @@ func (inc *Incremental) analyzeECU(root *obs.Span, e int, hosts []int, k int, st
 	}
 	st.tasks = tasks
 	defer inc.p.stage(root, "verify/ecu", ecu.Name)()
-	// Shared (read-only) results: the report and the chains only read them.
-	ok, results, err := inc.p.RTA.SchedulableShared(st.tasks)
+	ok, results, err := sched.Schedulable(st.tasks)
 	if err != nil {
 		return err
 	}
@@ -515,8 +505,8 @@ func (inc *Incremental) analyzeBus(root *obs.Span, b *model.Bus, routes []vfb.Ro
 			}
 		}
 	case model.BusFlexRay:
-		// Synthesis through the pipeline's cache, indexed by signal.
-		as, err := inc.p.FlexRay.SynthesizeShared(plan.FlexRay, plan.Static())
+		// The static schedule, indexed by signal.
+		as, err := flexray.Synthesize(plan.FlexRay, plan.Static())
 		if err != nil {
 			st.synthErr = err
 			st.rep.Schedulable = false

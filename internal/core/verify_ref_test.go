@@ -49,7 +49,16 @@ func refVerify(sys *model.System, contracts map[string]*contract.Contract, opts 
 		ecus = append(ecus, e)
 	}
 	sort.Strings(ecus)
-	byBus := vfb.ByBus(routes)
+	// The routes crossing each bus, in resolve order; a gatewayed route
+	// under both of its buses.
+	byBus := map[string][]vfb.Route{}
+	for _, r := range routes {
+		for _, bus := range []string{r.Bus, r.Bus2} {
+			if bus != "" && r.Crosses(bus) {
+				byBus[bus] = append(byBus[bus], r)
+			}
+		}
+	}
 
 	rep.ECUs = make([]ECUReport, 0, len(ecus))
 	for _, ecu := range ecus {

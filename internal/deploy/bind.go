@@ -7,10 +7,11 @@ package deploy
 // once (effective runnable rates, per-component load terms, ECU-pair bus
 // reachability and harness distances, proto task sets, replica groups)
 // so that the delta evaluator (Bound.Prepare, delta.go) scores a
-// candidate mapping with just the per-ECU grouping plus (cached)
-// response-time analysis. It is the only scorer in the package:
-// Evaluator.Evaluate is Bind, Prepare and Evaluate in one call, and
-// Greedy and Place pack over a Bound's index state (firstFit).
+// candidate mapping with just the per-ECU grouping plus the dirty ECUs'
+// response-time analysis, memoized per move against the incumbent. It
+// is the only scorer in the package: Evaluator.Evaluate is Bind, Prepare
+// and Evaluate in one call, and Greedy and Place pack over a Bound's
+// index state (firstFit).
 
 import (
 	"math"
@@ -121,7 +122,7 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 	for i := range b.comps {
 		b.compIdx[b.comps[i].name] = i
 	}
-	b.red = newRedCheck(b.comps, b.ecus, cons, ev.RTA)
+	b.red = newRedCheck(b.comps, b.ecus, cons)
 	b.group = make([]int, len(b.comps))
 	for i := range b.group {
 		b.group[i] = -1

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"autorte/internal/sched"
 )
 
 func TestFillDefaultsOnlyUnset(t *testing.T) {
@@ -88,6 +90,8 @@ func TestRequireSchedulableTightensFeasibility(t *testing.T) {
 	sys := vehicle(t, 22)
 	// The federated baseline is generously provisioned: it must pass RTA.
 	ev := NewEvaluator(Constraints{RequireSchedulable: true})
+	analyses := 0
+	observeRTA(ev, func([]sched.Task) { analyses++ })
 	if m := ev.Evaluate(sys); !m.Feasible {
 		t.Fatalf("federated baseline fails RTA feasibility: %v", m.Violations)
 	}
@@ -109,8 +113,17 @@ func TestRequireSchedulableTightensFeasibility(t *testing.T) {
 	if !foundRTA {
 		t.Fatalf("no RTA violation recorded: %v", m.Violations)
 	}
-	// The shared cache must have been exercised.
-	if hits, misses := ev.RTA.Stats(); hits+misses == 0 {
-		t.Fatal("evaluator cache unused")
+	if analyses == 0 {
+		t.Fatal("RequireSchedulable ran no response-time analysis")
+	}
+}
+
+// observeRTA has ev pass every task set its scorer analyzes to see
+// before analyzing it.
+func observeRTA(ev *Evaluator, see func([]sched.Task)) {
+	ev.analyze = func(tasks []sched.Task) (bool, error) {
+		see(tasks)
+		ok, _, err := sched.Schedulable(tasks)
+		return ok, err
 	}
 }

@@ -156,7 +156,7 @@ func (b *Bound) computeECU(cur []int, idx, skip, add int, verdict bool) (ecuAcc,
 	if len(tasks) == 0 {
 		return a, ""
 	}
-	ok, err := b.ev.RTA.Check(tasks)
+	ok, err := b.ev.schedulable(tasks)
 	if err != nil {
 		return a, fmt.Sprintf("%s: RTA failed: %v", name, err)
 	}

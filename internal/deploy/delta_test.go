@@ -1,13 +1,16 @@
 package deploy
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
 	"autorte/internal/model"
 	"autorte/internal/race"
+	"autorte/internal/sched"
 	"autorte/internal/sim"
+	"autorte/internal/taskset"
 	"autorte/internal/workload"
 )
 
@@ -161,4 +164,117 @@ func TestEvaluateMoveAllocsIndependentOfScale(t *testing.T) {
 	if allocs != [2]float64{} {
 		t.Fatalf("warm EvaluateMove allocates %v at scale 1 and %v at scale 2, want 0", allocs[0], allocs[1])
 	}
+}
+
+// The task sets the Prepared scorer analyzes under RequireSchedulable are
+// taskset.Build's, on generated vehicles under federated, consolidated
+// and replicated mappings: each ECU's normal-case set, and after each
+// single-ECU failure, each fail-over target's set with the passive
+// standbys it promotes (when the target stays within the utilization
+// cap). taskset's TestConsumersFollowReferenceOrder holds Build to the
+// reference priority order.
+func TestPreparedAnalyzesBuiltTaskSets(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		fed := vehicle(t, seed)
+		greedy, err := Greedy(fed, Constraints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []struct {
+			name string
+			sys  *model.System
+		}{{"federated", fed}, {"greedy", greedy}, {"replicated", replicatedVehicle(t, seed)}} {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, m.name), func(t *testing.T) {
+				want := builtTaskSets(m.sys)
+				got := map[string]bool{}
+				ev := NewEvaluator(Constraints{MaxUtilization: 1, RequireSchedulable: true})
+				observeRTA(ev, func(tasks []sched.Task) { got[fmt.Sprint(tasks)] = true })
+				b, err := ev.Bind(m.sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := b.Prepare(m.sys.Mapping)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Evaluate()
+				for set, what := range want {
+					if !got[set] {
+						t.Errorf("%s: the scorer never analyzed %s", what, set)
+					}
+				}
+				for set := range got {
+					if want[set] == "" {
+						t.Errorf("the scorer analyzed %s, which Build never derives", set)
+					}
+				}
+			})
+		}
+	}
+}
+
+// builtTaskSets derives, keyed by the set's text, every task set the
+// scorer should analyze on sys's mapping: Build's set of each ECU, and
+// for each lost ECU, Build's set of each fail-over target after the
+// passive standbys of the lost primaries turn active, unless the target
+// then exceeds full load.
+func builtTaskSets(sys *model.System) map[string]string {
+	want := map[string]string{}
+	add := func(what string, sets map[string][]sched.Task, ecu string) {
+		if tasks := sets[ecu]; len(tasks) > 0 {
+			want[fmt.Sprint(tasks)] = what
+		}
+	}
+	sets, _ := taskset.Build(sys)
+	for _, e := range sys.ECUs {
+		add(e.Name, sets, e.Name)
+	}
+	for _, lost := range sys.ECUs {
+		promoted := sys.Clone()
+		targets := map[string]bool{}
+		for _, c := range promoted.Components {
+			if c.ReplicaOf == "" || sys.Mapping[c.ReplicaOf] != lost.Name || sys.Mapping[c.Name] == lost.Name {
+				continue
+			}
+			targets[sys.Mapping[c.Name]] = true
+			if c.PassiveStandby() {
+				c.Redundancy.Mode = model.StandbyActive
+			}
+		}
+		sets, _ := taskset.Build(promoted)
+		for target := range targets {
+			if promoted.AnalyzedLoad(target) > 1-1e-9 {
+				continue // overloaded: the scorer rejects it before any analysis
+			}
+			add(lost.Name+" fail-over to "+target, sets, target)
+		}
+	}
+	return want
+}
+
+// replicatedVehicle gives every third component of a generated vehicle
+// one standby, alternating passive and active, and maps each standby to
+// the ECU after its primary's.
+func replicatedVehicle(t *testing.T, seed uint64) *model.System {
+	t.Helper()
+	base := vehicle(t, seed)
+	for i, c := range base.Components {
+		if i%3 == 0 {
+			c.Redundancy = model.Redundancy{Replicas: 2, Mode: []model.ReplicaMode{model.StandbyPassive, model.StandbyActive}[i/3%2]}
+		}
+	}
+	sys, err := Replicate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecuIdx := map[string]int{}
+	for i, e := range sys.ECUs {
+		ecuIdx[e.Name] = i
+	}
+	for _, c := range sys.Components {
+		if c.ReplicaOf != "" {
+			sys.Mapping[c.Name] = sys.ECUs[(ecuIdx[sys.Mapping[c.ReplicaOf]]+1)%len(sys.ECUs)].Name
+		}
+	}
+	return sys
 }

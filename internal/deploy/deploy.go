@@ -3,7 +3,10 @@
 // federated mapping (one subsystem per ECU cluster), it searches for
 // mappings that minimize ECU count, wiring harness length and load
 // imbalance while respecting schedulability, memory and criticality
-// constraints.
+// constraints. Under RequireSchedulable every search runs response-time
+// analysis directly on the one or two ECUs a move dirties; a Prepared
+// incumbent memoizes those recomputations until the next applied move,
+// and no analysis cache outlives a search.
 package deploy
 
 import (
@@ -43,9 +46,8 @@ type Constraints struct {
 	// RespectMemory enforces ECU memory capacity.
 	RespectMemory bool
 	// RequireSchedulable additionally runs fixed-priority response-time
-	// analysis per hosted ECU during evaluation (through the evaluator's
-	// cache when one is attached) and rejects mappings with an
-	// unschedulable ECU. Stricter than the utilization cap alone.
+	// analysis per hosted ECU during evaluation and rejects mappings with
+	// an unschedulable ECU. Stricter than the utilization cap alone.
 	RequireSchedulable bool
 	// MaxASILSpread bounds how far apart the criticality levels co-located
 	// on one ECU may lie (freedom-from-interference: a QM component next
@@ -120,16 +122,14 @@ func (m Metrics) Cost(obj Objective) float64 {
 		obj.WAvail*(1-m.Survivability)
 }
 
-// Evaluator scores candidate mappings. It bundles the constraints with a
-// shared response-time cache so that a DSE run, whose candidates differ
-// by a single component move, re-analyzes only the one or two ECUs whose
-// task sets actually changed. Safe for concurrent use; the zero RTA field
-// degrades to uncached analysis.
+// Evaluator scores candidate mappings under its constraints and counts
+// the moves the searches driven through it score and accept. Safe for
+// concurrent use.
 type Evaluator struct {
 	Cons Constraints
-	// RTA caches per-ECU response-time analysis for
-	// Cons.RequireSchedulable. Optional.
-	RTA *sched.Cache
+
+	// analyze, when set, replaces sched.Schedulable in schedulable.
+	analyze func([]sched.Task) (bool, error)
 
 	// Search counters, shared by every search driven through this
 	// evaluator (including all chains of AnnealParallel): candidate moves
@@ -145,24 +145,32 @@ func (ev *Evaluator) SearchCounts() (evaluated, accepted uint64) {
 	return ev.movesEvaluated.Load(), ev.movesAccepted.Load()
 }
 
-// Observe registers the evaluator's DSE counters — and its response-time
-// cache, when present — into a registry:
+// Observe registers the evaluator's DSE counters into a registry:
 //
 //	dse_moves_evaluated_total  candidate moves scored
 //	dse_moves_accepted_total   moves applied to the working mapping
 func (ev *Evaluator) Observe(reg *obs.Registry) {
 	reg.CounterFunc("dse_moves_evaluated_total", "Candidate component moves scored by the deployment search.", ev.movesEvaluated.Load)
 	reg.CounterFunc("dse_moves_accepted_total", "Component moves accepted into the working mapping.", ev.movesAccepted.Load)
-	ev.RTA.Observe(reg)
 }
 
-// NewEvaluator returns an evaluator with the response-time cache enabled.
+// schedulable is the response-time verdict on one ECU's task set, the
+// one analysis the scorer runs under RequireSchedulable.
+func (ev *Evaluator) schedulable(tasks []sched.Task) (bool, error) {
+	if ev.analyze != nil {
+		return ev.analyze(tasks)
+	}
+	ok, _, err := sched.Schedulable(tasks)
+	return ok, err
+}
+
+// NewEvaluator returns an evaluator of the given constraints.
 func NewEvaluator(cons Constraints) *Evaluator {
-	return &Evaluator{Cons: cons, RTA: sched.NewCache()}
+	return &Evaluator{Cons: cons}
 }
 
-// Evaluate computes the metrics of the system's current mapping with the
-// default (uncached) evaluator.
+// Evaluate computes the metrics of the system's current mapping with a
+// fresh evaluator.
 func Evaluate(sys *model.System, cons Constraints) Metrics {
 	return (&Evaluator{Cons: cons}).Evaluate(sys)
 }
@@ -323,11 +331,11 @@ func withMapping(sys *model.System, mapping map[string]string) *model.System {
 }
 
 // anneal is the evaluator-parameterized chain shared by Anneal and
-// AnnealParallel (the latter passes a cached evaluator shared across
-// chains). The chain scores every candidate move cost first through the
-// delta evaluator and carries the incumbent and the best mapping as
-// component -> ECU indices; the result system is materialized once, at
-// the end, together with its cost.
+// AnnealParallel (the latter passes one evaluator shared across chains,
+// so its move counters sum over them). The chain scores every candidate
+// move cost first through the delta evaluator and carries the incumbent
+// and the best mapping as component -> ECU indices; the result system is
+// materialized once, at the end, together with its cost.
 func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters int) (*model.System, float64, error) {
 	prep, err := ev.prepare(sys)
 	if err != nil {
@@ -377,11 +385,9 @@ func anneal(ev *Evaluator, sys *model.System, obj Objective, seed uint64, iters 
 // goroutine. par.ForEach runs batches below its fan-out threshold (four
 // jobs) inline, so up to three chains run one after another on the
 // caller's goroutine; only larger restart counts use the worker pool.
-// All chains share one response-time cache, so with
-// Constraints.RequireSchedulable the per-ECU RTA of recurring candidate
-// task sets is paid once across the whole search. The result is
-// deterministic: chains are seeded by index and compared by (cost, chain
-// index), independent of scheduling.
+// All chains share one evaluator and so one pair of move counters. The
+// result is deterministic: chains are seeded by index and compared by
+// (cost, chain index), independent of scheduling.
 func AnnealParallel(sys *model.System, cons Constraints, obj Objective,
 	seed uint64, iters, restarts, workers int) (*model.System, error) {
 	cons.fill()
@@ -435,9 +441,9 @@ func Descend(sys *model.System, cons Constraints, obj Objective, workers, maxIte
 	return DescendWith(NewEvaluator(cons), sys, obj, workers, maxIters)
 }
 
-// DescendWith is Descend under a caller-supplied evaluator, so a DSE
-// driver can share one response-time cache across multiple searches (or
-// benchmark the uncached baseline). workers is ignored, as in Descend.
+// DescendWith is Descend under a caller-supplied evaluator, whose move
+// counters, and any registry attached to it with Observe, see the
+// search. workers is ignored, as in Descend.
 func DescendWith(ev *Evaluator, sys *model.System, obj Objective, workers, maxIters int) (*model.System, error) {
 	out, _, err := descend(ev, sys, obj, maxIters)
 	return out, err

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"autorte/internal/model"
+	"autorte/internal/sched"
 	"autorte/internal/taskset"
 	"autorte/internal/vfb"
 )
@@ -123,7 +124,7 @@ func refEvaluate(ev *Evaluator, sys *model.System) Metrics {
 	m.Survivability = 1
 	if hasRed {
 		comps, ecus := bindComps(sys), bindECUs(sys)
-		newRefRedCheck(comps, ecus, cons, ev, newRefView(sys, comps, ecus)).run(&m)
+		newRefRedCheck(comps, ecus, cons, newRefView(sys, comps, ecus)).run(&m)
 	}
 	// Communication feasibility: every remote connector needs a shared bus.
 	if _, err := vfb.Resolve(sys); err != nil {
@@ -139,7 +140,7 @@ func refEvaluate(ev *Evaluator, sys *model.System) Metrics {
 		}
 		sort.Strings(ecus)
 		for _, ecu := range ecus {
-			ok, err := ev.RTA.Check(tsets[ecu])
+			ok, _, err := sched.Schedulable(tsets[ecu])
 			if err != nil {
 				m.Feasible = false
 				m.Violations = append(m.Violations, fmt.Sprintf("%s: RTA failed: %v", ecu, err))

@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"autorte/internal/model"
-	"autorte/internal/sched"
 	"autorte/internal/taskset"
 )
 
@@ -85,7 +84,6 @@ type redCheck struct {
 	comps []boundComp
 	ecus  []boundECU
 	cons  Constraints // filled
-	rta   *sched.Cache
 	// groups is the effective replica-group set: the materialized groups
 	// plus, under IncludeSingletons, every unreplicated primary as a
 	// group of one, in component declaration order.
@@ -102,8 +100,8 @@ type redCheck struct {
 // replica groups there is nothing to sweep, so the universe stays
 // unresolved (and its malformed units unreported), exactly as the sweep
 // skips it.
-func newRedCheck(comps []boundComp, ecus []boundECU, cons Constraints, rta *sched.Cache) *redCheck {
-	rc := &redCheck{comps: comps, ecus: ecus, cons: cons, rta: rta,
+func newRedCheck(comps []boundComp, ecus []boundECU, cons Constraints) *redCheck {
+	rc := &redCheck{comps: comps, ecus: ecus, cons: cons,
 		groups: effectiveGroups(comps, cons.Faults.IncludeSingletons)}
 	if len(rc.groups) > 0 && rc.explicit() {
 		rc.resolveEvents()
@@ -395,7 +393,7 @@ func (rc *redCheck) failoverSchedulable(p *Prepared, d *delta, target int, promo
 	if len(tasks) == 0 {
 		return true
 	}
-	ok, err := rc.rta.Check(tasks)
+	ok, err := p.b.ev.schedulable(tasks)
 	return err == nil && ok
 }
 

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"autorte/internal/model"
+	"autorte/internal/sched"
 	"autorte/internal/sim"
 	"autorte/internal/taskset"
 	"autorte/internal/workload"
@@ -28,13 +29,12 @@ type refRedCheck struct {
 	comps []boundComp
 	ecus  []boundECU
 	cons  Constraints
-	ev    *Evaluator // response-time analysis for the fail-over check
 	refView
 	groups []redGroup
 }
 
-func newRefRedCheck(comps []boundComp, ecus []boundECU, cons Constraints, ev *Evaluator, v refView) *refRedCheck {
-	return &refRedCheck{comps: comps, ecus: ecus, cons: cons, ev: ev, refView: v, groups: redGroups(comps)}
+func newRefRedCheck(comps []boundComp, ecus []boundECU, cons Constraints, v refView) *refRedCheck {
+	return &refRedCheck{comps: comps, ecus: ecus, cons: cons, refView: v, groups: redGroups(comps)}
 }
 
 // run appends fail-operational violations to m and sets m.Survivability:
@@ -180,7 +180,7 @@ func (rc *refRedCheck) failoverSchedulable(target int, promos []promo) bool {
 	if len(tasks) == 0 {
 		return true
 	}
-	ok, err := rc.ev.RTA.Check(tasks)
+	ok, _, err := sched.Schedulable(tasks)
 	return err == nil && ok
 }
 
@@ -493,7 +493,7 @@ func sweepBoth(t *testing.T, ev *Evaluator, sys *model.System) {
 	got, want := Metrics{Feasible: true}, Metrics{Feasible: true}
 	bound.red.run(&got, prep, &noDelta)
 	comps, ecus := bindComps(sys), bindECUs(sys)
-	newRefRedCheck(comps, ecus, bound.cons, ev, newRefView(sys, comps, ecus)).run(&want)
+	newRefRedCheck(comps, ecus, bound.cons, newRefView(sys, comps, ecus)).run(&want)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("sweep diverges from the reference under %+v\nmapping:   %v\nreference: %+v\nsweep:     %+v",
 			bound.cons.Faults, sys.Mapping, want, got)

@@ -15,6 +15,7 @@ import (
 
 	"autorte/internal/model"
 	"autorte/internal/race"
+	"autorte/internal/sched"
 	"autorte/internal/sim"
 )
 
@@ -223,17 +224,19 @@ func FuzzCostFirst(f *testing.F) {
 
 // Under RequireSchedulable, cost-first descent confirms only the moves
 // that could win: on the scale-1 vehicle it returns the reference's
-// mapping with at most a tenth of its response-time cache lookups.
+// mapping with at most a tenth of its response-time analyses.
 func TestDescendCostFirstSkipsRTA(t *testing.T) {
 	sys := vehicle(t, 1)
 	cons := Constraints{RequireSchedulable: true}
 	ev, ref := NewEvaluator(cons), NewEvaluator(cons)
+	var n, refN int
+	observeRTA(ev, func([]sched.Task) { n++ })
+	observeRTA(ref, func([]sched.Task) { refN++ })
 	got, _, err := descend(ev, sys, DefaultObjective(), 16)
 	want, _, refErr := refDescend(ref, sys, DefaultObjective(), 16)
 	sameOutcome(t, "descend", got, want, err, refErr)
-	lookups := func(ev *Evaluator) uint64 { hits, misses := ev.RTA.Stats(); return hits + misses }
-	if n, refN := lookups(ev), lookups(ref); 10*n > refN {
-		t.Fatalf("cost-first descent made %d RTA lookups, the reference %d: want at most a tenth", n, refN)
+	if 10*n > refN {
+		t.Fatalf("cost-first descent ran %d RTAs, the reference %d: want at most a tenth", n, refN)
 	}
 }
 

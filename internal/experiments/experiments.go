@@ -69,35 +69,54 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
+// Run is one result table of the suite at its default scale, under the
+// name `experiments -only` selects it by.
+type Run struct {
+	Name  string
+	Table func() (*Table, error)
+}
+
+// Runs lists every table of the suite in the order All renders them.
+var Runs = []Run{
+	{"E1", func() (*Table, error) { return E1Interference(DefaultE1()) }},
+	{"E2", func() (*Table, error) { return E2IsolationOverhead(DefaultE2()) }},
+	{"E3", func() (*Table, error) { return E3OverrunContainment(DefaultE3()) }},
+	{"E4", func() (*Table, error) { return E4BusComparison(DefaultE4()) }},
+	{"E5", func() (*Table, error) { return E5AnalysisVsSim(DefaultE5()) }},
+	{"E6", func() (*Table, error) { return E6Contracts(DefaultE6()) }},
+	{"E7", func() (*Table, error) { return E7Consolidation(DefaultE7()) }},
+	{"E8", func() (*Table, error) { return E8NoC(DefaultE8()) }},
+	{"E9", func() (*Table, error) { return E9Extensibility(DefaultE9()) }},
+	{"E10", func() (*Table, error) { return E10ErrorHandling(DefaultE10()) }},
+	{"E11", func() (*Table, error) { return E11FaultCampaign(DefaultE11()) }},
+	{"E11limp", func() (*Table, error) { return E11LimpHome(DefaultE11()) }},
+	{"E11series", func() (*Table, error) { return E11RecoverySeries(DefaultE11()) }},
+	{"E11timeline", func() (*Table, error) { return E11EscalationTimeline(DefaultE11()) }},
+	{"E12", func() (*Table, error) { return E12DetectionCoverage(DefaultE12()) }},
+	{"E12overhead", func() (*Table, error) { return E12Overhead(DefaultE12()) }},
+	{"E12recovery", func() (*Table, error) { return E12Recovery(DefaultE12()) }},
+	{"E12series", func() (*Table, error) { return E12RecoverySeries(DefaultE12()) }},
+	{"E13", func() (*Table, error) { return E13Availability(DefaultE13()) }},
+	{"E13Curve", func() (*Table, error) { return E13Curve(DefaultE13()) }},
+	{"E14Observer", func() (*Table, error) { return E14Observer(DefaultE14()) }},
+	{"E14Switchover", func() (*Table, error) { return E14Switchover(DefaultE14()) }},
+	{"E14Placement", func() (*Table, error) { return E14Placement(DefaultE14()) }},
+}
+
+// Lookup returns the run of Runs with the given name.
+func Lookup(name string) (Run, bool) {
+	for _, r := range Runs {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return Run{}, false
+}
+
 // All runs every experiment at its default scale and renders the tables.
 func All(w io.Writer) error {
-	runs := []func() (*Table, error){
-		func() (*Table, error) { return E1Interference(DefaultE1()) },
-		func() (*Table, error) { return E2IsolationOverhead(DefaultE2()) },
-		func() (*Table, error) { return E3OverrunContainment(DefaultE3()) },
-		func() (*Table, error) { return E4BusComparison(DefaultE4()) },
-		func() (*Table, error) { return E5AnalysisVsSim(DefaultE5()) },
-		func() (*Table, error) { return E6Contracts(DefaultE6()) },
-		func() (*Table, error) { return E7Consolidation(DefaultE7()) },
-		func() (*Table, error) { return E8NoC(DefaultE8()) },
-		func() (*Table, error) { return E9Extensibility(DefaultE9()) },
-		func() (*Table, error) { return E10ErrorHandling(DefaultE10()) },
-		func() (*Table, error) { return E11FaultCampaign(DefaultE11()) },
-		func() (*Table, error) { return E11LimpHome(DefaultE11()) },
-		func() (*Table, error) { return E11RecoverySeries(DefaultE11()) },
-		func() (*Table, error) { return E11EscalationTimeline(DefaultE11()) },
-		func() (*Table, error) { return E12DetectionCoverage(DefaultE12()) },
-		func() (*Table, error) { return E12Overhead(DefaultE12()) },
-		func() (*Table, error) { return E12Recovery(DefaultE12()) },
-		func() (*Table, error) { return E12RecoverySeries(DefaultE12()) },
-		func() (*Table, error) { return E13Availability(DefaultE13()) },
-		func() (*Table, error) { return E13Curve(DefaultE13()) },
-		func() (*Table, error) { return E14Observer(DefaultE14()) },
-		func() (*Table, error) { return E14Switchover(DefaultE14()) },
-		func() (*Table, error) { return E14Placement(DefaultE14()) },
-	}
-	for _, run := range runs {
-		tab, err := run()
+	for _, r := range Runs {
+		tab, err := r.Table()
 		if err != nil {
 			return err
 		}

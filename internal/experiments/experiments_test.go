@@ -392,3 +392,21 @@ func TestE12Deterministic(t *testing.T) {
 		t.Fatalf("coverage table not deterministic:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// Every table of the suite resolves by its name to itself: `experiments
+// -only` reads the same list All renders.
+func TestRunsResolveByName(t *testing.T) {
+	seen := map[string]bool{}
+	for _, r := range Runs {
+		if seen[r.Name] {
+			t.Errorf("two runs are named %q", r.Name)
+		}
+		seen[r.Name] = true
+		if got, ok := Lookup(r.Name); !ok || got.Name != r.Name {
+			t.Errorf("Lookup(%q) = %q, %v", r.Name, got.Name, ok)
+		}
+	}
+	if _, ok := Lookup("E99"); ok {
+		t.Error("an unknown name resolved")
+	}
+}

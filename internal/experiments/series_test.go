@@ -61,18 +61,11 @@ func TestE11RecoverySeriesShape(t *testing.T) {
 }
 
 func TestE11RecoverySeriesDeterministic(t *testing.T) {
-	render := func() string {
-		tab, err := E11RecoverySeries(DefaultE11())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		tab.Render(&b)
-		return b.String()
-	}
-	if a, b := render(), render(); a != b {
-		t.Fatalf("series campaign not deterministic:\n%s\nvs\n%s", a, b)
-	}
+	sameAcrossWorkers(t, func(workers int) (*Table, error) {
+		cfg := DefaultE11()
+		cfg.Workers = workers
+		return E11RecoverySeries(cfg)
+	})
 }
 
 func TestE11SafeStopBundleEndToEnd(t *testing.T) {

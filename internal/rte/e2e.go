@@ -24,10 +24,6 @@ type E2EOptions struct {
 	// MaxDeltaCounter tolerates that many lost PDUs between valid
 	// receptions before WrongSequence (default 2).
 	MaxDeltaCounter uint8
-	// TimeoutFactor scales a route's period into its receiver-side
-	// staleness bound (default 3). Periodless (event) routes get no
-	// timeout supervision.
-	TimeoutFactor int
 	// WindowSize, MinOKForValid and MaxErrorsForValid tune the window
 	// qualification state machine (see e2eprot.Config).
 	WindowSize        int
@@ -35,12 +31,9 @@ type E2EOptions struct {
 	MaxErrorsForValid int
 }
 
-func (o *E2EOptions) timeoutFactor() int {
-	if o.TimeoutFactor == 0 {
-		return 3
-	}
-	return o.TimeoutFactor
-}
+// e2eTimeoutFactor scales a route's period into its receiver-side
+// staleness bound. Periodless (event) routes get no timeout supervision.
+const e2eTimeoutFactor = 3
 
 // e2eChannel is the per-segment protection state: the sending and
 // receiving ends plus the recovery hook of the carrying medium.
@@ -141,7 +134,7 @@ func (p *Platform) protectSegment(seg busSegment, pdu *com.IPdu, profile e2eprot
 		MaxErrorsForValid: o.MaxErrorsForValid,
 	}
 	if f.Period > 0 {
-		cfg.Timeout = sim.Duration(o.timeoutFactor()) * f.Period
+		cfg.Timeout = e2eTimeoutFactor * f.Period
 	}
 	pdu.E2E = &cfg
 	ch := &e2eChannel{

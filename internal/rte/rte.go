@@ -48,6 +48,11 @@ const (
 	TablePerSupplier
 )
 
+// isolationMargin scales a supplier's declared utilization into the
+// capacity its server or table windows reserve, unless Reservations
+// sizes it.
+const isolationMargin = 1.25
+
 func (k IsolationKind) String() string {
 	switch k {
 	case NoIsolation:
@@ -76,18 +81,15 @@ type Options struct {
 	Isolation IsolationKind
 	// ServerKind selects the reservation algorithm for ServerPerSupplier.
 	ServerKind protection.ServerKind
-	// IsolationMargin scales reserved capacity over declared utilization
-	// (default 1.25).
-	IsolationMargin float64
 	// MajorFrame fixes the TablePerSupplier major frame explicitly. Zero
 	// derives it from the shortest period on each ECU — convenient, but a
 	// new faster task then changes every window ("careful planning ...
 	// against future changes", §1). Planned systems set it explicitly.
 	MajorFrame sim.Duration
 	// Reservations explicitly sizes per-supplier capacity as a CPU
-	// fraction, overriding declared-utilization × margin sizing. Planned
-	// systems reserve capacity here so that integrating a new supplier
-	// later cannot move existing windows.
+	// fraction, overriding the declared utilization × 1.25 sizing.
+	// Planned systems reserve capacity here so that integrating a new
+	// supplier later cannot move existing windows.
 	Reservations map[string]float64
 	// DualChannelFlexRay sends every FlexRay frame produced by a
 	// component of ASIL-C or higher redundantly on both physical channels
@@ -123,9 +125,6 @@ func (o *Options) fill() {
 	}
 	if o.TTPSlotLength == 0 {
 		o.TTPSlotLength = sim.US(250)
-	}
-	if o.IsolationMargin == 0 {
-		o.IsolationMargin = 1.25
 	}
 }
 
@@ -500,7 +499,7 @@ func (p *Platform) buildIsolation(ecu string, comps []*model.SWC) (map[string]os
 		if f, ok := p.opts.Reservations[s]; ok {
 			return f
 		}
-		return util[s] * p.opts.IsolationMargin
+		return util[s] * isolationMargin
 	}
 	switch p.opts.Isolation {
 	case ServerPerSupplier:

@@ -303,8 +303,8 @@ func hostedOn(sys *model.System, ecu string, withPassive bool) []*model.SWC {
 // Every consumer of the priority rule follows the reference order on
 // generated vehicles under federated, consolidated and replicated
 // mappings: the OS tasks rte.Build generates, the task sets Verify
-// analyzes, and the task sets deploy's Prepared scorer analyzes — in the
-// normal case and after each single-ECU fail-over.
+// analyzes, and Build's task sets, which deploy's Prepared scorer
+// analyzes in the normal case and after each single-ECU fail-over.
 func TestConsumersFollowReferenceOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		fed := vehicle(t, seed)
@@ -319,7 +319,7 @@ func TestConsumersFollowReferenceOrder(t *testing.T) {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, m.name), func(t *testing.T) {
 				checkRTE(t, m.sys)
 				checkVerify(t, m.sys)
-				checkPrepared(t, m.sys)
+				checkBuild(t, m.sys)
 			})
 		}
 	}
@@ -366,81 +366,19 @@ func checkVerify(t *testing.T, sys *model.System) {
 	}
 }
 
-// checkPrepared scores the mapping through a Prepared under
-// RequireSchedulable and then looks every reference task set up in the
-// evaluator's response-time cache: a set the scorer analyzed is a hit,
-// so a miss means it analyzed a differently ranked set.
-func checkPrepared(t *testing.T, sys *model.System) {
-	ev := deploy.NewEvaluator(deploy.Constraints{MaxUtilization: 1, RequireSchedulable: true})
-	b, err := ev.Bind(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := b.Prepare(sys.Mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Evaluate()
-	expect := func(what string, tasks []sched.Task) {
-		t.Helper()
-		if len(tasks) == 0 {
-			return
-		}
-		_, before := ev.RTA.Stats()
-		if _, err := ev.RTA.Check(tasks); err != nil {
-			t.Fatal(err)
-		}
-		if _, after := ev.RTA.Stats(); after != before {
-			t.Fatalf("%s: the scorer never analyzed the reference task set %+v", what, tasks)
-		}
-	}
+// checkBuild compares Build's task set of every ECU with the reference.
+// deploy's TestPreparedAnalyzesBuiltTaskSets holds the task sets the
+// Prepared scorer analyzes, fail-over targets included, to Build's.
+func checkBuild(t *testing.T, sys *model.System) {
+	got, _ := taskset.Build(sys)
+	want := map[string][]sched.Task{}
 	for _, e := range sys.ECUs {
-		tasks, _ := refRank(runnablesOf(sys, hostedOn(sys, e.Name, false)), e.Speed)
-		expect(e.Name, tasks)
+		if tasks, _ := refRank(runnablesOf(sys, hostedOn(sys, e.Name, false)), e.Speed); tasks != nil {
+			want[e.Name] = tasks
+		}
 	}
-	// Each single-ECU failure promotes the standby of every primary it
-	// hosts; a target still within the utilization cap after absorbing
-	// the promoted passive standbys is analyzed with them.
-	for _, lost := range sys.ECUs {
-		promoted := map[string][]*model.SWC{}
-		for _, c := range sys.Components {
-			if c.ReplicaOf == "" || sys.Mapping[c.ReplicaOf] != lost.Name || sys.Mapping[c.Name] == lost.Name {
-				continue
-			}
-			promoted[sys.Mapping[c.Name]] = append(promoted[sys.Mapping[c.Name]], c)
-		}
-		for _, target := range sys.ECUs {
-			sbs := promoted[target.Name]
-			if len(sbs) == 0 {
-				continue
-			}
-			load := sys.AnalyzedLoad(target.Name)
-			var hosted []*model.SWC
-			for _, c := range sys.Components {
-				if sys.Mapping[c.Name] != target.Name {
-					continue
-				}
-				if !c.PassiveStandby() {
-					hosted = append(hosted, c)
-					continue
-				}
-				for _, sb := range sbs {
-					if sb == c {
-						hosted = append(hosted, c)
-						for i := range c.Runnables {
-							if period := sys.EffectivePeriod(c, &c.Runnables[i]); period > 0 {
-								load += float64(c.Runnables[i].WCETNominal) / float64(period) / target.Speed
-							}
-						}
-					}
-				}
-			}
-			if load > 1-1e-9 {
-				continue // overloaded: the scorer rejects it before any analysis
-			}
-			tasks, _ := refRank(runnablesOf(sys, hosted), target.Speed)
-			expect(lost.Name+" fail-over to "+target.Name, tasks)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Build's task sets differ from the reference:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -304,22 +304,3 @@ func sharedBus(s *model.System, a, b string) (string, error) {
 	sort.Strings(shared)
 	return shared[0], nil
 }
-
-// ByBus groups the remote routes per bus — the communication matrix —
-// keeping their order, a gatewayed route under both of its buses. The
-// RTE does not use it: rte.PlanBus picks the routes that cross a bus
-// itself.
-func ByBus(routes []Route) map[string][]Route {
-	out := map[string][]Route{}
-	for _, r := range routes {
-		if r.Local {
-			continue
-		}
-		out[r.Bus] = append(out[r.Bus], r)
-		if r.Via != "" {
-			// The gatewayed second segment loads its bus too.
-			out[r.Bus2] = append(out[r.Bus2], r)
-		}
-	}
-	return out
-}

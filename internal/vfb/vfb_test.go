@@ -150,10 +150,9 @@ func TestResolveThroughGateway(t *testing.T) {
 	if r.Via != "e2" || r.Bus != "can0" || r.Bus2 != "can1" {
 		t.Fatalf("gateway route wrong: %+v", r)
 	}
-	// The communication matrix loads both buses.
-	m := ByBus(routes)
-	if len(m["can0"]) != 1 || len(m["can1"]) != 1 {
-		t.Fatalf("gatewayed route not on both buses: %v", m)
+	// The gatewayed route loads both buses.
+	if !r.Crosses("can0") || !r.Crosses("can1") {
+		t.Fatalf("gatewayed route does not cross both buses: %+v", r)
 	}
 }
 
@@ -165,17 +164,19 @@ func TestResolveUnmappedComponent(t *testing.T) {
 	}
 }
 
+// A remote route crosses its bus; a local route crosses none.
 func TestByBusGroupsRemoteOnly(t *testing.T) {
 	s := buildSystem()
 	routes, _ := Resolve(s)
-	m := ByBus(routes)
-	if len(m["can0"]) != 1 {
-		t.Fatalf("can0 routes = %d, want 1", len(m["can0"]))
+	if len(routes) != 1 || !routes[0].Crosses("can0") {
+		t.Fatalf("remote route does not cross can0: %+v", routes)
 	}
 	s.Mapping["Ctrl"] = "e1"
 	routes, _ = Resolve(s)
-	if len(ByBus(routes)) != 0 {
-		t.Fatal("local route appeared in bus matrix")
+	for _, bus := range s.Buses {
+		if routes[0].Crosses(bus.Name) {
+			t.Fatalf("local route crosses %s", bus.Name)
+		}
 	}
 }
 
