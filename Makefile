@@ -30,9 +30,11 @@ test:
 
 # Verification & DSE pipeline benchmarks (see EXPERIMENTS.md "Performance"),
 # with the deployment-scoring rungs: the per-move cost of
-# Prepared.EvaluateMove (ns/move) and the PlaceReplicas search; and the
+# Prepared.EvaluateMove (ns/move) and the PlaceReplicas search; the
 # simulation-step rungs: kernel dispatch and schedule+cancel (ns/event),
-# the OSEK scheduler (ns/event) and the trace recorder (ns/record).
+# the OSEK scheduler (ns/event) and the trace recorder (ns/record); and
+# the analysis rungs: per-ECU response-time analysis (ns/task) and CAN
+# bus analysis (ns/frame) of the scale-1 vehicle.
 # Emits BENCH_pipeline.json (name -> ns/op, allocs/op) alongside the
 # human-readable output, then enforces the performance budget: every
 # place the code runs in parallel (the E13 availability and E14 observer
@@ -49,7 +51,7 @@ test:
 bench:
 	go test -run '^$$' -bench 'BenchmarkVerify$$|BenchmarkVerifyDSESweep|BenchmarkDSEDescend|BenchmarkDSEAnnealParallel|BenchmarkE13Availability|BenchmarkE14Observer|BenchmarkEvaluateMove|BenchmarkPlaceReplicas' -benchmem . > BENCH_pipeline.txt
 	go test -run '^$$' -bench 'BenchmarkPlatformFlight|BenchmarkE11Flight|BenchmarkVerifyFlight' -benchmem -benchtime=2s -count=2 . >> BENCH_pipeline.txt
-	go test -p 1 -run '^$$' -bench '^(BenchmarkKernelThroughput|BenchmarkKernelCancel|BenchmarkScheduler|BenchmarkRecorderAdd)$$' -benchmem ./internal/sim ./internal/osek ./internal/trace >> BENCH_pipeline.txt
+	go test -p 1 -run '^$$' -bench '^(BenchmarkKernelThroughput|BenchmarkKernelCancel|BenchmarkScheduler|BenchmarkRecorderAdd|BenchmarkRTA|BenchmarkAnalyze)$$' -benchmem ./internal/sim ./internal/osek ./internal/trace ./internal/sched ./internal/can >> BENCH_pipeline.txt
 	go run ./cmd/benchjson -o BENCH_pipeline.json < BENCH_pipeline.txt
 	go run ./cmd/benchguard -bench BENCH_pipeline.json
 
@@ -84,7 +86,9 @@ bench-all:
 # container/heap reference on random schedule/cancel/run programs;
 # FuzzReceiverCheck holds the E2E receiver's input boundary to its
 # properties (no panic on any bytes, a freshly protected payload checks
-# OK, any one corrupted byte does not). The
+# OK, any one corrupted byte does not); FuzzImport holds the template
+# importer's input boundary to its properties (no panic on any bytes, an
+# export of an imported system imports again to the same export). The
 # committed corpus under each package's testdata/fuzz runs first; a
 # failure leaves the minimized input there, to be committed as a
 # regression seed. -fuzzminimizetime=100x caps minimization at 100 execs
@@ -102,6 +106,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzIPdu$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/com
 	go test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzReceiverCheck$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/e2eprot
+	go test -run '^$$' -fuzz '^FuzzImport$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/model
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational

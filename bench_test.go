@@ -577,10 +577,12 @@ var (
 // (component, ECU) move of the seed mapping: sched under
 // RequireSchedulable (per-ECU RTA, memoized against the incumbent),
 // faults under the place workload's fault model (the fail-operational
-// sweep runs on every move). cost scores the sched moves cost first
-// through Prepared.MoveCost, the way the searches do: no violation text,
-// RTA verdicts only for moves that are otherwise feasible. ns/move is
-// the unit cost every search pays per candidate.
+// sweep strikes again only the fault events the move touches), faults-k2
+// under the same model with any two hosted ECUs failing together. cost
+// scores the sched moves cost first through Prepared.MoveCost, the way
+// the searches do: no violation text, RTA verdicts only for moves that
+// are otherwise feasible. ns/move is the unit cost every search pays per
+// candidate.
 func BenchmarkEvaluateMove(b *testing.B) {
 	sys := demoVehicleScaled(b, 1)
 	type move struct{ comp, ecu string }
@@ -601,6 +603,7 @@ func BenchmarkEvaluateMove(b *testing.B) {
 	}{
 		{"sched", deploy.Constraints{RequireSchedulable: true}, evaluate},
 		{"faults", placeCons, evaluate},
+		{"faults-k2", deploy.Constraints{Faults: deploy.FaultModel{MaxConcurrent: 2, Soft: true, IncludeSingletons: true}}, evaluate},
 		{"cost", deploy.Constraints{RequireSchedulable: true}, func(p *deploy.Prepared, mv move) { p.MoveCost(mv.comp, mv.ecu, obj) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -31,15 +31,3 @@ func BenchmarkBusSimulation(b *testing.B) {
 		k.Run(sim.Second)
 	}
 }
-
-// BenchmarkAnalyze measures the bus RTA for a 50-message set.
-func BenchmarkAnalyze(b *testing.B) {
-	msgs := benchSet(50)
-	cfg := Config{BitRate: 500_000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(cfg, msgs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -15,6 +15,7 @@ package deploy
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"autorte/internal/model"
@@ -74,6 +75,9 @@ type Bound struct {
 	ecuIdx  map[string]int
 	compIdx map[string]int
 	conns   []boundConn
+	// connIdx lists each component's connectors in connector order:
+	// component ci's are connIdx[connStart[ci]:connStart[ci+1]].
+	connIdx, connStart []int
 	// path caches vfb.Path's verdict per ordered ECU index pair; nil =
 	// reachable. dist holds the harness distance per ECU index pair.
 	path [][]error
@@ -140,6 +144,7 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 		needs := prov.Interface.Kind != model.SenderReceiver || len(req.Interface.Elements) > 0
 		b.conns = append(b.conns, boundConn{from: b.compIdx[c.FromSWC], to: b.compIdx[c.ToSWC], needsPath: needs})
 	}
+	b.indexConns()
 	for si, src := range b.ecus {
 		b.path[si] = make([]error, len(b.ecus))
 		b.dist[si] = make([]float64, len(b.ecus))
@@ -152,6 +157,35 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 	}
 	return b, nil
 }
+
+// indexConns builds the per-component connector index in one counting
+// pass; a connector joining a component to itself is listed once.
+func (b *Bound) indexConns() {
+	n := len(b.comps)
+	b.connStart = make([]int, n+1)
+	for _, c := range b.conns {
+		b.connStart[c.from+1]++
+		if c.to != c.from {
+			b.connStart[c.to+1]++
+		}
+	}
+	for ci := 0; ci < n; ci++ {
+		b.connStart[ci+1] += b.connStart[ci]
+	}
+	b.connIdx = make([]int, b.connStart[n])
+	next := slices.Clone(b.connStart[:n])
+	for k, c := range b.conns {
+		b.connIdx[next[c.from]] = k
+		next[c.from]++
+		if c.to != c.from {
+			b.connIdx[next[c.to]] = k
+			next[c.to]++
+		}
+	}
+}
+
+// connsOf returns comp index ci's connectors in connector order.
+func (b *Bound) connsOf(ci int) []int { return b.connIdx[b.connStart[ci]:b.connStart[ci+1]] }
 
 // byName returns the indices 0..n-1 sorted by name(i).
 func byName(n int, name func(int) string) []int {

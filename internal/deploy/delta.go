@@ -6,13 +6,19 @@ package deploy
 // Metrics: Evaluator.Evaluate, Greedy, Place and every search score
 // through it. It retains the incumbent's per-ECU accumulators and
 // schedulability verdicts, and a move re-derives only the two ECUs it
-// touches. The fail-operational sweep runs against the fault model Bind
-// resolved. The independent oracle is the straight-line derivation kept
-// as a test (refEvaluate, evaluate_ref_test.go), which re-derives every
-// term from the system itself; TestPreparedEvaluateMoveMatchesBoundEvaluate,
-// the random walks in redundant_test.go and faultmodel_test.go, and
-// FuzzFaultSweep hold Prepared to it — same summation order, same
-// violation strings in the same order.
+// touches. It also retains each fault event's fail-operational result
+// and the connectors that fail the communication check: a move of one
+// component strikes again only the fault events that read its two ECUs
+// or its replica group (redundant.go), and re-checks only its own
+// connectors. The harness and the load variance are still summed over
+// every connector and ECU, in declaration order, so their floating-point
+// sums stay bit-identical. The independent oracle is the straight-line
+// derivation kept as a test (refEvaluate, evaluate_ref_test.go), which
+// re-derives every term from the system itself;
+// TestPreparedEvaluateMoveMatchesBoundEvaluate, the random walks in
+// redundant_test.go and faultmodel_test.go, and FuzzFaultSweep hold
+// Prepared to it — same summation order, same violation strings in the
+// same order.
 //
 // The searches score cost first. Most candidates of a round never win,
 // so scoreMove in cost-only mode formats no violation text, stops at the
@@ -40,17 +46,15 @@ type ecuAcc struct {
 	worst, best model.ASIL
 }
 
-// moveKey identifies one dirty-ECU recomputation: ECU index, the comp
-// index leaving it (or -1) and the comp index joining it (or -1).
-type moveKey struct{ idx, skip, add int }
-
 // moveEntry is one memoized dirty-ECU recomputation. checked records
 // whether msg holds its RTA verdict: cost-only scoring leaves it out, and
 // a move that could still win fills it in, at most once per incumbent.
+// at is the epoch it was computed in, 0 for none.
 type moveEntry struct {
 	acc     ecuAcc
 	msg     string
 	checked bool
+	at      uint64
 }
 
 // Prepared scores single-component moves against an incumbent mapping in
@@ -64,11 +68,22 @@ type Prepared struct {
 	// Per-ECU incumbent state, indexed like b.ecus.
 	accs     []ecuAcc
 	schedMsg []string // RTA violation message, "" when schedulable/skipped
-	// memo retains dirty-ECU recomputations against the current
-	// incumbent: a search rescoring its neighborhood between accepted
-	// moves hits the same (ECU, leave, join) combinations over and over.
-	// Apply invalidates the entries of the two ECUs it dirties.
-	memo map[moveKey]moveEntry
+	// The memo retains dirty-ECU recomputations against the incumbent: a
+	// search rescoring its neighborhood between accepted moves hits the
+	// same ECUs with the same component leaving or joining over and
+	// over. leave[ci] is comp ci's ECU without it, join[ci*len(ecus)+e]
+	// ECU e with ci added; both are allocated by the first scored move.
+	// An entry is current while it is newer than the last applied move
+	// that dirtied its ECU: epoch counts applied moves from 1, and
+	// changed holds each ECU's last dirtying epoch.
+	leave, join []moveEntry
+	epoch       uint64
+	changed     []uint64
+	// faults is the fail-operational sweep's state for the incumbent
+	// (redundant.go); commFail lists the connectors the incumbent fails
+	// commCheck on, in connector order.
+	faults   faultState
+	commFail []int
 }
 
 // Prepare binds the evaluator state to an incumbent mapping. It rejects
@@ -103,10 +118,14 @@ func (b *Bound) prepare(cur []int) *Prepared {
 		curIdx:   cur,
 		accs:     make([]ecuAcc, len(b.ecus)),
 		schedMsg: make([]string, len(b.ecus)),
+		epoch:    1,
+		changed:  make([]uint64, len(b.ecus)),
 	}
 	for i := range b.ecus {
 		p.accs[i], p.schedMsg[i] = b.computeECU(cur, i, -1, -1, true)
 	}
+	b.red.prepare(p)
+	p.commFail = p.failingConns(nil)
 	return p
 }
 
@@ -166,21 +185,24 @@ func (b *Bound) computeECU(cur []int, idx, skip, add int, verdict bool) (ecuAcc,
 	return a, ""
 }
 
-// dirty returns the memoized recomputation of one dirty ECU against the
-// current incumbent, with its RTA verdict when verdict is set.
-func (p *Prepared) dirty(idx, skip, add int, verdict bool) (ecuAcc, string) {
+// dirty returns the memoized recomputation of ECU index idx when comp
+// index ci leaves it (idx is ci's incumbent ECU) or joins it, with its
+// RTA verdict when verdict is set.
+func (p *Prepared) dirty(ci, idx int, verdict bool) (ecuAcc, string) {
 	verdict = verdict && p.b.cons.RequireSchedulable
-	k := moveKey{idx, skip, add}
-	e, ok := p.memo[k]
-	if ok && (e.checked || !verdict) {
+	if p.join == nil {
+		p.leave = make([]moveEntry, len(p.b.comps))
+		p.join = make([]moveEntry, len(p.b.comps)*len(p.b.ecus))
+	}
+	e, skip, add := &p.join[ci*len(p.b.ecus)+idx], -1, ci
+	if idx == p.curIdx[ci] {
+		e, skip, add = &p.leave[ci], ci, -1
+	}
+	if e.at > p.changed[idx] && (e.checked || !verdict) {
 		return e.acc, e.msg
 	}
 	e.acc, e.msg = p.b.computeECU(p.curIdx, idx, skip, add, verdict)
-	e.checked = verdict
-	if p.memo == nil {
-		p.memo = map[moveKey]moveEntry{}
-	}
-	p.memo[k] = e
+	e.checked, e.at = verdict, p.epoch
 	return e.acc, e.msg
 }
 
@@ -210,8 +232,8 @@ func (p *Prepared) scoreMove(ci, ei int, full bool) Metrics {
 		return p.Evaluate()
 	}
 	d := delta{moved: ci, target: ei, idx: [2]int{oi, ei}}
-	d.acc[0], d.msg[0] = p.dirty(oi, ci, -1, full)
-	d.acc[1], d.msg[1] = p.dirty(ei, -1, ci, full)
+	d.acc[0], d.msg[0] = p.dirty(ci, oi, full)
+	d.acc[1], d.msg[1] = p.dirty(ci, ei, full)
 	return p.assemble(&d, full)
 }
 
@@ -223,8 +245,8 @@ func (p *Prepared) schedulable(ci, ei int) bool {
 	if !p.b.cons.RequireSchedulable || ei == oi {
 		return true
 	}
-	_, msgOld := p.dirty(oi, ci, -1, true)
-	_, msgNew := p.dirty(ei, -1, ci, true)
+	_, msgOld := p.dirty(ci, oi, true)
+	_, msgNew := p.dirty(ci, ei, true)
 	return msgOld == "" && msgNew == ""
 }
 
@@ -270,21 +292,27 @@ func (p *Prepared) Apply(comp, ecu string) error {
 // apply is Apply by component and ECU index.
 func (p *Prepared) apply(ci, ei int) {
 	oi := p.curIdx[ci]
+	if ei == oi {
+		return
+	}
+	red := p.b.red
+	if len(red.groups) > 0 {
+		red.markDirty(p, &delta{moved: ci, target: ei, idx: [2]int{oi, ei}})
+	}
 	p.curIdx[ci] = ei
 	// Only the two dirty ECUs' memo entries are stale: a move between oi
 	// and ei cannot change any other ECU's hosted set, and within a memo
 	// entry the moved component's own membership is forced by skip/add
 	// rather than read from the incumbent. Keeping the rest warm is what
 	// lets a search reuse scores across accepted moves.
-	for k := range p.memo {
-		if k.idx == oi || k.idx == ei {
-			delete(p.memo, k)
-		}
-	}
+	p.changed[oi], p.changed[ei] = p.epoch, p.epoch
+	p.epoch++
 	p.accs[oi], p.schedMsg[oi] = p.b.computeECU(p.curIdx, oi, -1, -1, true)
-	if ei != oi {
-		p.accs[ei], p.schedMsg[ei] = p.b.computeECU(p.curIdx, ei, -1, -1, true)
+	p.accs[ei], p.schedMsg[ei] = p.b.computeECU(p.curIdx, ei, -1, -1, true)
+	if len(red.groups) > 0 {
+		red.apply(p, ci)
 	}
+	p.commFail = p.failingConns(p.commFail[:0])
 }
 
 // Mapping returns a copy of the incumbent mapping.
@@ -384,7 +412,7 @@ func (p *Prepared) assemble(d *delta, full bool) Metrics {
 			m.Violations = append(m.Violations, msg)
 		}
 	}
-	b.red.run(&m, p, d)
+	b.red.run(&m, p, d, full)
 	if !m.Feasible && !full {
 		return m
 	}
@@ -430,16 +458,54 @@ func (p *Prepared) assemble(d *delta, full bool) Metrics {
 // deriving routes: every route-producing remote connector needs a
 // reachable ECU pair. Resolve's other failures (unknown or unmapped
 // names) cannot occur here: Prepare validated the incumbent and a move
-// only substitutes known names.
+// only substitutes known names. Only the moved component's connectors
+// can change their verdict, so the first error is the first of the
+// incumbent's failing connectors that does not touch it, unless one of
+// its own connectors fails earlier.
 func (p *Prepared) commCheck(d *delta) error {
-	for _, c := range p.b.conns {
-		si, di := p.ecuOf(d, c.from), p.ecuOf(d, c.to)
-		if si == di || !c.needsPath {
-			continue
-		}
-		if err := p.b.path[si][di]; err != nil {
-			return err
+	b := p.b
+	first := len(b.conns)
+	for _, k := range p.commFail {
+		if c := &b.conns[k]; c.from != d.moved && c.to != d.moved {
+			first = k
+			break
 		}
 	}
-	return nil
+	if d.moved >= 0 {
+		for _, k := range b.connsOf(d.moved) {
+			if k >= first {
+				break
+			}
+			if p.connErr(d, k) != nil {
+				first = k
+				break
+			}
+		}
+	}
+	if first == len(b.conns) {
+		return nil
+	}
+	return p.connErr(d, first)
+}
+
+// connErr is connector k's communication verdict under the candidate d:
+// nil unless it produces routes between two ECUs no path joins.
+func (p *Prepared) connErr(d *delta, k int) error {
+	c := &p.b.conns[k]
+	si, di := p.ecuOf(d, c.from), p.ecuOf(d, c.to)
+	if si == di || !c.needsPath {
+		return nil
+	}
+	return p.b.path[si][di]
+}
+
+// failingConns appends to dst the connectors the incumbent fails
+// commCheck on, in connector order.
+func (p *Prepared) failingConns(dst []int) []int {
+	for k := range p.b.conns {
+		if p.connErr(&noDelta, k) != nil {
+			dst = append(dst, k)
+		}
+	}
+	return dst
 }

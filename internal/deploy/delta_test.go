@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"autorte/internal/model"
-	"autorte/internal/race"
 	"autorte/internal/sched"
 	"autorte/internal/sim"
 	"autorte/internal/taskset"
@@ -120,13 +119,11 @@ func TestPreparedRejectsIncompleteMapping(t *testing.T) {
 }
 
 // A warm move under the placement fault model allocates nothing: the
-// fault model is resolved at Bind and the sweep's scratch is pooled. The
+// fault model is resolved at Bind, and the sweep's per-event state and
+// scratch are allocated once per Prepare. The
 // scale-2 vehicle (twice the components, hence twice the singleton
 // groups) checks that this does not depend on the system's size.
 func TestEvaluateMoveAllocsIndependentOfScale(t *testing.T) {
-	if race.Enabled {
-		t.Skip("the race detector drops a share of sync.Pool Puts on purpose")
-	}
 	cons := Constraints{Faults: FaultModel{Soft: true, IncludeSingletons: true}}
 	var allocs [2]float64
 	for i, scale := range []int{1, 2} {

@@ -9,15 +9,18 @@ package deploy
 // Survivability fraction — so existing callers and the DeepEqual
 // identity with the reference sweep are untouched.
 //
-// Everything the model resolves without looking at a mapping — the
-// effective replica groups, the explicit loss units and their
-// k-combinations as per-ECU loss bitmaps with bus isolation folded in,
-// the malformed-unit violations — is resolved when the redCheck is
-// built, once per Bind. The default
-// universe depends on which ECUs host anything, so the sweep derives it
-// per candidate. Scoring runs RTA only under RequireSchedulable:
-// Bound.computeECU skips the task set otherwise, and the fail-over
-// RTA is gated the same way.
+// Everything the model resolves without looking at a mapping is
+// resolved when the redCheck is built, once per Bind: the effective
+// replica groups, the malformed-unit violations, and the event universe
+// as flat lists of the ECUs each event takes out of service, with bus
+// isolation folded in. The explicit universe is fixed by Losses. The
+// default universe depends on which ECUs host anything, so it is
+// resolved over every ECU and its combinations up to MaxConcurrent, and
+// a candidate sweeps the events whose ECUs all host something; a move
+// that empties or occupies an ECU switches exactly the events containing
+// it. Scoring runs RTA only under RequireSchedulable: Bound.computeECU
+// skips the task set otherwise, and the fail-over RTA is gated the same
+// way.
 
 import (
 	"fmt"
@@ -85,39 +88,54 @@ type FaultModel struct {
 	IncludeSingletons bool
 }
 
-// faultEvent is one resolved fault event: the label used in violation
-// strings and the ECUs (by bound index) it takes out of service — dead
-// outright, or attached only to lost bus channels. An ECU's channels are
-// topology, so bus isolation folds into the bitmap when the event is
-// resolved.
-type faultEvent struct {
-	label string
-	lost  []bool
-}
-
 // explicit reports whether the check sweeps the Losses universe rather
 // than the default one derived from the candidate mapping.
 func (rc *redCheck) explicit() bool { return len(rc.cons.Faults.Losses) > 0 }
 
 // resolveEvents resolves the explicit Losses universe against the bound
 // topology: every well-formed unit, then every combination of
-// 2..MaxConcurrent units in lexicographic unit order, each with its loss
-// bitmap; malformed units land in rc.bad.
+// 2..MaxConcurrent units in lexicographic unit order, each with the ECUs
+// it takes out of service; malformed units land in rc.bad.
 func (rc *redCheck) resolveEvents() {
 	units := rc.lossUnits()
-	k := min(rc.cons.Faults.MaxConcurrent, len(units))
-	rc.events = make([]faultEvent, 0, len(units))
-	for i := range units {
-		rc.events = append(rc.events, units[i].event(rc.ecus))
+	rc.labels = make([]string, 0, len(units))
+	var lost []int
+	add := func(u *lossUnit) {
+		lost = u.lost(lost[:0], rc.ecus)
+		rc.addEvent(lost...)
+		rc.labels = append(rc.labels, u.label)
 	}
-	for size := 2; size <= k; size++ {
+	for i := range units {
+		add(&units[i])
+	}
+	eachCombo(len(units), rc.cons.Faults.MaxConcurrent, func(idx []int) {
+		u := mergeUnits(units, idx)
+		add(&u)
+	})
+}
+
+// defaultEvents resolves the default universe over every ECU: each ECU
+// alone (declaration order), then every combination of 2..MaxConcurrent
+// ECUs in lexicographic order. A candidate sweeps the events whose ECUs
+// all host something — restricted to the hosted ECUs, the order is the
+// same lexicographic one.
+func (rc *redCheck) defaultEvents() {
+	for e := range rc.ecus {
+		rc.addEvent(e)
+	}
+	eachCombo(len(rc.ecus), rc.cons.Faults.MaxConcurrent, func(idx []int) { rc.addEvent(idx...) })
+}
+
+// eachCombo calls f with every combination of 2..k elements of 0..n-1,
+// by size, each size in lexicographic order.
+func eachCombo(n, k int, f func(idx []int)) {
+	for size := 2; size <= min(k, n); size++ {
 		idx := make([]int, size)
 		for i := range idx {
 			idx[i] = i
 		}
-		for ok := true; ok; ok = nextCombo(idx, len(units)) {
-			u := mergeUnits(units, idx)
-			rc.events = append(rc.events, u.event(rc.ecus))
+		for ok := true; ok; ok = nextCombo(idx, n) {
+			f(idx)
 		}
 	}
 }
@@ -148,23 +166,29 @@ type lossUnit struct {
 	buses map[string]bool
 }
 
-// event folds bus isolation into the unit's loss bitmap: an ECU is lost
-// when dead outright or attached to channels that are all lost.
-func (u *lossUnit) event(ecus []boundECU) faultEvent {
-	lost := append([]bool(nil), u.dead...)
+// lost appends to dst the ECUs the unit takes out of service,
+// ascending: dead outright, or attached to channels that are all lost.
+func (u *lossUnit) lost(dst []int, ecus []boundECU) []int {
 	for ei := range ecus {
-		if lost[ei] || len(u.buses) == 0 || len(ecus[ei].buses) == 0 {
-			continue
-		}
-		lost[ei] = true
-		for _, b := range ecus[ei].buses {
-			if !u.buses[b] {
-				lost[ei] = false
-				break
-			}
+		if u.dead[ei] || u.isolates(&ecus[ei]) {
+			dst = append(dst, ei)
 		}
 	}
-	return faultEvent{label: u.label, lost: lost}
+	return dst
+}
+
+// isolates reports whether the unit loses every channel of an ECU that
+// has any.
+func (u *lossUnit) isolates(e *boundECU) bool {
+	if len(u.buses) == 0 || len(e.buses) == 0 {
+		return false
+	}
+	for _, b := range e.buses {
+		if !u.buses[b] {
+			return false
+		}
+	}
+	return true
 }
 
 // lossUnits resolves the explicit loss units against the bound topology.

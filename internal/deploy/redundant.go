@@ -9,27 +9,54 @@ package deploy
 // analysis; Prepared.assemble runs it on the incumbent and on every
 // scored move, reading the candidate straight from the Prepared state.
 //
-// A check costs O(replica groups + events) with no per-move setup:
-// newRedCheck resolves everything mapping-independent of the fault model
-// (faultmodel.go) once per Bind, and the default universe buckets the groups by primary
-// ECU so each single-ECU event visits only the groups it takes down.
-// The sweep's scratch is pooled, so a warm move allocates nothing. The
+// The sweep is incremental. newRedCheck resolves everything
+// mapping-independent once per Bind (faultmodel.go): the event universe
+// in sweep order, each event as the list of ECUs it loses, and the
+// reverse index ECU -> events that lose it. A Prepared keeps, in flat
+// slices allocated once per Prepare, each event's result for the
+// incumbent — whether it is in the universe, how many of its (event,
+// group) pairs fail — the reverse index ECU -> events promoting onto
+// it, each group's co-located instance pairs, and the groups bucketed by
+// primary ECU — only those with a standby; the others fail whenever
+// their primary's ECU is lost and are just counted per ECU. Prepare
+// strikes every event; a move of component c from ECU a to ECU b
+// strikes again only the events it dirties:
+//
+//   - events whose lost set includes a or b: under the default universe
+//     an event enters or leaves the universe as a stops or b starts
+//     hosting something (k >= 2 combinations included), and a moved
+//     primary's group enters or leaves the hit set only of these;
+//   - events whose promotion targets include a or b: a target's load
+//     and hosted set change, and a moved standby that was promoted may
+//     no longer be.
+//
+// The events that hit c's replica group need no index of their own: a
+// moved standby can change an event's fail-over only if it was promoted
+// or lost before the move or is lost after it, which puts the event in
+// the lists above. No other event reads anything the move changes, so
+// clean events keep their stored results, and a move costs the few
+// events it touches.
+//
+// Apply strikes the same dirty set against the new incumbent and stores
+// the results. Violation text names every failing (event, group) pair in
+// sweep order, so a full score of a hard (non-Soft) model strikes every
+// event, as Prepare does, and lists every group each one hits. The
 // normal-case RTA verdicts the check reads beside it are computed only
-// under RequireSchedulable: Bound.computeECU skips the task set and
-// the analysis otherwise.
+// under RequireSchedulable: Bound.computeECU skips the task set and the
+// analysis otherwise.
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"autorte/internal/model"
 	"autorte/internal/taskset"
 )
 
-// promo is one fail-over promotion a single-ECU failure forces: the
-// standby (component index) and the ECU index absorbing it.
+// promo is one fail-over promotion a fault event forces: the standby
+// (component index) and the ECU index absorbing it.
 type promo struct{ standby, target int }
 
 // redGroup is one replica group in bound component indices: the primary
@@ -86,14 +113,26 @@ type redCheck struct {
 	cons  Constraints // filled
 	// groups is the effective replica-group set: the materialized groups
 	// plus, under IncludeSingletons, every unreplicated primary as a
-	// group of one, in component declaration order.
-	groups []redGroup
+	// group of one, in component declaration order. groupOf is each
+	// component's index into it, -1 outside every group.
+	groups  []redGroup
+	groupOf []int
 	// bad holds the malformed-loss violations, in Losses order.
 	bad []string
-	// events is the explicit universe: every well-formed unit, then every
-	// combination of 2..MaxConcurrent units in lexicographic unit order.
-	// Empty under the default universe.
-	events []faultEvent
+	// The event universe in sweep order: event x loses the ECUs
+	// evECUs[evStart[x]:evStart[x+1]], ascending, bus isolation folded
+	// in. The explicit universe is every well-formed unit, then every
+	// combination of 2..MaxConcurrent units in lexicographic unit order,
+	// named by labels. The default universe (labels nil) is every ECU,
+	// then every combination of 2..MaxConcurrent ECUs in lexicographic
+	// order; an event of it is in a candidate's universe while every ECU
+	// it loses hosts something, which is the hosted-ECU sweep exactly.
+	evECUs, evStart []int
+	labels          []string
+	// lostBy is the reverse index ECU -> events: the events losing ECU e
+	// are the set bits of lostBy[e*words:(e+1)*words].
+	lostBy []uint64
+	words  int
 }
 
 // newRedCheck resolves cons.Faults against a bound topology. Without
@@ -102,238 +141,453 @@ type redCheck struct {
 // skips it.
 func newRedCheck(comps []boundComp, ecus []boundECU, cons Constraints) *redCheck {
 	rc := &redCheck{comps: comps, ecus: ecus, cons: cons,
-		groups: effectiveGroups(comps, cons.Faults.IncludeSingletons)}
-	if len(rc.groups) > 0 && rc.explicit() {
+		groups: effectiveGroups(comps, cons.Faults.IncludeSingletons), evStart: []int{0}}
+	if len(rc.groups) == 0 {
+		return rc
+	}
+	rc.groupOf = make([]int, len(comps))
+	for i := range rc.groupOf {
+		rc.groupOf[i] = -1
+	}
+	for gi, g := range rc.groups {
+		rc.groupOf[g.primary] = gi
+		for _, sb := range g.standbys {
+			rc.groupOf[sb] = gi
+		}
+	}
+	if rc.explicit() {
 		rc.resolveEvents()
+	} else {
+		rc.defaultEvents()
+	}
+	n := rc.numEvents()
+	rc.words = (n + 63) / 64
+	rc.lostBy = make([]uint64, len(ecus)*rc.words)
+	for x := 0; x < n; x++ {
+		for _, e := range rc.lost(x) {
+			rc.lostBy[e*rc.words+x/64] |= 1 << (x % 64)
+		}
 	}
 	return rc
 }
 
-// sweep is the per-candidate scratch of one fault sweep, pooled so that
-// a warm search scores a move without allocating.
-type sweep struct {
-	// primary holds each group's primary ECU index.
-	primary []int
-	// order lists group indices bucketed by primary ECU: the groups whose
-	// primary sits on ECU e are order[start[e]:start[e+1]], in group
-	// order. next is the fill cursor.
-	order, start, next []int
-	// lost is the current default-universe event's loss bitmap; combo its
-	// ECU indices (concurrent events).
-	lost   []bool
-	combo  []int
-	hosted []int
-	promos []promo
-	// targets lists the current event's fail-over target ECUs.
-	targets []int
-
-	events, survived int
+// addEvent appends an event losing the given ECUs (ascending) to the
+// universe.
+func (rc *redCheck) addEvent(lost ...int) {
+	rc.evECUs = append(rc.evECUs, lost...)
+	rc.evStart = append(rc.evStart, len(rc.evECUs))
 }
 
-var sweeps = sync.Pool{New: func() any { return new(sweep) }}
+// numEvents is the size of the resolved universe.
+func (rc *redCheck) numEvents() int { return len(rc.evStart) - 1 }
 
-// ints returns buf resized to n zeroed elements.
-func ints(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
+// lost returns the ECUs event x loses, ascending.
+func (rc *redCheck) lost(x int) []int { return rc.evECUs[rc.evStart[x]:rc.evStart[x+1]] }
 
-// run appends fail-operational violations to m and sets m.Survivability:
-// the fraction of (fault event, replica group) pairs the candidate d of
-// p survives with a valid fail-over. The explicit universe was resolved
-// with the check; the default one sweeps every single hosted-ECU
-// failure, reproducing the v1 analysis exactly. 1.0 when nothing is
-// scored.
-func (rc *redCheck) run(m *Metrics, p *Prepared, d *delta) {
-	m.Survivability = 1
-	groups := rc.groups
-	if len(groups) == 0 {
-		return
+// label names event x in violations: its resolved label, or its ECUs'
+// names joined with "+".
+func (rc *redCheck) label(x int) string {
+	if rc.labels != nil {
+		return rc.labels[x]
 	}
-	// Anti-affinity: two instances of one group on the same ECU fail
-	// together, defeating the replication. Group order, then pair order.
-	// Always a hard violation, Soft or not — co-location is a deployment
-	// bug, not a coverage gap.
-	for gi := range groups {
-		g := &groups[gi]
-		n := 1 + len(g.standbys)
-		for x := 0; x < n; x++ {
-			ex := p.ecuOf(d, g.inst(x))
-			for y := x + 1; y < n; y++ {
-				if p.ecuOf(d, g.inst(y)) == ex {
-					m.Feasible = false
-					m.Violations = append(m.Violations, fmt.Sprintf(
-						"replicas %s and %s co-located on %s",
-						rc.comps[g.inst(x)].name, rc.comps[g.inst(y)].name, rc.ecus[ex].name))
-				}
-			}
-		}
-	}
-	for _, v := range rc.bad {
-		m.Feasible = false
-		m.Violations = append(m.Violations, v)
-	}
-	s := sweeps.Get().(*sweep)
-	s.events, s.survived = 0, 0
-	s.combo = s.combo[:0]
-	if rc.explicit() {
-		for _, ev := range rc.events {
-			rc.strike(m, s, p, d, ev, nil)
-		}
-	} else {
-		rc.sweepDefault(m, s, p, d)
-	}
-	if s.events > 0 {
-		m.Survivability = float64(s.survived) / float64(s.events)
-	}
-	sweeps.Put(s)
-}
-
-// sweepDefault sweeps the default universe: every hosted ECU failing
-// alone (declaration order), then every combination of 2..MaxConcurrent
-// hosted ECUs in lexicographic order. A single-ECU event takes down
-// exactly the groups whose primary it hosts, so the groups are bucketed
-// by primary ECU in one counting pass and each event visits only its
-// bucket; the groups it leaves alone are counted, not scanned.
-func (rc *redCheck) sweepDefault(m *Metrics, s *sweep, p *Prepared, d *delta) {
-	groups := rc.groups
-	necus := len(rc.ecus)
-	s.primary = ints(s.primary, len(groups))
-	s.start = ints(s.start, necus+1)
-	for gi := range groups {
-		pe := p.ecuOf(d, groups[gi].primary)
-		s.primary[gi] = pe
-		s.start[pe+1]++
-	}
-	for e := 0; e < necus; e++ {
-		s.start[e+1] += s.start[e]
-	}
-	s.next = append(ints(s.next, 0), s.start[:necus]...)
-	s.order = ints(s.order, s.start[necus])
-	for gi, pe := range s.primary {
-		s.order[s.next[pe]] = gi
-		s.next[pe]++
-	}
-	if cap(s.lost) < necus {
-		s.lost = make([]bool, necus)
-	}
-	lost := s.lost[:necus]
-	clear(lost)
-	s.hosted = s.hosted[:0]
-	for ei := 0; ei < necus; ei++ {
-		if a, _ := p.get(d, ei); !a.hosts {
-			continue
-		}
-		s.hosted = append(s.hosted, ei)
-		bucket := s.order[s.start[ei]:s.start[ei+1]]
-		s.events += len(groups) - len(bucket)
-		s.survived += len(groups) - len(bucket)
-		if len(bucket) == 0 {
-			continue
-		}
-		lost[ei] = true
-		rc.strike(m, s, p, d, faultEvent{label: rc.ecus[ei].name, lost: lost}, bucket)
-		lost[ei] = false
-	}
-	k := min(rc.cons.Faults.MaxConcurrent, len(s.hosted))
-	for size := 2; size <= k; size++ {
-		idx := ints(s.combo, size)
-		for i := range idx {
-			idx[i] = i
-		}
-		s.combo = idx
-		for ok := true; ok; ok = nextCombo(idx, len(s.hosted)) {
-			for _, i := range idx {
-				lost[s.hosted[i]] = true
-			}
-			// The label is built only if a violation needs it.
-			rc.strike(m, s, p, d, faultEvent{lost: lost}, nil)
-			for _, i := range idx {
-				lost[s.hosted[i]] = false
-			}
-		}
-	}
-}
-
-// label names a fault event in violations: its resolved label, or the
-// current concurrent combination's ECU names joined with "+".
-func (rc *redCheck) label(ev faultEvent, s *sweep) string {
-	if ev.label != "" {
-		return ev.label
-	}
-	names := make([]string, len(s.combo))
-	for j, i := range s.combo {
-		names[j] = rc.ecus[s.hosted[i]].name
+	lost := rc.lost(x)
+	names := make([]string, len(lost))
+	for j, e := range lost {
+		names[j] = rc.ecus[e].name
 	}
 	return strings.Join(names, "+")
 }
 
-// strike scores one fault event against the groups it may hit (indices
-// into rc.groups, in group order; nil for every group) and counts those
-// (event, group) pairs and their survivors. A group whose primary the event
-// takes down fails over to its first standby (preference order) outside
-// the loss set — the instance rte.FailOver would promote — and every
-// target ECU must absorb the promotions the event sends its way.
-func (rc *redCheck) strike(m *Metrics, s *sweep, p *Prepared, d *delta, ev faultEvent, hit []int) {
-	soft := rc.cons.Faults.Soft
-	n := len(hit)
-	if hit == nil {
-		n = len(rc.groups)
+// faultState is a Prepared's fail-operational state for its incumbent:
+// each event's result and the indexes that find the events a move
+// dirties, plus the scratch of one strike. Its slices are allocated once
+// per Prepare, so a warm move allocates nothing.
+type faultState struct {
+	// active reports whether each event is in the incumbent's universe,
+	// fails how many of its (event, group) pairs fail (0 when inactive).
+	active []bool
+	fails  []int
+	// total sums the active events' results.
+	total tally
+	// targetOf is the reverse index ECU -> events promoting onto it, laid
+	// out like redCheck.lostBy.
+	targetOf []uint64
+	// pairs counts each group's co-located instance pairs; nPairs sums
+	// them.
+	pairs  []int
+	nPairs int
+	// order lists the groups with a standby bucketed by primary ECU: the
+	// ones whose primary sits on ECU e are order[start[e]:start[e+1]],
+	// in group order. bare counts per ECU the groups without a standby
+	// whose primary it hosts: they fail whenever it is lost.
+	order, start, bare []int
+	// Scratch: the dirty events of one move, the loss bitmap, hit groups,
+	// promotions and promotion targets of one strike, the last three
+	// allocated at their largest size so a strike never grows them.
+	dirty   []uint64
+	lost    []bool
+	hit     []int
+	promos  []promo
+	targets []int
+}
+
+// tally sums the results of a set of in-universe events: how many there
+// are, their failed (event, group) pairs, and how many fail at least one
+// pair — the hard failures when the model is not Soft.
+type tally struct{ events, fails, failing int }
+
+// add counts (sign 1) or uncounts (sign -1) an event failing fails pairs.
+func (t *tally) add(fails, sign int) {
+	t.events += sign
+	t.fails += sign * fails
+	if fails > 0 {
+		t.failing += sign
 	}
-	s.events += n
-	s.promos = s.promos[:0]
-	for i := 0; i < n; i++ {
-		gi := i
-		if hit != nil {
-			gi = hit[i]
+}
+
+// prepare fills p's fault state by striking every event against the
+// incumbent.
+func (rc *redCheck) prepare(p *Prepared) {
+	if len(rc.groups) == 0 {
+		return
+	}
+	n := rc.numEvents()
+	st := &p.faults
+	*st = faultState{
+		active:   make([]bool, n),
+		fails:    make([]int, n),
+		targetOf: make([]uint64, len(rc.ecus)*rc.words),
+		pairs:    make([]int, len(rc.groups)),
+		order:    make([]int, len(rc.groups)),
+		start:    make([]int, len(rc.ecus)+1),
+		bare:     make([]int, len(rc.ecus)),
+		dirty:    make([]uint64, rc.words),
+		lost:     make([]bool, len(rc.ecus)),
+		hit:      make([]int, 0, len(rc.groups)),
+		promos:   make([]promo, 0, len(rc.groups)),
+		targets:  make([]int, 0, len(rc.ecus)),
+	}
+	for gi := range rc.groups {
+		st.pairs[gi] = rc.colocated(nil, p, &noDelta, gi)
+		st.nPairs += st.pairs[gi]
+	}
+	rc.bucket(p)
+	for x := 0; x < n; x++ {
+		st.dirty[x/64] |= 1 << (x % 64)
+	}
+	rc.commit(p)
+}
+
+// apply updates p's fault state after the incumbent moved comp index
+// ci: p.faults.dirty holds the events the move dirties, marked before
+// the incumbent changed.
+func (rc *redCheck) apply(p *Prepared, ci int) {
+	if gi := rc.groupOf[ci]; gi >= 0 {
+		st := &p.faults
+		st.nPairs -= st.pairs[gi]
+		st.pairs[gi] = rc.colocated(nil, p, &noDelta, gi)
+		st.nPairs += st.pairs[gi]
+		if rc.groups[gi].primary == ci {
+			rc.bucket(p)
 		}
-		g := &rc.groups[gi]
-		if !ev.lost[p.ecuOf(d, g.primary)] {
-			s.survived++ // this event does not take the primary down
+	}
+	rc.commit(p)
+}
+
+// bucket buckets the groups by the incumbent's primary ECU in one
+// counting pass, and counts the bare ones.
+func (rc *redCheck) bucket(p *Prepared) {
+	st := &p.faults
+	clear(st.start)
+	clear(st.bare)
+	for _, g := range rc.groups {
+		if e := p.curIdx[g.primary]; len(g.standbys) == 0 {
+			st.bare[e]++
+		} else {
+			st.start[e]++
+		}
+	}
+	for e := 1; e < len(st.start); e++ {
+		st.start[e] += st.start[e-1]
+	}
+	// start[e] is now where bucket e ends; filling from the back moves it
+	// to where the bucket begins and leaves each bucket in group order.
+	for gi := len(rc.groups) - 1; gi >= 0; gi-- {
+		if g := &rc.groups[gi]; len(g.standbys) > 0 {
+			e := p.curIdx[g.primary]
+			st.start[e]--
+			st.order[st.start[e]] = gi
+		}
+	}
+}
+
+// markDirty sets p's dirty events to those the candidate d's move of
+// comp index d.moved from ECU a to ECU b can change: the events losing a
+// or b or promoting onto either. That covers the events hitting the
+// moved component's replica group too. A moved primary changes which
+// events hit its group only among those losing a or b. A moved standby
+// changes an event's fail-over only if it was promoted (a is a target),
+// was lost (a is lost), or is lost at b; it cannot be promoted after the
+// move unless it was promoted or lost before, since the standbys ahead
+// of it stay put.
+func (rc *redCheck) markDirty(p *Prepared, d *delta) {
+	st, w := &p.faults, rc.words
+	a, b := p.curIdx[d.moved]*w, d.target*w
+	for i := range st.dirty {
+		st.dirty[i] = rc.lostBy[a+i] | rc.lostBy[b+i] | st.targetOf[a+i] | st.targetOf[b+i]
+	}
+}
+
+// nextBit returns the index of the first set bit of set at or after i,
+// -1 when there is none.
+func nextBit(set []uint64, i int) int {
+	w := i / 64
+	if w >= len(set) {
+		return -1
+	}
+	if v := set[w] >> (i % 64); v != 0 {
+		return i + bits.TrailingZeros64(v)
+	}
+	for w++; w < len(set); w++ {
+		if set[w] != 0 {
+			return w*64 + bits.TrailingZeros64(set[w])
+		}
+	}
+	return -1
+}
+
+// commit strikes p's dirty events against the incumbent and stores
+// their results, keeping the totals and the target index current.
+func (rc *redCheck) commit(p *Prepared) {
+	st, w := &p.faults, rc.words
+	for x := nextBit(st.dirty, 0); x >= 0; x = nextBit(st.dirty, x+1) {
+		if st.active[x] {
+			st.total.add(st.fails[x], -1)
+		}
+		bit := uint64(1) << (x % 64)
+		for e := range rc.ecus {
+			st.targetOf[e*w+x/64] &^= bit
+		}
+		f, targets, ok := rc.strike(nil, p, &noDelta, x)
+		st.fails[x], st.active[x] = f, ok
+		if !ok {
 			continue
 		}
+		st.total.add(f, 1)
+		for _, t := range targets {
+			st.targetOf[t*w+x/64] |= bit
+		}
+	}
+}
+
+// run appends fail-operational violations to m and sets m.Survivability:
+// the fraction of (fault event, replica group) pairs the candidate d of
+// p survives with a valid fail-over. 1.0 when nothing is scored. With
+// full unset it formats no violation and returns at the first
+// infeasibility, like assemble.
+func (rc *redCheck) run(m *Metrics, p *Prepared, d *delta, full bool) {
+	m.Survivability = 1
+	if len(rc.groups) == 0 {
+		return
+	}
+	st := &p.faults
+	// Anti-affinity: two instances of one group on the same ECU fail
+	// together, defeating the replication. Always a hard violation, Soft
+	// or not — co-location is a deployment bug, not a coverage gap. Only
+	// the moved component's group can change its count.
+	pairs := st.nPairs
+	if d.moved >= 0 {
+		if gi := rc.groupOf[d.moved]; gi >= 0 && len(rc.groups[gi].standbys) > 0 {
+			pairs += rc.colocated(nil, p, d, gi) - st.pairs[gi]
+		}
+	}
+	if pairs > 0 {
+		m.Feasible = false
+		if !full {
+			return
+		}
+		for gi := range rc.groups { // group order, then pair order
+			rc.colocated(m, p, d, gi)
+		}
+	}
+	if len(rc.bad) > 0 {
+		m.Feasible = false
+		if !full {
+			return
+		}
+		m.Violations = append(m.Violations, rc.bad...)
+	}
+	soft := rc.cons.Faults.Soft
+	var t tally
+	if full && !soft {
+		// Every failure is a violation, reported in sweep order: strike
+		// every event.
+		for x := 0; x < rc.numEvents(); x++ {
+			if f, _, ok := rc.strike(m, p, d, x); ok {
+				t.add(f, 1)
+			}
+		}
+	} else {
+		// The incumbent's totals, with the dirty events struck again.
+		t = st.total
+		if d.moved >= 0 {
+			rc.markDirty(p, d)
+			for x := nextBit(st.dirty, 0); x >= 0; x = nextBit(st.dirty, x+1) {
+				if st.active[x] {
+					t.add(st.fails[x], -1)
+				}
+				if f, _, ok := rc.strike(nil, p, d, x); ok {
+					t.add(f, 1)
+				}
+			}
+		}
+		if t.failing > 0 && !soft {
+			m.Feasible = false
+			return // full is unset: a full hard score struck every event
+		}
+	}
+	if t.events > 0 {
+		n := t.events * len(rc.groups) // (event, group) pairs
+		m.Survivability = float64(n-t.fails) / float64(n)
+	}
+}
+
+// colocated counts group gi's instance pairs sharing an ECU under the
+// candidate d, in pair order. With m set, each pair appends its
+// violation to m.
+func (rc *redCheck) colocated(m *Metrics, p *Prepared, d *delta, gi int) int {
+	g := &rc.groups[gi]
+	n, pairs := 1+len(g.standbys), 0
+	for x := 0; x < n; x++ {
+		ex := p.ecuOf(d, g.inst(x))
+		for y := x + 1; y < n; y++ {
+			if p.ecuOf(d, g.inst(y)) != ex {
+				continue
+			}
+			pairs++
+			if m != nil {
+				m.Violations = append(m.Violations, fmt.Sprintf(
+					"replicas %s and %s co-located on %s",
+					rc.comps[g.inst(x)].name, rc.comps[g.inst(y)].name, rc.ecus[ex].name))
+			}
+		}
+	}
+	return pairs
+}
+
+// strike scores event x against the candidate d: whether it is in the
+// candidate's universe — an explicit event always is, a default one
+// while every ECU it loses hosts something — and if so how many of its
+// (event, group) pairs fail, and its promotion targets, ascending, in
+// scratch valid until the next strike. Only the groups whose primary the
+// event takes down can fail; every other group survives it. A hit group
+// fails over to its first standby (preference order) outside
+// the loss set — the instance rte.FailOver would promote — and every
+// target ECU must absorb the promotions the event sends its way. With m
+// set and the model not Soft, each failure appends its violation to m.
+func (rc *redCheck) strike(m *Metrics, p *Prepared, d *delta, x int) (int, []int, bool) {
+	st := &p.faults
+	lostECUs, lost := rc.lost(x), st.lost
+	if !rc.explicit() {
+		for _, e := range lostECUs {
+			if a, _ := p.get(d, e); !a.hosts {
+				return 0, nil, false
+			}
+		}
+	}
+	text := m != nil && !rc.cons.Faults.Soft
+	for _, e := range lostECUs {
+		lost[e] = true
+	}
+	// The hit groups are those whose primary the event takes down under
+	// the candidate. Violations name every one of them in group order.
+	// Otherwise a group without a standby is only counted, for it fails
+	// whatever else the mapping does, and the others are the buckets of
+	// the lost ECUs, a moved primary's group leaving its incumbent bucket
+	// for the target's.
+	fails := 0
+	hit := st.hit[:0]
+	if text {
+		for gi := range rc.groups {
+			if lost[p.ecuOf(d, rc.groups[gi].primary)] {
+				hit = append(hit, gi)
+			}
+		}
+	} else {
+		moved := -1
+		if d.moved >= 0 {
+			if gi := rc.groupOf[d.moved]; gi >= 0 && rc.groups[gi].primary == d.moved {
+				moved = gi
+			}
+		}
+		for _, e := range lostECUs {
+			fails += st.bare[e]
+			for _, gi := range st.order[st.start[e]:st.start[e+1]] {
+				if gi != moved {
+					hit = append(hit, gi)
+				}
+			}
+		}
+		joins := false
+		if moved >= 0 && len(rc.groups[moved].standbys) == 0 {
+			if lost[p.curIdx[d.moved]] {
+				fails--
+			}
+			if lost[d.target] {
+				fails++
+			}
+		} else if moved >= 0 && lost[d.target] {
+			hit = append(hit, moved)
+			joins = true
+		}
+		if len(lostECUs) > 1 || joins {
+			slices.Sort(hit)
+		}
+	}
+	promos := st.promos[:0]
+	for _, gi := range hit {
+		g := &rc.groups[gi]
 		sb, target := -1, -1
 		for _, sbi := range g.standbys {
-			if se := p.ecuOf(d, sbi); !ev.lost[se] {
+			if se := p.ecuOf(d, sbi); !lost[se] {
 				sb, target = sbi, se
 				break
 			}
 		}
 		if sb < 0 {
-			if !soft {
+			fails++
+			if text {
 				m.Feasible = false
 				m.Violations = append(m.Violations, fmt.Sprintf(
 					"%s failure leaves %s with no standby on another ECU",
-					rc.label(ev, s), rc.comps[g.primary].name))
+					rc.label(x), rc.comps[g.primary].name))
 			}
 			continue
 		}
-		s.promos = append(s.promos, promo{standby: sb, target: target})
+		promos = append(promos, promo{standby: sb, target: target})
 	}
-	if len(s.promos) == 0 {
-		return
+	for _, e := range lostECUs {
+		lost[e] = false
 	}
 	// Absorption: each target ECU (declaration order) must stay within
 	// the utilization cap — and schedulable, when RTA is required —
 	// after every promotion this event sends its way. Passive standbys
 	// add their load only now; active ones already paid it.
-	s.targets = s.targets[:0]
-	for _, pr := range s.promos {
-		if !slices.Contains(s.targets, pr.target) {
-			s.targets = append(s.targets, pr.target)
+	targets := st.targets[:0]
+	for _, pr := range promos {
+		if !slices.Contains(targets, pr.target) {
+			targets = append(targets, pr.target)
 		}
 	}
-	slices.Sort(s.targets)
-	for _, ti := range s.targets {
+	if len(targets) > 1 {
+		slices.Sort(targets)
+	}
+	for _, ti := range targets {
 		n := 0
 		a, _ := p.get(d, ti)
 		al := a.load
 		speed := rc.ecus[ti].speed
-		for _, pr := range s.promos {
+		for _, pr := range promos {
 			if pr.target != ti {
 				continue
 			}
@@ -345,27 +599,25 @@ func (rc *redCheck) strike(m *Metrics, s *sweep, p *Prepared, d *delta, ev fault
 				al += t / speed
 			}
 		}
-		ok := al <= rc.cons.MaxUtilization
-		if !ok {
-			if !soft {
+		if al > rc.cons.MaxUtilization {
+			fails += n
+			if text {
 				m.Feasible = false
 				m.Violations = append(m.Violations, fmt.Sprintf(
 					"%s failure overloads fail-over target %s: %.3f > %.3f",
-					rc.label(ev, s), rc.ecus[ti].name, al, rc.cons.MaxUtilization))
+					rc.label(x), rc.ecus[ti].name, al, rc.cons.MaxUtilization))
 			}
-		} else if rc.cons.RequireSchedulable && !rc.failoverSchedulable(p, d, ti, s.promos) {
-			ok = false
-			if !soft {
+		} else if rc.cons.RequireSchedulable && !rc.failoverSchedulable(p, d, ti, promos) {
+			fails += n
+			if text {
 				m.Feasible = false
 				m.Violations = append(m.Violations, fmt.Sprintf(
 					"%s unschedulable after absorbing fail-over from %s",
-					rc.ecus[ti].name, rc.label(ev, s)))
+					rc.ecus[ti].name, rc.label(x)))
 			}
 		}
-		if ok {
-			s.survived += n
-		}
 	}
+	return fails, targets, true
 }
 
 // failoverSchedulable runs response-time analysis on the target ECU's

@@ -4,13 +4,15 @@ package deploy
 // analysis, which rebuilds the fault universe on every call and visits
 // every (event, replica group) pair, reading the mapping through a
 // refView. The production redCheck resolves the mapping-independent part
-// once per Bind, buckets the default universe by primary ECU and reads
-// the candidate off a Prepared; FuzzFaultSweep holds the two to
-// DeepEqual Metrics.
+// once per Bind, keeps each event's result for a Prepared's incumbent and
+// strikes again only the events a move dirties; FuzzFaultSweep holds the
+// two to DeepEqual Metrics.
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -479,7 +481,8 @@ func decodeFuzzCase(in *fuzzInput) (*fuzzCase, error) {
 
 // sweepBoth runs the production sweep on the prepared incumbent sys and
 // the reference sweep on sys itself, and fails on any difference in
-// their Metrics.
+// their Metrics. The cost-only sweep must agree on feasibility and,
+// where feasible, on Survivability.
 func sweepBoth(t *testing.T, ev *Evaluator, sys *model.System) {
 	t.Helper()
 	bound, err := ev.Bind(sys)
@@ -490,21 +493,29 @@ func sweepBoth(t *testing.T, ev *Evaluator, sys *model.System) {
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	got, want := Metrics{Feasible: true}, Metrics{Feasible: true}
-	bound.red.run(&got, prep, &noDelta)
+	got, want, costOnly := Metrics{Feasible: true}, Metrics{Feasible: true}, Metrics{Feasible: true}
+	bound.red.run(&got, prep, &noDelta, true)
 	comps, ecus := bindComps(sys), bindECUs(sys)
 	newRefRedCheck(comps, ecus, bound.cons, newRefView(sys, comps, ecus)).run(&want)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("sweep diverges from the reference under %+v\nmapping:   %v\nreference: %+v\nsweep:     %+v",
 			bound.cons.Faults, sys.Mapping, want, got)
 	}
+	bound.red.run(&costOnly, prep, &noDelta, false)
+	if costOnly.Feasible != want.Feasible || want.Feasible && costOnly.Survivability != want.Survivability {
+		t.Fatalf("cost-only sweep diverges from the reference under %+v\nmapping:   %v\nreference: %+v\ncost-only: %+v",
+			bound.cons.Faults, sys.Mapping, want, costOnly)
+	}
 }
 
-// FuzzFaultSweep holds the per-Bind fault plan and the bucketed default
+// FuzzFaultSweep holds the per-Bind fault plan and the incremental
 // sweep to the reference O(events × groups) sweep, and the prepared
 // scorer to the reference scorer, under random replicated systems,
 // mappings and fault models: explicit ECU, bus and ECU+bus losses,
-// malformed units, k up to 3, Soft and IncludeSingletons.
+// malformed units, k up to 3, Soft and IncludeSingletons. Every move of
+// the sequence is scored in full and cost only (scoreMove and MoveCost)
+// on one Prepared, then applied, so the per-event state must follow the
+// incumbent through hosted-set changes.
 func FuzzFaultSweep(f *testing.F) {
 	// The redundancy fixture: Ctrl with one passive standby.
 	f.Add([]byte{0, 0, 0})
@@ -516,6 +527,25 @@ func FuzzFaultSweep(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 1, 1, 1, 16, 0, 4, 0, 1, 0, 0, 1, 0, 1, 0, 2, 1, 0, 1, 0, 0, 2, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 2})
 	// Vehicle, hard default model with k=3 and a tight cap.
 	f.Add([]byte{1, 0, 3, 2, 2, 1, 9, 2, 20, 1, 24, 1, 0})
+	// Fixture mapped Sensor, Ctrl -> e1 and Ctrl#1, Act -> e2, e3 empty;
+	// the moves occupy e3 (Act), empty e2 (Ctrl#1 -> e3), occupy it again
+	// (Sensor) and empty e1 by moving the primary (Ctrl -> e2). Under the
+	// hard default model with k = 1, the soft singleton model with k = 2,
+	// and an explicit k = 2 universe of the three ECUs.
+	hosted := []byte{0, 0, 1, 1, 0, 3, 3, 2, 2, 2, 0, 1, 1, 1}
+	f.Add(slices.Concat([]byte{0, 0, 0, 0, 0, 0}, hosted))
+	f.Add(slices.Concat([]byte{0, 0, 0, 19, 0, 0}, hosted))
+	f.Add(slices.Concat([]byte{0, 0, 0, 18, 0, 3, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 2, 0}, hosted))
+	// Vehicle under the soft singleton model with k = 2: components 0-37
+	// on ECUs 0-9, component 38 alone on ECU 10, ECU 11 empty. The first
+	// move empties ECU 10 and occupies ECU 11 at once; the second
+	// occupies ECU 10 again.
+	veh := []byte{1, 0, 0, 19, 0, 0}
+	for i := 0; i < 38; i++ {
+		veh = append(veh, byte(i%10))
+	}
+	f.Add(slices.Concat(veh, []byte{10, 0, 1, 38, 11, 0, 10}))
+	obj := Objective{WECU: 1000, WHarness: 10, WLoad: 1, WAvail: 100_000}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		fc, err := decodeFuzzCase(&in)
@@ -542,6 +572,18 @@ func FuzzFaultSweep(f *testing.F) {
 			want := refEvaluate(ev, cand)
 			if got := prep.EvaluateMove(mv[0], mv[1]); !reflect.DeepEqual(want, got) {
 				t.Fatalf("move %s->%s diverges\nreference: %+v\ndelta:     %+v", mv[0], mv[1], want, got)
+			}
+			// Cost only: the reference's cost when finite, else +Inf —
+			// or, for scoreMove, a move whose dirty ECUs fail the RTA
+			// verdicts it leaves out.
+			wantCost := want.Cost(obj)
+			ci, ei := bound.compIdx[mv[0]], bound.ecuIdx[mv[1]]
+			costOnly := prep.scoreMove(ci, ei, false).Cost(obj)
+			if !sameCost(costOnly, wantCost) && (!math.IsInf(wantCost, 1) || prep.schedulable(ci, ei)) {
+				t.Fatalf("move %s->%s: cost-only %v, reference %v", mv[0], mv[1], costOnly, wantCost)
+			}
+			if cost := prep.MoveCost(mv[0], mv[1], obj); !sameCost(cost, wantCost) {
+				t.Fatalf("move %s->%s: MoveCost %v, reference %v", mv[0], mv[1], cost, wantCost)
 			}
 			sweepBoth(t, ev, cand)
 			if err := prep.Apply(mv[0], mv[1]); err != nil {

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"autorte/internal/model"
-	"autorte/internal/race"
 	"autorte/internal/sched"
 	"autorte/internal/sim"
 )
@@ -243,9 +242,6 @@ func TestDescendCostFirstSkipsRTA(t *testing.T) {
 // A warm cost-only move allocates nothing, feasible or not: no violation
 // text is built and the dirty ECUs' state comes from the memo.
 func TestCostOnlyMoveAllocsNothing(t *testing.T) {
-	if race.Enabled {
-		t.Skip("the race detector drops a share of sync.Pool Puts on purpose")
-	}
 	sys := vehicle(t, 1)
 	bound, err := NewEvaluator(Constraints{RequireSchedulable: true}).Bind(sys)
 	if err != nil {

@@ -26,18 +26,6 @@ func randomSet(n int, seed uint64) []Task {
 	return tasks
 }
 
-// BenchmarkRTA measures response-time analysis of a 50-task set — the
-// inner loop of every verification run.
-func BenchmarkRTA(b *testing.B) {
-	tasks := randomSet(50, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ResponseTimes(tasks); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAudsley measures optimal priority assignment (quadratic in the
 // task count, each step an RTA).
 func BenchmarkAudsley(b *testing.B) {
