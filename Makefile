@@ -39,10 +39,10 @@ test:
 # human-readable output, then enforces the performance budget: every
 # place the code runs in parallel (the E13 availability and E14 observer
 # campaigns, the DSEAnnealParallel restarts) reports a paired
-# par/seq-ratio within its budget, BenchmarkVerify/large within its
+# par/seq-ratio within its budget, every BenchmarkVerify size within its
 # allocs/op ceiling, the incremental DSE path at least 3x faster than the
-# cached sweep, and the always-on flight recorder within 5% of
-# recorder-off. The flight
+# bound sweep's full re-verification, and the always-on flight recorder
+# within 5% of recorder-off. The flight
 # benchmarks interleave on and off within each iteration and report the
 # paired "on/off-ratio" metric benchguard gates — pairing cancels
 # shared-runner noise a 5% budget could never be measured under from

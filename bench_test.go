@@ -289,12 +289,10 @@ func BenchmarkE11Flight(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Verification & DSE pipeline benchmarks. Three demo-vehicle sizes; for
-// each, `uncached` runs without the CAN analysis cache and `cached` with
-// it (the one analysis memo; the sweep's cached arm also binds once).
-// Both run on the caller's goroutine. Reports are byte-identical between the two
-// (TestVerifyParallelMatchesSequential); the numbers go into
-// EXPERIMENTS.md.
+// Verification & DSE pipeline benchmarks, on three demo-vehicle sizes.
+// A Verify pass runs on the caller's goroutine and analyzes every bus
+// directly; only the incremental sweep's Reverify calls read the CAN
+// analysis memo. The numbers go into EXPERIMENTS.md.
 
 func vehicleSpecSized(scale int) workload.VehicleSpec {
 	dases := workload.DefaultDASes()
@@ -335,22 +333,13 @@ func demoVehicleScaled(b *testing.B, scale int) *model.System {
 }
 
 // BenchmarkVerify measures one full static verification of the demo
-// vehicle. uncached/cached differ only in the CAN analysis cache, which a
-// single cold pass fills but cannot hit.
+// vehicle.
 func BenchmarkVerify(b *testing.B) {
 	for _, size := range verifySizes {
 		sys := demoVehicleScaled(b, size.scale)
-		b.Run(size.name+"/uncached", func(b *testing.B) {
+		b.Run(size.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (&core.Pipeline{}).Verify(sys, nil, rte.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(size.name+"/cached", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := core.NewPipeline(0)
-				if _, err := p.Verify(sys, nil, rte.Options{}); err != nil {
+				if _, err := core.Verify(sys, nil, rte.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -359,15 +348,12 @@ func BenchmarkVerify(b *testing.B) {
 }
 
 // BenchmarkVerifyFlight is the recorder on/off comparison on the
-// pipeline's hottest path: the large cached verify, which builds a
-// simulated platform (now carrying the flight recorder by default) per
-// run.
+// pipeline's hottest path: the large verify.
 func BenchmarkVerifyFlight(b *testing.B) {
 	sys := demoVehicleScaled(b, 4)
 	verify := func(opts rte.Options) func() {
 		return func() {
-			p := core.NewPipeline(0)
-			if _, err := p.Verify(sys, nil, opts); err != nil {
+			if _, err := core.Verify(sys, nil, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -410,14 +396,10 @@ func dseCandidates(b *testing.B, sys *model.System, n int) (*model.System, []*mo
 
 // BenchmarkVerifyDSESweep measures a full Verify+DSE pass: score a
 // 32-candidate sweep under RequireSchedulable, then statically verify the
-// winner. uncached is the pre-pipeline workflow — every candidate scored
-// by deploy.Evaluate, a fresh Bind per candidate, the winner verified
-// without the CAN cache. cached is the pipeline workflow — candidates
-// scored through one Bind (Prepare, then Evaluate), the winner verified
-// through a pipeline whose CAN cache persists across iterations. Both
-// pick the same winner and produce
-// byte-identical reports (both score through the same Bound;
-// TestVerifyParallelMatchesSequential holds the two verifiers together).
+// winner in full. rebind scores every candidate by deploy.Evaluate, a
+// fresh Bind per candidate; bound scores them through one Bind (Prepare,
+// then Evaluate). Both pick the same winner (both score through the same
+// Bound) and verify it the same way.
 func BenchmarkVerifyDSESweep(b *testing.B) {
 	const candidates = 32
 	cons := deploy.Constraints{RequireSchedulable: true}
@@ -425,7 +407,7 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 	for _, size := range verifySizes {
 		sys := demoVehicleScaled(b, size.scale)
 		_, cands := dseCandidates(b, sys, candidates)
-		b.Run(size.name+"/uncached", func(b *testing.B) {
+		b.Run(size.name+"/rebind", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				best, bestCost := 0, math.Inf(1)
 				for j, cand := range cands {
@@ -433,18 +415,17 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 						best, bestCost = j, cost
 					}
 				}
-				if _, err := (&core.Pipeline{}).Verify(cands[best], nil, rte.Options{}); err != nil {
+				if _, err := core.Verify(cands[best], nil, rte.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(size.name+"/cached", func(b *testing.B) {
+		b.Run(size.name+"/bound", func(b *testing.B) {
 			ev := deploy.NewEvaluator(cons)
 			bound, err := ev.Bind(cands[0])
 			if err != nil {
 				b.Fatal(err)
 			}
-			p := core.NewPipeline(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				best, bestCost := 0, math.Inf(1)
@@ -457,7 +438,7 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 						best, bestCost = j, cost
 					}
 				}
-				if _, err := p.Verify(cands[best], nil, rte.Options{}); err != nil {
+				if _, err := core.Verify(cands[best], nil, rte.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -468,7 +449,7 @@ func BenchmarkVerifyDSESweep(b *testing.B) {
 // BenchmarkVerifyDSESweepInc is the sweep with the delta layers engaged:
 // candidates scored through the prepared (per-move) evaluator, the winner
 // re-verified through core.Incremental — only the ECUs, buses and chains
-// the winning move touches are re-analyzed, against the cached variant's
+// the winning move touches are re-analyzed, against the bound variant's
 // full re-verification. Each iteration advances the incumbent to the
 // winner and back, so every pass exercises two real single-move deltas.
 func BenchmarkVerifyDSESweepInc(b *testing.B) {

@@ -37,7 +37,7 @@ func main() {
 		contractsPath = flag.String("contracts", "", "contract catalogue JSON (optional)")
 		demo          = flag.Bool("demo", false, "verify the generated demo vehicle")
 		seed          = flag.Uint64("seed", 1, "workload generator seed (with -demo)")
-		verbose       = flag.Bool("v", false, "print per-task response times and cache stats")
+		verbose       = flag.Bool("v", false, "print per-task response times")
 		metricsPath   = flag.String("metrics", "", "write pipeline metrics (Prometheus text format) to file")
 		traceOutPath  = flag.String("trace-out", "", "write pipeline stage spans as Chrome trace JSON to file")
 		traceTxtPath  = flag.String("trace-txt", "", "write pipeline stage spans as a text tree to file")
@@ -151,10 +151,6 @@ func main() {
 	}
 	for _, w := range rep.Warnings {
 		fmt.Println("warning:", w)
-	}
-	if *verbose {
-		h, m := pipe.CAN.Stats()
-		fmt.Printf("can cache: %d hits / %d misses\n", h, m)
 	}
 	if !rep.OK() {
 		fmt.Println("\nVERIFICATION FAILED")

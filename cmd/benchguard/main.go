@@ -7,12 +7,12 @@
 //
 // The guarded invariants must not regress:
 //
-//   - BenchmarkVerify/<size>/uncached needs a .../cached counterpart, and
-//     BenchmarkVerify/large-*/{uncached,cached} allocs/op must stay under
-//     the budget (default 1690, half the 3380 the seed shipped with).
+//   - Every BenchmarkVerify/<size> allocs/op must stay under the -allocs
+//     budget (default 1690, half the 3380 the seed shipped with).
 //   - BenchmarkVerifyDSESweepInc/<size>/inc must be at least -incratio
 //     (default 3.0) times faster than
-//     BenchmarkVerifyDSESweep/<size>/cached.
+//     BenchmarkVerifyDSESweep/<size>/bound, the sweep that re-verifies
+//     its winner in full.
 //   - A parallel path must not lose to its sequential run. Each place the
 //     code runs in parallel reports a paired "par/seq-ratio" metric: the
 //     run on GOMAXPROCS workers over the same run on one worker. The
@@ -62,8 +62,8 @@ type Result struct {
 func main() {
 	bench := flag.String("bench", "BENCH_pipeline.json", "benchmark artifact to guard")
 	old := flag.String("old", "", "optional baseline artifact for the comparison table")
-	allocs := flag.Int64("allocs", 1690, "allocs/op ceiling for BenchmarkVerify/large")
-	incRatio := flag.Float64("incratio", 3.0, "minimum DSE sweep speedup of the incremental path over the cached sweep")
+	allocs := flag.Int64("allocs", 1690, "allocs/op ceiling for every BenchmarkVerify/<size>")
+	incRatio := flag.Float64("incratio", 3.0, "minimum DSE sweep speedup of the incremental path over the full re-verification sweep")
 	flightRatio := flag.Float64("flightratio", 1.05, "maximum flight-recorder on/off ns/op ratio (observability budget)")
 	parRatio := flag.Float64("parratio", 1.15, "maximum par/seq ns/op ratio of every paired par-vs-seq benchmark")
 	flag.Parse()
@@ -108,28 +108,19 @@ var parPairs = []string{"BenchmarkDSEAnnealParallel", "BenchmarkE13Availability"
 // guard checks the budget invariants and returns the violations found.
 func guard(cur map[string]Result, allocCeiling int64, incRatio, flightRatio, parRatio float64) []string {
 	var out []string
-	pairs := 0
-	for name, uncached := range cur {
-		size, ok := verifySize(name, "/uncached")
-		if !ok {
+	sizes := 0
+	for name, r := range cur {
+		size, ok := strings.CutPrefix(name, "BenchmarkVerify/")
+		if !ok || strings.Contains(size, "/") {
 			continue
 		}
-		pairs++
-		cached, ok := cur["BenchmarkVerify/"+size+"/cached"]
-		if !ok {
-			out = append(out, fmt.Sprintf("BenchmarkVerify/%s has uncached but no cached run", size))
-			continue
-		}
-		if strings.HasPrefix(size, "large") {
-			for variant, r := range map[string]Result{"uncached": uncached, "cached": cached} {
-				if r.AllocsPerOp > allocCeiling {
-					out = append(out, fmt.Sprintf("BenchmarkVerify/%s/%s: %d allocs/op exceeds budget %d", size, variant, r.AllocsPerOp, allocCeiling))
-				}
-			}
+		sizes++
+		if r.AllocsPerOp > allocCeiling {
+			out = append(out, fmt.Sprintf("BenchmarkVerify/%s: %d allocs/op exceeds budget %d", size, r.AllocsPerOp, allocCeiling))
 		}
 	}
-	if pairs == 0 {
-		out = append(out, "no BenchmarkVerify uncached/cached pairs found — guard would pass vacuously")
+	if sizes == 0 {
+		out = append(out, "no BenchmarkVerify/<size> runs found — guard would pass vacuously")
 	}
 	incPairs := 0
 	for name, inc := range cur {
@@ -139,21 +130,21 @@ func guard(cur map[string]Result, allocCeiling int64, incRatio, flightRatio, par
 		}
 		size := strings.TrimSuffix(strings.TrimPrefix(name, pfx), "/inc")
 		incPairs++
-		cached, ok := cur["BenchmarkVerifyDSESweep/"+size+"/cached"]
+		full, ok := cur["BenchmarkVerifyDSESweep/"+size+"/bound"]
 		if !ok {
-			out = append(out, fmt.Sprintf("BenchmarkVerifyDSESweepInc/%s has no cached sweep to compare against", size))
+			out = append(out, fmt.Sprintf("BenchmarkVerifyDSESweepInc/%s has no bound sweep to compare against", size))
 			continue
 		}
 		if inc.NsPerOp <= 0 {
 			out = append(out, fmt.Sprintf("BenchmarkVerifyDSESweepInc/%s: non-positive ns/op", size))
 			continue
 		}
-		if ratio := cached.NsPerOp / inc.NsPerOp; ratio < incRatio {
-			out = append(out, fmt.Sprintf("DSE sweep %s: incremental only %.2fx faster than the cached sweep (budget %.1fx)", size, ratio, incRatio))
+		if ratio := full.NsPerOp / inc.NsPerOp; ratio < incRatio {
+			out = append(out, fmt.Sprintf("DSE sweep %s: incremental only %.2fx faster than the bound sweep (budget %.1fx)", size, ratio, incRatio))
 		}
 	}
 	if incPairs == 0 {
-		out = append(out, "no DSE sweep inc/cached pairs found — guard would pass vacuously")
+		out = append(out, "no DSE sweep inc/bound pairs found — guard would pass vacuously")
 	}
 	out = append(out, ratioGuard(cur, "par/seq-ratio", "par", "seq", "par/seq-ratio", parRatio, parPairs...)...)
 	out = append(out, ratioGuard(cur, "on/off-ratio", "flight recorder", "off", "flight-recorder on/off-ratio", flightRatio)...)
@@ -191,15 +182,6 @@ func ratioGuard(cur map[string]Result, metric, slow, fast, kind string, ceiling 
 		out = append(out, fmt.Sprintf("no %s metrics found — guard would pass vacuously", kind))
 	}
 	return out
-}
-
-// verifySize extracts <size> from "BenchmarkVerify/<size><suffix>".
-func verifySize(name, suffix string) (string, bool) {
-	const pfx = "BenchmarkVerify/"
-	if !strings.HasPrefix(name, pfx) || !strings.HasSuffix(name, suffix) {
-		return "", false
-	}
-	return strings.TrimSuffix(strings.TrimPrefix(name, pfx), suffix), true
 }
 
 // compare prints a benchstat-style table of baseline vs current for every

@@ -8,11 +8,9 @@ import (
 // healthy is an artifact satisfying every budget invariant.
 func healthy() map[string]Result {
 	return map[string]Result{
-		"BenchmarkVerify/small-13chains/uncached":       {NsPerOp: 240000, AllocsPerOp: 495},
-		"BenchmarkVerify/small-13chains/cached":         {NsPerOp: 140000, AllocsPerOp: 471},
-		"BenchmarkVerify/large-52chains/uncached":       {NsPerOp: 11600000, AllocsPerOp: 1599},
-		"BenchmarkVerify/large-52chains/cached":         {NsPerOp: 1080000, AllocsPerOp: 1388},
-		"BenchmarkVerifyDSESweep/large-52chains/cached": {NsPerOp: 2500000},
+		"BenchmarkVerify/small-13chains":                {NsPerOp: 140000, AllocsPerOp: 471},
+		"BenchmarkVerify/large-52chains":                {NsPerOp: 1080000, AllocsPerOp: 1388},
+		"BenchmarkVerifyDSESweep/large-52chains/bound":  {NsPerOp: 2500000},
 		"BenchmarkVerifyDSESweepInc/large-52chains/inc": {NsPerOp: 430000},
 		"BenchmarkVerifyFlight":                         {NsPerOp: 2170000, Metrics: map[string]float64{"on/off-ratio": 1.009}},
 		"BenchmarkDSEAnnealParallel":                    {NsPerOp: 2200000, Metrics: map[string]float64{"par/seq-ratio": 0.62}},
@@ -57,22 +55,25 @@ func TestGuardFlagsMissingParPair(t *testing.T) {
 	}
 }
 
+// Every BenchmarkVerify size is under the alloc budget; sub-benchmarks
+// of other Verify benchmarks are not.
 func TestGuardFlagsAllocBudget(t *testing.T) {
-	m := healthy()
-	r := m["BenchmarkVerify/large-52chains/cached"]
-	r.AllocsPerOp = 1700
-	m["BenchmarkVerify/large-52chains/cached"] = r
-	v := guard(m, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 1 || !strings.Contains(v[0], "1700 allocs/op exceeds budget 1690") {
-		t.Fatalf("want one alloc-budget violation, got %v", v)
+	for _, size := range []string{"small-13chains", "large-52chains"} {
+		m := healthy()
+		r := m["BenchmarkVerify/"+size]
+		r.AllocsPerOp = 1700
+		m["BenchmarkVerify/"+size] = r
+		v := guard(m, 1690, 3.0, 1.03, 1.15)
+		if len(v) != 1 || v[0] != "BenchmarkVerify/"+size+": 1700 allocs/op exceeds budget 1690" {
+			t.Fatalf("%s: want one alloc-budget violation, got %v", size, v)
+		}
 	}
-	// Only the large size is under the alloc budget; small is exempt.
-	m = healthy()
-	r = m["BenchmarkVerify/small-13chains/cached"]
+	m := healthy()
+	r := m["BenchmarkVerifyDSESweep/large-52chains/bound"]
 	r.AllocsPerOp = 5000
-	m["BenchmarkVerify/small-13chains/cached"] = r
+	m["BenchmarkVerifyDSESweep/large-52chains/bound"] = r
 	if v := guard(m, 1690, 3.0, 1.03, 1.15); len(v) != 0 {
-		t.Fatalf("small size should be exempt from alloc budget, got %v", v)
+		t.Fatalf("the DSE sweep should be exempt from the alloc budget, got %v", v)
 	}
 }
 
@@ -128,15 +129,9 @@ func TestGuardFailsVacuousArtifact(t *testing.T) {
 
 func TestGuardFlagsMissingCounterpart(t *testing.T) {
 	m := healthy()
-	delete(m, "BenchmarkVerify/large-52chains/cached")
+	delete(m, "BenchmarkVerifyDSESweep/large-52chains/bound")
 	v := guard(m, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 1 || !strings.Contains(v[0], "has uncached but no cached run") {
-		t.Fatalf("want missing-cached violation, got %v", v)
-	}
-	m = healthy()
-	delete(m, "BenchmarkVerifyDSESweep/large-52chains/cached")
-	v = guard(m, 1690, 3.0, 1.03, 1.15)
-	if len(v) != 1 || !strings.Contains(v[0], "no cached sweep") {
+	if len(v) != 1 || !strings.Contains(v[0], "no bound sweep") {
 		t.Fatalf("want missing-sweep violation, got %v", v)
 	}
 	m = healthy()
@@ -149,17 +144,17 @@ func TestGuardFlagsMissingCounterpart(t *testing.T) {
 
 func TestCompareTable(t *testing.T) {
 	old := map[string]Result{
-		"BenchmarkVerify/large-52chains/cached": {NsPerOp: 953649, AllocsPerOp: 3447},
-		"BenchmarkRemoved/only-old":             {NsPerOp: 100},
+		"BenchmarkVerify/large-52chains": {NsPerOp: 953649, AllocsPerOp: 3447},
+		"BenchmarkRemoved/only-old":      {NsPerOp: 100},
 	}
 	cur := map[string]Result{
-		"BenchmarkVerify/large-52chains/cached": {NsPerOp: 1080000, AllocsPerOp: 1388},
-		"BenchmarkAdded/only-new":               {NsPerOp: 200},
+		"BenchmarkVerify/large-52chains": {NsPerOp: 1080000, AllocsPerOp: 1388},
+		"BenchmarkAdded/only-new":        {NsPerOp: 200},
 	}
 	var sb strings.Builder
 	compare(&sb, old, cur)
 	out := sb.String()
-	for _, want := range []string{"-59.7%", "gone", "new", "BenchmarkVerify/large-52chains/cached"} {
+	for _, want := range []string{"-59.7%", "gone", "new", "BenchmarkVerify/large-52chains"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("comparison table missing %q:\n%s", want, out)
 		}

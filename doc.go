@@ -24,16 +24,16 @@
 // core.Pipeline pass and each search round run on the caller,
 // core.Incremental re-analyzes only the ECUs and buses a mapping change
 // dirties, deploy's searches score candidate moves through one delta
-// evaluator (deploy.Prepared), and the CAN bus analysis is memoized by a
-// canonical key (can.Cache). A bounded worker pool (internal/par) runs
-// only independent units — campaign scenarios and annealing restarts —
-// with results identical for any worker count. See the Performance sections
-// of README.md and EXPERIMENTS.md.
+// evaluator (deploy.Prepared), and Incremental.Reverify memoizes the CAN
+// bus analysis by a canonical key (can.Memo). A bounded worker pool
+// (internal/par) runs only independent units — campaign scenarios and
+// annealing restarts — with results identical for any worker count. See
+// the Performance sections of README.md and EXPERIMENTS.md.
 //
 // The whole stack is observable through internal/obs — a dependency-free
 // metrics registry (Prometheus-text and JSON exporters), a DLT-style
 // structured event log, and span tracing exportable as Chrome trace
-// JSON. The CAN cache, the worker pool, the kernel, the RTE error
+// JSON. The CAN analysis memo, the worker pool, the kernel, the RTE error
 // manager, the verification pipeline and the DSE searches are
 // instrumented; autocheck and autosim expose the artifacts via
 // -metrics/-trace-out/-dlt. All instrumentation is opt-in and nil-safe

@@ -139,9 +139,14 @@ func (inc *Incremental) Stats() (recomputed, reused uint64) {
 	return inc.recomputed.Load(), inc.reused.Load()
 }
 
-// Observe registers the incremental layer's reuse counters.
+// Observe registers the incremental layer's reuse counters and the
+// hit/miss/size series of its CAN analysis memo (cache="can").
 func (inc *Incremental) Observe(reg *obs.Registry) {
 	reg.CounterFunc("incremental_reverify_total", "Incremental re-verification passes.", inc.reverifies.Load)
 	reg.CounterFunc("incremental_recomputed_total", "Per-item analyses re-run by incremental re-verification.", inc.recomputed.Load)
 	reg.CounterFunc("incremental_reused_total", "Per-item results served from retained state by incremental re-verification.", inc.reused.Load)
+	l := obs.Label{Key: "cache", Value: "can"}
+	reg.CounterFunc("analysis_cache_hits_total", "Memoized analysis lookups served from cache.", inc.canHits.Load, l)
+	reg.CounterFunc("analysis_cache_misses_total", "Memoized analysis lookups that ran the analysis.", inc.canMisses.Load, l)
+	reg.GaugeFunc("analysis_cache_entries", "Distinct problems held by the analysis cache.", func() float64 { return float64(inc.canEntries.Load()) }, l)
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
 	"autorte/internal/model"
+	"autorte/internal/obs"
 	"autorte/internal/rte"
 	"autorte/internal/sim"
 	"autorte/internal/workload"
@@ -113,6 +115,78 @@ func TestIncrementalMatchesFullVerify(t *testing.T) {
 		// sweep, retained results must dominate recomputed ones.
 		if reused < recomputed {
 			t.Fatalf("stats: reused=%d < recomputed=%d — incremental layer recomputes too much", reused, recomputed)
+		}
+	}
+}
+
+// canMemoSeries reads the incremental verifier's cache="can" series.
+func canMemoSeries(reg *obs.Registry) (hits, misses, entries float64) {
+	v := map[string]float64{}
+	for _, s := range reg.Snapshot() {
+		v[seriesKey(s)] = s.Value
+	}
+	return v["analysis_cache_hits_total{cache=can}"], v["analysis_cache_misses_total{cache=can}"],
+		v["analysis_cache_entries{cache=can}"]
+}
+
+// The CAN analysis memo belongs to re-verification. A full pass — every
+// Verify, through any pipeline — analyzes each bus directly and records
+// no lookup. A Reverify walk out and back misses on frame sets it meets
+// for the first time and hits on the way back, a second lap only hits,
+// and every report is the one a fresh Verify gives.
+func TestCANMemoServesReverifyOnly(t *testing.T) {
+	for name, p := range map[string]*Pipeline{"zero": {}, "NewPipeline": NewPipeline(2)} {
+		sys := incrementalVehicle(t)
+		p.Observe(obs.NewRegistry())
+		inc, err := NewIncremental(p, sys, nil, rte.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		inc.Observe(reg)
+		if h, m, n := canMemoSeries(reg); h+m+n != 0 {
+			t.Fatalf("%s: full pass made CAN memo lookups: %v hits, %v misses, %v entries", name, h, m, n)
+		}
+		// Each step co-locates a connector's consumer with its producer:
+		// the signal leaves the backbone, so the frame set changes.
+		walk := []map[string]string{maps.Clone(sys.Mapping)}
+		for _, c := range sys.Connectors[:8] {
+			m := maps.Clone(walk[len(walk)-1])
+			if m[c.ToSWC] != m[c.FromSWC] {
+				m[c.ToSWC] = m[c.FromSWC]
+				walk = append(walk, m)
+			}
+		}
+		if len(walk) < 4 {
+			t.Fatalf("%s: walk of %d mappings is too short", name, len(walk))
+		}
+		lap := func(step string) {
+			for i := 1; i < 2*len(walk)-1; i++ {
+				j := i
+				if i >= len(walk) {
+					j = 2*len(walk) - 2 - i // and back
+				}
+				got, err := inc.Reverify(walk[j])
+				if err != nil {
+					t.Fatalf("%s %s %d: %v", name, step, i, err)
+				}
+				checkVerify(t, fmt.Sprintf("%s %s %d", name, step, i), sys, got)
+				if h, m, _ := canMemoSeries(reg); step == "lap 1" && i == len(walk)-1 && (h != 0 || m != float64(i)) {
+					t.Fatalf("%s: way out: %v hits, %v misses; want %d misses", name, h, m, i)
+				}
+			}
+		}
+		lap("lap 1")
+		h1, m1, n1 := canMemoSeries(reg)
+		if h1 == 0 {
+			t.Fatalf("%s: no CAN memo hit on the way back (%v misses)", name, m1)
+		}
+		if n1 != m1 {
+			t.Fatalf("%s: %v entries after %v misses", name, n1, m1)
+		}
+		lap("lap 2")
+		if h2, m2, _ := canMemoSeries(reg); m2 != m1 || h2 <= h1 {
+			t.Fatalf("%s: second lap: %v hits, %v misses; want only hits after %v/%v", name, h2, m2, h1, m1)
 		}
 	}
 }

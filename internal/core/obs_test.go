@@ -9,9 +9,8 @@ import (
 )
 
 // TestVerifyPopulatesMetrics runs an instrumented pipeline and checks
-// that the registry surfaces real work: cache traffic, per-stage
-// duration histograms, and — on a second verify of the same system —
-// cache hits from memoization.
+// that the registry surfaces real work: per-stage duration histograms,
+// exported in the Prometheus text format.
 func TestVerifyPopulatesMetrics(t *testing.T) {
 	sys := vehicle(t, 1)
 	p := NewPipeline(2)
@@ -20,26 +19,11 @@ func TestVerifyPopulatesMetrics(t *testing.T) {
 	if _, err := p.Verify(sys, nil, rte.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Verify(sys, nil, rte.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]float64{}
 	hist := map[string]uint64{}
 	for _, s := range reg.Snapshot() {
-		key := s.Name
-		for _, l := range s.Labels {
-			key += "{" + l.Key + "=" + l.Value + "}"
-		}
-		byName[key] = s.Value
 		if s.Kind == obs.KindHistogram.String() {
-			hist[key] = s.Count
+			hist[seriesKey(s)] = s.Count
 		}
-	}
-	if byName["analysis_cache_misses_total{cache=can}"] == 0 {
-		t.Fatal("no CAN cache misses recorded after verify")
-	}
-	if byName["analysis_cache_hits_total{cache=can}"] == 0 {
-		t.Fatal("second verify of the same system should hit the CAN cache")
 	}
 	for _, stage := range []string{"verify/setup", "verify/ecu", "verify/bus"} {
 		if hist["pipeline_stage_duration_ns{stage="+stage+"}"] == 0 {
@@ -100,4 +84,14 @@ func TestUninstrumentedPipelineUnaffected(t *testing.T) {
 	if !rep.OK() {
 		t.Fatal("uninstrumented verify should pass like the instrumented one")
 	}
+}
+
+// seriesKey names a registry series by its name and labels, as
+// name{key=value}...
+func seriesKey(s obs.Sample) string {
+	key := s.Name
+	for _, l := range s.Labels {
+		key += "{" + l.Key + "=" + l.Value + "}"
+	}
+	return key
 }

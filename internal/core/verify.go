@@ -13,9 +13,10 @@
 // dirty; Incremental.Reverify derives the dirty sets of a mapping change
 // and runs the same step. Each pass resolves every ECU and bus analysis
 // once — the chains read those results directly — and an Incremental
-// keeps every ECU and bus a move leaves clean. A Pipeline memoizes only
-// the CAN bus analysis, the costliest one a move redoes: a re-verifying
-// walk revisits each backbone frame set.
+// keeps every ECU and bus a move leaves clean. Reverify also memoizes the
+// CAN bus analysis, the costliest one a move redoes, in the Incremental:
+// a re-verifying walk revisits each backbone frame set, while a full pass
+// analyzes each bus once and has nothing to look up.
 // A pass runs on its caller's goroutine: it is a dozen jobs of about a
 // microsecond each, which a worker pool only slows down. Parallelism
 // belongs a level up, across independent passes.
@@ -96,17 +97,11 @@ func (r *Report) OK() bool {
 	return r.Contracts == nil || r.Contracts.OK()
 }
 
-// Pipeline is a reusable verification context: the CAN analysis cache
-// and the observability hooks shared across Verify calls. The zero value
-// is valid (no caching); NewPipeline enables the cache. A single
-// Pipeline is safe for concurrent use; a search that re-verifies mapping
-// after mapping shares one, so each distinct CAN frame set is analyzed
-// once.
+// Pipeline is a reusable verification context: the observability hooks
+// shared across Verify calls. The zero value is ready to use.
 type Pipeline struct {
 	// Deprecated: Workers is ignored; a pass runs on the caller.
 	Workers int
-	// CAN memoizes CAN bus analysis.
-	CAN *can.Cache
 	// Tracer records wall-clock spans around every Verify stage and
 	// per-item job when non-nil (export with Tracer.WriteChrome or
 	// Tracer.WriteTree). Nil — the default — traces nothing.
@@ -117,12 +112,8 @@ type Pipeline struct {
 }
 
 // Observe attaches a metrics registry to the pipeline: stage-duration
-// histograms (pipeline_stage_duration_ns by stage) and the hit/miss/size
-// series of the CAN analysis cache.
-func (p *Pipeline) Observe(reg *obs.Registry) {
-	p.reg = reg
-	p.CAN.Observe(reg)
-}
+// histograms (pipeline_stage_duration_ns by stage).
+func (p *Pipeline) Observe(reg *obs.Registry) { p.reg = reg }
 
 // stage opens one timed pipeline stage: a tracer span (named by stage
 // plus an optional per-item detail) and, when a registry is attached, a
@@ -148,12 +139,9 @@ func (p *Pipeline) stage(parent *obs.Span, stage, detail string) func() {
 	}
 }
 
-// NewPipeline returns a pipeline with the CAN analysis cache enabled.
-// The workers argument is deprecated and ignored: a pass runs on the
-// caller.
-func NewPipeline(workers int) *Pipeline {
-	return &Pipeline{Workers: workers, CAN: can.NewCache()}
-}
+// NewPipeline returns an uninstrumented pipeline. The workers argument
+// is deprecated and ignored: a pass runs on the caller.
+func NewPipeline(workers int) *Pipeline { return &Pipeline{Workers: workers} }
 
 // Verify statically checks a deployed system with a default pipeline:
 // model + VFB validity, a mapping for every component with CPU demand
@@ -166,9 +154,8 @@ func Verify(sys *model.System, contracts map[string]*contract.Contract, opts rte
 	return NewPipeline(0).Verify(sys, contracts, opts)
 }
 
-// Verify runs the full static check through the pipeline's cache: the
-// verifier's full pass, reported. The report does not depend on the
-// cache. sys is not modified.
+// Verify runs the full static check through the pipeline: the
+// verifier's full pass, reported. sys is not modified.
 func (p *Pipeline) Verify(sys *model.System, contracts map[string]*contract.Contract, opts rte.Options) (*Report, error) {
 	inc, err := NewIncremental(p, sys, contracts, opts)
 	if err != nil {
@@ -206,9 +193,16 @@ type Incremental struct {
 	chains      []chainState // indexed like sys.Constraints
 	contractRep *contract.Report
 
+	// canMemo holds the CAN analysis of every frame set Reverify met; a
+	// full pass neither reads nor fills it.
+	canMemo can.Memo
+
 	reverifies atomic.Uint64
 	recomputed atomic.Uint64 // items re-analyzed across reverifies
 	reused     atomic.Uint64 // items served from retained state
+	canHits    atomic.Uint64 // Reverify's CAN lookups served by canMemo
+	canMisses  atomic.Uint64 // Reverify's CAN lookups that ran the analysis
+	canEntries atomic.Uint64 // canMemo.Len(), readable from another goroutine
 }
 
 // ecuState is one ECU's task set and verdict. The verdict's Results are
@@ -231,7 +225,7 @@ type busState struct {
 	rep      BusReport
 }
 
-// NewIncremental verifies sys in full through p's cache and retains the
+// NewIncremental verifies sys in full through p and retains the
 // state needed to re-verify mutated mappings incrementally. The initial
 // report is available via Report(). sys is modified only by later
 // Reverify calls.
@@ -337,7 +331,7 @@ func (inc *Incremental) update(root *obs.Span, routes []vfb.Route, ecus, buses [
 	}
 	nextBus := make([]busState, len(buses))
 	for k, b := range buses {
-		if err := inc.analyzeBus(root, sys.Buses[b], routes, &nextBus[k]); err != nil {
+		if err := inc.analyzeBus(root, sys.Buses[b], routes, full, &nextBus[k]); err != nil {
 			return err
 		}
 	}
@@ -460,8 +454,9 @@ func (inc *Incremental) analyzeECU(root *obs.Span, e int, hosts []int, k int, st
 }
 
 // analyzeBus runs the per-channel schedulability analysis of one bus and
-// keeps what the chain stages crossing it read.
-func (inc *Incremental) analyzeBus(root *obs.Span, b *model.Bus, routes []vfb.Route, st *busState) error {
+// keeps what the chain stages crossing it read. A full pass analyzes a
+// CAN frame set directly; a Reverify step looks it up in canMemo.
+func (inc *Incremental) analyzeBus(root *obs.Span, b *model.Bus, routes []vfb.Route, full bool, st *busState) error {
 	// The bus's remote routes in SignalName order.
 	n := 0
 	for i := range routes {
@@ -488,9 +483,7 @@ func (inc *Incremental) analyzeBus(root *obs.Span, b *model.Bus, routes []vfb.Ro
 	switch b.Kind {
 	case model.BusCAN:
 		st.msgs = plan.Messages()
-		// The verdict and the chains only read the responses; the shared
-		// variant skips the per-call result copy.
-		rs, err := inc.p.CAN.AnalyzeShared(plan.CAN, st.msgs)
+		rs, err := inc.analyzeCAN(plan.CAN, st.msgs, full)
 		if err != nil {
 			return err
 		}
@@ -531,6 +524,23 @@ func (inc *Incremental) analyzeBus(root *obs.Span, b *model.Bus, routes []vfb.Ro
 		}
 	}
 	return nil
+}
+
+// analyzeCAN is can.Analyze, served from canMemo outside a full pass.
+// The verdict and the chains only read the responses, so memo-owned ones
+// serve as they are.
+func (inc *Incremental) analyzeCAN(cfg can.Config, msgs []*can.Message, full bool) ([]can.Response, error) {
+	if full {
+		return can.Analyze(cfg, msgs)
+	}
+	rs, hit, err := inc.canMemo.Analyze(cfg, msgs)
+	if hit {
+		inc.canHits.Add(1)
+	} else {
+		inc.canMisses.Add(1)
+		inc.canEntries.Store(uint64(inc.canMemo.Len()))
+	}
+	return rs, err
 }
 
 // Report assembles the retained state into a Report identical to what a

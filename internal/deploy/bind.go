@@ -85,10 +85,6 @@ type Bound struct {
 	// ecuByName lists ECU indices in name order — the order the RTA
 	// verdicts are reported in and first-fit tries ECUs in.
 	ecuByName []int
-	// group is each component's materialized replica group (an index
-	// into redGroups), -1 outside one: first-fit keeps a group's
-	// instances on distinct ECUs.
-	group []int
 	// cons is the evaluator's Constraints as of Bind, filled, and consErr
 	// their Validate verdict: a Bound never reads ev.Cons again, so
 	// changing it after Bind cannot change (or race with) scoring.
@@ -127,16 +123,6 @@ func (ev *Evaluator) Bind(sys *model.System) (*Bound, error) {
 		b.compIdx[b.comps[i].name] = i
 	}
 	b.red = newRedCheck(b.comps, b.ecus, cons)
-	b.group = make([]int, len(b.comps))
-	for i := range b.group {
-		b.group[i] = -1
-	}
-	for gi, g := range redGroups(b.comps) {
-		b.group[g.primary] = gi
-		for _, sb := range g.standbys {
-			b.group[sb] = gi
-		}
-	}
 	// Validate guarantees every connector endpoint is a known component.
 	for _, c := range sys.Connectors {
 		prov := sys.Component(c.FromSWC).Port(c.FromPort)

@@ -286,10 +286,11 @@ func (b *Bound) admits(cur []int, ci, ei int) bool {
 		return false
 	}
 	// Replica anti-affinity: never pack two instances of one group onto
-	// the same ECU — they would fail together.
-	if g := b.group[ci]; g >= 0 {
+	// the same ECU — they would fail together. A system without replica
+	// groups has no groupOf; a singleton group has no peer to collide with.
+	if groupOf := b.red.groupOf; groupOf != nil && groupOf[ci] >= 0 {
 		for oi, oe := range cur {
-			if oe == ei && b.group[oi] == g {
+			if oe == ei && groupOf[oi] == groupOf[ci] {
 				return false
 			}
 		}
@@ -456,11 +457,16 @@ func descend(ev *Evaluator, sys *model.System, obj Objective, maxIters int) (*mo
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	return descendFrom(ev, sys, prep, obj, maxIters)
+	mapping, m, err := descendFrom(ev, prep, obj, maxIters)
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	return withMapping(sys, mapping), m, nil
 }
 
-// descendFrom runs the descent from a prepared incumbent of sys.
-func descendFrom(ev *Evaluator, sys *model.System, prep *Prepared, obj Objective, maxIters int) (*model.System, Metrics, error) {
+// descendFrom runs the descent from a prepared incumbent and returns the
+// local optimum's mapping and metrics.
+func descendFrom(ev *Evaluator, prep *Prepared, obj Objective, maxIters int) (map[string]string, Metrics, error) {
 	b := prep.b
 	curCost := prep.Evaluate().Cost(obj)
 	compOrder := byName(len(b.comps), func(i int) string { return b.comps[i].name })
@@ -513,5 +519,5 @@ func descendFrom(ev *Evaluator, sys *model.System, prep *Prepared, obj Objective
 	if !m.Feasible {
 		return nil, Metrics{}, fmt.Errorf("deploy: descent result infeasible: %v", m.Violations)
 	}
-	return withMapping(sys, prep.Mapping()), m, nil
+	return prep.Mapping(), m, nil
 }

@@ -148,7 +148,14 @@ func PlaceReplicas(sys *model.System, cons Constraints, obj Objective, opts Plac
 		if err != nil {
 			return nil, Metrics{}, err
 		}
-		return descendFrom(ev, rep, prep, obj, opts.DescendIters)
+		mapping, m, err := descendFrom(ev, prep, obj, opts.DescendIters)
+		if err != nil {
+			return nil, Metrics{}, err
+		}
+		// rep is this configuration's own system: it takes the refined
+		// mapping in place of a clone.
+		rep.Mapping = mapping
+		return rep, m, nil
 	}
 	bestSys, bestM, err := score(counts, modes)
 	if err != nil {

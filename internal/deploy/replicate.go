@@ -36,7 +36,7 @@ func Replicate(sys *model.System) (*model.System, error) {
 			if sys.Component(name) != nil {
 				return nil, fmt.Errorf("deploy: replica name %s collides with an existing component", name)
 			}
-			sb := cloneSWC(c)
+			sb := c.Clone()
 			sb.Name = name
 			sb.ReplicaOf = c.Name
 			sb.Redundancy.Replicas = 0 // the spec is spent; Mode still drives runtime switchover
@@ -67,18 +67,4 @@ func Replicate(sys *model.System) (*model.System, error) {
 	}
 	out.Connectors = conns
 	return out, nil
-}
-
-// cloneSWC deep-copies one component to the same depth System.Clone does.
-func cloneSWC(c *model.SWC) *model.SWC {
-	cc := *c
-	cc.Ports = append([]model.Port(nil), c.Ports...)
-	cc.Runnables = append([]model.Runnable(nil), c.Runnables...)
-	if c.Config.Params != nil {
-		cc.Config.Params = make(map[string]model.Param, len(c.Config.Params))
-		for k, v := range c.Config.Params {
-			cc.Config.Params[k] = v
-		}
-	}
-	return &cc
 }

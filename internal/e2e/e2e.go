@@ -104,8 +104,8 @@ func (s *CANStage) StageName() string { return s.Name }
 // analysis purely additively (R = J + w + C) and in the deadline
 // comparison. So instead of cloning the message set to bump the target's
 // jitter — which would make every chain stage a distinct analysis — Bound
-// analyzes the shared, unmodified set (one memoized analysis per bus,
-// the same one the bus schedulability verdict uses) and folds the
+// analyzes the shared, unmodified set (one analysis per bus, the same
+// one the bus schedulability verdict uses) and folds the
 // upstream jitter in afterwards, re-checking the deadline under the
 // shifted response.
 func (s *CANStage) Bound(inputJitter sim.Duration) (sim.Duration, error) {

@@ -50,8 +50,9 @@ func E11RecoverySeries(cfg E11Config) (*Table, error) {
 		InjectAt: 100 * sim.Millisecond, Until: sim.Infinity,
 	})
 	inst := &e11Instrumentation{sampleStep: e11SeriesStep, match: e11SeriesMatch}
-	_, perRun, err := fault.RunCampaignSeries(cfg.Workers, scenarios, func(s fault.Scenario) (fault.Result, []obs.Series) {
-		return runE11Instrumented(cfg, s, inst)
+	perRun, err := fault.RunCampaign(cfg.Workers, scenarios, func(s fault.Scenario) []obs.Series {
+		_, series := runE11Instrumented(cfg, s, inst)
+		return series
 	})
 	if err != nil {
 		return nil, err

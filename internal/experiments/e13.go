@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"autorte/internal/deploy"
 	"autorte/internal/fault"
@@ -117,23 +116,14 @@ func runE13(cfg E13Config) ([]e13Run, error) {
 			Name: "can-burst", Class: fault.FaultCANBurst,
 			InjectAt: cfg.InjectAt, Until: cfg.InjectAt + sim.Time(cfg.BurstWindow),
 		})
-		var mu sync.Mutex
-		failovers := map[string]uint64{}
-		results, err := fault.RunCampaign(cfg.Workers, scenarios, func(s fault.Scenario) fault.Result {
+		outcomes, err := fault.RunCampaign(cfg.Workers, scenarios, func(s fault.Scenario) e13Outcome {
 			r, fo := runE13Scenario(cfg, cand, s, kills[s.Name])
-			mu.Lock()
-			failovers[s.Name] = fo
-			mu.Unlock()
-			return r
+			return e13Outcome{Result: r, Failovers: fo}
 		})
 		if err != nil {
 			return nil, err
 		}
-		run := e13Run{cand: cand, ecus: len(ecus)}
-		for _, r := range results {
-			run.outcomes = append(run.outcomes, e13Outcome{Result: r, Failovers: failovers[r.Scenario.Name]})
-		}
-		runs = append(runs, run)
+		runs = append(runs, e13Run{cand: cand, ecus: len(ecus), outcomes: outcomes})
 	}
 	return runs, nil
 }

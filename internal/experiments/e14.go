@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"autorte/internal/deploy"
 	"autorte/internal/fault"
@@ -248,25 +247,9 @@ func e14Scenarios(cfg E14Config, ecus []string, maxConcurrent int) ([]fault.Scen
 // results are slot-indexed, so the output is deterministic.
 func runE14(cfg E14Config, dep e14Deployment, maxConcurrent int) ([]e14Outcome, error) {
 	scenarios, kills := e14Scenarios(cfg, usedECUs(dep.sys.Mapping), maxConcurrent)
-	var mu sync.Mutex
-	extras := map[string]e14Outcome{}
-	results, err := fault.RunCampaign(cfg.Workers, scenarios, func(s fault.Scenario) fault.Result {
-		o := runE14Scenario(cfg, dep, s, kills[s.Name])
-		mu.Lock()
-		extras[s.Name] = o
-		mu.Unlock()
-		return o.Result
+	return fault.RunCampaign(cfg.Workers, scenarios, func(s fault.Scenario) e14Outcome {
+		return runE14Scenario(cfg, dep, s, kills[s.Name])
 	})
-	if err != nil {
-		return nil, err
-	}
-	var outcomes []e14Outcome
-	for _, r := range results {
-		o := extras[r.Scenario.Name]
-		o.Result = r
-		outcomes = append(outcomes, o)
-	}
-	return outcomes, nil
 }
 
 // runE14Scenario deploys one alternative, arms one kill set and measures

@@ -170,16 +170,18 @@ func Sweep(classes []FaultClass, injectTimes []sim.Time, window sim.Duration) []
 }
 
 // RunCampaign executes every scenario through run on at most workers
-// goroutines (<= 0 selects GOMAXPROCS). Each scenario must build its own
-// platform inside run — simulations share nothing — so results are
-// deterministic and slot-indexed: out[i] always belongs to scenarios[i],
-// regardless of scheduling. An empty campaign is a configuration error,
-// not an empty result: reports aggregating over it would divide by zero.
-func RunCampaign(workers int, scenarios []Scenario, run func(Scenario) Result) ([]Result, error) {
+// goroutines (<= 0 selects GOMAXPROCS). run returns the scenario's
+// outcome: a Result, or whatever a study measures beside it (a sampled
+// series, a fail-over count). Each scenario must build its own platform
+// inside run — simulations share nothing — so outcomes are deterministic
+// and slot-indexed: out[i] always belongs to scenarios[i], regardless of
+// scheduling. An empty campaign is a configuration error, not an empty
+// result: reports aggregating over it would divide by zero.
+func RunCampaign[T any](workers int, scenarios []Scenario, run func(Scenario) T) ([]T, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("fault: empty campaign: no scenarios to run")
 	}
-	out := make([]Result, len(scenarios))
+	out := make([]T, len(scenarios))
 	// The job function never errors: a scenario's outcome — including a
 	// crashed or undetected fault — is data, not a campaign failure.
 	par.ForEach(workers, len(scenarios), func(i int) {

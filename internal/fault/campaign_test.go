@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autorte/internal/model"
+	"autorte/internal/obs"
 	"autorte/internal/rte"
 	"autorte/internal/sim"
 	"autorte/internal/trace"
@@ -193,6 +194,45 @@ func TestCampaignSmoke(t *testing.T) {
 	}
 	if results[1].Availability != 1 {
 		t.Fatalf("noise scenario availability %v, want 1", results[1].Availability)
+	}
+}
+
+// RunCampaign is generic over the scenario outcome: a study that
+// samples series beside each Result gets both back slot-indexed, and an
+// empty campaign is an error whatever the outcome type.
+func TestRunCampaignSlotIndexed(t *testing.T) {
+	scenarios := []Scenario{
+		{Name: "a", InjectAt: sim.MS(1)},
+		{Name: "b", InjectAt: sim.MS(2)},
+		{Name: "c", InjectAt: sim.MS(3)},
+	}
+	type outcome struct {
+		Result
+		series []obs.Series
+	}
+	run := func(s Scenario) outcome {
+		return outcome{Result{Scenario: s}, []obs.Series{{
+			Name:   "m",
+			Points: []obs.SeriesPoint{{At: int64(s.InjectAt), Value: float64(len(s.Name))}},
+		}}}
+	}
+	out, err := RunCampaign(2, scenarios, run)
+	if err != nil {
+		t.Fatalf("RunCampaign: %v", err)
+	}
+	if len(out) != len(scenarios) {
+		t.Fatalf("got %d outcomes for %d scenarios", len(out), len(scenarios))
+	}
+	if _, err := RunCampaign(2, nil, run); err == nil {
+		t.Fatal("empty campaign: want explicit error, got nil")
+	}
+	for i, s := range scenarios {
+		if out[i].Scenario.Name != s.Name {
+			t.Fatalf("slot %d holds the outcome of %q, want %q", i, out[i].Scenario.Name, s.Name)
+		}
+		if got := out[i].series[0].Points[0].At; got != int64(s.InjectAt) {
+			t.Fatalf("slot %d series at %d, want %d", i, got, int64(s.InjectAt))
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package fault
 
 import (
-	"fmt"
 	"sort"
 
 	"autorte/internal/obs"
-	"autorte/internal/par"
 )
 
 // Campaign-level virtual-time series: each scenario run samples its own
@@ -28,23 +26,6 @@ type BandPoint struct {
 type Band struct {
 	Name   string      `json:"name"`
 	Points []BandPoint `json:"points"`
-}
-
-// RunCampaignSeries is RunCampaign for sampled scenarios: run returns
-// the scenario result plus the virtual-time series its sampler
-// recorded. Results and series stay slot-indexed to scenarios. Like
-// RunCampaign, an empty campaign is rejected rather than aggregated
-// into empty bands.
-func RunCampaignSeries(workers int, scenarios []Scenario, run func(Scenario) (Result, []obs.Series)) ([]Result, [][]obs.Series, error) {
-	if len(scenarios) == 0 {
-		return nil, nil, fmt.Errorf("fault: empty campaign: no scenarios to run")
-	}
-	results := make([]Result, len(scenarios))
-	series := make([][]obs.Series, len(scenarios))
-	par.ForEach(workers, len(scenarios), func(i int) {
-		results[i], series[i] = run(scenarios[i])
-	})
-	return results, series, nil
 }
 
 // AggregateSeries folds the same-named series of every run into one

@@ -4,40 +4,7 @@ import (
 	"testing"
 
 	"autorte/internal/obs"
-	"autorte/internal/sim"
 )
-
-func TestRunCampaignSeriesSlotIndexed(t *testing.T) {
-	scenarios := []Scenario{
-		{Name: "a", InjectAt: sim.MS(1)},
-		{Name: "b", InjectAt: sim.MS(2)},
-		{Name: "c", InjectAt: sim.MS(3)},
-	}
-	run := func(s Scenario) (Result, []obs.Series) {
-		return Result{Scenario: s}, []obs.Series{{
-			Name:   "m",
-			Points: []obs.SeriesPoint{{At: int64(s.InjectAt), Value: float64(len(s.Name))}},
-		}}
-	}
-	results, series, err := RunCampaignSeries(2, scenarios, run)
-	if err != nil {
-		t.Fatalf("RunCampaignSeries: %v", err)
-	}
-	if len(results) != 3 || len(series) != 3 {
-		t.Fatalf("got %d results, %d series slots", len(results), len(series))
-	}
-	if _, _, err := RunCampaignSeries(2, nil, run); err == nil {
-		t.Fatal("empty campaign: want explicit error, got nil")
-	}
-	for i, s := range scenarios {
-		if results[i].Scenario.Name != s.Name {
-			t.Fatalf("slot %d holds result for %q, want %q", i, results[i].Scenario.Name, s.Name)
-		}
-		if got := series[i][0].Points[0].At; got != int64(s.InjectAt) {
-			t.Fatalf("slot %d series at %d, want %d", i, got, int64(s.InjectAt))
-		}
-	}
-}
 
 func TestAggregateSeriesBands(t *testing.T) {
 	perRun := [][]obs.Series{

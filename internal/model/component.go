@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"maps"
 
 	"autorte/internal/sim"
 )
@@ -149,6 +150,17 @@ type Redundancy struct {
 
 // Replicated reports whether the spec asks for at least one standby.
 func (r Redundancy) Replicated() bool { return r.Replicas > 1 }
+
+// Clone returns a copy of the component that shares no slice or map
+// with it: its ports, runnables and configuration parameters are copied
+// one level deep. System.Clone copies every component this way.
+func (c *SWC) Clone() *SWC {
+	cc := *c
+	cc.Ports = append([]Port(nil), c.Ports...)
+	cc.Runnables = append([]Runnable(nil), c.Runnables...)
+	cc.Config.Params = maps.Clone(c.Config.Params)
+	return &cc
+}
 
 // IsStandby reports whether this component is a materialized standby
 // replica of another component.

@@ -219,15 +219,24 @@ func TestECULoadScalesWithSpeed(t *testing.T) {
 
 func TestCloneIsDeep(t *testing.T) {
 	s := testSystem()
+	s.Components[0].Config.Set("gain", PostBuild, "1")
 	c := s.Clone()
 	c.Mapping["WheelSensor"] = "ecu2"
 	c.Components[0].Runnables[0].WCETNominal = sim.MS(99)
+	c.Components[0].Ports[0].Name = "renamed"
+	c.Components[0].Config.Set("gain", PostBuild, "2")
 	c.Connectors[0].FromSWC = "X"
 	if s.Mapping["WheelSensor"] != "ecu1" {
 		t.Fatal("clone shares mapping")
 	}
 	if s.Components[0].Runnables[0].WCETNominal == sim.MS(99) {
 		t.Fatal("clone shares runnables")
+	}
+	if s.Components[0].Ports[0].Name == "renamed" {
+		t.Fatal("clone shares ports")
+	}
+	if s.Components[0].Config.Params["gain"].Value != "1" {
+		t.Fatal("clone shares configuration parameters")
 	}
 	if s.Connectors[0].FromSWC == "X" {
 		t.Fatal("clone shares connectors")

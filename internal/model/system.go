@@ -424,16 +424,7 @@ func (s *System) AnalyzedLoad(ecu string) float64 {
 func (s *System) Clone() *System {
 	out := &System{Name: s.Name}
 	for _, c := range s.Components {
-		cc := *c
-		cc.Ports = append([]Port(nil), c.Ports...)
-		cc.Runnables = append([]Runnable(nil), c.Runnables...)
-		if c.Config.Params != nil {
-			cc.Config.Params = make(map[string]Param, len(c.Config.Params))
-			for k, v := range c.Config.Params {
-				cc.Config.Params[k] = v
-			}
-		}
-		out.Components = append(out.Components, &cc)
+		out.Components = append(out.Components, c.Clone())
 	}
 	for _, i := range s.Interfaces {
 		ii := *i
