@@ -88,7 +88,13 @@ bench-all:
 # properties (no panic on any bytes, a freshly protected payload checks
 # OK, any one corrupted byte does not); FuzzImport holds the template
 # importer's input boundary to its properties (no panic on any bytes, an
-# export of an imported system imports again to the same export). The
+# export of an imported system imports again to the same export);
+# FuzzRing holds obs.Ring and the two policies folded on top of it (the
+# DLT log's repeat folding, the flight recorder's instant coalescing) to
+# a keep-everything reference at random caps; FuzzReadBundle holds the
+# diagnostic-bundle reader's input boundary to its properties (no panic on
+# any bytes, gzipped or plain; an accepted bundle renders and survives a
+# write/read round trip unchanged). The
 # committed corpus under each package's testdata/fuzz runs first; a
 # failure leaves the minimized input there, to be committed as a
 # regression seed. -fuzzminimizetime=100x caps minimization at 100 execs
@@ -107,6 +113,8 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzReceiverCheck$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/e2eprot
 	go test -run '^$$' -fuzz '^FuzzImport$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/model
+	go test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/obs
+	go test -run '^$$' -fuzz '^FuzzReadBundle$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/obs
 
 # Fault-injection smoke suite: the systematic campaign, the escalation
 # ladder, the graceful-degradation experiments and the fail-operational

@@ -121,19 +121,15 @@ func PlaceReplicas(sys *model.System, cons Constraints, obj Objective, opts Plac
 	evaluated := 0
 	score := func(counts map[string]int, modes map[string]model.ReplicaMode) (*model.System, Metrics, error) {
 		evaluated++
-		cand := sys.Clone()
-		for _, c := range cand.Components {
-			n, ok := counts[c.Name]
-			if !ok {
-				continue
-			}
-			if n > 1 {
-				c.Redundancy = model.Redundancy{Replicas: n, Mode: modes[c.Name]}
+		spec := make(map[string]model.Redundancy, len(opts.Candidates))
+		for _, name := range opts.Candidates {
+			if n := counts[name]; n > 1 {
+				spec[name] = model.Redundancy{Replicas: n, Mode: modes[name]}
 			} else {
-				c.Redundancy = model.Redundancy{}
+				spec[name] = model.Redundancy{}
 			}
 		}
-		rep, err := Replicate(cand)
+		rep, err := replicate(sys, spec)
 		if err != nil {
 			return nil, Metrics{}, err
 		}

@@ -18,11 +18,19 @@ import (
 // afterwards to site them; the anti-affinity constraint keeps them off
 // their primary's ECU. Latency constraints keep naming primaries only.
 // The input system is not modified.
-func Replicate(sys *model.System) (*model.System, error) {
+func Replicate(sys *model.System) (*model.System, error) { return replicate(sys, nil) }
+
+// replicate is Replicate with the redundancy spec of every component
+// named in spec replaced first, on the one clone it materializes into —
+// how PlaceReplicas scores a configuration without a throwaway copy.
+func replicate(sys *model.System, spec map[string]model.Redundancy) (*model.System, error) {
 	out := sys.Clone()
 	instances := map[string][]string{}
 	var comps []*model.SWC
 	for _, c := range out.Components {
+		if r, ok := spec[c.Name]; ok {
+			c.Redundancy = r
+		}
 		if c.Redundancy.Replicated() && c.IsStandby() {
 			return nil, fmt.Errorf("deploy: standby %s cannot request replicas", c.Name)
 		}

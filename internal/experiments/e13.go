@@ -162,12 +162,7 @@ func runE13Scenario(cfg E13Config, cand e13Candidate, s fault.Scenario, killECU 
 	// detector: after a promotion the watcher keeps seeing a stale stream
 	// until the next end-to-end delivery, and a shorter cooldown would
 	// escalate right past the rung that just cured the fault.
-	m.MustProtect("Ctrl", health.Policy{
-		Debounce:    health.DebounceConfig{Inc: 2, Dec: 1, Threshold: 3},
-		MaxAttempts: 1, Cooldown: sim.MS(20),
-		ResetDowntime: sim.MS(20), HealAfter: sim.MS(60),
-		Runnable: "law",
-	})
+	m.MustProtect("Ctrl", stagePolicy("law"))
 	switch {
 	case killECU != "":
 		if err := fault.KillECUAt(p, killECU, s.InjectAt); err != nil {
@@ -180,23 +175,41 @@ func runE13Scenario(cfg E13Config, cand e13Candidate, s fault.Scenario, killECU 
 	}
 	p.Run(cfg.Horizon)
 
-	res := fault.Result{Scenario: s, Errors: p.Errors.Total()}
-	res.DetectionLatency, res.Detected = fault.DetectionLatency(p.Errors.Records(), rte.ErrSensor, s.InjectAt)
-	// The service is up whichever controller instance feeds it, so the
-	// actuation stream itself is the observed source; were the actuator
-	// replicated too, its whole group would be scored as a union.
-	var sources []string
-	for _, name := range p.ReplicaGroup("Act") {
-		sources = append(sources, name+".apply")
-	}
-	res.Availability, _ = fault.AvailabilityAny(p.Trace, sources, sim.MS(10), s.InjectAt, cfg.Horizon)
-	res.RecoveryLatency, res.Recovered, _ = fault.ServiceRecoveryAny(p.Trace, sources, sim.MS(10), s.InjectAt, cfg.Horizon)
+	res := scoreActuation(p, s, cfg.Horizon)
 	st := m.Status()[0]
 	res.Escalations = st.Attempts
 	res.FinalState = st.State.String()
 	fo := p.Metrics.Counter("deploy_failovers_total", "",
 		obs.Label{Key: "swc", Value: "Ctrl"}).Value()
 	return res, fo
+}
+
+// stagePolicy is the health policy E13 and E14 protect a chain stage
+// with.
+func stagePolicy(runnable string) health.Policy {
+	return health.Policy{
+		Debounce:    health.DebounceConfig{Inc: 2, Dec: 1, Threshold: 3},
+		MaxAttempts: 1, Cooldown: sim.MS(20),
+		ResetDowntime: sim.MS(20), HealAfter: sim.MS(60),
+		Runnable: runnable,
+	}
+}
+
+// scoreActuation scores an E13/E14 scenario run to horizon: detection
+// from the sensor-kind error records, and the availability and recovery
+// of the actuation service. The service is up whichever controller
+// instance feeds it, so the actuation stream itself is the observed
+// source, the whole replica group of the actuator scored as a union.
+func scoreActuation(p *rte.Platform, s fault.Scenario, horizon sim.Time) fault.Result {
+	res := fault.Result{Scenario: s, Errors: p.Errors.Total()}
+	res.DetectionLatency, res.Detected = fault.DetectionLatency(p.Errors.Records(), rte.ErrSensor, s.InjectAt)
+	var sources []string
+	for _, name := range p.ReplicaGroup("Act") {
+		sources = append(sources, name+".apply")
+	}
+	res.Availability, _ = fault.AvailabilityAny(p.Trace, sources, sim.MS(10), s.InjectAt, horizon)
+	res.RecoveryLatency, res.Recovered, _ = fault.ServiceRecoveryAny(p.Trace, sources, sim.MS(10), s.InjectAt, horizon)
+	return res
 }
 
 // E13Availability is the per-scenario detail: every candidate against

@@ -326,12 +326,7 @@ func runE14Scenario(cfg E14Config, dep e14Deployment, s fault.Scenario, kills []
 		{"Sensor", "sample"}, {"Ctrl", "law"}, {"Act", "apply"},
 	} {
 		subject, runnable := stage.subject, stage.runnable
-		m.MustProtect(subject, health.Policy{
-			Debounce:    health.DebounceConfig{Inc: 2, Dec: 1, Threshold: 3},
-			MaxAttempts: 1, Cooldown: sim.MS(20),
-			ResetDowntime: sim.MS(20), HealAfter: sim.MS(60),
-			Runnable: runnable,
-		})
+		m.MustProtect(subject, stagePolicy(runnable))
 	}
 	for _, e := range kills {
 		if err := fault.KillECUAt(p, e, s.InjectAt); err != nil {
@@ -340,15 +335,7 @@ func runE14Scenario(cfg E14Config, dep e14Deployment, s fault.Scenario, kills []
 	}
 	p.Run(cfg.Horizon)
 
-	res := fault.Result{Scenario: s, Errors: p.Errors.Total()}
-	res.DetectionLatency, res.Detected = fault.DetectionLatency(p.Errors.Records(), rte.ErrSensor, s.InjectAt)
-	var sources []string
-	for _, name := range p.ReplicaGroup("Act") {
-		sources = append(sources, name+".apply")
-	}
-	res.Availability, _ = fault.AvailabilityAny(p.Trace, sources, sim.MS(10), s.InjectAt, cfg.Horizon)
-	res.RecoveryLatency, res.Recovered, _ = fault.ServiceRecoveryAny(p.Trace, sources, sim.MS(10), s.InjectAt, cfg.Horizon)
-	out := e14Outcome{Result: res, SwitchSum: map[string]int64{}, SwitchCnt: map[string]uint64{}}
+	out := e14Outcome{Result: scoreActuation(p, s, cfg.Horizon), SwitchSum: map[string]int64{}, SwitchCnt: map[string]uint64{}}
 	for _, subject := range []string{"Sensor", "Ctrl", "Act"} {
 		out.Failovers += p.Metrics.Counter("deploy_failovers_total", "",
 			obs.Label{Key: "swc", Value: subject}).Value()

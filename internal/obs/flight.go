@@ -8,6 +8,8 @@ package obs
 // recorder, the last seconds before an incident are always available,
 // and a diagnostic bundle (bundle.go) is a serialized Snapshot.
 
+import "sync"
+
 // SpanEvent is one flight-recorded interval or instant. Platform task
 // lifecycle events record as instants (Start == End); pipeline tracer
 // spans record with real durations; spans still open at snapshot time
@@ -89,15 +91,16 @@ func (c FlightConfig) fill() FlightConfig {
 
 // Flight is the flight recorder. DLT is a bounded ring-mode Log the
 // platform emits into directly; spans, metric deltas and history feed
-// through the push methods. Safe for concurrent use. A nil *Flight is
-// valid and records nothing, so an instrumented platform can run with
-// the recorder disabled at zero cost.
+// through the push methods into rings guarded by one mutex. Safe for
+// concurrent use. A nil *Flight is valid and records nothing, so an
+// instrumented platform can run with the recorder disabled at zero cost.
 //
 //autovet:nilsafe
 type Flight struct {
 	// DLT is the bounded structured event log (NewBoundedLog).
 	DLT *Log
 
+	mu      sync.Mutex
 	spans   *Ring[SpanEvent]
 	deltas  *Ring[MetricDelta]
 	history *Ring[HistoryEvent]
@@ -132,6 +135,8 @@ func (f *Flight) Span(e SpanEvent) {
 	if f == nil {
 		return
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.spans.Push(e)
 }
 
@@ -143,32 +148,32 @@ const instantLookback = 4
 // Instant records an instantaneous span event (Start == End == at).
 // Identical instants repeated in a burst coalesce into one counted
 // event (see SpanEvent): scanning the newest instantLookback retained
-// spans, the first identical one absorbs the instant, its Count growing
-// and its End stretching to the newest occurrence. Total counts the
-// instant either way. Safe on a nil receiver (discards).
+// spans, the first identical one that is not Open absorbs the instant,
+// its Count growing and its End stretching to the newest occurrence.
+// Total counts the instant either way. Safe on a nil receiver
+// (discards).
 func (f *Flight) Instant(at int64, name, kind, detail string) {
-	if f == nil || f.spans == nil {
+	if f == nil {
 		return
 	}
-	r := f.spans
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.buf)
-	for i := 0; i < instantLookback && i < n; i++ {
-		// Newest-first: the most recent entry sits just before the wrap
-		// point (start) once full, at the slice end while still filling.
-		prev := &r.buf[(r.start-1-i+2*n)%n]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i := 0; i < instantLookback; i++ {
+		prev := f.spans.Newest(i)
+		if prev == nil {
+			break
+		}
 		if !prev.Open && prev.Name == name && prev.Kind == kind && prev.Detail == detail {
 			if prev.Count == 0 {
 				prev.Count = 1
 			}
 			prev.Count++
 			prev.End = at
-			r.total++
+			f.spans.Absorbed()
 			return
 		}
 	}
-	r.push(SpanEvent{Name: name, Start: at, End: at, Kind: kind, Detail: detail})
+	f.spans.Push(SpanEvent{Name: name, Start: at, End: at, Kind: kind, Detail: detail})
 }
 
 // OnDelta records one counter increment; its signature matches
@@ -178,6 +183,8 @@ func (f *Flight) OnDelta(at int64, name string, labels []Label, delta float64) {
 	if f == nil {
 		return
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.deltas.Push(MetricDelta{At: at, Name: name, Labels: labels, Delta: delta})
 }
 
@@ -186,6 +193,8 @@ func (f *Flight) Note(at int64, kind, detail string) {
 	if f == nil {
 		return
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.history.Push(HistoryEvent{At: at, Kind: kind, Detail: detail})
 }
 
@@ -195,20 +204,26 @@ func (f *Flight) History() []HistoryEvent {
 	if f == nil {
 		return nil
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	return f.history.Snapshot()
 }
 
-// Snapshot cuts a point-in-time view of every ring. Each ring is
-// internally ordered and copied out, so the recorder keeps running while
-// the view is inspected or serialized. Safe on a nil receiver (empty
-// view).
+// Snapshot cuts a point-in-time view of every ring. The span, delta and
+// history rings are cut together under the recorder's mutex, the DLT
+// under the Log's own; each ring is copied out oldest-first, so the
+// recorder keeps running while the view is inspected or serialized.
+// Safe on a nil receiver (empty view).
 func (f *Flight) Snapshot() FlightView {
 	if f == nil {
 		return FlightView{}
 	}
+	dlt, dltTotal := f.DLT.Records(), f.DLT.Total()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	return FlightView{
-		DLT:        f.DLT.Records(),
-		DLTTotal:   f.DLT.Total(),
+		DLT:        dlt,
+		DLTTotal:   dltTotal,
 		Spans:      f.spans.Snapshot(),
 		SpanTotal:  f.spans.Total(),
 		Deltas:     f.deltas.Snapshot(),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"sync"
@@ -67,7 +68,10 @@ type logRecordJSON struct {
 // Log accumulates structured event records. A nil *Log is valid and
 // discards everything — the same idiom as a nil *trace.Recorder — so
 // substrates log unconditionally and pay nothing when observability is
-// off. Safe for concurrent use.
+// off. The records live in a Ring guarded by the Log's own mutex; the
+// Log adds only its policy: the Min filter, live subscribers and, in
+// ring mode, repeat folding. Build one with NewLog or NewBoundedLog.
+// Safe for concurrent use.
 //
 //autovet:nilsafe
 type Log struct {
@@ -75,33 +79,31 @@ type Log struct {
 	// (LevelVerbose) keeps everything.
 	Min Level
 
-	mu sync.Mutex
-	//autovet:bounded ring mode caps retention; unbounded only for explicit host-side capture
-	records []LogRecord
-	dropped uint64 // filtered below Min
-	// Ring mode (flight recorder): cap > 0 bounds the kept records to the
-	// most recent cap, start is the ring read index once wrapped, total
-	// counts every kept record ever emitted.
-	cap     int
-	start   int
-	total   uint64
+	mu      sync.Mutex
+	ring    Ring[LogRecord] // ring mode: NewBoundedLog's cap; NewLog: unboundedCap
+	dropped uint64          // filtered below Min
 	subs    map[int]chan LogRecord
 	nextSub int
 }
 
-// NewLog returns a log keeping records at or above min.
-func NewLog(min Level) *Log { return &Log{Min: min} }
+// unboundedCap is a ring capacity no log reaches: the ring keeps doubling
+// and never wraps. It is the storage of NewLog's keep-everything mode.
+const unboundedCap = math.MaxInt
+
+// NewLog returns a log keeping every record at or above min, unfolded —
+// host-side capture, where fidelity beats a memory bound.
+func NewLog(min Level) *Log { return &Log{Min: min, ring: *NewRing[LogRecord](unboundedCap)} }
 
 // NewBoundedLog returns a ring-mode log keeping at most cap of the most
 // recent records at or above min — the flight-recorder flavour: always
 // on, allocation-free once the ring is full, bounded memory no matter
 // how long the run. cap <= 0 falls back to DefaultRingCap.
 func NewBoundedLog(min Level, cap int) *Log {
-	if cap <= 0 {
-		cap = DefaultRingCap
-	}
-	return &Log{Min: min, cap: cap}
+	return &Log{Min: min, ring: *NewRing[LogRecord](cap)}
 }
+
+// bounded reports ring mode; callers hold l.mu.
+func (l *Log) bounded() bool { return l.ring.Cap() != unboundedCap }
 
 // Emit appends one record. Safe on a nil receiver (no-op).
 func (l *Log) Emit(at int64, level Level, app, ctx, msg string) {
@@ -115,31 +117,12 @@ func (l *Log) Emit(at int64, level Level, app, ctx, msg string) {
 		return
 	}
 	rec := LogRecord{At: at, Level: level, App: app, Ctx: ctx, Msg: msg}
-	l.total++
-	switch {
-	case l.cap > 0 && l.absorbRepeat(rec):
+	if l.bounded() && l.absorbRepeat(rec) {
 		// Burst suppressed into a recent record; subscribers below still
 		// see the raw emission.
-	case l.cap > 0 && len(l.records) >= l.cap:
-		l.records[l.start] = rec
-		l.start = (l.start + 1) % l.cap
-	default:
-		if l.cap > 0 && len(l.records) == cap(l.records) {
-			// Ring mode grows explicitly — small first, doubling, never past
-			// cap — so a quiet log stays tiny and a filling ring doesn't
-			// churn append-overshoot garbage.
-			n := 2 * cap(l.records)
-			if n < 32 {
-				n = 32
-			}
-			if n > l.cap {
-				n = l.cap
-			}
-			grown := make([]LogRecord, len(l.records), n)
-			copy(grown, l.records)
-			l.records = grown
-		}
-		l.records = append(l.records, rec)
+		l.ring.Absorbed()
+	} else {
+		l.ring.Push(rec)
 	}
 	for _, ch := range l.subs {
 		select {
@@ -160,15 +143,11 @@ const logRepeatLookback = 2
 // burst suppression, so a storm neither churns the black-box ring nor
 // evicts the context around it. Callers hold l.mu.
 func (l *Log) absorbRepeat(rec LogRecord) bool {
-	n := len(l.records)
-	lookback := logRepeatLookback
-	if lookback > n {
-		lookback = n
-	}
-	for i := 0; i < lookback; i++ {
-		// Newest-first: just before the wrap point once full, at the
-		// slice end while still filling (start is 0 until then).
-		prev := &l.records[(l.start-1-i+2*n)%n]
+	for i := 0; i < logRepeatLookback; i++ {
+		prev := l.ring.Newest(i)
+		if prev == nil {
+			return false
+		}
 		if prev.Level == rec.Level && prev.App == rec.App && prev.Ctx == rec.Ctx && prev.Msg == rec.Msg {
 			if prev.Repeat == 0 {
 				prev.Repeat = 1
@@ -266,7 +245,7 @@ func (l *Log) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return l.ring.Len()
 }
 
 // Dropped returns how many records were filtered below Min.
@@ -287,7 +266,7 @@ func (l *Log) Total() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.total
+	return l.ring.Total()
 }
 
 // Cap returns the ring capacity (0 means unbounded). Zero on a nil
@@ -298,7 +277,10 @@ func (l *Log) Cap() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.cap
+	if !l.bounded() {
+		return 0
+	}
+	return l.ring.Cap()
 }
 
 // Records returns a copy of the kept records, in emission order (the
@@ -309,13 +291,7 @@ func (l *Log) Records() []LogRecord {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]LogRecord, 0, len(l.records))
-	out = append(out, l.records[l.start:]...)
-	out = append(out, l.records[:l.start]...)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return l.ring.Snapshot()
 }
 
 // Subscribe registers a live tail: every record kept after this call is
@@ -359,8 +335,8 @@ func (l *Log) Count(level Level) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for _, r := range l.records {
-		if r.Level >= level {
+	for i := 0; i < l.ring.Len(); i++ {
+		if l.ring.Newest(i).Level >= level {
 			n++
 		}
 	}

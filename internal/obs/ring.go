@@ -1,24 +1,28 @@
 package obs
 
-import "sync"
-
-// Ring is a fixed-capacity circular buffer — the storage primitive of the
-// flight recorder. Pushes are allocation-free after the buffer reaches
-// capacity (the backing array is grown once, amortized, up to cap and
-// never beyond), so a ring can stay attached to a hot path for the whole
-// life of a platform at bounded cost. The oldest entry is overwritten
-// when the ring is full; Total counts every push ever made so consumers
-// can tell how much history the cap discarded. Safe for concurrent use.
-// A nil *Ring is valid: pushes are discarded and snapshots are empty.
+// Ring is a bounded circular buffer — the one storage primitive behind
+// every retained record stream: the flight recorder's span, delta and
+// history rings, the DLT Log in both modes and the platform error
+// manager's record ring. It owns storage, growth, wrap, oldest-first
+// order and the all-time total; owners keep only their policy on top
+// (filtering, folding, aggregates). Pushes are allocation-free after the
+// buffer reaches capacity (the backing array is grown once, amortized,
+// up to cap and never beyond), so a ring can stay attached to a hot path
+// for the whole life of a platform at bounded cost. The oldest entry is
+// overwritten when the ring is full; Total counts every push ever made
+// so consumers can tell how much history the cap discarded.
+//
+// A Ring has no lock: its owner guards it with the lock that already
+// guards the owner's own state, so one recording takes one mutex. A nil
+// *Ring is valid: pushes are discarded and snapshots are empty.
 //
 //autovet:nilsafe
 type Ring[T any] struct {
-	mu sync.Mutex
-	//autovet:bounded grows to cap, then overwrites in place
+	//autovet:bounded grows to cap, then overwrites in place; only NewLog's host-side capture asks for an unreachable cap
 	buf   []T
 	cap   int
 	start int    // read index once wrapped
-	total uint64 // pushes ever
+	total uint64 // pushes ever, folded ones included
 }
 
 // DefaultRingCap is the capacity used when a ring is created with a
@@ -41,13 +45,6 @@ func (r *Ring[T]) Push(v T) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.push(v)
-}
-
-// push stores v; callers hold r.mu.
-func (r *Ring[T]) push(v T) {
 	if r.cap <= 0 {
 		r.cap = DefaultRingCap
 	}
@@ -75,13 +72,38 @@ func (r *Ring[T]) push(v T) {
 	r.start = (r.start + 1) % r.cap
 }
 
+// Newest returns the i-th newest retained entry (0 is the newest), or nil
+// when fewer than i+1 are retained — the newest-first view an owner scans
+// to fold a repeat into a recent entry in place. The pointer is valid
+// until the next Push. Nil on a nil receiver.
+func (r *Ring[T]) Newest(i int) *T {
+	if r == nil || i < 0 || i >= len(r.buf) {
+		return nil
+	}
+	// The newest entry sits just before the wrap point once full, at the
+	// slice end while still filling (start is 0 until then).
+	j := r.start - 1 - i
+	if j < 0 {
+		j += len(r.buf)
+	}
+	return &r.buf[j]
+}
+
+// Absorbed counts one push that the owner folded into a retained entry
+// (found through Newest) instead of storing it: Total grows, nothing is
+// stored or evicted. Safe on a nil receiver (no-op).
+func (r *Ring[T]) Absorbed() {
+	if r == nil {
+		return
+	}
+	r.total++
+}
+
 // Len returns the number of retained entries. Zero on a nil receiver.
 func (r *Ring[T]) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.buf)
 }
 
@@ -90,36 +112,26 @@ func (r *Ring[T]) Cap() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.cap
 }
 
-// Total returns how many entries were ever pushed, including the ones the
-// cap has since discarded. Zero on a nil receiver.
+// Total returns how many entries were ever pushed or absorbed, including
+// the ones the cap has since discarded. Zero on a nil receiver.
 func (r *Ring[T]) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.total
 }
 
 // Snapshot returns the retained entries oldest-first. The result is a
-// copy: the ring keeps recording while the caller inspects it. Nil on a
-// nil receiver.
+// copy: the owner keeps recording while the caller inspects it. Nil on a
+// nil receiver or an empty ring.
 func (r *Ring[T]) Snapshot() []T {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
+	if r == nil || len(r.buf) == 0 {
 		return nil
 	}
 	out := make([]T, 0, len(r.buf))
 	out = append(out, r.buf[r.start:]...)
-	out = append(out, r.buf[:r.start]...)
-	return out
+	return append(out, r.buf[:r.start]...)
 }

@@ -29,25 +29,22 @@ type ErrorRecord struct {
 	Info   string
 }
 
-// DefaultErrorRecordCap is the default bound on retained raw error
-// records. Long fault campaigns report without limit; the raw freeze
-// frames beyond the cap are the only thing dropped — DTC aggregation and
-// per-kind counts stay exact forever.
+// DefaultErrorRecordCap bounds the retained raw error records. Long
+// fault campaigns report without limit; the raw freeze frames beyond the
+// cap are the only thing dropped — DTC aggregation and per-kind counts
+// stay exact forever.
 const DefaultErrorRecordCap = 4096
 
 // ErrorManager implements the consistent error handling concept: errors
 // are reported once, recorded, and communicated to the application layer
 // by activating subscribed mode-switch runnables. Applications use this
-// for mode management and diagnostics.
+// for mode management and diagnostics. The raw reports live in an
+// obs.Ring of the DefaultErrorRecordCap most recent; the manager adds
+// only the exact DTC and per-kind aggregates. It runs on the platform's
+// kernel goroutine, so it takes no lock.
 type ErrorManager struct {
-	p *Platform
-	// records is a bounded ring of the most recent reports; start is the
-	// ring's read index once it has wrapped.
-	//autovet:bounded ring capped at ErrorRecordCap; cap<0 is an explicit opt-in
-	records []ErrorRecord
-	cap     int
-	start   int
-	total   int64
+	p       *Platform
+	records *obs.Ring[ErrorRecord]
 	// Exact aggregates, maintained on every report so the ring cap never
 	// distorts diagnostics.
 	//autovet:bounded deduped per (source, kind); growth is bounded by the model
@@ -64,15 +61,8 @@ type ErrorManager struct {
 }
 
 func newErrorManager(p *Platform) *ErrorManager {
-	ringCap := p.opts.ErrorRecordCap
-	if ringCap == 0 {
-		ringCap = DefaultErrorRecordCap
-	}
-	if ringCap < 0 {
-		ringCap = 0 // explicit "unbounded"
-	}
 	em := &ErrorManager{
-		p: p, cap: ringCap,
+		p: p, records: obs.NewRing[ErrorRecord](DefaultErrorRecordCap),
 		dtcIndex: map[string]int{},
 		byKind:   map[ErrorKind]int{},
 		subs:     map[ErrorKind][]string{},
@@ -99,7 +89,7 @@ func newErrorManager(p *Platform) *ErrorManager {
 func (em *ErrorManager) Report(source string, kind ErrorKind, info string) {
 	now := em.p.K.Now()
 	rec := ErrorRecord{At: int64(now), Source: source, Kind: kind, Info: info}
-	em.total++
+	em.records.Push(rec)
 	em.byKind[kind]++
 	key := source + "/" + string(kind)
 	if i, ok := em.dtcIndex[key]; ok {
@@ -114,13 +104,7 @@ func (em *ErrorManager) Report(source string, kind ErrorKind, info string) {
 			FirstAt: rec.At, LastAt: rec.At, LastInfo: info,
 		})
 	}
-	if em.cap > 0 && len(em.records) >= em.cap {
-		em.records[em.start] = rec
-		em.start = (em.start + 1) % em.cap
-	} else {
-		em.records = append(em.records, rec)
-	}
-	em.p.Trace.Emit(now, trace.Error, source, em.total, string(kind)+": "+info)
+	em.p.Trace.Emit(now, trace.Error, source, em.Total(), string(kind)+": "+info)
 	em.p.Metrics.Counter("rte_errors_total",
 		"Errors reported through the platform error manager, by kind.",
 		obs.Label{Key: "kind", Value: string(kind)}).Inc()
@@ -158,22 +142,14 @@ func indexDot(s string) int {
 	return len(s)
 }
 
-// Records returns the retained error records in report order: all of them
-// while under the ring cap, the most recent cap reports after that (Total
-// counts every report ever made).
-func (em *ErrorManager) Records() []ErrorRecord {
-	if em.start == 0 {
-		return em.records
-	}
-	out := make([]ErrorRecord, 0, len(em.records))
-	out = append(out, em.records[em.start:]...)
-	out = append(out, em.records[:em.start]...)
-	return out
-}
+// Records returns a copy of the retained error records in report order:
+// all of them while under DefaultErrorRecordCap, the most recent cap
+// reports after that (Total counts every report ever made).
+func (em *ErrorManager) Records() []ErrorRecord { return em.records.Snapshot() }
 
 // Total returns how many errors have ever been reported, independent of
 // the record ring cap.
-func (em *ErrorManager) Total() int64 { return em.total }
+func (em *ErrorManager) Total() int64 { return int64(em.records.Total()) }
 
 // DTC is a diagnostic trouble code entry: the aggregated view of one
 // (source, kind) fault with occurrence count and first/last freeze frames

@@ -25,7 +25,7 @@ func (p *Platform) attachFlight() {
 	if p.opts.DisableFlight {
 		return
 	}
-	p.Flight = obs.NewFlight(p.opts.FlightConfig)
+	p.Flight = obs.NewFlight(obs.FlightConfig{})
 	p.DLT = p.Flight.DLT
 	flight := p.Flight
 	// Routine completions, activations and scheduler detail stay out of

@@ -95,11 +95,6 @@ type Options struct {
 	// component of ASIL-C or higher redundantly on both physical channels
 	// (FlexRay's dependability feature applied by criticality).
 	DualChannelFlexRay bool
-	// ErrorRecordCap bounds the raw error records the error manager
-	// retains (a ring of the most recent reports). Zero selects
-	// DefaultErrorRecordCap; negative means unbounded. DTC aggregation
-	// and per-kind counts stay exact regardless of the cap.
-	ErrorRecordCap int
 	// E2E, when non-nil, protects every bus-carried signal route with an
 	// AUTOSAR-style end-to-end protection header (CRC + sequence counter
 	// + DataID): P01 on CAN segments, P05 on FlexRay segments, each
@@ -109,8 +104,6 @@ type Options struct {
 	// The recorder is on by default — bounded rings make it cheap — but
 	// overhead benchmarks and minimal platforms can opt out.
 	DisableFlight bool
-	// FlightConfig sizes the flight recorder's rings (zero: defaults).
-	FlightConfig obs.FlightConfig
 }
 
 // fill sets every unset option that has a default to it. It is the one
@@ -139,21 +132,25 @@ type Platform struct {
 	K     *sim.Kernel
 	Trace *trace.Recorder
 	Sys   *model.System
-	// Errors is the platform error manager (§2 error handling).
+	// Errors is the platform error manager (§2 error handling): the
+	// most recent DefaultErrorRecordCap reports in an obs.Ring, plus exact
+	// DTC and per-kind aggregates.
 	Errors *ErrorManager
 	// Metrics is the platform's metrics registry, always present: kernel
 	// event counts, error-manager counters and trace volume register here
 	// at Build time, and applications may add their own series.
 	Metrics *obs.Registry
 	// DLT is the structured event log (AUTOSAR DLT style). With the
-	// flight recorder on (the default) this is the recorder's bounded
-	// ring log, keeping the most recent records at info and above;
+	// flight recorder on (the default) this is the recorder's ring-mode
+	// log: the most recent DefaultFlightDLTCap records at info and above,
+	// bursts of identical records folded into one with a Repeat count;
 	// EnableDLT adjusts the level floor. With DisableFlight it stays nil
 	// — every emission is nil-safe and free — until EnableDLT attaches
-	// an unbounded log.
+	// an unbounded log that keeps every record unfolded.
 	DLT *obs.Log
-	// Flight is the always-on flight recorder (nil with DisableFlight):
-	// bounded rings of recent DLT records, task/fault span events,
+	// Flight is the always-on flight recorder (nil with DisableFlight),
+	// sized by the obs.FlightConfig defaults: obs.Ring buffers of recent
+	// DLT records, task/fault span events (identical instants coalesced),
 	// metric deltas and platform history, cut into diagnostic bundles by
 	// Bundle.
 	Flight *obs.Flight

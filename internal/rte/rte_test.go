@@ -514,41 +514,46 @@ func TestDualChannelFlexRayOption(t *testing.T) {
 
 func TestErrorRecordRingBounded(t *testing.T) {
 	s := chainSystem(model.BusCAN)
-	p := MustBuild(s, Options{ErrorRecordCap: 8})
-	for i := 0; i < 20; i++ {
+	p := MustBuild(s, Options{})
+	const glitches = DefaultErrorRecordCap + 12
+	for i := 0; i < glitches; i++ {
 		i := i
-		p.K.At(sim.MS(float64(i)), func() {
+		p.K.At(sim.US(float64(i)), func() {
 			p.Errors.Report("Sensor", ErrSensor, fmt.Sprintf("glitch %d", i))
 		})
 	}
 	p.K.At(sim.MS(25), func() { p.Errors.Report("Ctrl", ErrComm, "lost") })
 	p.Run(sim.MS(50))
 	recs := p.Errors.Records()
-	if len(recs) != 8 {
-		t.Fatalf("ring holds %d records, want 8", len(recs))
+	if len(recs) != DefaultErrorRecordCap {
+		t.Fatalf("ring holds %d records, want %d", len(recs), DefaultErrorRecordCap)
 	}
-	// Chronological order preserved across the wrap; newest report last.
+	// Chronological order preserved across the wrap; the oldest retained
+	// report is the first one the cap did not push out, the newest last.
 	for i := 1; i < len(recs); i++ {
 		if recs[i].At < recs[i-1].At {
-			t.Fatalf("records out of order: %+v", recs)
+			t.Fatalf("records out of order at %d: %+v, %+v", i, recs[i-1], recs[i])
 		}
 	}
-	if recs[7].Kind != ErrComm {
-		t.Fatalf("last record %+v, want the comm error", recs[7])
+	if recs[0].Info != "glitch 13" {
+		t.Fatalf("oldest record %+v, want glitch 13", recs[0])
+	}
+	if last := recs[len(recs)-1]; last.Kind != ErrComm {
+		t.Fatalf("last record %+v, want the comm error", last)
 	}
 	// Aggregates stay exact despite the dropped freeze frames.
-	if p.Errors.Total() != 21 {
-		t.Fatalf("total = %d, want 21", p.Errors.Total())
+	if p.Errors.Total() != glitches+1 {
+		t.Fatalf("total = %d, want %d", p.Errors.Total(), glitches+1)
 	}
-	if p.Errors.CountKind(ErrSensor) != 20 {
-		t.Fatalf("sensor count = %d, want 20", p.Errors.CountKind(ErrSensor))
+	if p.Errors.CountKind(ErrSensor) != glitches {
+		t.Fatalf("sensor count = %d, want %d", p.Errors.CountKind(ErrSensor), glitches)
 	}
 	dtcs := p.Errors.DTCs()
-	if len(dtcs) != 2 || dtcs[0].Occurrences != 20 || dtcs[0].FirstAt != int64(sim.MS(0)) {
+	if len(dtcs) != 2 || dtcs[0].Occurrences != glitches || dtcs[0].FirstAt != int64(sim.MS(0)) {
 		t.Fatalf("DTC aggregation lost history: %+v", dtcs)
 	}
-	if dtcs[0].LastInfo != "glitch 19" {
-		t.Fatalf("freeze frame wrong: %+v", dtcs[0])
+	if want := fmt.Sprintf("glitch %d", glitches-1); dtcs[0].LastInfo != want {
+		t.Fatalf("freeze frame wrong: %+v, want last info %q", dtcs[0], want)
 	}
 }
 

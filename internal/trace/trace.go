@@ -243,7 +243,6 @@ func (r *Recorder) Latencies(source string) []sim.Duration {
 	if r == nil {
 		return nil
 	}
-	type key struct{ job int64 }
 	act := map[int64]sim.Time{}
 	var done []struct {
 		job int64
@@ -274,6 +273,5 @@ func (r *Recorder) Latencies(source string) []sim.Duration {
 	for i, d := range done {
 		out[i] = d.lat
 	}
-	_ = key{}
 	return out
 }
