@@ -117,37 +117,28 @@ func runE11Instrumented(cfg E11Config, s fault.Scenario, inst *e11Instrumentatio
 		return fault.Result{Scenario: s, FinalState: "build error: " + err.Error()}, nil
 	}
 	if inst != nil && inst.sampleStep > 0 {
-		// Service-delivery curve: cumulative completions of the chain's
-		// actuation task, read straight off the trace recorder's O(1) counts.
-		p.Metrics.GaugeFunc("chain_finishes",
-			"Cumulative completions of the critical actuation task.",
-			func() float64 { return float64(p.Trace.Count(trace.Finish, "Act.apply")) })
+		gaugeChainFinishes(p)
 		p.EnableSampling(inst.sampleStep, inst.match)
 	}
-	healthy := func(c *rte.Context) { c.Write("out", "v", 100) }
+	driveChain(p)
 	switch s.Class {
 	case fault.FaultSensorSilent:
 		p.MustBehavior("Sensor", "sample",
-			fault.BreakSensorBetween(s.InjectAt, s.Until, fault.Silent, 0, healthy))
+			fault.BreakSensorBetween(s.InjectAt, s.Until, fault.Silent, 0, steadySample))
 	case fault.FaultSensorStuck:
 		p.MustBehavior("Sensor", "sample",
-			fault.BreakSensorBetween(s.InjectAt, s.Until, fault.Stuck, 0, healthy))
+			fault.BreakSensorBetween(s.InjectAt, s.Until, fault.Stuck, 0, steadySample))
 	case fault.FaultSensorNoise:
 		p.MustBehavior("Sensor", "sample",
-			fault.BreakSensorBetween(s.InjectAt, s.Until, fault.Noise, 9999, healthy))
+			fault.BreakSensorBetween(s.InjectAt, s.Until, fault.Noise, 9999, steadySample))
 	case fault.FaultCANBurst:
-		p.MustBehavior("Sensor", "sample", healthy)
 		fault.CANBurst(p.CANBus("can0"), s.InjectAt, s.Until, 1.0, cfg.Seed)
 	case fault.FaultOverrun:
-		p.MustBehavior("Sensor", "sample", healthy)
 		fault.OverrunTaskBetween(p.K, p.Task("Sensor", "sample"), s.InjectAt, s.Until, 50)
 	default:
 		// Communication classes are exercised by E12's protected-channel
-		// harness, not the recovery-ladder sweep.
-		p.MustBehavior("Sensor", "sample", healthy)
+		// harness, not the recovery-ladder sweep: the sensor stays steady.
 	}
-	p.MustBehavior("Ctrl", "step", func(c *rte.Context) { c.Write("cmd", "u", c.Read("in", "v")) }) //autovet:allow e2eflow E11 is the deliberately unprotected recovery-ladder baseline; channel qualification is E12's subject
-	p.MustBehavior("Act", "apply", func(c *rte.Context) {})
 	// Diagnostic monitor: temporal validity and plausibility of the chain
 	// input, attributed to the Sensor partition (unlatched — the health
 	// monitor's debouncing is the flood control).
@@ -163,30 +154,22 @@ func runE11Instrumented(cfg E11Config, s fault.Scenario, inst *e11Instrumentatio
 	// comfort but keeps the (possibly faulty) critical chain escalating,
 	// SafeStop sheds everything but mode handlers.
 	deg := health.MustDegradation(p, map[health.Level][]string{
-		health.Degraded: {"Sensor.sample", "Ctrl.step", "Act.apply", "Watch.check", "Comfort.hvac"},
-		health.LimpHome: {"Sensor.sample", "Ctrl.step", "Act.apply", "Watch.check"},
+		health.Degraded: {"Sensor.sample", "Ctrl.law", "Act.apply", "Watch.check", "Comfort.hvac"},
+		health.LimpHome: {"Sensor.sample", "Ctrl.law", "Act.apply", "Watch.check"},
 	})
 	mopts := health.MonitorOptions{Degradation: deg}
 	if inst != nil {
 		mopts.BundleSink = inst.bundleSink
 	}
 	m := health.NewMonitor(p, mopts)
-	m.MustProtect("Sensor", health.Policy{
-		Debounce:    health.DebounceConfig{Inc: 2, Dec: 1, Threshold: 4},
-		MaxAttempts: 2, Cooldown: sim.MS(15),
-		ResetDowntime: sim.MS(20), HealAfter: sim.MS(60),
-		Runnable: "sample",
-	})
+	m.MustProtect("Sensor", ladderPolicy("sample"))
 	p.Run(cfg.Horizon)
 
-	res := fault.Result{Scenario: s, Errors: p.Errors.Total()}
 	kind := rte.ErrSensor
 	if s.Class == fault.FaultOverrun {
 		kind = rte.ErrTiming
 	}
-	res.DetectionLatency, res.Detected = fault.DetectionLatency(p.Errors.Records(), kind, s.InjectAt)
-	res.Availability, _ = fault.Availability(p.Trace, "Act.apply", sim.MS(10), s.InjectAt, cfg.Horizon)
-	res.RecoveryLatency, res.Recovered, _ = fault.ServiceRecovery(p.Trace, "Act.apply", sim.MS(10), s.InjectAt, cfg.Horizon)
+	res := scoreActuation(p, s, cfg.Horizon, kind)
 	st := m.Status()[0]
 	res.Escalations = st.Attempts
 	res.FinalState = deg.Level().String() + "/" + st.State.String()
@@ -211,10 +194,9 @@ func E11LimpHome(cfg E11Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
-	p.MustBehavior("Ctrl", "step", func(c *rte.Context) { c.Write("cmd", "u", c.Read("in", "v")) }) //autovet:allow e2eflow E11 is the deliberately unprotected recovery-ladder baseline; channel qualification is E12's subject
+	driveChain(p)
 	deg := health.MustDegradation(p, map[health.Level][]string{
-		health.LimpHome: {"Sensor.sample", "Ctrl.step", "Act.apply", "Watch.check"},
+		health.LimpHome: {"Sensor.sample", "Ctrl.law", "Act.apply", "Watch.check"},
 	})
 	enter, leave := sim.Time(150*sim.Millisecond), sim.Time(300*sim.Millisecond)
 	p.K.At(enter, func() { deg.To(health.LimpHome) })
@@ -257,102 +239,59 @@ func E11LimpHome(cfg E11Config) (*Table, error) {
 	return tab, nil
 }
 
-// e11System is the reference chain for the campaign: a sensor on e1 feeds
-// a control-and-actuation chain on e2 over CAN, watched by a diagnostic
-// monitor; comfort and telemetry runnables are sheddable load; Diag hosts
-// the mode-switch handlers.
+// e11System is the campaign's deployment of the reference chain: the
+// sensor on e1 feeds the control-and-actuation chain on e2 over CAN,
+// watched by a diagnostic monitor; comfort and telemetry runnables are
+// sheddable load; Diag hosts the mode-switch handlers.
 func e11System() *model.System {
-	ifV := &model.PortInterface{
-		Name: "IfV", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "v", Type: model.UInt16}},
+	sys := chainSystem("e11")
+	ifV := sys.Interfaces[0]
+	sys.Components = append(sys.Components,
+		&model.SWC{
+			Name:  "Watch",
+			Ports: []model.Port{{Name: "tap", Direction: model.Required, Interface: ifV}},
+			Runnables: []model.Runnable{{
+				Name: "check", WCETNominal: sim.US(20),
+				Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10), Offset: sim.MS(5)},
+				Reads:   []model.PortRef{{Port: "tap", Elem: "v"}},
+			}},
+		},
+		&model.SWC{
+			Name: "Comfort",
+			Runnables: []model.Runnable{{
+				Name: "hvac", WCETNominal: sim.US(100),
+				Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(20)},
+			}},
+		},
+		&model.SWC{
+			Name: "Telem",
+			Runnables: []model.Runnable{{
+				Name: "log", WCETNominal: sim.US(80),
+				Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(20), Offset: sim.MS(3)},
+			}},
+		},
+		&model.SWC{
+			Name: "Diag",
+			Runnables: []model.Runnable{
+				{Name: "onRecovery", WCETNominal: sim.US(10),
+					Trigger: model.Trigger{Kind: model.ModeSwitchEvent, Mode: "recovery"}},
+				{Name: "onLimp", WCETNominal: sim.US(10),
+					Trigger: model.Trigger{Kind: model.ModeSwitchEvent, Mode: "limp-home"}},
+				{Name: "onSafeStop", WCETNominal: sim.US(10),
+					Trigger: model.Trigger{Kind: model.ModeSwitchEvent, Mode: "safe-stop"}},
+			},
+		},
+	)
+	sys.ECUs = []*model.ECU{
+		{Name: "e1", Speed: 1, Buses: []string{"can0"}},
+		{Name: "e2", Speed: 1, Buses: []string{"can0"}},
 	}
-	ifU := &model.PortInterface{
-		Name: "IfU", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "u", Type: model.UInt16}},
+	sys.Buses = []*model.Bus{{Name: "can0", Kind: model.BusCAN, BitRate: 500_000}}
+	sys.Connectors = append(sys.Connectors,
+		model.Connector{FromSWC: "Sensor", FromPort: "out", ToSWC: "Watch", ToPort: "tap"})
+	sys.Mapping = map[string]string{
+		"Sensor": "e1", "Comfort": "e1",
+		"Ctrl": "e2", "Act": "e2", "Watch": "e2", "Telem": "e2", "Diag": "e2",
 	}
-	return &model.System{
-		Name:       "e11",
-		Interfaces: []*model.PortInterface{ifV, ifU},
-		Components: []*model.SWC{
-			{
-				Name:  "Sensor",
-				Ports: []model.Port{{Name: "out", Direction: model.Provided, Interface: ifV}},
-				Runnables: []model.Runnable{{
-					Name: "sample", WCETNominal: sim.US(50),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10)},
-					Writes:  []model.PortRef{{Port: "out", Elem: "v"}},
-				}},
-			},
-			{
-				Name: "Ctrl",
-				Ports: []model.Port{
-					{Name: "in", Direction: model.Required, Interface: ifV},
-					{Name: "cmd", Direction: model.Provided, Interface: ifU},
-				},
-				Runnables: []model.Runnable{{
-					Name: "step", WCETNominal: sim.US(40),
-					Trigger: model.Trigger{Kind: model.DataReceivedEvent, Port: "in", Elem: "v"},
-					Reads:   []model.PortRef{{Port: "in", Elem: "v"}},
-					Writes:  []model.PortRef{{Port: "cmd", Elem: "u"}},
-				}},
-			},
-			{
-				Name:  "Act",
-				Ports: []model.Port{{Name: "in", Direction: model.Required, Interface: ifU}},
-				Runnables: []model.Runnable{{
-					Name: "apply", WCETNominal: sim.US(20),
-					Trigger: model.Trigger{Kind: model.DataReceivedEvent, Port: "in", Elem: "u"},
-					Reads:   []model.PortRef{{Port: "in", Elem: "u"}},
-				}},
-			},
-			{
-				Name:  "Watch",
-				Ports: []model.Port{{Name: "tap", Direction: model.Required, Interface: ifV}},
-				Runnables: []model.Runnable{{
-					Name: "check", WCETNominal: sim.US(20),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10), Offset: sim.MS(5)},
-					Reads:   []model.PortRef{{Port: "tap", Elem: "v"}},
-				}},
-			},
-			{
-				Name: "Comfort",
-				Runnables: []model.Runnable{{
-					Name: "hvac", WCETNominal: sim.US(100),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(20)},
-				}},
-			},
-			{
-				Name: "Telem",
-				Runnables: []model.Runnable{{
-					Name: "log", WCETNominal: sim.US(80),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(20), Offset: sim.MS(3)},
-				}},
-			},
-			{
-				Name: "Diag",
-				Runnables: []model.Runnable{
-					{Name: "onRecovery", WCETNominal: sim.US(10),
-						Trigger: model.Trigger{Kind: model.ModeSwitchEvent, Mode: "recovery"}},
-					{Name: "onLimp", WCETNominal: sim.US(10),
-						Trigger: model.Trigger{Kind: model.ModeSwitchEvent, Mode: "limp-home"}},
-					{Name: "onSafeStop", WCETNominal: sim.US(10),
-						Trigger: model.Trigger{Kind: model.ModeSwitchEvent, Mode: "safe-stop"}},
-				},
-			},
-		},
-		ECUs: []*model.ECU{
-			{Name: "e1", Speed: 1, Buses: []string{"can0"}},
-			{Name: "e2", Speed: 1, Buses: []string{"can0"}},
-		},
-		Buses: []*model.Bus{{Name: "can0", Kind: model.BusCAN, BitRate: 500_000}},
-		Connectors: []model.Connector{
-			{FromSWC: "Sensor", FromPort: "out", ToSWC: "Ctrl", ToPort: "in"},
-			{FromSWC: "Sensor", FromPort: "out", ToSWC: "Watch", ToPort: "tap"},
-			{FromSWC: "Ctrl", FromPort: "cmd", ToSWC: "Act", ToPort: "in"},
-		},
-		Mapping: map[string]string{
-			"Sensor": "e1", "Comfort": "e1",
-			"Ctrl": "e2", "Act": "e2", "Watch": "e2", "Telem": "e2", "Diag": "e2",
-		},
-	}
+	return sys
 }

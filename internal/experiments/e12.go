@@ -98,9 +98,8 @@ func runE12Coverage(cfg E12Config, class fault.FaultClass, protected bool) (e12C
 	if err != nil {
 		return e12CoverageResult{}, err
 	}
+	driveChain(p)
 	p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", float64(c.Job())) })
-	p.MustBehavior("Ctrl", "law", qualifiedForward)
-	p.MustBehavior("Act", "apply", func(c *rte.Context) {})
 
 	var inj *fault.CommInjector
 	detClass := ""
@@ -176,8 +175,8 @@ func E12Overhead(cfg E12Config) (*Table, error) {
 		}
 		var total sim.Duration
 		var n int
+		driveChain(p)
 		p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", float64(c.Job())) })
-		p.MustBehavior("Ctrl", "law", qualifiedForward)
 		p.MustBehavior("Act", "apply", func(c *rte.Context) {
 			job := int64(c.Read("in", "u"))
 			total += c.Now() - sim.Time(job)*sim.Time(sim.MS(10))
@@ -221,28 +220,14 @@ func E12Recovery(cfg E12Config) (*Table, error) {
 		},
 	}
 
-	// Scenario 1: permanent corruption on the protected CAN chain, with the
-	// receiver partition supervised by the health monitor.
+	corrupt, m, loss, err := e12RecoveryScenarios(cfg)
+	if err != nil {
+		return nil, err
+	}
+
+	// Scenario 1: permanent corruption on the protected CAN chain.
 	{
-		p, err := rte.Build(e12System(model.BusCAN), rte.Options{E2E: &rte.E2EOptions{}})
-		if err != nil {
-			return nil, err
-		}
-		p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
-		p.MustBehavior("Ctrl", "law", qualifiedForward)
-		p.MustBehavior("Act", "apply", func(c *rte.Context) {})
-		fault.CorruptPayload(p, e12Signal, cfg.InjectAt, 0, cfg.Seed)
-		deg := health.MustDegradation(p, map[health.Level][]string{
-			health.Degraded: {"Sensor.sample", "Ctrl.law", "Act.apply"},
-			health.LimpHome: {"Act.apply"},
-		})
-		m := health.NewMonitor(p, health.MonitorOptions{Degradation: deg})
-		m.MustProtect("Ctrl", health.Policy{
-			Debounce:    health.DebounceConfig{Inc: 2, Dec: 1, Threshold: 4},
-			MaxAttempts: 2, Cooldown: sim.MS(15),
-			ResetDowntime: sim.MS(20), HealAfter: sim.MS(60),
-			Runnable: "law",
-		})
+		p := corrupt
 		p.Run(cfg.Horizon)
 		lat, det := fault.DetectionLatency(p.Errors.Records(), rte.ErrComm, cfg.InjectAt)
 		st := m.Status()[0]
@@ -251,20 +236,13 @@ func E12Recovery(cfg E12Config) (*Table, error) {
 			return nil, err
 		}
 		tab.Add("can corrupt (permanent)", det, lat, st.Attempts, "-",
-			deg.Level().String()+"/"+st.State.String(), false, "-",
+			m.Degradation().Level().String()+"/"+st.State.String(), false, "-",
 			fmt.Sprintf("%.2f", av))
 	}
 
 	// Scenario 2: FlexRay channel A dies; protected streams fail over.
 	{
-		p, err := rte.Build(e12System(model.BusFlexRay), rte.Options{E2E: &rte.E2EOptions{}})
-		if err != nil {
-			return nil, err
-		}
-		p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
-		p.MustBehavior("Ctrl", "law", qualifiedForward)
-		p.MustBehavior("Act", "apply", func(c *rte.Context) {})
-		p.FlexRayBus("bus0").FailChannel(flexray.ChannelA, cfg.InjectAt)
+		p := loss
 		p.Run(cfg.Horizon)
 		lat, det := fault.DetectionLatency(p.Errors.Records(), rte.ErrComm, cfg.InjectAt)
 		fo := p.Metrics.Counter("e2e_failovers_total",
@@ -287,69 +265,50 @@ func E12Recovery(cfg E12Config) (*Table, error) {
 	return tab, nil
 }
 
+// e12RecoveryScenarios builds the two E12 recovery scenarios on the
+// protected chain, armed but not yet run: permanent payload corruption on
+// CAN from cfg.InjectAt, with the receiver partition Ctrl under the health
+// ladder m (and its degradation), and the FlexRay chain losing channel A
+// at cfg.InjectAt.
+func e12RecoveryScenarios(cfg E12Config) (corrupt *rte.Platform, m *health.Monitor, loss *rte.Platform, err error) {
+	corrupt, err = rte.Build(e12System(model.BusCAN), rte.Options{E2E: &rte.E2EOptions{}})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	driveChain(corrupt)
+	fault.CorruptPayload(corrupt, e12Signal, cfg.InjectAt, 0, cfg.Seed)
+	deg := health.MustDegradation(corrupt, map[health.Level][]string{
+		health.Degraded: {"Sensor.sample", "Ctrl.law", "Act.apply"},
+		health.LimpHome: {"Act.apply"},
+	})
+	m = health.NewMonitor(corrupt, health.MonitorOptions{Degradation: deg})
+	m.MustProtect("Ctrl", ladderPolicy("law"))
+
+	loss, err = rte.Build(e12System(model.BusFlexRay), rte.Options{E2E: &rte.E2EOptions{}})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	driveChain(loss)
+	loss.FlexRayBus("bus0").FailChannel(flexray.ChannelA, cfg.InjectAt)
+	return corrupt, m, loss, nil
+}
+
 func e12Detected(p *rte.Platform, class string) int {
 	return int(p.Metrics.Counter("e2e_detected_faults_total",
 		"Communication faults detected by E2E protection, by detected class.",
 		obs.Label{Key: "class", Value: class}).Value())
 }
 
-// e12System is the protected reference chain: a sensor on e1 feeds a
-// controller on e2 which commands an actuator back on e1, both hops over
-// one bus of the given kind.
+// e12System is the protected reference chain: the sensor on e1 feeds
+// the controller on e2, which commands the actuator back on e1, both
+// hops over one bus of the given kind.
 func e12System(busKind model.BusKind) *model.System {
-	ifV := &model.PortInterface{
-		Name: "IfV", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "v", Type: model.UInt16}},
+	sys := chainSystem("e12")
+	sys.ECUs = []*model.ECU{
+		{Name: "e1", Speed: 1, Buses: []string{"bus0"}},
+		{Name: "e2", Speed: 1, Buses: []string{"bus0"}},
 	}
-	ifU := &model.PortInterface{
-		Name: "IfU", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "u", Type: model.UInt16}},
-	}
-	return &model.System{
-		Name:       "e12",
-		Interfaces: []*model.PortInterface{ifV, ifU},
-		Components: []*model.SWC{
-			{
-				Name:  "Sensor",
-				Ports: []model.Port{{Name: "out", Direction: model.Provided, Interface: ifV}},
-				Runnables: []model.Runnable{{
-					Name: "sample", WCETNominal: sim.US(50),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10)},
-					Writes:  []model.PortRef{{Port: "out", Elem: "v"}},
-				}},
-			},
-			{
-				Name: "Ctrl",
-				Ports: []model.Port{
-					{Name: "in", Direction: model.Required, Interface: ifV},
-					{Name: "cmd", Direction: model.Provided, Interface: ifU},
-				},
-				Runnables: []model.Runnable{{
-					Name: "law", WCETNominal: sim.US(40),
-					Trigger: model.Trigger{Kind: model.DataReceivedEvent, Port: "in", Elem: "v"},
-					Reads:   []model.PortRef{{Port: "in", Elem: "v"}},
-					Writes:  []model.PortRef{{Port: "cmd", Elem: "u"}},
-				}},
-			},
-			{
-				Name:  "Act",
-				Ports: []model.Port{{Name: "in", Direction: model.Required, Interface: ifU}},
-				Runnables: []model.Runnable{{
-					Name: "apply", WCETNominal: sim.US(20),
-					Trigger: model.Trigger{Kind: model.DataReceivedEvent, Port: "in", Elem: "u"},
-					Reads:   []model.PortRef{{Port: "in", Elem: "u"}},
-				}},
-			},
-		},
-		ECUs: []*model.ECU{
-			{Name: "e1", Speed: 1, Buses: []string{"bus0"}},
-			{Name: "e2", Speed: 1, Buses: []string{"bus0"}},
-		},
-		Buses: []*model.Bus{{Name: "bus0", Kind: busKind, BitRate: 500_000}},
-		Connectors: []model.Connector{
-			{FromSWC: "Sensor", FromPort: "out", ToSWC: "Ctrl", ToPort: "in"},
-			{FromSWC: "Ctrl", FromPort: "cmd", ToSWC: "Act", ToPort: "in"},
-		},
-		Mapping: map[string]string{"Sensor": "e1", "Ctrl": "e2", "Act": "e1"},
-	}
+	sys.Buses = []*model.Bus{{Name: "bus0", Kind: busKind, BitRate: 500_000}}
+	sys.Mapping = map[string]string{"Sensor": "e1", "Ctrl": "e2", "Act": "e1"}
+	return sys
 }

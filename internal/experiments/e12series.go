@@ -3,21 +3,14 @@ package experiments
 import (
 	"fmt"
 
-	"autorte/internal/fault"
-	"autorte/internal/flexray"
-	"autorte/internal/health"
-	"autorte/internal/model"
 	"autorte/internal/rte"
 	"autorte/internal/sim"
-	"autorte/internal/trace"
 )
 
 // e12SampleChain registers the service-delivery gauge and arms the
 // platform sampler on the common series grid.
 func e12SampleChain(p *rte.Platform, extra ...string) {
-	p.Metrics.GaugeFunc("chain_finishes",
-		"Cumulative completions of the critical actuation task.",
-		func() float64 { return float64(p.Trace.Count(trace.Finish, "Act.apply")) })
+	gaugeChainFinishes(p)
 	keep := map[string]bool{"chain_finishes": true}
 	for _, name := range extra {
 		keep[name] = true
@@ -42,49 +35,19 @@ func E12RecoverySeries(cfg E12Config) (*Table, error) {
 		},
 	}
 
-	// Scenario 1: permanent corruption on the protected CAN chain.
-	{
-		p, err := rte.Build(e12System(model.BusCAN), rte.Options{E2E: &rte.E2EOptions{}})
-		if err != nil {
-			return nil, err
-		}
-		p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
-		p.MustBehavior("Ctrl", "law", qualifiedForward)
-		p.MustBehavior("Act", "apply", func(c *rte.Context) {})
-		fault.CorruptPayload(p, e12Signal, cfg.InjectAt, 0, cfg.Seed)
-		deg := health.MustDegradation(p, map[health.Level][]string{
-			health.Degraded: {"Sensor.sample", "Ctrl.law", "Act.apply"},
-			health.LimpHome: {"Act.apply"},
-		})
-		m := health.NewMonitor(p, health.MonitorOptions{Degradation: deg})
-		m.MustProtect("Ctrl", health.Policy{
-			Debounce:    health.DebounceConfig{Inc: 2, Dec: 1, Threshold: 4},
-			MaxAttempts: 2, Cooldown: sim.MS(15),
-			ResetDowntime: sim.MS(20), HealAfter: sim.MS(60),
-			Runnable: "law",
-		})
-		e12SampleChain(p, "health_degradation_level")
-		p.Run(cfg.Horizon)
-		if err := e12SeriesRows(tab, p, "can corrupt", true); err != nil {
-			return nil, err
-		}
+	corrupt, _, loss, err := e12RecoveryScenarios(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	// Scenario 2: FlexRay channel A dies; protected streams fail over.
-	{
-		p, err := rte.Build(e12System(model.BusFlexRay), rte.Options{E2E: &rte.E2EOptions{}})
-		if err != nil {
-			return nil, err
-		}
-		p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
-		p.MustBehavior("Ctrl", "law", qualifiedForward)
-		p.MustBehavior("Act", "apply", func(c *rte.Context) {})
-		p.FlexRayBus("bus0").FailChannel(flexray.ChannelA, cfg.InjectAt)
-		e12SampleChain(p, "e2e_failovers_total")
-		p.Run(cfg.Horizon)
-		if err := e12SeriesRows(tab, p, "flexray loss", false); err != nil {
-			return nil, err
-		}
+	e12SampleChain(corrupt, "health_degradation_level")
+	corrupt.Run(cfg.Horizon)
+	if err := e12SeriesRows(tab, corrupt, "can corrupt", true); err != nil {
+		return nil, err
+	}
+	e12SampleChain(loss, "e2e_failovers_total")
+	loss.Run(cfg.Horizon)
+	if err := e12SeriesRows(tab, loss, "flexray loss", false); err != nil {
+		return nil, err
 	}
 	return tab, nil
 }

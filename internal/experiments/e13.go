@@ -142,13 +142,7 @@ func runE13Scenario(cfg E13Config, cand e13Candidate, s fault.Scenario, killECU 
 	if err != nil {
 		return fault.Result{Scenario: s, FinalState: "build error: " + err.Error()}, 0
 	}
-	p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
-	forward := func(c *rte.Context) { c.Write("cmd", "u", c.Read("in", "v")) } //autovet:allow e2eflow E13 studies ECU loss, not channel tampering; E2E qualification is E12's subject
-	p.MustBehavior("Ctrl", "law", forward)
-	if sys.Component("Ctrl#1") != nil {
-		p.MustBehavior("Ctrl#1", "law", forward)
-	}
-	p.MustBehavior("Act", "apply", func(c *rte.Context) {})
+	driveChain(p)
 	// Diagnostic monitor on the actuator's ECU: temporal validity of the
 	// command stream, attributed to the controller partition. A silent
 	// controller — dead ECU or severed bus — qualifies there.
@@ -175,41 +169,13 @@ func runE13Scenario(cfg E13Config, cand e13Candidate, s fault.Scenario, killECU 
 	}
 	p.Run(cfg.Horizon)
 
-	res := scoreActuation(p, s, cfg.Horizon)
+	res := scoreActuation(p, s, cfg.Horizon, rte.ErrSensor)
 	st := m.Status()[0]
 	res.Escalations = st.Attempts
 	res.FinalState = st.State.String()
 	fo := p.Metrics.Counter("deploy_failovers_total", "",
 		obs.Label{Key: "swc", Value: "Ctrl"}).Value()
 	return res, fo
-}
-
-// stagePolicy is the health policy E13 and E14 protect a chain stage
-// with.
-func stagePolicy(runnable string) health.Policy {
-	return health.Policy{
-		Debounce:    health.DebounceConfig{Inc: 2, Dec: 1, Threshold: 3},
-		MaxAttempts: 1, Cooldown: sim.MS(20),
-		ResetDowntime: sim.MS(20), HealAfter: sim.MS(60),
-		Runnable: runnable,
-	}
-}
-
-// scoreActuation scores an E13/E14 scenario run to horizon: detection
-// from the sensor-kind error records, and the availability and recovery
-// of the actuation service. The service is up whichever controller
-// instance feeds it, so the actuation stream itself is the observed
-// source, the whole replica group of the actuator scored as a union.
-func scoreActuation(p *rte.Platform, s fault.Scenario, horizon sim.Time) fault.Result {
-	res := fault.Result{Scenario: s, Errors: p.Errors.Total()}
-	res.DetectionLatency, res.Detected = fault.DetectionLatency(p.Errors.Records(), rte.ErrSensor, s.InjectAt)
-	var sources []string
-	for _, name := range p.ReplicaGroup("Act") {
-		sources = append(sources, name+".apply")
-	}
-	res.Availability, _ = fault.AvailabilityAny(p.Trace, sources, sim.MS(10), s.InjectAt, horizon)
-	res.RecoveryLatency, res.Recovered, _ = fault.ServiceRecoveryAny(p.Trace, sources, sim.MS(10), s.InjectAt, horizon)
-	return res
 }
 
 // E13Availability is the per-scenario detail: every candidate against
@@ -299,75 +265,30 @@ func E13Curve(cfg E13Config) (*Table, error) {
 // ECUs, with the controller optionally replicated through
 // deploy.Replicate (the same materialization the DSE scores).
 func e13System(cand e13Candidate) (*model.System, error) {
-	ifV := &model.PortInterface{
-		Name: "IfV", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "v", Type: model.UInt16}},
-	}
-	ifU := &model.PortInterface{
-		Name: "IfU", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "u", Type: model.UInt16}},
-	}
-	ctrl := &model.SWC{
-		Name: "Ctrl", ASIL: model.ASILD,
-		Ports: []model.Port{
-			{Name: "in", Direction: model.Required, Interface: ifV},
-			{Name: "cmd", Direction: model.Provided, Interface: ifU},
-		},
-		Runnables: []model.Runnable{{
-			Name: "law", WCETNominal: sim.US(40),
-			Trigger: model.Trigger{Kind: model.DataReceivedEvent, Port: "in", Elem: "v"},
-			Reads:   []model.PortRef{{Port: "in", Elem: "v"}},
-			Writes:  []model.PortRef{{Port: "cmd", Elem: "u"}},
-		}},
-	}
+	sys := chainSystem("e13-" + cand.name)
+	ctrl := sys.Component("Ctrl")
+	ctrl.ASIL = model.ASILD
 	if cand.redundant {
 		ctrl.Redundancy = model.Redundancy{Replicas: 2, Mode: model.StandbyPassive}
 	}
-	sys := &model.System{
-		Name:       "e13-" + cand.name,
-		Interfaces: []*model.PortInterface{ifV, ifU},
-		Components: []*model.SWC{
-			{
-				Name:  "Sensor",
-				Ports: []model.Port{{Name: "out", Direction: model.Provided, Interface: ifV}},
-				Runnables: []model.Runnable{{
-					Name: "sample", WCETNominal: sim.US(50),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10)},
-					Writes:  []model.PortRef{{Port: "out", Elem: "v"}},
-				}},
-			},
-			ctrl,
-			{
-				Name:  "Act",
-				Ports: []model.Port{{Name: "in", Direction: model.Required, Interface: ifU}},
-				Runnables: []model.Runnable{{
-					Name: "apply", WCETNominal: sim.US(20),
-					Trigger: model.Trigger{Kind: model.DataReceivedEvent, Port: "in", Elem: "u"},
-					Reads:   []model.PortRef{{Port: "in", Elem: "u"}},
-				}},
-			},
-			{
-				Name:  "Watch",
-				Ports: []model.Port{{Name: "tap", Direction: model.Required, Interface: ifU}},
-				Runnables: []model.Runnable{{
-					Name: "check", WCETNominal: sim.US(20),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10), Offset: sim.MS(5)},
-					Reads:   []model.PortRef{{Port: "tap", Elem: "u"}},
-				}},
-			},
-		},
-		ECUs: []*model.ECU{
-			{Name: "e1", Speed: 1, Buses: []string{"can0"}},
-			{Name: "e2", Speed: 1, Buses: []string{"can0"}},
-			{Name: "e3", Speed: 1, Buses: []string{"can0"}},
-		},
-		Buses: []*model.Bus{{Name: "can0", Kind: model.BusCAN, BitRate: 500_000}},
-		Connectors: []model.Connector{
-			{FromSWC: "Sensor", FromPort: "out", ToSWC: "Ctrl", ToPort: "in"},
-			{FromSWC: "Ctrl", FromPort: "cmd", ToSWC: "Act", ToPort: "in"},
-			{FromSWC: "Ctrl", FromPort: "cmd", ToSWC: "Watch", ToPort: "tap"},
-		},
+	ifU := sys.Interfaces[1]
+	sys.Components = append(sys.Components, &model.SWC{
+		Name:  "Watch",
+		Ports: []model.Port{{Name: "tap", Direction: model.Required, Interface: ifU}},
+		Runnables: []model.Runnable{{
+			Name: "check", WCETNominal: sim.US(20),
+			Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10), Offset: sim.MS(5)},
+			Reads:   []model.PortRef{{Port: "tap", Elem: "u"}},
+		}},
+	})
+	sys.ECUs = []*model.ECU{
+		{Name: "e1", Speed: 1, Buses: []string{"can0"}},
+		{Name: "e2", Speed: 1, Buses: []string{"can0"}},
+		{Name: "e3", Speed: 1, Buses: []string{"can0"}},
 	}
+	sys.Buses = []*model.Bus{{Name: "can0", Kind: model.BusCAN, BitRate: 500_000}}
+	sys.Connectors = append(sys.Connectors,
+		model.Connector{FromSWC: "Ctrl", FromPort: "cmd", ToSWC: "Watch", ToPort: "tap"})
 	out, err := deploy.Replicate(sys)
 	if err != nil {
 		return nil, fmt.Errorf("e13 %s: %w", cand.name, err)

@@ -55,90 +55,46 @@ type e14Deployment struct {
 // chain. Redundancy specs are applied per component; the caller
 // replicates and maps.
 func e14System(specs map[string]model.Redundancy) *model.System {
-	ifV := &model.PortInterface{
-		Name: "IfV", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "v", Type: model.UInt16}},
-	}
-	ifU := &model.PortInterface{
-		Name: "IfU", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "u", Type: model.UInt16}},
-	}
+	sys := chainSystem("e14")
+	ifV, ifU := sys.Interfaces[0], sys.Interfaces[1]
 	ifA := &model.PortInterface{
 		Name: "IfA", Kind: model.SenderReceiver,
 		Elements: []model.DataElement{{Name: "a", Type: model.UInt16}},
 	}
-	sys := &model.System{
-		Name:       "e14",
-		Interfaces: []*model.PortInterface{ifV, ifU, ifA},
-		Components: []*model.SWC{
-			{
-				Name:  "Sensor",
-				Ports: []model.Port{{Name: "out", Direction: model.Provided, Interface: ifV}},
-				Runnables: []model.Runnable{{
-					Name: "sample", WCETNominal: sim.US(50),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10)},
-					Writes:  []model.PortRef{{Port: "out", Elem: "v"}},
-				}},
-			},
-			{
-				Name: "Ctrl", ASIL: model.ASILD,
-				Ports: []model.Port{
-					{Name: "in", Direction: model.Required, Interface: ifV},
-					{Name: "cmd", Direction: model.Provided, Interface: ifU},
-				},
-				Runnables: []model.Runnable{{
-					Name: "law", WCETNominal: sim.US(40),
-					Trigger: model.Trigger{Kind: model.DataReceivedEvent, Port: "in", Elem: "v"},
-					Reads:   []model.PortRef{{Port: "in", Elem: "v"}},
-					Writes:  []model.PortRef{{Port: "cmd", Elem: "u"}},
-				}},
-			},
-			{
-				Name: "Act",
-				Ports: []model.Port{
-					{Name: "in", Direction: model.Required, Interface: ifU},
-					{Name: "out", Direction: model.Provided, Interface: ifA},
-				},
-				Runnables: []model.Runnable{{
-					Name: "apply", WCETNominal: sim.US(20),
-					Trigger: model.Trigger{Kind: model.DataReceivedEvent, Port: "in", Elem: "u"},
-					Reads:   []model.PortRef{{Port: "in", Elem: "u"}},
-					Writes:  []model.PortRef{{Port: "out", Elem: "a"}},
-				}},
-			},
-			{
-				Name: "Watch",
-				Ports: []model.Port{
-					{Name: "tapV", Direction: model.Required, Interface: ifV},
-					{Name: "tapU", Direction: model.Required, Interface: ifU},
-					{Name: "tapA", Direction: model.Required, Interface: ifA},
-				},
-				Runnables: []model.Runnable{{
-					Name: "check", WCETNominal: sim.US(20),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10), Offset: sim.MS(5)},
-					Reads: []model.PortRef{
-						{Port: "tapV", Elem: "v"}, {Port: "tapU", Elem: "u"}, {Port: "tapA", Elem: "a"},
-					},
-				}},
-			},
+	sys.Interfaces = append(sys.Interfaces, ifA)
+	sys.Component("Ctrl").ASIL = model.ASILD
+	act := sys.Component("Act")
+	act.Ports = append(act.Ports, model.Port{Name: "out", Direction: model.Provided, Interface: ifA})
+	act.Runnables[0].Writes = []model.PortRef{{Port: "out", Elem: "a"}}
+	sys.Components = append(sys.Components, &model.SWC{
+		Name: "Watch",
+		Ports: []model.Port{
+			{Name: "tapV", Direction: model.Required, Interface: ifV},
+			{Name: "tapU", Direction: model.Required, Interface: ifU},
+			{Name: "tapA", Direction: model.Required, Interface: ifA},
 		},
-		ECUs: []*model.ECU{
-			{Name: "e1", Speed: 1, Buses: []string{"can0"}},
-			{Name: "e2", Speed: 1, Buses: []string{"can0"}},
-			{Name: "e3", Speed: 1, Buses: []string{"can0"}},
-		},
-		// 1 Mbit/s: the replica fan-out of a fully ×3-replicated chain
-		// keeps every standby's traffic on the wire (hot standbys pay
-		// real bus load), which would crowd a 500 kbit/s channel.
-		Buses: []*model.Bus{{Name: "can0", Kind: model.BusCAN, BitRate: 1_000_000}},
-		Connectors: []model.Connector{
-			{FromSWC: "Sensor", FromPort: "out", ToSWC: "Ctrl", ToPort: "in"},
-			{FromSWC: "Ctrl", FromPort: "cmd", ToSWC: "Act", ToPort: "in"},
-			{FromSWC: "Sensor", FromPort: "out", ToSWC: "Watch", ToPort: "tapV"},
-			{FromSWC: "Ctrl", FromPort: "cmd", ToSWC: "Watch", ToPort: "tapU"},
-			{FromSWC: "Act", FromPort: "out", ToSWC: "Watch", ToPort: "tapA"},
-		},
+		Runnables: []model.Runnable{{
+			Name: "check", WCETNominal: sim.US(20),
+			Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10), Offset: sim.MS(5)},
+			Reads: []model.PortRef{
+				{Port: "tapV", Elem: "v"}, {Port: "tapU", Elem: "u"}, {Port: "tapA", Elem: "a"},
+			},
+		}},
+	})
+	sys.ECUs = []*model.ECU{
+		{Name: "e1", Speed: 1, Buses: []string{"can0"}},
+		{Name: "e2", Speed: 1, Buses: []string{"can0"}},
+		{Name: "e3", Speed: 1, Buses: []string{"can0"}},
 	}
+	// 1 Mbit/s: the replica fan-out of a fully ×3-replicated chain
+	// keeps every standby's traffic on the wire (hot standbys pay
+	// real bus load), which would crowd a 500 kbit/s channel.
+	sys.Buses = []*model.Bus{{Name: "can0", Kind: model.BusCAN, BitRate: 1_000_000}}
+	sys.Connectors = append(sys.Connectors,
+		model.Connector{FromSWC: "Sensor", FromPort: "out", ToSWC: "Watch", ToPort: "tapV"},
+		model.Connector{FromSWC: "Ctrl", FromPort: "cmd", ToSWC: "Watch", ToPort: "tapU"},
+		model.Connector{FromSWC: "Act", FromPort: "out", ToSWC: "Watch", ToPort: "tapA"},
+	)
 	for _, c := range sys.Components {
 		if r, ok := specs[c.Name]; ok {
 			c.Redundancy = r
@@ -268,24 +224,18 @@ func runE14Scenario(cfg E14Config, dep e14Deployment, s fault.Scenario, kills []
 	if err != nil {
 		return fail("build error: " + err.Error())
 	}
-	attach := func(primary, runnable string, b rte.Behavior) {
-		for _, name := range p.ReplicaGroup(primary) {
-			p.MustBehavior(name, runnable, b)
-		}
+	driveChain(p)
+	for _, name := range p.ReplicaGroup("Act") {
+		p.MustBehavior(name, "apply", func(c *rte.Context) {
+			c.Write("out", "a", c.Read("in", "u")) //autovet:allow e2eflow actuation ack mirrors the command for the watchdog's liveness tap
+		})
 	}
-	attach("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
-	attach("Ctrl", "law", func(c *rte.Context) {
-		c.Write("cmd", "u", c.Read("in", "v")) //autovet:allow e2eflow E14 studies ECU loss, not channel tampering; E2E qualification is E12's subject
-	})
-	attach("Act", "apply", func(c *rte.Context) {
-		c.Write("out", "a", c.Read("in", "u")) //autovet:allow e2eflow actuation ack mirrors the command for the watchdog's liveness tap
-	})
 	// One quorum per supervised stage, all sharing the watchdog replica
 	// group as electorate.
 	observers := p.ReplicaGroup("Watch")
 	quorums := map[string]*health.Quorum{}
 	for _, subject := range []string{"Sensor", "Ctrl", "Act"} {
-		q, err := health.NewQuorum(p, subject, observers, health.QuorumOptions{})
+		q, err := health.NewQuorum(p, subject, observers)
 		if err != nil {
 			return fail("quorum error: " + err.Error())
 		}
@@ -335,7 +285,7 @@ func runE14Scenario(cfg E14Config, dep e14Deployment, s fault.Scenario, kills []
 	}
 	p.Run(cfg.Horizon)
 
-	out := e14Outcome{Result: scoreActuation(p, s, cfg.Horizon), SwitchSum: map[string]int64{}, SwitchCnt: map[string]uint64{}}
+	out := e14Outcome{Result: scoreActuation(p, s, cfg.Horizon, rte.ErrSensor), SwitchSum: map[string]int64{}, SwitchCnt: map[string]uint64{}}
 	for _, subject := range []string{"Sensor", "Ctrl", "Act"} {
 		out.Failovers += p.Metrics.Counter("deploy_failovers_total", "",
 			obs.Label{Key: "swc", Value: subject}).Value()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"autorte/internal/model"
@@ -184,39 +183,11 @@ func TestE14AutoPlacementBeatsHandEnumeration(t *testing.T) {
 	}
 }
 
-// The multi-failure campaign is deterministic: identical tables across
-// repeated runs and worker counts.
+// The multi-failure campaign is deterministic: every E14 table renders
+// identically at 1, 2 and 8 workers.
 func TestE14Deterministic(t *testing.T) {
 	cfg := shrunkE14()
-	_, replicated, err := e14ObserverDeployments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := runE14(cfg, replicated, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := cfg
-	cfg2.Workers = 1
-	again, err := runE14(cfg2, replicated, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, again) {
-		t.Fatalf("campaign differs across worker counts:\n%+v\n%+v", base, again)
-	}
-	tab, err := E14Observer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab2, err := E14Observer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tab.Rows, tab2.Rows) {
-		t.Fatalf("E14Observer rows differ between runs:\n%v\n%v", tab.Rows, tab2.Rows)
-	}
-	for _, study := range []func(E14Config) (*Table, error){E14Switchover, E14Placement} {
+	for _, study := range []func(E14Config) (*Table, error){E14Observer, E14Switchover, E14Placement} {
 		sameAcrossWorkers(t, func(workers int) (*Table, error) {
 			cfg := cfg
 			cfg.Workers = workers

@@ -186,7 +186,7 @@ func E10ErrorHandling(cfg E10Config) (*Table, error) {
 	}
 	type scenario struct {
 		name   string
-		kind   rte.ErrorKind
+		kind   rte.ErrorKind // the error kind the scenario's detector reports
 		opts   rte.Options
 		inject func(p *rte.Platform)
 	}
@@ -195,7 +195,7 @@ func E10ErrorHandling(cfg E10Config) (*Table, error) {
 			name: "timing overrun (budget protection)", kind: rte.ErrTiming,
 			opts: rte.Options{EnforceBudgets: true},
 			inject: func(p *rte.Platform) {
-				p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
+				p.MustBehavior("Sensor", "sample", steadySample)
 				p.MustBehavior("Watch", "check", func(c *rte.Context) {})
 				fault.OverrunTask(p.K, p.Task("Sensor", "sample"), cfg.InjectAt, 50)
 			},
@@ -203,31 +203,30 @@ func E10ErrorHandling(cfg E10Config) (*Table, error) {
 		{
 			name: "broken sensor (silent)", kind: rte.ErrSensor,
 			inject: func(p *rte.Platform) {
-				p.MustBehavior("Sensor", "sample", fault.BreakSensor(cfg.InjectAt, fault.Silent, 0,
-					func(c *rte.Context) { c.Write("out", "v", 100) }))
+				p.MustBehavior("Sensor", "sample", fault.BreakSensor(cfg.InjectAt, fault.Silent, 0, steadySample))
 				p.MustBehavior("Watch", "check", fault.AgeMonitor("in", "v", sim.MS(25)))
 			},
 		},
 		{
 			name: "broken sensor (noise)", kind: rte.ErrSensor,
 			inject: func(p *rte.Platform) {
-				p.MustBehavior("Sensor", "sample", fault.BreakSensor(cfg.InjectAt, fault.Noise, 9999,
-					func(c *rte.Context) { c.Write("out", "v", 100) }))
+				p.MustBehavior("Sensor", "sample", fault.BreakSensor(cfg.InjectAt, fault.Noise, 9999, steadySample))
 				p.MustBehavior("Watch", "check", fault.RangeMonitor("in", "v", 0, 300, rte.ErrSensor))
 			},
 		},
 		{
 			name: "memory failure (corruption)", kind: rte.ErrMemory,
 			inject: func(p *rte.Platform) {
-				p.MustBehavior("Sensor", "sample", fault.CorruptValue(cfg.InjectAt,
-					func(c *rte.Context) { c.Write("out", "v", 100) }))
+				p.MustBehavior("Sensor", "sample", fault.CorruptValue(cfg.InjectAt, steadySample))
 				p.MustBehavior("Watch", "check", fault.RangeMonitor("in", "v", 0, 300, rte.ErrMemory))
 			},
 		},
 		{
-			name: "communication error (burst)", kind: rte.ErrComm,
+			// The age monitor classifies the symptom as a sensor error;
+			// the platform independently counts bus error frames.
+			name: "communication error (burst)", kind: rte.ErrSensor,
 			inject: func(p *rte.Platform) {
-				p.MustBehavior("Sensor", "sample", func(c *rte.Context) { c.Write("out", "v", 100) })
+				p.MustBehavior("Sensor", "sample", steadySample)
 				// Detector: stale input during the burst window.
 				p.MustBehavior("Watch", "check", fault.AgeMonitor("in", "v", sim.MS(25)))
 				fault.CANBurst(p.CANBus("can0"), cfg.InjectAt, cfg.InjectAt+sim.MS(60), 1.0, 5)
@@ -246,13 +245,7 @@ func E10ErrorHandling(cfg E10Config) (*Table, error) {
 		p.MustBehavior("Diag", "onTiming", func(c *rte.Context) { handled++ })
 		sc.inject(p)
 		p.Run(cfg.Horizon)
-		wantKind := sc.kind
-		if sc.name == "communication error (burst)" {
-			// The age monitor classifies the symptom as a sensor error;
-			// the platform independently counts bus error frames.
-			wantKind = rte.ErrSensor
-		}
-		lat, ok := fault.DetectionLatency(p.Errors.Records(), wantKind, cfg.InjectAt)
+		lat, ok := fault.DetectionLatency(p.Errors.Records(), sc.kind, cfg.InjectAt)
 		latStr := "-"
 		if ok {
 			latStr = fmt.Sprint(lat)
@@ -262,26 +255,16 @@ func E10ErrorHandling(cfg E10Config) (*Table, error) {
 	return tab, nil
 }
 
-// e10System: Sensor on e1 -> Watch (monitor) on e2 over CAN, plus a Diag
-// component subscribed to all three error modes.
+// e10System: the reference chain's Sensor on e1 -> Watch (monitor) on e2
+// over CAN, plus a Diag component subscribed to all three error modes.
 func e10System() *model.System {
-	ifV := &model.PortInterface{
-		Name: "IfV", Kind: model.SenderReceiver,
-		Elements: []model.DataElement{{Name: "v", Type: model.UInt16}},
-	}
+	chain := chainSystem("e10")
+	ifV, sensor := chain.Interfaces[0], chain.Component("Sensor")
 	return &model.System{
 		Name:       "e10",
 		Interfaces: []*model.PortInterface{ifV},
 		Components: []*model.SWC{
-			{
-				Name:  "Sensor",
-				Ports: []model.Port{{Name: "out", Direction: model.Provided, Interface: ifV}},
-				Runnables: []model.Runnable{{
-					Name: "sample", WCETNominal: sim.US(50),
-					Trigger: model.Trigger{Kind: model.TimingEvent, Period: sim.MS(10)},
-					Writes:  []model.PortRef{{Port: "out", Elem: "v"}},
-				}},
-			},
+			sensor,
 			{
 				Name:  "Watch",
 				Ports: []model.Port{{Name: "in", Direction: model.Required, Interface: ifV}},

@@ -21,15 +21,13 @@ import (
 	"autorte/internal/sim"
 )
 
-// DefaultCheckWindow is the default supervision window: once per window
-// the monitor decays debounce counters, checks deadlines and decides
+// DefaultCheckWindow is the supervision window: once per window the
+// monitor decays debounce counters, checks deadlines and decides
 // heal/re-escalation per protected partition.
 const DefaultCheckWindow = sim.Duration(10_000_000) // 10ms
 
 // MonitorOptions tunes the monitor.
 type MonitorOptions struct {
-	// CheckWindow is the supervision period (default 10ms).
-	CheckWindow sim.Duration
 	// Degradation, when set, couples the escalation ladder to the
 	// graceful-degradation state machine: partition restarts enter at
 	// least Degraded, ECU resets at least LimpHome, safe-stop SafeStop,
@@ -50,7 +48,6 @@ type Monitor struct {
 	p      *rte.Platform
 	deg    *Degradation
 	sink   func(*obs.Bundle)
-	window sim.Duration
 	guards map[string]*guard
 	// order fixes window processing to Protect call order; one entry per
 	// protected partition, added once at setup.
@@ -66,11 +63,7 @@ func NewMonitor(p *rte.Platform, opts MonitorOptions) *Monitor {
 		p:      p,
 		deg:    opts.Degradation,
 		sink:   opts.BundleSink,
-		window: opts.CheckWindow,
 		guards: map[string]*guard{},
-	}
-	if m.window <= 0 {
-		m.window = DefaultCheckWindow
 	}
 	prev := p.Errors.OnReport
 	p.Errors.OnReport = func(rec rte.ErrorRecord) {
@@ -100,9 +93,8 @@ func (m *Monitor) emitBundle(reason string) {
 
 // Protect puts one SWC partition under health supervision with the given
 // policy. Errors whose Source is the component name (behaviour reports,
-// budget aborts, alive-supervision reports) feed its qualification;
-// deadline supervision is installed automatically and alive supervision
-// for every entry of Policy.Alive.
+// budget aborts, alive-supervision reports from rte.Supervise) feed its
+// qualification; deadline supervision is installed automatically.
 func (m *Monitor) Protect(swc string, pol Policy) error {
 	comp := m.p.Sys.Component(swc)
 	if comp == nil {
@@ -129,21 +121,11 @@ func (m *Monitor) Protect(swc string, pol Policy) error {
 		taskNames: taskNames, flows: map[string]*flowMonitor{},
 		cooldown: pol.Cooldown, lastErrorAt: -1,
 	}
-	alive := make([]string, 0, len(pol.Alive))
-	for r := range pol.Alive {
-		alive = append(alive, r)
-	}
-	sort.Strings(alive)
-	for _, r := range alive {
-		if err := m.p.Supervise(swc, r, pol.Alive[r]); err != nil {
-			return err
-		}
-	}
 	m.guards[swc] = g
 	m.order = append(m.order, swc)
 	if !m.started {
 		m.started = true
-		m.tick(m.p.K.Now() + m.window)
+		m.tick(m.p.K.Now() + DefaultCheckWindow)
 	}
 	return nil
 }
@@ -163,7 +145,7 @@ func (m *Monitor) tick(at sim.Time) {
 		for _, swc := range m.order {
 			m.guards[swc].window(at)
 		}
-		m.tick(at + m.window)
+		m.tick(at + DefaultCheckWindow)
 	})
 }
 

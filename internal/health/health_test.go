@@ -240,7 +240,7 @@ func TestDeadlineSupervisionQualifies(t *testing.T) {
 func TestFlowSupervisionDetectsIllegalWalk(t *testing.T) {
 	p := rte.MustBuild(testSystem(), rte.Options{})
 	m := NewMonitor(p, MonitorOptions{})
-	m.MustProtect("Ctrl", Policy{DisableDeadlineSupervision: true})
+	m.MustProtect("Ctrl", Policy{})
 	if err := m.SuperviseFlow("Ctrl", "step", FlowGraph{
 		Initial: 1, Final: 3,
 		Next: map[int][]int{1: {2}, 2: {3}},

@@ -50,7 +50,7 @@ func TestEscalationExactlyAtMaxAttempts(t *testing.T) {
 }
 
 // HealAfter closes an episode mid-backoff: a transient fault cured by the
-// first notify leaves the guard waiting out a multiplied cooldown, and the
+// first notify leaves the guard waiting out a doubled cooldown, and the
 // quiet period must heal the episode rather than letting the stale
 // backoff keep it open. The heal also resets rung and cooldown, so a
 // second transient starts the ladder from the bottom again.
@@ -69,7 +69,7 @@ func TestHealAfterClosesEpisodeMidBackoff(t *testing.T) {
 	}
 	m := NewMonitor(p, MonitorOptions{})
 	m.MustProtect("Sensor", Policy{
-		MaxAttempts: 5, Cooldown: sim.MS(40), Backoff: 8,
+		MaxAttempts: 5, Cooldown: sim.MS(160),
 		HealAfter: sim.MS(25),
 	})
 	p.Run(sim.MS(300))
@@ -78,7 +78,7 @@ func TestHealAfterClosesEpisodeMidBackoff(t *testing.T) {
 	if st.State != Healthy || st.Episodes != 2 {
 		t.Fatalf("status %+v, want 2 healed episodes", st)
 	}
-	// One notify per episode; the 8x backoff (320ms) never expired before
+	// One notify per episode; the 2x backoff (320ms) never expired before
 	// the heal, and the heal reset it, so the ladder never climbed.
 	if got := p.Metrics.Counter("health_escalations_total", "",
 		obs.Label{Key: "rung", Value: RungNotify.String()}).Value(); got != 2 {

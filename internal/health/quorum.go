@@ -45,17 +45,10 @@ func (v Verdict) String() string {
 	}
 }
 
-// QuorumOptions tunes one subject's replicated detection path.
-type QuorumOptions struct {
-	// Window is how long a fault vote stays current. Votes older than
-	// the window no longer count toward agreement — observers re-accuse
-	// every supervision period, so an uncorroborated accusation ages
-	// out. Default 25ms.
-	Window sim.Duration
-	// Kind is the error kind the quorum reports on agreement. Default
-	// rte.ErrSensor (the staleness class the E13/E14 watchdogs detect).
-	Kind rte.ErrorKind
-}
+// quorumWindow is how long a fault vote stays current. Votes older than
+// the window no longer count toward agreement — observers re-accuse
+// every supervision period, so an uncorroborated accusation ages out.
+const quorumWindow = 25 * sim.Millisecond
 
 // Quorum is the majority-agreement gate between a replicated observer
 // group and the platform error manager.
@@ -63,7 +56,6 @@ type Quorum struct {
 	p        *rte.Platform
 	subject  string
 	obsNames []string
-	opts     QuorumOptions
 	// lastFault holds each observer's most recent fault vote time;
 	// zero-value absence means it never voted fault.
 	lastFault map[string]sim.Time
@@ -76,8 +68,9 @@ type Quorum struct {
 // observers are the instances of the observer replica group (pass
 // p.ReplicaGroup of the observer primary); a single-observer quorum
 // degenerates to direct reporting, so callers can wire replicated and
-// unreplicated detection symmetrically.
-func NewQuorum(p *rte.Platform, subject string, observers []string, opts QuorumOptions) (*Quorum, error) {
+// unreplicated detection symmetrically. On agreement the quorum reports
+// rte.ErrSensor, the staleness class the E13/E14 watchdogs detect.
+func NewQuorum(p *rte.Platform, subject string, observers []string) (*Quorum, error) {
 	if p.Sys.Component(subject) == nil {
 		return nil, fmt.Errorf("health: quorum subject %s is not a component", subject)
 	}
@@ -94,16 +87,9 @@ func NewQuorum(p *rte.Platform, subject string, observers []string, opts QuorumO
 		}
 		seen[o] = true
 	}
-	if opts.Window <= 0 {
-		opts.Window = 25 * sim.Millisecond
-	}
-	if opts.Kind == "" {
-		opts.Kind = rte.ErrSensor
-	}
 	q := &Quorum{
 		p: p, subject: subject,
 		obsNames:  append([]string(nil), observers...),
-		opts:      opts,
 		lastFault: map[string]sim.Time{},
 		votes:     map[Verdict]*obs.Counter{},
 		agreed: p.Metrics.Counter("health_quorum_agreements_total",
@@ -166,7 +152,7 @@ func (q *Quorum) evaluate(info string) {
 			continue
 		}
 		live++
-		if at, ok := q.lastFault[o]; ok && now-at <= q.opts.Window {
+		if at, ok := q.lastFault[o]; ok && now-at <= quorumWindow {
 			faults++
 		}
 	}
@@ -181,7 +167,7 @@ func (q *Quorum) evaluate(info string) {
 	q.agreed.Inc()
 	q.p.DLT.Emitf(int64(now), obs.LevelWarn, "HLTH", "QRUM",
 		"quorum on %s: %d/%d observers agree: %s", q.subject, faults, live, info)
-	q.p.Errors.Report(q.subject, q.opts.Kind, info)
+	q.p.Errors.Report(q.subject, rte.ErrSensor, info)
 }
 
 // Tally reports the current electorate for tests and diagnostics: live
@@ -193,7 +179,7 @@ func (q *Quorum) Tally() (live, faults int) {
 			continue
 		}
 		live++
-		if at, ok := q.lastFault[o]; ok && now-at <= q.opts.Window {
+		if at, ok := q.lastFault[o]; ok && now-at <= quorumWindow {
 			faults++
 		}
 	}

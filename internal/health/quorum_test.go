@@ -56,7 +56,7 @@ func reports(p *rte.Platform, source string) int {
 // fresh majority.
 func TestQuorumMajorityReportsOnce(t *testing.T) {
 	p := rte.MustBuild(quorumSystem(t), rte.Options{})
-	q, err := NewQuorum(p, "Sensor", p.ReplicaGroup("Watch"), QuorumOptions{})
+	q, err := NewQuorum(p, "Sensor", p.ReplicaGroup("Watch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestQuorumMajorityReportsOnce(t *testing.T) {
 // of an inconclusive observer moves the tally.
 func TestQuorumWithdrawAndAbstain(t *testing.T) {
 	p := rte.MustBuild(quorumSystem(t), rte.Options{})
-	q, err := NewQuorum(p, "Sensor", p.ReplicaGroup("Watch"), QuorumOptions{})
+	q, err := NewQuorum(p, "Sensor", p.ReplicaGroup("Watch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestQuorumWithdrawAndAbstain(t *testing.T) {
 	}
 }
 
-// Accusations age out of the window: two fault votes too far apart never
+// Accusations age out of the 25ms window: two fault votes 30ms apart never
 // form a concurrent majority.
 func TestQuorumWindowExpiry(t *testing.T) {
 	p := rte.MustBuild(quorumSystem(t), rte.Options{})
-	q, err := NewQuorum(p, "Sensor", p.ReplicaGroup("Watch"), QuorumOptions{Window: sim.MS(25)})
+	q, err := NewQuorum(p, "Sensor", p.ReplicaGroup("Watch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestQuorumWindowExpiry(t *testing.T) {
 // reports — and with every observer dead nothing ever can.
 func TestQuorumDeadObserversShrinkElectorate(t *testing.T) {
 	p := rte.MustBuild(quorumSystem(t), rte.Options{})
-	q, err := NewQuorum(p, "Sensor", p.ReplicaGroup("Watch"), QuorumOptions{})
+	q, err := NewQuorum(p, "Sensor", p.ReplicaGroup("Watch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestQuorumDeadObserversShrinkElectorate(t *testing.T) {
 
 	// A dead observer's own stale vote must not linger either.
 	p2 := rte.MustBuild(quorumSystem(t), rte.Options{})
-	q2, err := NewQuorum(p2, "Sensor", p2.ReplicaGroup("Watch"), QuorumOptions{})
+	q2, err := NewQuorum(p2, "Sensor", p2.ReplicaGroup("Watch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestQuorumDeadObserversShrinkElectorate(t *testing.T) {
 // gate.
 func TestQuorumOfOneReportsDirectly(t *testing.T) {
 	p := rte.MustBuild(quorumSystem(t), rte.Options{})
-	q, err := NewQuorum(p, "Ctrl", []string{"Watch"}, QuorumOptions{})
+	q, err := NewQuorum(p, "Ctrl", []string{"Watch"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,19 +192,19 @@ func TestQuorumOfOneReportsDirectly(t *testing.T) {
 // cannot stuff the ballot — and malformed construction fails fast.
 func TestQuorumValidation(t *testing.T) {
 	p := rte.MustBuild(quorumSystem(t), rte.Options{})
-	if _, err := NewQuorum(p, "NoSuch", []string{"Watch"}, QuorumOptions{}); err == nil {
+	if _, err := NewQuorum(p, "NoSuch", []string{"Watch"}); err == nil {
 		t.Fatal("unknown subject accepted")
 	}
-	if _, err := NewQuorum(p, "Sensor", nil, QuorumOptions{}); err == nil {
+	if _, err := NewQuorum(p, "Sensor", nil); err == nil {
 		t.Fatal("empty observer set accepted")
 	}
-	if _, err := NewQuorum(p, "Sensor", []string{"Watch", "Watch"}, QuorumOptions{}); err == nil {
+	if _, err := NewQuorum(p, "Sensor", []string{"Watch", "Watch"}); err == nil {
 		t.Fatal("duplicate observer accepted")
 	}
-	if _, err := NewQuorum(p, "Sensor", []string{"NoSuch"}, QuorumOptions{}); err == nil {
+	if _, err := NewQuorum(p, "Sensor", []string{"NoSuch"}); err == nil {
 		t.Fatal("unknown observer accepted")
 	}
-	q, err := NewQuorum(p, "Sensor", []string{"Watch"}, QuorumOptions{})
+	q, err := NewQuorum(p, "Sensor", []string{"Watch"})
 	if err != nil {
 		t.Fatal(err)
 	}

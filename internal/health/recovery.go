@@ -56,10 +56,9 @@ type Policy struct {
 	// escalating to the next (default 2).
 	MaxAttempts int
 	// Cooldown is the wait between recovery attempts at the same episode
-	// (default 20ms); Backoff multiplies it after every attempt at a rung
-	// (default 2; backoff resets when the ladder escalates).
+	// (default 20ms); it doubles after every attempt at a rung and resets
+	// when the ladder escalates.
 	Cooldown sim.Duration
-	Backoff  float64
 	// Runnable is restarted by RungRestartRunnable (default: the
 	// component's first runnable).
 	Runnable string
@@ -68,12 +67,6 @@ type Policy struct {
 	// HealAfter closes an episode once the partition has been error-free
 	// that long and its debounce counters have decayed (default 50ms).
 	HealAfter sim.Duration
-	// Alive maps runnable names to alive-supervision windows installed via
-	// rte.Supervise at Protect time.
-	Alive map[string]sim.Duration
-	// DisableDeadlineSupervision turns off the per-window deadline-miss
-	// check (on by default; free when no runnable declares a deadline).
-	DisableDeadlineSupervision bool
 }
 
 func (p Policy) fill(firstRunnable string) Policy {
@@ -83,9 +76,6 @@ func (p Policy) fill(firstRunnable string) Policy {
 	}
 	if p.Cooldown <= 0 {
 		p.Cooldown = sim.MS(20)
-	}
-	if p.Backoff < 1 {
-		p.Backoff = 2
 	}
 	if p.ResetDowntime <= 0 {
 		p.ResetDowntime = sim.MS(20)
@@ -157,9 +147,7 @@ func (g *guard) window(at sim.Time) {
 	if g.safeStopped {
 		return
 	}
-	if !g.pol.DisableDeadlineSupervision {
-		g.checkDeadlines(at)
-	}
+	g.checkDeadlines(at)
 	if g.errsInWindow == 0 {
 		g.deb.pass()
 		if g.active && at-g.lastErrorAt >= g.pol.HealAfter && g.deb.clear() {
@@ -272,7 +260,7 @@ func (g *guard) attempt() {
 		g.m.emitBundle("escalation:" + rung.String() + ":" + g.swc)
 	}
 	g.notBefore = now + g.cooldown
-	g.cooldown = sim.Duration(float64(g.cooldown) * g.pol.Backoff)
+	g.cooldown *= 2
 	if g.attemptsAtRung >= g.pol.MaxAttempts {
 		g.rung++
 		if g.rung == RungFailover && !p.HasStandby(g.swc) {

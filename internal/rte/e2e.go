@@ -20,16 +20,11 @@ import (
 // the RTE. Note the header costs payload bytes: a protected CAN segment
 // must still fit DLC 8, so elements wider than 48 bits cannot be
 // protected over classic CAN.
-type E2EOptions struct {
-	// MaxDeltaCounter tolerates that many lost PDUs between valid
-	// receptions before WrongSequence (default 2).
-	MaxDeltaCounter uint8
-	// WindowSize, MinOKForValid and MaxErrorsForValid tune the window
-	// qualification state machine (see e2eprot.Config).
-	WindowSize        int
-	MinOKForValid     int
-	MaxErrorsForValid int
-}
+//
+// The type carries no settings: a non-nil value is the switch that turns
+// protection on, and every channel runs the e2eprot.Config defaults
+// (counter tolerance and window qualification).
+type E2EOptions struct{}
 
 // e2eTimeoutFactor scales a route's period into its receiver-side
 // staleness bound. Periodless (event) routes get no timeout supervision.
@@ -121,17 +116,12 @@ func e2eDataID(signal string) uint16 {
 // registered under the segment name and, on a route's final hop, under
 // its consumer element. Returns nil when protection is off.
 func (p *Platform) protectSegment(seg busSegment, pdu *com.IPdu, profile e2eprot.ProfileKind) *e2eChannel {
-	o := p.opts.E2E
-	if o == nil {
+	if p.opts.E2E == nil {
 		return nil
 	}
 	f := seg.frame
 	cfg := e2eprot.Config{
 		Profile: profile, DataID: e2eDataID(f.Name), Offset: pdu.Length - profile.HeaderLen(),
-		MaxDeltaCounter:   o.MaxDeltaCounter,
-		WindowSize:        o.WindowSize,
-		MinOKForValid:     o.MinOKForValid,
-		MaxErrorsForValid: o.MaxErrorsForValid,
 	}
 	if f.Period > 0 {
 		cfg.Timeout = e2eTimeoutFactor * f.Period

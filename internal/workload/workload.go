@@ -141,8 +141,6 @@ type VehicleSpec struct {
 	DASes []DASSpec
 	// ECUsPerDAS is the federated ECU count per subsystem (default 3).
 	ECUsPerDAS int
-	// ECUSpeed scales all ECUs (default 1).
-	ECUSpeed float64
 	// BusKind is the vehicle backbone (default CAN at 500k).
 	BusKind model.BusKind
 	// CrossDASLinks adds inter-subsystem signal flows (e.g. a chassis
@@ -189,10 +187,6 @@ func GenerateVehicle(spec VehicleSpec, r *sim.Rand) (*model.System, error) {
 	if perDAS == 0 {
 		perDAS = 3
 	}
-	speed := spec.ECUSpeed
-	if speed == 0 {
-		speed = 1
-	}
 	bitRate := spec.BusBitRate
 	if bitRate == 0 {
 		bitRate = 500_000
@@ -217,7 +211,7 @@ func GenerateVehicle(spec VehicleSpec, r *sim.Rand) (*model.System, error) {
 		for i := 0; i < perDAS; i++ {
 			name := fmt.Sprintf("ecu_%s_%d", das.Name, i)
 			sys.ECUs = append(sys.ECUs, &model.ECU{
-				Name: name, Speed: speed, MemoryKB: 512,
+				Name: name, Speed: 1, MemoryKB: 512,
 				Buses:   []string{busName},
 				MaxASIL: model.ASILD,
 				Position: [2]float64{
