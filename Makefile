@@ -89,6 +89,8 @@ bench-all:
 # OK, any one corrupted byte does not); FuzzImport holds the template
 # importer's input boundary to its properties (no panic on any bytes, an
 # export of an imported system imports again to the same export);
+# the contract package's FuzzImport holds the contract catalogue importer
+# to the same two properties;
 # FuzzRing holds obs.Ring and the two policies folded on top of it (the
 # DLT log's repeat folding, the flight recorder's instant coalescing) to
 # a keep-everything reference at random caps; FuzzReadBundle holds the
@@ -113,6 +115,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/sim
 	go test -run '^$$' -fuzz '^FuzzReceiverCheck$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/e2eprot
 	go test -run '^$$' -fuzz '^FuzzImport$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/model
+	go test -run '^$$' -fuzz '^FuzzImport$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/contract
 	go test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/obs
 	go test -run '^$$' -fuzz '^FuzzReadBundle$$' -fuzztime=10s -fuzzminimizetime=100x -parallel 2 ./internal/obs
 

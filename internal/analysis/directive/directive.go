@@ -134,13 +134,6 @@ func ParseFile(fset *token.FileSet, f *ast.File, read func(string) ([]byte, erro
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 type allowEntry struct {
 	dir  Directive
 	used bool

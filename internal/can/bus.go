@@ -110,16 +110,9 @@ func (b *Bus) Start() {
 	b.started = true
 	for _, m := range b.messages {
 		if m.Period > 0 {
-			b.schedulePeriodic(m, m.Offset)
+			b.k.Every(m.Offset, m.Period, 10, func(sim.Time) { b.Queue(m) })
 		}
 	}
-}
-
-func (b *Bus) schedulePeriodic(m *Message, at sim.Time) {
-	b.k.AtPrio(at, 10, func() {
-		b.Queue(m)
-		b.schedulePeriodic(m, at+m.Period)
-	})
 }
 
 // Queue enqueues one instance of m for transmission.

@@ -156,7 +156,7 @@ func FuzzIPdu(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		length := in.next()%254 + 1
-		p := &IPdu{Name: "p", Length: length, Mode: Direct}
+		p := &IPdu{Name: "p", Length: length}
 		n := in.next()%4 + 1
 		for i := 0; i < n; i++ {
 			start := (in.next()<<8|in.next())%(length*8+16) - 8

@@ -1,8 +1,10 @@
-// Package com implements an AUTOSAR-COM-like communication stack layer:
-// application signals are packed bit-exactly into I-PDUs, I-PDUs are
-// transmitted under configurable transmission modes (periodic, direct,
-// mixed) and routed to channels by a PDU router, which also acts as a
-// gateway between buses (the "Gateway" box in the paper's Figure 1).
+// Package com implements the signal layer of an AUTOSAR-COM-like
+// stack: application signals are packed bit-exactly into I-PDUs (Intel
+// or Motorola byte order), optionally with an E2E protection header
+// reserved in the payload. Transmission, gatewaying and E2E
+// verification belong to package rte: each bus segment of a route packs
+// its own PDU, and a route's Via segments are the gateway (the
+// "Gateway" box in the paper's Figure 1).
 package com
 
 import (
@@ -10,7 +12,6 @@ import (
 	"math"
 
 	"autorte/internal/e2eprot"
-	"autorte/internal/sim"
 )
 
 // Signal describes one application value inside an I-PDU.
@@ -60,44 +61,16 @@ func (s *Signal) FromRaw(raw uint64) float64 {
 	return float64(raw)*s.scale() + s.ZeroOffset
 }
 
-// TxMode is the AUTOSAR-COM transmission mode of an I-PDU.
-type TxMode uint8
-
-const (
-	// Periodic transmits every Period regardless of updates.
-	Periodic TxMode = iota
-	// Direct transmits on every signal update (rate-limited by MinDelay).
-	Direct
-	// Mixed transmits periodically and additionally on updates.
-	Mixed
-)
-
-func (m TxMode) String() string {
-	switch m {
-	case Periodic:
-		return "periodic"
-	case Direct:
-		return "direct"
-	default:
-		return "mixed"
-	}
-}
-
 // IPdu is an interaction-layer PDU: a byte payload carrying packed
 // signals.
 type IPdu struct {
 	Name    string
 	Length  int // payload bytes (1..8 for classic CAN, larger for FlexRay)
 	Signals []Signal
-	Mode    TxMode
-	// Period applies to Periodic and Mixed modes.
-	Period sim.Duration
-	// MinDelay rate-limits Direct/Mixed event transmissions.
-	MinDelay sim.Duration
-	// E2E, when non-nil, makes this a protected PDU: the transmitter
-	// stamps an E2E protection header (CRC + sequence counter) into the
-	// payload bytes the config reserves, and receive-side Verifiers check
-	// it. Validate rejects signals laid out over the reserved header.
+	// E2E, when non-nil, makes this a protected PDU: the sender stamps
+	// an E2E protection header (CRC + sequence counter) into the payload
+	// bytes the config reserves, and the receiver checks it. Validate
+	// rejects signals laid out over the reserved header.
 	E2E *e2eprot.Config
 }
 
@@ -145,9 +118,6 @@ func (p *IPdu) Validate() error {
 			}
 			used[b] = true
 		}
-	}
-	if (p.Mode == Periodic || p.Mode == Mixed) && p.Period <= 0 {
-		return fmt.Errorf("com: PDU %s: %v mode needs a positive period", p.Name, p.Mode)
 	}
 	return nil
 }

@@ -3,8 +3,6 @@ package com
 import (
 	"testing"
 	"testing/quick"
-
-	"autorte/internal/sim"
 )
 
 func speedPdu() *IPdu {
@@ -15,7 +13,6 @@ func speedPdu() *IPdu {
 			{Name: "brakePressed", StartBit: 16, Bits: 1},                      // flag
 			{Name: "temp", StartBit: 17, Bits: 8, Scale: 0.5, ZeroOffset: -40}, // -40..87.5
 		},
-		Mode: Periodic, Period: sim.MS(10),
 	}
 }
 
@@ -37,11 +34,6 @@ func TestPduValidate(t *testing.T) {
 	bad.Signals[2].StartBit = 60 // 60+8 > 64
 	if bad.Validate() == nil {
 		t.Fatal("signal past payload accepted")
-	}
-	bad = speedPdu()
-	bad.Period = 0
-	if bad.Validate() == nil {
-		t.Fatal("periodic PDU without period accepted")
 	}
 	bad = speedPdu()
 	bad.Signals[2].Name = "wheelSpeed"
@@ -103,7 +95,7 @@ func TestPackMissingSignalIsZeroRaw(t *testing.T) {
 func TestBitPackingQuick(t *testing.T) {
 	// Round-trip property across arbitrary aligned layouts.
 	f := func(a uint16, b uint8, flag bool) bool {
-		pdu := &IPdu{Name: "p", Length: 5, Mode: Direct, Signals: []Signal{
+		pdu := &IPdu{Name: "p", Length: 5, Signals: []Signal{
 			{Name: "a", StartBit: 3, Bits: 16},
 			{Name: "b", StartBit: 19, Bits: 8},
 			{Name: "f", StartBit: 27, Bits: 1},
@@ -126,152 +118,10 @@ func TestBitPackingQuick(t *testing.T) {
 	}
 }
 
-type captureChannel struct {
-	payloads [][]byte
-}
-
-func (c *captureChannel) SendPDU(_ *IPdu, payload []byte) {
-	c.payloads = append(c.payloads, payload)
-}
-
-func TestRouterFanOut(t *testing.T) {
-	r := NewRouter()
-	a, b := &captureChannel{}, &captureChannel{}
-	pdu := speedPdu()
-	r.AddRoute(pdu.Name, a)
-	r.AddRoute(pdu.Name, b)
-	if n := r.Route(pdu, []byte{1}); n != 2 {
-		t.Fatalf("routed to %d channels, want 2", n)
-	}
-	if len(a.payloads) != 1 || len(b.payloads) != 1 {
-		t.Fatal("fan-out failed")
-	}
-	other := &IPdu{Name: "other", Length: 1, Mode: Direct}
-	if n := r.Route(other, []byte{2}); n != 0 {
-		t.Fatal("unrouted PDU delivered")
-	}
-}
-
-func TestPeriodicTransmitter(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRouter()
-	ch := &captureChannel{}
-	pdu := speedPdu()
-	r.AddRoute(pdu.Name, ch)
-	tx, err := NewTransmitter(k, pdu, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx.Start()
-	k.Run(sim.MS(95))
-	// Initial send at 0 plus sends at 10..90: 10 payloads.
-	if tx.Sent() != 10 {
-		t.Fatalf("sent %d, want 10", tx.Sent())
-	}
-	// Latest value rides the next periodic send.
-	if err := tx.Update("wheelSpeed", 50); err != nil {
-		t.Fatal(err)
-	}
-	k.Run(sim.MS(105))
-	last := ch.payloads[len(ch.payloads)-1]
-	vals, _ := pdu.Unpack(last)
-	if vals["wheelSpeed"] != 50 {
-		t.Fatalf("periodic payload carries %v, want 50", vals["wheelSpeed"])
-	}
-}
-
-func TestDirectTransmitterMinDelay(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRouter()
-	ch := &captureChannel{}
-	pdu := &IPdu{
-		Name: "evt", Length: 1, Mode: Direct, MinDelay: sim.MS(5),
-		Signals: []Signal{{Name: "x", StartBit: 0, Bits: 8}},
-	}
-	r.AddRoute("evt", ch)
-	tx, err := NewTransmitter(k, pdu, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx.Start()
-	k.At(0, func() { tx.Update("x", 1) })
-	k.At(sim.MS(1), func() { tx.Update("x", 2) }) // inside MinDelay: suppressed
-	k.At(sim.MS(6), func() { tx.Update("x", 3) }) // past MinDelay: sent
-	k.Run(sim.MS(20))
-	if tx.Sent() != 2 {
-		t.Fatalf("sent %d, want 2 (one rate-limited)", tx.Sent())
-	}
-	vals, _ := pdu.Unpack(ch.payloads[1])
-	if vals["x"] != 3 {
-		t.Fatalf("second send carries %v, want 3", vals["x"])
-	}
-}
-
-func TestMixedTransmitter(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRouter()
-	ch := &captureChannel{}
-	pdu := &IPdu{
-		Name: "mix", Length: 1, Mode: Mixed, Period: sim.MS(10),
-		Signals: []Signal{{Name: "x", StartBit: 0, Bits: 8}},
-	}
-	r.AddRoute("mix", ch)
-	tx, _ := NewTransmitter(k, pdu, r)
-	tx.Start()
-	k.At(sim.MS(3), func() { tx.Update("x", 7) })
-	k.Run(sim.MS(15))
-	// Sends: t=0 (initial), t=3 (event), t=10 (periodic) = 3.
-	if tx.Sent() != 3 {
-		t.Fatalf("sent %d, want 3", tx.Sent())
-	}
-}
-
-func TestTransmitterValidation(t *testing.T) {
-	k := sim.NewKernel()
-	bad := speedPdu()
-	bad.Period = 0
-	if _, err := NewTransmitter(k, bad, NewRouter()); err == nil {
-		t.Fatal("invalid PDU accepted")
-	}
-	if _, err := NewTransmitter(k, speedPdu(), nil); err == nil {
-		t.Fatal("nil router accepted")
-	}
-	tx, _ := NewTransmitter(k, speedPdu(), NewRouter())
-	if err := tx.Update("ghost", 1); err == nil {
-		t.Fatal("unknown signal update accepted")
-	}
-}
-
-func TestGatewayForwardsBetweenChannels(t *testing.T) {
-	// A PDU received from "CAN" is routed onto "FlexRay": router as
-	// gateway for legacy traffic.
-	r := NewRouter()
-	flexray := &captureChannel{}
-	pdu := speedPdu()
-	r.AddRoute(pdu.Name, flexray)
-	// Simulated reception callback from the CAN side:
-	onCanRx := func(payload []byte) { r.Route(pdu, payload) }
-	payload := pdu.Pack(map[string]float64{"wheelSpeed": 99.99})
-	onCanRx(payload)
-	if len(flexray.payloads) != 1 {
-		t.Fatal("gateway did not forward")
-	}
-	vals, _ := pdu.Unpack(flexray.payloads[0])
-	if v := vals["wheelSpeed"]; v < 99.989 || v > 99.991 {
-		t.Fatalf("gatewayed value %v, want ~99.99 (one quantum = 0.01)", v)
-	}
-}
-
-func TestTxModeString(t *testing.T) {
-	if Periodic.String() != "periodic" || Direct.String() != "direct" || Mixed.String() != "mixed" {
-		t.Fatal("tx mode names")
-	}
-}
-
 func TestMotorolaRoundTrip(t *testing.T) {
 	// Classic DBC Motorola example: 16-bit signal with MSB at bit 7
 	// occupies byte0 (bits 7..0) then byte1 (bits 7..0).
-	pdu := &IPdu{Name: "mot", Length: 4, Mode: Direct, Signals: []Signal{
+	pdu := &IPdu{Name: "mot", Length: 4, Signals: []Signal{
 		{Name: "a", StartBit: 7, Bits: 16, BigEndian: true},
 		{Name: "b", StartBit: 23, Bits: 8, BigEndian: true},
 	}}
@@ -293,7 +143,7 @@ func TestMotorolaRoundTrip(t *testing.T) {
 }
 
 func TestMixedEndiannessOverlapDetected(t *testing.T) {
-	pdu := &IPdu{Name: "mix", Length: 2, Mode: Direct, Signals: []Signal{
+	pdu := &IPdu{Name: "mix", Length: 2, Signals: []Signal{
 		{Name: "intel", StartBit: 0, Bits: 8},
 		{Name: "mot", StartBit: 15, Bits: 12, BigEndian: true}, // walks into byte 0
 	}}
@@ -303,7 +153,7 @@ func TestMixedEndiannessOverlapDetected(t *testing.T) {
 }
 
 func TestMotorolaOutOfPayloadDetected(t *testing.T) {
-	pdu := &IPdu{Name: "bad", Length: 1, Mode: Direct, Signals: []Signal{
+	pdu := &IPdu{Name: "bad", Length: 1, Signals: []Signal{
 		{Name: "x", StartBit: 3, Bits: 8, BigEndian: true}, // runs past bit 0 into byte 1 (absent)
 	}}
 	if pdu.Validate() == nil {
@@ -317,7 +167,7 @@ func TestIntelMotorolaQuick(t *testing.T) {
 		if big {
 			start = 7
 		}
-		pdu := &IPdu{Name: "q", Length: 2, Mode: Direct, Signals: []Signal{
+		pdu := &IPdu{Name: "q", Length: 2, Signals: []Signal{
 			{Name: "v", StartBit: start, Bits: 16, BigEndian: big},
 		}}
 		if pdu.Validate() != nil {

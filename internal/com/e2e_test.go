@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"autorte/internal/e2eprot"
-	"autorte/internal/sim"
 )
 
 // protectedPdu is speedPdu with a P01 protection header in the two
@@ -33,214 +32,5 @@ func TestValidateReservesE2EHeader(t *testing.T) {
 	bad.E2E.MaxDeltaCounter = 20 // outside the P01 0..14 counter range
 	if bad.Validate() == nil {
 		t.Fatal("invalid E2E counter config accepted")
-	}
-}
-
-func TestProtectedTransmitterRoundTrip(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRouter()
-	ch := &captureChannel{}
-	pdu := protectedPdu()
-	var statuses []e2eprot.Status
-	v, err := NewVerifier(pdu, ch, k.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.OnStatus = func(_ *IPdu, st e2eprot.Status) { statuses = append(statuses, st) }
-	r.AddRoute(pdu.Name, v)
-	tx, err := NewTransmitter(k, pdu, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx.Start()
-	k.At(sim.MS(5), func() { tx.Update("wheelSpeed", 88.5) })
-	k.Run(sim.MS(45))
-	if tx.Sent() != 5 || len(ch.payloads) != 5 {
-		t.Fatalf("sent %d forwarded %d, want 5/5", tx.Sent(), len(ch.payloads))
-	}
-	for _, st := range statuses {
-		if st != e2eprot.StatusOK {
-			t.Fatalf("protected transmission verified as %v", st)
-		}
-	}
-	// The header does not disturb the signal layout.
-	vals, err := pdu.Unpack(ch.payloads[len(ch.payloads)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals["wheelSpeed"] != 88.5 {
-		t.Fatalf("wheelSpeed through protected PDU = %v, want 88.5", vals["wheelSpeed"])
-	}
-}
-
-func TestVerifierRejectsCorruption(t *testing.T) {
-	pdu := protectedPdu()
-	sink := &captureChannel{}
-	v, err := NewVerifier(pdu, sink, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last e2eprot.Status
-	v.OnStatus = func(_ *IPdu, st e2eprot.Status) { last = st }
-	s := e2eprot.NewSender(*pdu.E2E)
-	payload := pdu.Pack(map[string]float64{"wheelSpeed": 10})
-	if err := s.Protect(payload); err != nil {
-		t.Fatal(err)
-	}
-	payload[0] ^= 0x08
-	v.SendPDU(pdu, payload)
-	if last != e2eprot.StatusError || len(sink.payloads) != 0 {
-		t.Fatalf("corrupted payload: status %v, forwarded %d", last, len(sink.payloads))
-	}
-}
-
-func TestVerifierSupervise(t *testing.T) {
-	pdu := protectedPdu()
-	pdu.E2E.Timeout = sim.MS(25)
-	v, err := NewVerifier(pdu, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e2eprot.NewSender(*pdu.E2E)
-	payload := pdu.Pack(nil)
-	if err := s.Protect(payload); err != nil {
-		t.Fatal(err)
-	}
-	v.SendPDU(pdu, payload)
-	if st := v.Supervise(sim.MS(10)); st != e2eprot.StatusNoNewData {
-		t.Fatalf("within timeout: %v", st)
-	}
-	if st := v.Supervise(sim.MS(40)); st != e2eprot.StatusNotAvailable {
-		t.Fatalf("past timeout: %v", st)
-	}
-}
-
-func TestNewVerifierValidation(t *testing.T) {
-	if _, err := NewVerifier(speedPdu(), nil, nil); err == nil {
-		t.Fatal("verifier over unprotected PDU accepted")
-	}
-	bad := protectedPdu()
-	bad.E2E.Offset = 7
-	if _, err := NewVerifier(bad, nil, nil); err == nil {
-		t.Fatal("verifier over invalid PDU accepted")
-	}
-}
-
-// gateway builds sender → segment 1 → gateway → segment 2 → sink, with
-// tamper deciding how segment 1 delivers each payload to the gateway
-// ingress. When protected, both the gateway ingress and the final
-// receiver verify; statuses collects every ingress verdict.
-func gateway(t *testing.T, k *sim.Kernel, pdu *IPdu, tamper func(deliver func([]byte), payload []byte)) (sink *captureChannel, statuses *[]e2eprot.Status) {
-	t.Helper()
-	sink = &captureChannel{}
-	statuses = new([]e2eprot.Status)
-	r2 := NewRouter()
-	var egress Channel = sink
-	if pdu.E2E != nil {
-		ev, err := NewVerifier(pdu, sink, k.Now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		egress = ev
-	}
-	r2.AddRoute(pdu.Name, egress)
-	var ingress Channel = ChannelFunc(func(p *IPdu, b []byte) { r2.Route(p, b) })
-	if pdu.E2E != nil {
-		iv, err := NewVerifier(pdu, ingress, k.Now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iv.OnStatus = func(_ *IPdu, st e2eprot.Status) { *statuses = append(*statuses, st) }
-		ingress = iv
-	}
-	r1 := NewRouter()
-	r1.AddRoute(pdu.Name, ChannelFunc(func(p *IPdu, b []byte) {
-		tamper(func(b2 []byte) { ingress.SendPDU(p, b2) }, b)
-	}))
-	tx, err := NewTransmitter(k, pdu, r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx.Start()
-	return sink, statuses
-}
-
-func duplicating(deliver func([]byte), payload []byte) {
-	deliver(payload)
-	deliver(append([]byte(nil), payload...))
-}
-
-// reordering delivers payloads in swapped pairs: A,B arrive as B,A.
-func reorderer() func(deliver func([]byte), payload []byte) {
-	var held []byte
-	return func(deliver func([]byte), payload []byte) {
-		if held == nil {
-			held = append([]byte(nil), payload...)
-			return
-		}
-		deliver(payload)
-		deliver(held)
-		held = nil
-	}
-}
-
-func TestGatewayDuplicatesProtected(t *testing.T) {
-	k := sim.NewKernel()
-	sink, statuses := gateway(t, k, protectedPdu(), duplicating)
-	k.Run(sim.MS(45)) // 5 periodic sends, each duplicated on segment 1
-	if len(sink.payloads) != 5 {
-		t.Fatalf("sink got %d payloads, want 5 (duplicates dropped at the gateway)", len(sink.payloads))
-	}
-	rep := 0
-	for _, st := range *statuses {
-		if st == e2eprot.StatusRepeated {
-			rep++
-		}
-	}
-	if rep != 5 {
-		t.Fatalf("gateway flagged %d duplicates, want 5", rep)
-	}
-}
-
-func TestGatewayDuplicatesUnprotected(t *testing.T) {
-	k := sim.NewKernel()
-	sink, _ := gateway(t, k, speedPdu(), duplicating)
-	k.Run(sim.MS(45))
-	// Nothing on the unprotected path notices: every duplicate reaches
-	// the destination bus.
-	if len(sink.payloads) != 10 {
-		t.Fatalf("sink got %d payloads, want 10 (duplicates pass silently)", len(sink.payloads))
-	}
-}
-
-func TestGatewayReorderProtected(t *testing.T) {
-	k := sim.NewKernel()
-	pdu := protectedPdu()
-	pdu.E2E.MaxDeltaCounter = 1 // strict ordering
-	sink, statuses := gateway(t, k, pdu, reorderer())
-	k.Run(sim.MS(75)) // 8 sends = 4 swapped pairs
-	ws := 0
-	for _, st := range *statuses {
-		if st == e2eprot.StatusWrongSequence {
-			ws++
-		}
-	}
-	// First of each swapped pair after init resyncs forward, the held
-	// mate then steps backwards: every delivery except the very first is
-	// out of sequence.
-	if ws != 7 {
-		t.Fatalf("gateway flagged %d out-of-sequence deliveries, want 7", ws)
-	}
-	if len(sink.payloads) != 1 {
-		t.Fatalf("sink got %d payloads, want only the initial in-sequence one", len(sink.payloads))
-	}
-}
-
-func TestGatewayReorderUnprotected(t *testing.T) {
-	k := sim.NewKernel()
-	sink, _ := gateway(t, k, speedPdu(), reorderer())
-	k.Run(sim.MS(75))
-	if len(sink.payloads) != 8 {
-		t.Fatalf("sink got %d payloads, want all 8 (re-ordering passes silently)", len(sink.payloads))
 	}
 }

@@ -296,10 +296,3 @@ func E5AnalysisVsSim(cfg E5Config) (*Table, error) {
 	tab.Add("CAN/RTA", analyzed, sound, tightSum/float64(max(tightN, 1)), "-", "-")
 	return tab, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

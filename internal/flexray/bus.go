@@ -157,17 +157,10 @@ func (b *Bus) Start() {
 	b.started = true
 	for _, f := range b.frames {
 		if f.Period > 0 {
-			b.schedulePeriodic(f, f.Offset)
+			b.k.Every(f.Offset, f.Period, 10, func(sim.Time) { b.Queue(f) })
 		}
 	}
 	b.runCycle(0, 0)
-}
-
-func (b *Bus) schedulePeriodic(f *Frame, at sim.Time) {
-	b.k.AtPrio(at, 10, func() {
-		b.Queue(f)
-		b.schedulePeriodic(f, at+f.Period)
-	})
 }
 
 // Queue enqueues one payload instance of f. For static frames the payload

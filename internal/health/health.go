@@ -125,7 +125,14 @@ func (m *Monitor) Protect(swc string, pol Policy) error {
 	m.order = append(m.order, swc)
 	if !m.started {
 		m.started = true
-		m.tick(m.p.K.Now() + DefaultCheckWindow)
+		// The periodic supervision window, priority 26: after in-instant
+		// application work and alive supervision (25), before recovery
+		// attempts (27) scheduled at the same instant.
+		m.p.K.Every(m.p.K.Now()+DefaultCheckWindow, DefaultCheckWindow, 26, func(at sim.Time) {
+			for _, name := range m.order {
+				m.guards[name].window(at)
+			}
+		})
 	}
 	return nil
 }
@@ -135,18 +142,6 @@ func (m *Monitor) MustProtect(swc string, pol Policy) {
 	if err := m.Protect(swc, pol); err != nil {
 		panic(err)
 	}
-}
-
-// tick is the periodic supervision window, priority 26: after in-instant
-// application work and alive supervision (25), before recovery attempts
-// (27) scheduled at the same instant.
-func (m *Monitor) tick(at sim.Time) {
-	m.p.K.AtPrio(at, 26, func() {
-		for _, swc := range m.order {
-			m.guards[swc].window(at)
-		}
-		m.tick(at + DefaultCheckWindow)
-	})
 }
 
 // maybeRestoreNormal lowers degradation back to Normal once no partition

@@ -124,7 +124,7 @@ func (n *Network) Start() {
 	n.started = true
 	for _, f := range n.flows {
 		if f.Period > 0 {
-			n.schedulePeriodic(f, f.Offset)
+			n.k.Every(f.Offset, f.Period, 10, func(sim.Time) { n.Inject(f) })
 		}
 	}
 	// Row-major core order: babble events enter the kernel queue in a
@@ -143,13 +143,6 @@ func (n *Network) Start() {
 		w := n.babbler[c]
 		n.scheduleBabble(c, w[0], w[1])
 	}
-}
-
-func (n *Network) schedulePeriodic(f *Flow, at sim.Time) {
-	n.k.AtPrio(at, 10, func() {
-		n.Inject(f)
-		n.schedulePeriodic(f, at+f.Period)
-	})
 }
 
 // scheduleBabble injects an undeclared maximal packet every flit time.

@@ -28,13 +28,11 @@ func NewCounter(k *sim.Kernel, name string, tick sim.Duration) (*Counter, error)
 // Alarm fires an action on a counter schedule: first after Start ticks,
 // then every Cycle ticks (Cycle 0 = single shot).
 type Alarm struct {
-	Name    string
-	Start   int64
-	Cycle   int64
-	Action  func()
-	counter *Counter
-	event   sim.Event
-	stopped bool
+	Name   string
+	Start  int64
+	Cycle  int64
+	Action func()
+	cancel func()
 }
 
 // SetAlarm installs an alarm on the counter. Task activation is the usual
@@ -49,26 +47,16 @@ func (c *Counter) SetAlarm(name string, start, cycle int64, action func()) (*Ala
 	if action == nil {
 		return nil, fmt.Errorf("osek: alarm %s: nil action", name)
 	}
-	a := &Alarm{Name: name, Start: start, Cycle: cycle, Action: action, counter: c}
+	a := &Alarm{Name: name, Start: start, Cycle: cycle, Action: action}
 	c.alarms = append(c.alarms, a)
-	a.schedule(c.k.Now() + sim.Duration(start)*c.TickLength)
+	at := c.k.Now() + sim.Duration(start)*c.TickLength
+	if cycle == 0 {
+		a.cancel = c.k.At(at, func() { a.Action() }).Cancel
+	} else {
+		a.cancel = c.k.Every(at, sim.Duration(cycle)*c.TickLength, 0, func(sim.Time) { a.Action() })
+	}
 	return a, nil
 }
 
-func (a *Alarm) schedule(at sim.Time) {
-	a.event = a.counter.k.At(at, func() {
-		if a.stopped {
-			return
-		}
-		a.Action()
-		if a.Cycle > 0 {
-			a.schedule(a.counter.k.Now() + sim.Duration(a.Cycle)*a.counter.TickLength)
-		}
-	})
-}
-
 // Cancel stops the alarm (OSEK CancelAlarm).
-func (a *Alarm) Cancel() {
-	a.stopped = true
-	a.event.Cancel()
-}
+func (a *Alarm) Cancel() { a.cancel() }

@@ -110,16 +110,9 @@ func (c *CPU) Start() {
 			t.Throttle.Bind(c.k, c.reschedule)
 		}
 		if t.Period > 0 {
-			c.schedulePeriodic(t, t.Offset)
+			c.k.Every(t.Offset, t.Period, 10, func(sim.Time) { c.Activate(t) })
 		}
 	}
-}
-
-func (c *CPU) schedulePeriodic(t *Task, at sim.Time) {
-	c.k.AtPrio(at, 10, func() {
-		c.Activate(t)
-		c.schedulePeriodic(t, at+t.Period)
-	})
 }
 
 // Activate releases one job of t (or queues the activation if a job is in

@@ -235,15 +235,10 @@ func (p *Platform) startE2ESupervision() {
 		if ch.period <= 0 || ch.rx.Config().Timeout <= 0 {
 			continue
 		}
-		p.superviseE2E(ch, p.K.Now()+ch.rx.Config().Timeout)
+		p.K.Every(p.K.Now()+ch.rx.Config().Timeout, ch.period, 50, func(at sim.Time) {
+			p.noteE2E(ch, ch.rx.Check(at, nil))
+		})
 	}
-}
-
-func (p *Platform) superviseE2E(ch *e2eChannel, at sim.Time) {
-	p.K.AtPrio(at, 50, func() {
-		p.noteE2E(ch, ch.rx.Check(at, nil))
-		p.superviseE2E(ch, at+ch.period)
-	})
 }
 
 // frFailover builds the dual-channel fallback for a single-channel

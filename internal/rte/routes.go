@@ -104,8 +104,9 @@ func (p *Platform) buildRoutes() error {
 		}
 		srcSWC, _, dstSWC, dstPort := routeEndpoints(r)
 		// A gatewayed route wires its far segment first so the near
-		// segment's reception can forward onto it (the PDU-router-as-
-		// gateway of Figure 1, realized at the Via ECU).
+		// segment's reception can forward onto it (the gateway of
+		// Figure 1, realized at the Via ECU: the near segment's receiver
+		// verifies the PDU, the far segment's sender protects it anew).
 		seg := busSegment{
 			sender: p.Sys.Mapping[srcSWC], srcSWC: srcSWC, dst: dstSWC,
 			dstKey: storeKey(dstSWC, dstPort, r.Elem), deliver: deliver,
@@ -220,7 +221,7 @@ func (tx segmentTx) encode(v float64) []byte {
 // whose tail holds the E2E header when the frame is protected.
 func signalPDU(f *Frame) *com.IPdu {
 	return &com.IPdu{
-		Name: f.Name, Length: f.Length, Mode: com.Direct,
+		Name: f.Name, Length: f.Length,
 		Signals: []com.Signal{{Name: "v", StartBit: 0, Bits: f.Bits}},
 	}
 }

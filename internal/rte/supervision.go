@@ -22,22 +22,17 @@ func (p *Platform) Supervise(swc, runnable string, window sim.Duration) error {
 	}
 	lastCount := 0
 	stalled := false
-	var check func(at sim.Time)
-	check = func(at sim.Time) {
-		p.K.AtPrio(at, 25, func() {
-			finished := p.Trace.Count(trace.Finish, name)
-			if finished == lastCount {
-				if !stalled {
-					stalled = true
-					p.Errors.Report(swc, ErrTiming, runnable+" missed its alive supervision window")
-				}
-			} else {
-				stalled = false
+	p.K.Every(p.K.Now()+window, window, 25, func(sim.Time) {
+		finished := p.Trace.Count(trace.Finish, name)
+		if finished == lastCount {
+			if !stalled {
+				stalled = true
+				p.Errors.Report(swc, ErrTiming, runnable+" missed its alive supervision window")
 			}
-			lastCount = finished
-			check(at + window)
-		})
-	}
-	check(p.K.Now() + window)
+		} else {
+			stalled = false
+		}
+		lastCount = finished
+	})
 	return nil
 }

@@ -243,16 +243,9 @@ func (s *Switch) Start() {
 	s.started = true
 	for _, st := range s.streams {
 		if st.Period > 0 {
-			s.schedulePeriodic(st, st.Offset)
+			s.k.Every(st.Offset, st.Period, 10, func(sim.Time) { s.Queue(st, nil) })
 		}
 	}
-}
-
-func (s *Switch) schedulePeriodic(st *Stream, at sim.Time) {
-	s.k.AtPrio(at, 10, func() {
-		s.Queue(st, nil)
-		s.schedulePeriodic(st, at+st.Period)
-	})
 }
 
 // Queue submits one frame of the stream.
