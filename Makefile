@@ -88,15 +88,17 @@ bench-all:
 # properties (no panic on any bytes, a freshly protected payload checks
 # OK, any one corrupted byte does not); FuzzImport holds the template
 # importer's input boundary to its properties (no panic on any bytes, an
-# export of an imported system imports again to the same export);
-# the contract package's FuzzImport holds the contract catalogue importer
-# to the same two properties;
+# accepted input followed by '{' is rejected, an export of an imported
+# system imports again to the same export); the contract package's
+# FuzzImport holds the contract catalogue importer to the same three
+# properties;
 # FuzzRing holds obs.Ring and the two policies folded on top of it (the
 # DLT log's repeat folding, the flight recorder's instant coalescing) to
 # a keep-everything reference at random caps; FuzzReadBundle holds the
 # diagnostic-bundle reader's input boundary to its properties (no panic on
-# any bytes, gzipped or plain; an accepted bundle renders and survives a
-# write/read round trip unchanged). The
+# any bytes, gzipped or plain; an accepted input followed by '{' is
+# rejected; an accepted bundle renders and survives a write/read round
+# trip unchanged). The
 # committed corpus under each package's testdata/fuzz runs first; a
 # failure leaves the minimized input there, to be committed as a
 # regression seed. -fuzzminimizetime=100x caps minimization at 100 execs
@@ -130,13 +132,19 @@ chaos:
 
 # Observability smoke: simulate the demo vehicle with the always-on
 # flight recorder and a 20ms virtual-time sampler, cut an end-of-run
-# diagnostic bundle, and drive the autodiag subcommands over it.
+# diagnostic bundle, and drive the autodiag subcommands over it. The
+# Chrome exports run the one span converter on real traffic: the demo
+# run's execution trace (about 4k events on 65 source lanes) and the E11
+# forced safe-stop bundle's flight spans (the healthy demo bundle holds
+# none).
 diag:
-	go run ./cmd/autosim -demo -horizon 500ms -sample 20ms -bundle DIAG_demo.bundle > /dev/null
+	go run ./cmd/autosim -demo -horizon 500ms -sample 20ms -bundle DIAG_demo.bundle -trace-out DIAG_demo.sim.trace.json > /dev/null
 	go run ./cmd/autodiag summary DIAG_demo.bundle
 	go run ./cmd/autodiag dlt -min info DIAG_demo.bundle > /dev/null
 	go run ./cmd/autodiag metrics DIAG_demo.bundle > /dev/null
 	go run ./cmd/autodiag series -grep sim_events DIAG_demo.bundle > /dev/null
 	go run ./cmd/autodiag chrome -o DIAG_demo.trace.json DIAG_demo.bundle
+	go run ./cmd/experiments -bundle DIAG_e11.bundle
+	go run ./cmd/autodiag chrome -o DIAG_e11.trace.json DIAG_e11.bundle
 
 .PHONY: check lint test bench bench-compare bench-all fuzz chaos diag

@@ -11,9 +11,11 @@
 //	autocheck -demo
 //
 // Observability artifacts: -metrics dumps the pipeline's metric registry
-// in Prometheus text format (cache hits, per-stage duration histograms); -trace-out writes the stage spans as Chrome
-// trace-event JSON loadable in Perfetto; -trace-txt renders the same
-// spans as an indented text tree.
+// in Prometheus text format (cache hits, per-stage duration
+// histograms); -trace-out writes the stage spans as Chrome trace-event
+// JSON loadable in Perfetto, nested on one "pipeline" lane (a pass runs
+// on its caller); -trace-txt renders the same spans as an indented text
+// tree.
 package main
 
 import (

@@ -11,7 +11,7 @@
 //	autodiag metrics  [-grep re] [-json] bundle   metric snapshot
 //	autodiag series   [-grep re] bundle           sampled virtual-time series
 //	autodiag diff     before after                metric delta between bundles
-//	autodiag chrome   [-o trace.json] bundle      chrome://tracing export
+//	autodiag chrome   [-o trace.json] bundle      chrome://tracing export, a lane per span kind
 //	autodiag serve    [-addr :9077] [-every 100ms] [-loop] bundle
 //
 // serve exposes /metrics (Prometheus text 0.0.4), /metrics.json, /dlt
@@ -187,7 +187,7 @@ func cmdSpans(w io.Writer, args []string) error {
 				if sp.Count > 1 {
 					state += fmt.Sprintf(" ×%d", sp.Count)
 				}
-				if sp.End > sp.Start {
+				if sp.Interval || sp.End > sp.Start {
 					fmt.Fprintf(w, "  %12.6fs +%8.3fms %s%s %s\n", float64(sp.Start)/1e9,
 						float64(sp.End-sp.Start)/1e6, sp.Name, state, sp.Detail)
 				} else {
@@ -299,22 +299,18 @@ func cmdChrome(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("chrome", flag.ContinueOnError)
 	out := fs.String("o", "", "output file (default stdout)")
 	return withBundle("chrome", args, fs, func(b *obs.Bundle) error {
-		dst := w
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			dst = f
+		if *out == "" {
+			return obs.WriteChromeTrace(w, b.ChromeEvents())
 		}
-		cs := obs.NewChromeStream(dst)
-		for _, ev := range b.ChromeEvents() {
-			if err := cs.Add(ev); err != nil {
-				return err
-			}
+		f, err := os.Create(*out)
+		if err != nil {
+			return err
 		}
-		return cs.Close()
+		if err := obs.WriteChromeTrace(f, b.ChromeEvents()); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -116,6 +117,20 @@ func TestEndToEndSafeStopBundle(t *testing.T) {
 	}
 	if trace.DisplayTimeUnit != "ms" || len(trace.TraceEvents) == 0 {
 		t.Fatalf("chrome export empty: %d events", len(trace.TraceEvents))
+	}
+	// -o writes the same document to a file, and a failed write is an
+	// error, not a silent success.
+	outPath := filepath.Join(t.TempDir(), "trace.json")
+	if err := run(io.Discard, "chrome", []string{"-o", outPath, last}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(outPath); err != nil || string(got) != out.String() {
+		t.Fatalf("chrome -o wrote %d bytes (err %v), stdout %d", len(got), err, out.Len())
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := run(io.Discard, "chrome", []string{"-o", "/dev/full", last}); err == nil {
+			t.Fatal("chrome -o /dev/full reported success")
+		}
 	}
 
 	// spans lists the flight recorder's lanes.

@@ -12,8 +12,9 @@
 // add -export to dump the generated system as JSON).
 //
 // Observability artifacts: -trace-out converts the virtual-time event
-// trace to Chrome trace-event JSON (one viewer lane per task, instant
-// markers for misses/aborts/drops) loadable in Perfetto; -metrics dumps
+// trace to Chrome trace-event JSON loadable in Perfetto (one viewer lane
+// per source, a "run" slice per execution slice, instant markers for
+// aborts, misses, drops, errors and recoveries); -metrics dumps
 // the platform registry (kernel events, cache and pool counters) in
 // Prometheus text format; -dlt enables the DLT-style structured event
 // log for the run and writes it as text; -bundle serializes the whole

@@ -323,6 +323,29 @@ func TestImportRejectsBadCatalogue(t *testing.T) {
 	}
 }
 
+// TestImportRejectsTrailingData: after the catalogue only whitespace may
+// follow. A decoder's More alone would let a stray '}' or ']' through.
+func TestImportRejectsTrailingData(t *testing.T) {
+	const doc = `{"formatVersion":1,"contracts":[]}`
+	for _, tc := range []struct {
+		tail string
+		ok   bool
+	}{
+		{"", true},
+		{"\n\t \n", true},
+		{" {", false},
+		{"}", false},
+		{"]", false},
+		{" trailing garbage {", false},
+		{doc, false},
+	} {
+		_, err := Import(strings.NewReader(doc + tc.tail))
+		if (err == nil) != tc.ok {
+			t.Errorf("tail %q: err = %v, want accepted %v", tc.tail, err, tc.ok)
+		}
+	}
+}
+
 // With several invalid contracts, the reported error must not depend on
 // map iteration order: the alphabetically first invalid contract wins.
 func TestCheckSystemDeterministicError(t *testing.T) {

@@ -94,6 +94,12 @@ func Import(r io.Reader) (map[string]*Contract, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("contract: %w", err)
 	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("data after the catalogue: %v", tok)
+		}
+		return nil, fmt.Errorf("contract: %w", err)
+	}
 	if doc.FormatVersion != CatalogueVersion {
 		return nil, fmt.Errorf("contract: unsupported catalogue version %d", doc.FormatVersion)
 	}

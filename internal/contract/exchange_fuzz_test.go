@@ -6,12 +6,14 @@ import (
 )
 
 // FuzzImport holds the contract catalogue importer, an input boundary, to
-// two properties: any bytes give a catalogue or an error, never a panic;
-// and a catalogue it accepts exports to a document that imports again to
-// the same export. The committed corpus holds an export of E6's
-// 16-chain catalogue (testdata/fuzz/FuzzImport: 16 sensor guarantees with
-// CPU budgets, 16 controller assumptions, one seeded incompatibility); a
-// seed without "formatVersion":1 would never get past the version check.
+// three properties: any bytes give a catalogue or an error, never a
+// panic; an accepted input followed by '{' is rejected (only whitespace
+// may follow the catalogue); and a catalogue it accepts exports to a
+// document that imports again to the same export. The committed corpus
+// holds an export of E6's 16-chain catalogue (testdata/fuzz/FuzzImport:
+// 16 sensor guarantees with CPU budgets, 16 controller assumptions, one
+// seeded incompatibility); a seed without "formatVersion":1 would never
+// get past the version check.
 func FuzzImport(f *testing.F) {
 	var buf bytes.Buffer
 	if err := Export(&buf, map[string]*Contract{"Sensor": sensorContract(), "Ctrl": ctrlContract()}); err != nil {
@@ -23,6 +25,9 @@ func FuzzImport(f *testing.F) {
 		cat, err := Import(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if _, err := Import(bytes.NewReader(append(data[:len(data):len(data)], '{'))); err == nil {
+			t.Fatalf("accepted input followed by '{' imports")
 		}
 		var first, second bytes.Buffer
 		if err := Export(&first, cat); err != nil {

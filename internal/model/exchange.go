@@ -209,6 +209,12 @@ func Import(r io.Reader) (*System, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("exchange: %w", err)
 	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("data after the document: %v", tok)
+		}
+		return nil, fmt.Errorf("exchange: %w", err)
+	}
 	if doc.FormatVersion != FormatVersion {
 		return nil, fmt.Errorf("exchange: unsupported format version %d", doc.FormatVersion)
 	}

@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzImport holds the template importer, an input boundary, to two
-// properties: any bytes give a system or an error, never a panic; and a
-// system it accepts exports to a document that imports again to the same
-// export. The committed corpus holds an export of a generated scale-1
-// vehicle (testdata/fuzz/FuzzImport); a seed without "formatVersion":1
-// would never get past the version check.
+// FuzzImport holds the template importer, an input boundary, to three
+// properties: any bytes give a system or an error, never a panic; an
+// accepted input followed by '{' is rejected (only whitespace may follow
+// the document); and a system it accepts exports to a document that
+// imports again to the same export. The committed corpus holds an export
+// of a generated scale-1 vehicle (testdata/fuzz/FuzzImport); a seed
+// without "formatVersion":1 would never get past the version check.
 func FuzzImport(f *testing.F) {
 	var buf bytes.Buffer
 	if err := Export(&buf, testSystem()); err != nil {
@@ -22,6 +23,9 @@ func FuzzImport(f *testing.F) {
 		sys, err := Import(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if _, err := Import(bytes.NewReader(append(data[:len(data):len(data)], '{'))); err == nil {
+			t.Fatalf("accepted input followed by '{' imports")
 		}
 		var first, second bytes.Buffer
 		if err := Export(&first, sys); err != nil {

@@ -99,3 +99,26 @@ func TestImportRejectsBadEnums(t *testing.T) {
 		}
 	}
 }
+
+// TestImportRejectsTrailingData: after the document only whitespace may
+// follow. A decoder's More alone would let a stray '}' or ']' through.
+func TestImportRejectsTrailingData(t *testing.T) {
+	const doc = `{"formatVersion":1,"system":"s","interfaces":[],"components":[],"ecus":[],"buses":[],"connectors":[]}`
+	for _, tc := range []struct {
+		tail string
+		ok   bool
+	}{
+		{"", true},
+		{"\n\t \n", true},
+		{" {", false},
+		{"}", false},
+		{"]", false},
+		{" trailing garbage", false},
+		{doc, false},
+	} {
+		_, err := Import(strings.NewReader(doc + tc.tail))
+		if (err == nil) != tc.ok {
+			t.Errorf("tail %q: err = %v, want accepted %v", tc.tail, err, tc.ok)
+		}
+	}
+}

@@ -90,7 +90,14 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 		src = zr
 	}
 	var b Bundle
-	if err := json.NewDecoder(src).Decode(&b); err != nil {
+	dec := json.NewDecoder(src)
+	if err := dec.Decode(&b); err != nil {
+		return nil, fmt.Errorf("obs: decode bundle: %w", err)
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("data after the bundle: %v", tok)
+		}
 		return nil, fmt.Errorf("obs: decode bundle: %w", err)
 	}
 	if b.Version == 0 || b.Version > BundleVersion {
@@ -137,62 +144,13 @@ func (p *peekReader) Read(b []byte) (int, error) {
 }
 
 // ChromeEvents converts the bundle's flight spans into Chrome trace
-// events (one lane per span name kind, instants as thread-scoped instant
-// events) so a bundle exports straight into chrome://tracing. Nil on a
-// nil receiver.
+// events (ChromeEvents) so a bundle exports straight into
+// chrome://tracing. Nil on a nil receiver.
 func (b *Bundle) ChromeEvents() []TraceEvent {
 	if b == nil {
 		return nil
 	}
-	const pid = 1
-	lanes := map[string]int64{}
-	var order []string
-	lane := func(key string) int64 {
-		if id, ok := lanes[key]; ok {
-			return id
-		}
-		id := int64(len(lanes) + 1)
-		lanes[key] = id
-		order = append(order, key)
-		return id
-	}
-	var events []TraceEvent
-	for _, sp := range b.Flight.Spans {
-		key := sp.Kind
-		if key == "" {
-			key = sp.Name
-		}
-		tid := lane(key)
-		ev := TraceEvent{
-			Name: sp.Name,
-			Cat:  sp.Kind,
-			TS:   float64(sp.Start) / 1e3,
-			PID:  pid,
-			TID:  tid,
-		}
-		if sp.Detail != "" {
-			ev.Args = map[string]any{"detail": sp.Detail}
-		}
-		if sp.Count > 1 {
-			if ev.Args == nil {
-				ev.Args = map[string]any{}
-			}
-			ev.Args["count"] = sp.Count
-		}
-		if sp.End > sp.Start {
-			ev.Phase = "X"
-			ev.Dur = float64(sp.End-sp.Start) / 1e3
-		} else {
-			ev.Phase = "i"
-			ev.Scope = "t"
-		}
-		events = append(events, ev)
-	}
-	meta := []TraceEvent{ProcessName(pid, "autorte")}
-	for _, key := range order {
-		meta = append(meta, ThreadName(pid, lanes[key], key))
-	}
-	return append(meta, events...)
+	return ChromeEvents(b.Flight.Spans)
 }
 
 // SampleDiff is the change of one metric series between two bundles.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"path/filepath"
 	"strings"
@@ -86,6 +87,48 @@ func TestBundleFileRoundTripAndPlainJSON(t *testing.T) {
 	bad, _ := json.Marshal(map[string]any{"version": BundleVersion + 1})
 	if _, err := ReadBundle(bytes.NewReader(bad)); err == nil {
 		t.Fatal("future bundle version accepted")
+	}
+}
+
+// TestReadBundleRejectsTrailingData: after the bundle's JSON only
+// whitespace may follow, gzipped or plain. A decoder's More alone would
+// let a stray '}' or ']' through.
+func TestReadBundleRejectsTrailingData(t *testing.T) {
+	plain, err := json.Marshal(testBundle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gzipped := func(parts ...[]byte) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		for _, p := range parts {
+			zw.Write(p)
+		}
+		zw.Close()
+		return buf.Bytes()
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"plain", plain, true},
+		{"plain + whitespace", cat(plain, []byte("\n \t\n")), true},
+		{"plain + {", cat(plain, []byte("{")), false},
+		{"plain + }", cat(plain, []byte("}")), false},
+		{"plain + ]", cat(plain, []byte("]")), false},
+		{"plain twice", cat(plain, plain), false},
+		{"gzip", gzipped(plain), true},
+		{"gzip of whitespace-padded", gzipped(plain, []byte("\n\n")), true},
+		{"gzip of trailing }", gzipped(plain, []byte("}")), false},
+		{"gzip + {", cat(gzipped(plain), []byte("{")), false},
+		{"gzip twice", cat(gzipped(plain), gzipped(plain)), false},
+	} {
+		_, err := ReadBundle(bytes.NewReader(tc.data))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted %v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 )
@@ -37,92 +38,91 @@ func ProcessName(pid int64, name string) TraceEvent {
 	}
 }
 
-// ChromeStream writes a Chrome trace incrementally: the container object
-// is opened on creation, each Add encodes one event straight to the
-// writer, and Close terminates the document. Memory use is one event,
-// not the whole trace — flight recorders and long campaigns export
-// arbitrarily many events at constant cost. Not safe for concurrent use.
-//
-//autovet:nilsafe
-type ChromeStream struct {
-	w    io.Writer
-	n    int
-	err  error
-	done bool
-	//autovet:bounded reused encode buffer, reset to [:0] per event
-	scratch []byte
-}
-
-// NewChromeStream opens a trace document on w.
-func NewChromeStream(w io.Writer) *ChromeStream {
-	cs := &ChromeStream{w: w}
-	_, cs.err = io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`)
-	return cs
-}
-
-// Add appends one event to the stream. The first error sticks; Close
-// reports it. Safe on a nil receiver (no-op).
-func (cs *ChromeStream) Add(ev TraceEvent) error {
-	if cs == nil {
-		return nil
+// ChromeEvents converts spans into Chrome trace events — the one
+// converter every timeline (flight-recorder bundles, virtual-time
+// execution traces, pipeline tracer spans) exports through. Each Kind
+// is one viewer lane (a span without a Kind gets a lane of its Name),
+// numbered in first-appearance order and named by metadata events. A
+// span with extent, or marked Interval, becomes a complete ("X") event;
+// any other span is a thread-scoped instant ("i"), except an Open span
+// without extent, which has nothing to draw yet and is left out. Detail
+// and a coalesced burst's Count travel as args. Nanoseconds map to trace
+// microseconds fractionally, so sub-µs spans survive.
+func ChromeEvents(spans []SpanEvent) []TraceEvent {
+	const pid = 1
+	lanes := map[string]int64{}
+	var order []string
+	lane := func(key string) int64 {
+		if id, ok := lanes[key]; ok {
+			return id
+		}
+		id := int64(len(lanes) + 1)
+		lanes[key] = id
+		order = append(order, key)
+		return id
 	}
-	if cs.err != nil || cs.done {
-		return cs.err
+	var events []TraceEvent
+	for _, sp := range spans {
+		if sp.Open && sp.End <= sp.Start {
+			continue // opened where observation stopped: nothing to draw yet
+		}
+		key := sp.Kind
+		if key == "" {
+			key = sp.Name
+		}
+		tid := lane(key)
+		ev := TraceEvent{
+			Name: sp.Name,
+			Cat:  sp.Kind,
+			TS:   float64(sp.Start) / 1e3,
+			PID:  pid,
+			TID:  tid,
+		}
+		if sp.Detail != "" {
+			ev.Args = map[string]any{"detail": sp.Detail}
+		}
+		if sp.Count > 1 {
+			if ev.Args == nil {
+				ev.Args = map[string]any{}
+			}
+			ev.Args["count"] = sp.Count
+		}
+		if sp.Interval || sp.End > sp.Start {
+			ev.Phase = "X"
+			ev.Dur = float64(sp.End-sp.Start) / 1e3
+		} else {
+			ev.Phase = "i"
+			ev.Scope = "t"
+		}
+		events = append(events, ev)
 	}
-	buf, err := json.Marshal(ev)
-	if err != nil {
-		cs.err = err
-		return err
+	meta := []TraceEvent{ProcessName(pid, "autorte")}
+	for _, key := range order {
+		meta = append(meta, ThreadName(pid, lanes[key], key))
 	}
-	if cs.n > 0 {
-		cs.scratch = append(cs.scratch[:0], ',', '\n')
-	} else {
-		cs.scratch = append(cs.scratch[:0], '\n')
-	}
-	cs.scratch = append(cs.scratch, buf...)
-	if _, err := cs.w.Write(cs.scratch); err != nil {
-		cs.err = err
-		return err
-	}
-	cs.n++
-	return nil
-}
-
-// Close terminates the document and returns the first error seen. Safe
-// on a nil receiver (no-op). Idempotent.
-func (cs *ChromeStream) Close() error {
-	if cs == nil {
-		return nil
-	}
-	if cs.done {
-		return cs.err
-	}
-	cs.done = true
-	if cs.err != nil {
-		return cs.err
-	}
-	_, cs.err = io.WriteString(cs.w, "\n]}\n")
-	return cs.err
-}
-
-// Events returns how many events were written. Zero on a nil receiver.
-func (cs *ChromeStream) Events() int {
-	if cs == nil {
-		return 0
-	}
-	return cs.n
+	return append(meta, events...)
 }
 
 // WriteChromeTrace writes events as a complete JSON object trace
-// ({"traceEvents": [...]}), the container format both chrome://tracing
-// and Perfetto accept. Events stream one at a time — the whole trace is
-// never materialized as a single JSON buffer.
+// ({"traceEvents": [...]}, one event per line), the container format
+// both chrome://tracing and Perfetto accept, and returns the first
+// error: an event that does not encode or a failed write.
 func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
-	cs := NewChromeStream(w)
-	for _, ev := range events {
-		if err := cs.Add(ev); err != nil {
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	for i, ev := range events {
+		buf, err := json.Marshal(ev)
+		if err != nil {
 			return err
 		}
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		bw.WriteByte('\n')
+		bw.Write(buf)
 	}
-	return cs.Close()
+	bw.WriteString("\n]}\n")
+	// A bufio.Writer keeps its first write error and returns it from
+	// every later call, so Flush reports it.
+	return bw.Flush()
 }

@@ -10,21 +10,25 @@ package obs
 
 import "sync"
 
-// SpanEvent is one flight-recorded interval or instant. Platform task
-// lifecycle events record as instants (Start == End); pipeline tracer
-// spans record with real durations; spans still open at snapshot time
-// carry Open. A burst of identical instants coalesces into one event
-// whose Count is the number of occurrences (zero means one) and whose
-// Start..End brackets the burst — so a fault storm neither churns the
-// ring nor evicts the surrounding context.
+// SpanEvent is one interval or instant of a timeline — the one span
+// format every timeline renders through (ChromeEvents): the flight
+// recorder's ring, a trace.Recorder's execution slices and a Tracer's
+// pipeline spans. Platform task lifecycle events record as instants
+// (Start == End); intervals carry Interval, so a zero-length one stays
+// an interval; spans still open at the last observation carry Open. A
+// burst of identical instants coalesces into one event whose Count is
+// the number of occurrences (zero means one) and whose Start..End
+// brackets the burst — so a fault storm neither churns the ring nor
+// evicts the surrounding context.
 type SpanEvent struct {
-	Name   string `json:"name"`
-	Start  int64  `json:"start_ns"`
-	End    int64  `json:"end_ns"`
-	Kind   string `json:"kind,omitempty"`
-	Detail string `json:"detail,omitempty"`
-	Open   bool   `json:"open,omitempty"`
-	Count  int    `json:"count,omitempty"`
+	Name     string `json:"name"`
+	Start    int64  `json:"start_ns"`
+	End      int64  `json:"end_ns"`
+	Kind     string `json:"kind,omitempty"`
+	Detail   string `json:"detail,omitempty"`
+	Open     bool   `json:"open,omitempty"`
+	Interval bool   `json:"interval,omitempty"`
+	Count    int    `json:"count,omitempty"`
 }
 
 // MetricDelta is one flight-recorded counter increment, observed between

@@ -212,8 +212,10 @@ func FuzzRing(f *testing.F) {
 
 // FuzzReadBundle holds the bundle reader — autodiag's input boundary, fed
 // files from other machines — to its properties: any bytes, gzipped or
-// plain, give an error or a bundle, never a panic; an accepted bundle
-// renders its summary and Chrome events; and writing it and reading it
+// plain, give an error or a bundle, never a panic; an accepted input
+// followed by '{' is rejected (only whitespace may follow the bundle); an
+// accepted bundle renders its summary and Chrome events; and writing it
+// and reading it
 // back gives the same bundle, compared by its JSON encoding (omitempty
 // already reads an empty map or list the same as an absent one). The
 // committed corpus holds a real E11 forced safe-stop bundle, gzipped and
@@ -230,6 +232,9 @@ func FuzzReadBundle(f *testing.F) {
 				t.Fatalf("error %v with a bundle", err)
 			}
 			return
+		}
+		if _, err := ReadBundle(bytes.NewReader(append(data[:len(data):len(data)], '{'))); err == nil {
+			t.Fatalf("accepted input followed by '{' reads")
 		}
 		if err := b.WriteSummary(io.Discard); err != nil {
 			t.Fatal(err)

@@ -1,9 +1,11 @@
 // Package obs is the platform's observability layer: a dependency-free
 // metrics core (counters, gauges, log-bucketed histograms with
 // allocation-free updates and deterministic snapshots), a structured
-// event log modeled on AUTOSAR DLT (internal/obs/log.go), and span-style
-// tracing exportable as Chrome trace-event JSON (internal/obs/span.go,
-// internal/obs/chrome.go).
+// event log modeled on AUTOSAR DLT (internal/obs/log.go), host-time
+// span tracing (internal/obs/span.go), and one timeline format,
+// SpanEvent, that flight-recorder spans, virtual-time execution traces
+// and tracer spans all export through one Chrome trace-event converter
+// (ChromeEvents, internal/obs/chrome.go).
 //
 // The substrate packages (sched, can, flexray, par, sim, rte, deploy,
 // core) expose their hidden state — cache hit rates, pool occupancy,

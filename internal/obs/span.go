@@ -129,7 +129,7 @@ func (t *Tracer) SpanEvents() []SpanEvent {
 		}
 		out[i] = SpanEvent{
 			Name: s.name, Start: int64(s.start), End: int64(s.end),
-			Kind: "pipeline", Detail: detail,
+			Kind: "pipeline", Detail: detail, Interval: true,
 		}
 	}
 	return out
@@ -178,76 +178,14 @@ func (t *Tracer) WriteTree(w io.Writer) error {
 	return render(roots, 0)
 }
 
-// ChromeEvents converts the spans to Chrome trace events. Concurrent
-// sibling spans are spread over lanes (thread IDs) so overlapping
-// intervals never share a lane unless one contains the other — the shape
-// chrome://tracing and Perfetto render correctly.
-func (t *Tracer) ChromeEvents() []TraceEvent {
-	if t == nil {
-		return nil
-	}
-	spans := t.snapshot()
-	order := make([]int, len(spans))
-	for i := range order {
-		order[i] = i
-	}
-	// Longest-first among equal starts, so containers get lanes before
-	// their contents.
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := &spans[order[a]], &spans[order[b]]
-		if sa.start != sb.start {
-			return sa.start < sb.start
-		}
-		return sa.end-sa.start > sb.end-sb.start
-	})
-	type laneState struct{ spans []int }
-	var lanes []laneState
-	lane := make([]int, len(spans))
-	for _, i := range order {
-		s := &spans[i]
-		placed := false
-		for li := range lanes {
-			ok := true
-			for _, j := range lanes[li].spans {
-				o := &spans[j]
-				overlap := s.start < o.end && o.start < s.end
-				contained := (o.start <= s.start && s.end <= o.end) || (s.start <= o.start && o.end <= s.end)
-				if overlap && !contained {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				lanes[li].spans = append(lanes[li].spans, i)
-				lane[i] = li
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			lanes = append(lanes, laneState{spans: []int{i}})
-			lane[i] = len(lanes) - 1
-		}
-	}
-	out := make([]TraceEvent, 0, len(spans))
-	for _, i := range order {
-		s := &spans[i]
-		out = append(out, TraceEvent{
-			Name: s.name, Phase: "X",
-			TS:  float64(s.start) / 1e3, // ns → µs
-			Dur: float64(s.end-s.start) / 1e3,
-			PID: 1, TID: int64(lane[i] + 1),
-		})
-	}
-	return out
-}
-
 // WriteChrome writes the spans as a Chrome trace-event JSON document
-// loadable in chrome://tracing and Perfetto. Safe on a nil receiver
-// (writes an empty trace).
+// loadable in chrome://tracing and Perfetto, through SpanEvents and
+// ChromeEvents. Every span shares the one "pipeline" lane, which renders
+// right while spans nest — as a verification pass's do, since it runs on
+// its caller. Safe on a nil receiver (writes a trace with no spans).
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	if t == nil {
-		return WriteChromeTrace(w, nil)
+		t = &Tracer{}
 	}
-	return WriteChromeTrace(w, t.ChromeEvents())
+	return WriteChromeTrace(w, ChromeEvents(t.SpanEvents()))
 }

@@ -63,11 +63,13 @@ func TestTracerTreeAndChrome(t *testing.T) {
 	if err := json.Unmarshal([]byte(js.String()), &doc); err != nil {
 		t.Fatalf("chrome trace does not parse: %v", err)
 	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("chrome trace has %d events, want 3", len(doc.TraceEvents))
+	// One process, one "pipeline" lane, then the three spans in start
+	// order on that lane.
+	if len(doc.TraceEvents) != 5 {
+		t.Fatalf("chrome trace has %d events, want 5", len(doc.TraceEvents))
 	}
-	for _, ev := range doc.TraceEvents {
-		if ev.Phase != "X" || ev.TID < 1 {
+	for i, ev := range doc.TraceEvents[2:] {
+		if ev.Phase != "X" || ev.TID != 1 || ev.Name != []string{"verify", "verify/ecu", "verify/bus"}[i] {
 			t.Fatalf("bad event %+v", ev)
 		}
 		if ev.Dur < 0 || ev.TS < 0 {
@@ -76,34 +78,11 @@ func TestTracerTreeAndChrome(t *testing.T) {
 	}
 }
 
-func TestChromeLaneAssignmentSeparatesOverlaps(t *testing.T) {
-	tr := NewTracer()
-	// Fabricate two overlapping, non-nested spans plus a containing root
-	// by writing span data directly (timing-independent).
-	tr.spans = []spanData{
-		{name: "root", parent: -1, start: 0, end: 100},
-		{name: "jobA", parent: 0, start: 10, end: 60},
-		{name: "jobB", parent: 0, start: 30, end: 90},
-	}
-	events := tr.ChromeEvents()
-	tid := map[string]int64{}
-	for _, ev := range events {
-		tid[ev.Name] = ev.TID
-	}
-	if tid["jobA"] == tid["jobB"] {
-		t.Fatalf("overlapping siblings share lane %d", tid["jobA"])
-	}
-	if tid["root"] != tid["jobA"] && tid["root"] != tid["jobB"] {
-		// Root contains both; it may share a lane with either.
-		t.Logf("root on own lane %d (acceptable)", tid["root"])
-	}
-}
-
 func TestOpenSpanClosedAtExport(t *testing.T) {
 	tr := NewTracer()
 	tr.Start("open") // never ended
-	events := tr.ChromeEvents()
-	if len(events) != 1 || events[0].Dur < 0 {
+	events := ChromeEvents(tr.SpanEvents())
+	if len(events) != 3 || events[2].Phase != "X" || events[2].Dur < 0 {
 		t.Fatalf("open span exported badly: %+v", events)
 	}
 }

@@ -13,8 +13,7 @@ type Counter struct {
 	// TickLength is the virtual duration of one counter tick.
 	TickLength sim.Duration
 
-	k      *sim.Kernel
-	alarms []*Alarm
+	k *sim.Kernel
 }
 
 // NewCounter creates a counter on the kernel.
@@ -48,7 +47,6 @@ func (c *Counter) SetAlarm(name string, start, cycle int64, action func()) (*Ala
 		return nil, fmt.Errorf("osek: alarm %s: nil action", name)
 	}
 	a := &Alarm{Name: name, Start: start, Cycle: cycle, Action: action}
-	c.alarms = append(c.alarms, a)
 	at := c.k.Now() + sim.Duration(start)*c.TickLength
 	if cycle == 0 {
 		a.cancel = c.k.At(at, func() { a.Action() }).Cancel

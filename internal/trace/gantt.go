@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -8,13 +9,15 @@ import (
 	"autorte/internal/sim"
 )
 
-// Gantt renders an ASCII timeline of task execution from a recorder:
-// one row per source, one character per resolution bucket.
+// Gantt renders an ASCII timeline of task execution from a recorder's
+// Spans: one row per source, one character per resolution bucket.
 //
-//	'#' executing   '.' ready/preempted   '!' deadline miss
-//	'x' aborted     ' ' inactive
+//	'#' executing   '!' deadline miss   'x' aborted   ' ' idle
 //
-// Sources defaults to every source seen in the window when nil.
+// A slice still running at the last record runs to the window end, and
+// a marker at the window end lands in the last bucket. Markers overwrite
+// execution; of two markers in one bucket the later one shows. Sources
+// defaults to every source with a record in the window when nil.
 func Gantt(w io.Writer, r *Recorder, sources []string, from, to sim.Time, resolution sim.Duration) error {
 	if resolution <= 0 || to <= from {
 		return fmt.Errorf("trace: bad gantt window")
@@ -23,7 +26,7 @@ func Gantt(w io.Writer, r *Recorder, sources []string, from, to sim.Time, resolu
 	if buckets > 4096 {
 		return fmt.Errorf("trace: gantt window needs %d buckets; coarsen the resolution", buckets)
 	}
-	if sources == nil {
+	if sources == nil && r != nil {
 		seen := map[string]bool{}
 		for _, rec := range r.Records {
 			if rec.At >= from && rec.At <= to && !seen[rec.Source] {
@@ -34,81 +37,46 @@ func Gantt(w io.Writer, r *Recorder, sources []string, from, to sim.Time, resolu
 		sort.Strings(sources)
 	}
 	width := 0
+	rows := make(map[string][]byte, len(sources))
 	for _, s := range sources {
-		if len(s) > width {
-			width = len(s)
+		width = max(width, len(s))
+		rows[s] = bytes.Repeat([]byte{' '}, buckets)
+	}
+	for _, sp := range r.Spans() {
+		row := rows[sp.Kind]
+		if row == nil {
+			continue
+		}
+		a, b := sim.Time(sp.Start), sim.Time(sp.End)
+		ch := byte('#')
+		switch sp.Name {
+		case "run":
+			if sp.Open {
+				b = to
+			}
+		case "abort":
+			ch = 'x'
+		case "deadline miss":
+			ch = '!'
+		default:
+			continue // drops, errors and recoveries draw nothing
+		}
+		if b < from || a > to {
+			continue
+		}
+		// Clamp both ends to the window, and an index of `to` itself to
+		// the last bucket, so a marker at the window edge still renders.
+		i0 := min(int((max(a, from)-from)/resolution), buckets-1)
+		i1 := min(int((min(b, to)-from)/resolution), buckets-1)
+		for i := i0; i <= i1; i++ {
+			if row[i] == ' ' || ch != '#' {
+				row[i] = ch
+			}
 		}
 	}
 	fmt.Fprintf(w, "%-*s  |%s| %v..%v (1 char = %v)\n", width, "task", timeAxis(buckets), from, to, resolution)
 	for _, src := range sources {
-		row := make([]byte, buckets)
-		for i := range row {
-			row[i] = ' '
-		}
-		// Reconstruct execution intervals from Start/Resume..Preempt/
-		// Finish/Abort pairs, walking the source's records in order.
-		var runningSince sim.Time = -1
-		mark := func(a, b sim.Time, ch byte) {
-			if b < from || a > to {
-				return
-			}
-			if a < from {
-				a = from
-			}
-			if b > to {
-				b = to
-			}
-			i0 := int((a - from) / resolution)
-			i1 := int((b - from) / resolution)
-			// A point event exactly at the window edge `to` lands on bucket
-			// index == buckets; clamp both ends so a deadline miss at the
-			// boundary still renders instead of silently vanishing.
-			if i0 >= buckets {
-				i0 = buckets - 1
-			}
-			if i1 >= buckets {
-				i1 = buckets - 1
-			}
-			for i := i0; i <= i1; i++ {
-				if row[i] == ' ' || ch != '#' { // misses/aborts overwrite
-					row[i] = ch
-				}
-			}
-		}
-		for _, rec := range r.Records {
-			if rec.Source != src {
-				continue
-			}
-			switch rec.Kind {
-			case Start, Resume:
-				runningSince = rec.At
-			case Preempt:
-				if runningSince >= 0 {
-					mark(runningSince, rec.At, '#')
-					runningSince = -1
-				}
-			case Finish:
-				if runningSince >= 0 {
-					mark(runningSince, rec.At, '#')
-					runningSince = -1
-				}
-			case Abort:
-				if runningSince >= 0 {
-					mark(runningSince, rec.At, '#')
-					runningSince = -1
-				}
-				mark(rec.At, rec.At, 'x')
-			case Miss:
-				mark(rec.At, rec.At, '!')
-			default:
-				// Activate, Drop and Error have no execution extent to
-				// draw on the row.
-			}
-		}
-		if runningSince >= 0 {
-			mark(runningSince, to, '#')
-		}
-		fmt.Fprintf(w, "%-*s  |%s|\n", width, src, row)
+		fmt.Fprintf(w, "%-*s  |%s|\n", width, src, rows[src])
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"autorte/internal/obs"
 )
 
 // TestNilRecorderNoops exercises every documented nil-safe *Recorder
@@ -23,8 +25,8 @@ func TestNilRecorderNoops(t *testing.T) {
 	if got := r.Latencies("T"); got != nil {
 		t.Fatalf("Latencies on nil = %v, want nil", got)
 	}
-	if got := ChromeEvents(r); got != nil {
-		t.Fatalf("ChromeEvents on nil = %v, want nil", got)
+	if got := r.Spans(); got != nil {
+		t.Fatalf("Spans on nil = %v, want nil", got)
 	}
 	var sb strings.Builder
 	if err := r.WriteChrome(&sb); err != nil {
@@ -69,9 +71,9 @@ func TestStatsStringReportsAborts(t *testing.T) {
 	}
 }
 
-// TestChromeEventsShape checks the trace converter end to end: slices
-// from Start..Finish pairs, instant markers for misses, fractional-µs
-// timestamps, and a document Perfetto can parse as JSON.
+// TestChromeEventsShape checks the recorder's Chrome export end to end:
+// slices from Start..Finish pairs, instant markers for misses,
+// fractional-µs timestamps, and a document Perfetto can parse as JSON.
 func TestChromeEventsShape(t *testing.T) {
 	r := &Recorder{}
 	r.Emit(1_000, Start, "A.run", 1, "")
@@ -79,7 +81,7 @@ func TestChromeEventsShape(t *testing.T) {
 	r.Emit(4_000, Resume, "A.run", 1, "")
 	r.Emit(6_000, Finish, "A.run", 1, "")
 	r.Emit(7_000, Miss, "B.run", 1, "")
-	events := ChromeEvents(r)
+	events := obs.ChromeEvents(r.Spans())
 	var slices, instants int
 	for _, ev := range events {
 		switch ev.Phase {

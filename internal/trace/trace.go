@@ -1,6 +1,7 @@
 // Package trace records timed events emitted by the simulated platform and
 // reduces them to the latency, jitter and deadline statistics the
-// experiments report.
+// experiments report, and to one span timeline (Recorder.Spans) that the
+// ASCII Gantt and the Chrome trace export (obs.ChromeEvents) both draw.
 package trace
 
 import (
