@@ -1,12 +1,14 @@
 # Tier-1 gate plus vet, autovet, the race detector and shuffled test
 # order (order-dependence is a bug) — the full pre-merge check. rtebench
 # is a module of its own (root ./... never builds it) that imports the
-# internal packages, so it is vetted and tested separately.
+# internal packages, so it is vetted and tested separately. Every example
+# under examples/ must run to a zero exit.
 check: lint
 	go build ./...
 	go vet ./...
 	go test -race -shuffle=on ./...
 	cd rtebench && go vet ./... && go test ./...
+	for ex in examples/*/; do go run ./$$ex > /dev/null || { echo "example $$ex failed"; exit 1; }; done
 
 # Build and run autovet, the repo's own go/analysis suite (see
 # internal/analysis): walltime, nilsafe, baregoroutine, kindswitch,

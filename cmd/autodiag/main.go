@@ -164,10 +164,7 @@ func cmdSpans(w io.Writer, args []string) error {
 		lanes := map[string][]obs.SpanEvent{}
 		var order []string
 		for _, sp := range b.Flight.Spans {
-			lane := sp.Kind
-			if lane == "" {
-				lane = sp.Name
-			}
+			lane, _ := sp.Lane()
 			if *kind != "" && lane != *kind {
 				continue
 			}
@@ -187,7 +184,7 @@ func cmdSpans(w io.Writer, args []string) error {
 				if sp.Count > 1 {
 					state += fmt.Sprintf(" ×%d", sp.Count)
 				}
-				if sp.Interval || sp.End > sp.Start {
+				if _, interval := sp.Lane(); interval {
 					fmt.Fprintf(w, "  %12.6fs +%8.3fms %s%s %s\n", float64(sp.Start)/1e9,
 						float64(sp.End-sp.Start)/1e6, sp.Name, state, sp.Detail)
 				} else {

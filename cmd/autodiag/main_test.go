@@ -143,6 +143,73 @@ func TestEndToEndSafeStopBundle(t *testing.T) {
 	}
 }
 
+// TestSpansAndChromeShareLanes: a span without a Kind lands in the lane
+// of its Name, and a span with extent draws as an interval, in both the
+// spans listing and the chrome export of one bundle.
+func TestSpansAndChromeShareLanes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lanes.bundle")
+	b := &obs.Bundle{Version: obs.BundleVersion, Reason: "lanes"}
+	b.Flight.Spans = []obs.SpanEvent{
+		{Name: "probe", Start: 1000, End: 1000},
+		{Name: "window", Start: 2000, End: 5000},
+		{Name: "slice", Kind: "Ctrl", Start: 3000, End: 4000, Interval: true},
+	}
+	b.Flight.SpanTotal = 3
+	if err := b.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := run(&out, "spans", []string{path}); err != nil {
+		t.Fatal(err)
+	}
+	spans := out.String()
+	for _, want := range []string{"probe (1 events)\n", "window (1 events)\n", "Ctrl (1 events)\n", "+   0.003ms window"} {
+		if !strings.Contains(spans, want) {
+			t.Errorf("spans output misses %q:\n%s", want, spans)
+		}
+	}
+	if strings.Contains(spans, "+   0.000ms probe") {
+		t.Errorf("instant listed as an interval:\n%s", spans)
+	}
+
+	out.Reset()
+	if err := run(&out, "chrome", []string{path}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []obs.TraceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	laneName := map[int64]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "thread_name" {
+			laneName[ev.TID], _ = ev.Args["name"].(string)
+		}
+	}
+	want := map[string][2]string{ // span name -> lane, phase
+		"probe":  {"probe", "i"},
+		"window": {"window", "X"},
+		"slice":  {"Ctrl", "X"},
+	}
+	seen := 0
+	for _, ev := range doc.TraceEvents {
+		w, ok := want[ev.Name]
+		if !ok {
+			continue
+		}
+		seen++
+		if got := laneName[ev.TID]; got != w[0] || ev.Phase != w[1] {
+			t.Errorf("chrome %s: lane %q phase %q, want lane %q phase %q", ev.Name, got, ev.Phase, w[0], w[1])
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("chrome export holds %d of %d spans:\n%s", seen, len(want), out.String())
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
 	if err := run(&out, "summary", []string{}); err == nil {

@@ -169,14 +169,7 @@ func main() {
 		}
 	}
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := p.Trace.WriteCSV(f); err != nil {
-			fatal(err)
-		}
+		writeArtifact(*csvPath, p.Trace.WriteCSV)
 		fmt.Printf("\ntrace written to %s (%d records)\n", *csvPath, len(p.Trace.Records))
 	}
 	writeArtifact(*traceOut, p.Trace.WriteChrome)

@@ -1,12 +1,9 @@
 package contract
 
 import (
-	"fmt"
 	"sort"
 
 	"autorte/internal/model"
-	"autorte/internal/sim"
-	"autorte/internal/trace"
 )
 
 // Report is the outcome of system-level contract checking.
@@ -57,84 +54,4 @@ func CheckSystem(sys *model.System, contracts map[string]*Contract) (*Report, er
 		}
 	}
 	return rep, nil
-}
-
-// ChainLatency derives an end-to-end latency bound for a constraint chain
-// from component latency guarantees plus per-connector communication
-// budgets (commBudget applies to every inter-component hop). It returns an
-// error when a needed component guarantee is missing — the analysis is
-// only as complete as the contracts.
-func ChainLatency(sys *model.System, contracts map[string]*Contract,
-	lc model.LatencyConstraint, commBudget sim.Duration) (sim.Duration, error) {
-	var total sim.Duration
-	for i := 0; i+1 < len(lc.Chain); i++ {
-		a, b := lc.Chain[i], lc.Chain[i+1]
-		if a.SWC == b.SWC {
-			// Internal hop: needs a latency guarantee fromPort -> toPort.
-			c, ok := contracts[a.SWC]
-			if !ok {
-				return 0, fmt.Errorf("contract: chain %s: no contract for %s", lc.Name, a.SWC)
-			}
-			budget := c.LatencyBudget(a.Port, b.Port)
-			if budget <= 0 {
-				return 0, fmt.Errorf("contract: chain %s: %s declares no latency guarantee %s->%s",
-					lc.Name, a.SWC, a.Port, b.Port)
-			}
-			total += budget
-			continue
-		}
-		// Communication hop.
-		total += commBudget
-	}
-	return total, nil
-}
-
-// VerifyChain checks a latency constraint against the contract-derived
-// bound: satisfied when bound <= budget.
-func VerifyChain(sys *model.System, contracts map[string]*Contract,
-	lc model.LatencyConstraint, commBudget sim.Duration) (bool, sim.Duration, error) {
-	bound, err := ChainLatency(sys, contracts, lc, commBudget)
-	if err != nil {
-		return false, 0, err
-	}
-	return bound <= lc.Budget, bound, nil
-}
-
-// CheckUpdateRate validates an UpdateRate clause against a recorded
-// simulation: every observed inter-activation gap of the source must lie
-// within [lo, hi]. This is the runtime face of contract verification —
-// interface compliance testing (§3).
-func CheckUpdateRate(rec *trace.Recorder, source string, lo, hi sim.Duration) error {
-	var prev sim.Time = -1
-	n := 0
-	for _, r := range rec.Records {
-		if r.Source != source || r.Kind != trace.Activate {
-			continue
-		}
-		if prev >= 0 {
-			gap := r.At - prev
-			if gap < lo || gap > hi {
-				return fmt.Errorf("contract: %s inter-update gap %v outside [%v, %v]", source, gap, lo, hi)
-			}
-			n++
-		}
-		prev = r.At
-	}
-	if n == 0 {
-		return fmt.Errorf("contract: %s produced fewer than two updates; rate unverifiable", source)
-	}
-	return nil
-}
-
-// CheckValueRange validates a ValueRange clause against observed samples.
-func CheckValueRange(samples []float64, cond Condition) error {
-	if cond.Kind != ValueRange {
-		return fmt.Errorf("contract: CheckValueRange on %v clause", cond.Kind)
-	}
-	for i, v := range samples {
-		if v < cond.Lo || v > cond.Hi {
-			return fmt.Errorf("contract: sample %d = %g outside [%g, %g] on %s.%s", i, v, cond.Lo, cond.Hi, cond.Port, cond.Elem)
-		}
-	}
-	return nil
 }

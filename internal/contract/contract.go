@@ -2,8 +2,9 @@
 // of §3: assume/guarantee contracts over port data (value ranges, update
 // rates, latencies), vertical assumptions carrying resource budgets with
 // confidence levels, compatibility checking between connected components,
-// dominance (refinement) between contracts, and system-level composition
-// that derives end-to-end guarantees and an overall confidence.
+// dominance (refinement) between contracts, and a system-level check of
+// every connection that reports the weakest confidence. End-to-end chain
+// latency is core.Verify's, from the platform's timing analyses.
 package contract
 
 import (

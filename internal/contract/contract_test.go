@@ -7,7 +7,6 @@ import (
 
 	"autorte/internal/model"
 	"autorte/internal/sim"
-	"autorte/internal/trace"
 )
 
 func sensorContract() *Contract {
@@ -211,65 +210,6 @@ func TestCheckSystem(t *testing.T) {
 	rep, _ = CheckSystem(sys, contracts)
 	if rep.OK() {
 		t.Fatal("violation not reported")
-	}
-}
-
-func TestChainLatency(t *testing.T) {
-	sys := minimalSystem()
-	contracts := map[string]*Contract{"Ctrl": ctrlContract()}
-	lc := sys.Constraints[0]
-	bound, err := ChainLatency(sys, contracts, lc, sim.MS(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two communication hops (1ms each) + Ctrl internal 2ms = 4ms.
-	if bound != sim.MS(4) {
-		t.Fatalf("bound %v, want 4ms", bound)
-	}
-	ok, _, err := VerifyChain(sys, contracts, lc, sim.MS(1))
-	if err != nil || !ok {
-		t.Fatalf("chain should meet its 10ms budget: ok=%v err=%v", ok, err)
-	}
-	// Tighten the budget below the bound.
-	lc.Budget = sim.MS(3)
-	ok, _, _ = VerifyChain(sys, contracts, lc, sim.MS(1))
-	if ok {
-		t.Fatal("infeasible budget accepted")
-	}
-	// Remove the needed internal guarantee.
-	contracts["Ctrl"].Guarantees = nil
-	if _, err := ChainLatency(sys, contracts, lc, sim.MS(1)); err == nil {
-		t.Fatal("missing latency guarantee not reported")
-	}
-}
-
-func TestCheckUpdateRate(t *testing.T) {
-	var rec trace.Recorder
-	for i := 0; i < 5; i++ {
-		rec.Emit(sim.Time(i)*sim.MS(10), trace.Activate, "s", int64(i), "")
-	}
-	if err := CheckUpdateRate(&rec, "s", sim.MS(9), sim.MS(11)); err != nil {
-		t.Fatal(err)
-	}
-	rec.Emit(sim.MS(40)+sim.MS(25), trace.Activate, "s", 5, "") // 25ms gap
-	if CheckUpdateRate(&rec, "s", sim.MS(9), sim.MS(11)) == nil {
-		t.Fatal("rate violation not caught")
-	}
-	if CheckUpdateRate(&trace.Recorder{}, "ghost", 0, 1) == nil {
-		t.Fatal("empty trace verifiable")
-	}
-}
-
-func TestCheckValueRange(t *testing.T) {
-	cond := Condition{Kind: ValueRange, Port: "out", Elem: "v", Lo: 0, Hi: 100}
-	if err := CheckValueRange([]float64{0, 50, 100}, cond); err != nil {
-		t.Fatal(err)
-	}
-	if CheckValueRange([]float64{50, 101}, cond) == nil {
-		t.Fatal("out-of-range sample accepted")
-	}
-	if CheckValueRange(nil, Condition{Kind: Latency}) == nil {
-		t.Fatal("wrong clause kind accepted")
 	}
 }
 

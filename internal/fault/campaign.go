@@ -74,12 +74,6 @@ func Classes() []FaultClass {
 	return out
 }
 
-// ClassNames returns the valid fault-class names in declaration order —
-// the list a CLI prints when the user asks for an unknown class.
-func ClassNames() []string {
-	return append([]string(nil), faultClassNames[:]...)
-}
-
 // ParseClass resolves a fault-class name (as printed by String). Unknown
 // names fail with an error that lists every valid class, so a mistyped
 // `-faults` selection dies loudly instead of silently sweeping nothing.

@@ -63,15 +63,6 @@ func Voter(replicas []Replica, outPort, outElem string, tolerance float64) (rte.
 	}, nil
 }
 
-// MustVoter is Voter that panics on configuration error.
-func MustVoter(replicas []Replica, outPort, outElem string, tolerance float64) rte.Behavior {
-	b, err := Voter(replicas, outPort, outElem, tolerance)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // DriftSensor builds a producer whose output drifts away linearly from
 // time at on — the slow-degradation fault a voter must out-vote (unlike
 // Noise, drifting values stay individually plausible, so a simple range

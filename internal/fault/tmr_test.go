@@ -79,8 +79,11 @@ func TestVoterOutvotesDriftingReplica(t *testing.T) {
 	p.SetBehavior("Sensor0", "sample", DriftSensor(sim.MS(50), 2000, healthy)) // drifts fast
 	p.SetBehavior("Sensor1", "sample", DriftSensor(sim.Infinity, 0, healthy))  // healthy
 	p.SetBehavior("Sensor2", "sample", DriftSensor(sim.Infinity, 0, healthy))  // healthy
-	p.SetBehavior("Voter", "vote", MustVoter(
-		[]Replica{{"in0", "v"}, {"in1", "v"}, {"in2", "v"}}, "out", "v", 5))
+	vote, err := Voter([]Replica{{"in0", "v"}, {"in1", "v"}, {"in2", "v"}}, "out", "v", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetBehavior("Voter", "vote", vote)
 	var worst float64
 	p.SetBehavior("Consumer", "use", func(c *rte.Context) {
 		v := c.Read("in", "v")
@@ -111,8 +114,11 @@ func TestVoterWithTwoReplicasStillVotes(t *testing.T) {
 	p.SetBehavior("Sensor0", "sample", DriftSensor(sim.Infinity, 0, healthy))
 	p.SetBehavior("Sensor1", "sample", DriftSensor(sim.Infinity, 0, healthy))
 	p.SetBehavior("Sensor2", "sample", func(c *rte.Context) {}) // replica dead from start
-	p.SetBehavior("Voter", "vote", MustVoter(
-		[]Replica{{"in0", "v"}, {"in1", "v"}, {"in2", "v"}}, "out", "v", 5))
+	vote, err := Voter([]Replica{{"in0", "v"}, {"in1", "v"}, {"in2", "v"}}, "out", "v", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetBehavior("Voter", "vote", vote)
 	var got float64
 	p.SetBehavior("Consumer", "use", func(c *rte.Context) { got = c.Read("in", "v") })
 	p.Run(sim.MS(100))

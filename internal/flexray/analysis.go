@@ -7,17 +7,6 @@ import (
 	"autorte/internal/sim"
 )
 
-// StaticWCRT returns the worst-case queuing-to-delivery latency of a
-// static frame: the payload just misses an owned slot and rides the next
-// occurrence, Repetition cycles later.
-func StaticWCRT(cfg Config, f *Frame) sim.Duration {
-	rep := f.Repetition
-	if rep == 0 {
-		rep = 1
-	}
-	return sim.Duration(rep)*cfg.CycleLength() + cfg.SlotLength
-}
-
 // DynamicWCRT returns a conservative worst-case latency bound for a
 // dynamic frame under the bus's frame set: the smallest number of cycles n
 // in which the higher-priority minislot demand plus this frame fits the
@@ -139,18 +128,4 @@ func Synthesize(cfg Config, signals []Signal) ([]Assignment, error) {
 		}
 	}
 	return out, nil
-}
-
-// Frames converts assignments into static frame streams ready to add to a
-// Bus, queuing each signal at its period.
-func Frames(as []Assignment) []*Frame {
-	out := make([]*Frame, len(as))
-	for i, a := range as {
-		out[i] = &Frame{
-			Name: a.Signal.Name, Kind: Static,
-			SlotID: a.SlotID, Base: a.Base, Repetition: a.Repetition,
-			Period: a.Signal.Period, Deadline: a.Signal.Deadline,
-		}
-	}
-	return out
 }

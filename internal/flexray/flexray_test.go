@@ -209,22 +209,29 @@ func TestMutedSenderStaticAndDynamic(t *testing.T) {
 
 func TestStaticWCRTBoundsSimulation(t *testing.T) {
 	cfg := cfgSmall()
+	// A 4 ms deadline on the 1.1 ms cycle synthesizes repetition 2. The
+	// period is deliberately not harmonic with the cycle so queuing phase
+	// drifts across the whole cycle.
+	as, err := Synthesize(cfg, []Signal{{Name: "drift", Period: sim.US(2310), Deadline: sim.MS(4)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := as[0]
+	if a.Repetition != 2 {
+		t.Fatalf("repetition %d, want 2", a.Repetition)
+	}
 	k := sim.NewKernel()
 	rec := &trace.Recorder{}
 	b := MustNewBus(k, "fr0", cfg, rec)
-	// Period deliberately not harmonic with the cycle so queuing phase
-	// drifts across the whole cycle.
-	f := &Frame{Name: "drift", Kind: Static, SlotID: 3, Repetition: 2, Period: sim.US(2310)}
-	b.MustAddFrame(f)
+	b.MustAddFrame(staticFrames(as)[0])
 	b.Start()
 	k.Run(sim.Second)
 	st := trace.Compute(rec.Latencies("drift"))
-	bound := StaticWCRT(cfg, f)
-	if st.Max > bound {
-		t.Fatalf("simulated max %v exceeds WCRT bound %v", st.Max, bound)
+	if st.Max > a.WCRT {
+		t.Fatalf("simulated max %v exceeds WCRT bound %v", st.Max, a.WCRT)
 	}
-	if st.Max < bound/2 {
-		t.Fatalf("bound %v too loose vs observed %v; check analysis", bound, st.Max)
+	if st.Max < a.WCRT/2 {
+		t.Fatalf("bound %v too loose vs observed %v; check analysis", a.WCRT, st.Max)
 	}
 }
 
@@ -301,7 +308,7 @@ func TestSynthesizePlacesAllSignals(t *testing.T) {
 	k := sim.NewKernel()
 	rec := &trace.Recorder{}
 	b := MustNewBus(k, "fr0", cfg, rec)
-	for _, f := range Frames(as) {
+	for _, f := range staticFrames(as) {
 		b.MustAddFrame(f)
 	}
 	b.Start()
@@ -309,6 +316,20 @@ func TestSynthesizePlacesAllSignals(t *testing.T) {
 	if n := rec.Count(trace.Miss, ""); n != 0 {
 		t.Fatalf("synthesized schedule produced %d deadline misses", n)
 	}
+}
+
+// staticFrames converts assignments into static frame streams ready to
+// add to a Bus, queuing each signal at its period.
+func staticFrames(as []Assignment) []*Frame {
+	out := make([]*Frame, len(as))
+	for i, a := range as {
+		out[i] = &Frame{
+			Name: a.Signal.Name, Kind: Static,
+			SlotID: a.SlotID, Base: a.Base, Repetition: a.Repetition,
+			Period: a.Signal.Period, Deadline: a.Signal.Deadline,
+		}
+	}
+	return out
 }
 
 func TestSynthesizeSharesSlots(t *testing.T) {

@@ -40,14 +40,13 @@ func ProcessName(pid int64, name string) TraceEvent {
 
 // ChromeEvents converts spans into Chrome trace events — the one
 // converter every timeline (flight-recorder bundles, virtual-time
-// execution traces, pipeline tracer spans) exports through. Each Kind
-// is one viewer lane (a span without a Kind gets a lane of its Name),
-// numbered in first-appearance order and named by metadata events. A
-// span with extent, or marked Interval, becomes a complete ("X") event;
-// any other span is a thread-scoped instant ("i"), except an Open span
-// without extent, which has nothing to draw yet and is left out. Detail
-// and a coalesced burst's Count travel as args. Nanoseconds map to trace
-// microseconds fractionally, so sub-µs spans survive.
+// execution traces, pipeline tracer spans) exports through. Each lane of
+// SpanEvent.Lane is one viewer lane, numbered in first-appearance order
+// and named by metadata events. An interval becomes a complete ("X")
+// event; any other span is a thread-scoped instant ("i"), except an Open
+// span without extent, which has nothing to draw yet and is left out.
+// Detail and a coalesced burst's Count travel as args. Nanoseconds map to
+// trace microseconds fractionally, so sub-µs spans survive.
 func ChromeEvents(spans []SpanEvent) []TraceEvent {
 	const pid = 1
 	lanes := map[string]int64{}
@@ -66,10 +65,7 @@ func ChromeEvents(spans []SpanEvent) []TraceEvent {
 		if sp.Open && sp.End <= sp.Start {
 			continue // opened where observation stopped: nothing to draw yet
 		}
-		key := sp.Kind
-		if key == "" {
-			key = sp.Name
-		}
+		key, interval := sp.Lane()
 		tid := lane(key)
 		ev := TraceEvent{
 			Name: sp.Name,
@@ -87,7 +83,7 @@ func ChromeEvents(spans []SpanEvent) []TraceEvent {
 			}
 			ev.Args["count"] = sp.Count
 		}
-		if sp.Interval || sp.End > sp.Start {
+		if interval {
 			ev.Phase = "X"
 			ev.Dur = float64(sp.End-sp.Start) / 1e3
 		} else {

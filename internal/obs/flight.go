@@ -31,6 +31,17 @@ type SpanEvent struct {
 	Count    int    `json:"count,omitempty"`
 }
 
+// Lane returns where every timeline view draws the span: its lane (the
+// Kind, else the Name) and whether it is an interval (marked Interval, or
+// with extent) rather than an instant.
+func (sp SpanEvent) Lane() (lane string, interval bool) {
+	lane = sp.Kind
+	if lane == "" {
+		lane = sp.Name
+	}
+	return lane, sp.Interval || sp.End > sp.Start
+}
+
 // MetricDelta is one flight-recorded counter increment, observed between
 // two sampler grid points.
 type MetricDelta struct {

@@ -261,57 +261,6 @@ func TestResponseTimeMatchesClassicRTA(t *testing.T) {
 	}
 }
 
-func TestAlarmActivatesTask(t *testing.T) {
-	k, c, rec := newCPU(t)
-	task := &Task{Name: "alarmTask", Priority: 1, WCET: sim.MS(1)}
-	c.MustAddTask(task)
-	counter, err := NewCounter(k, "sysTick", sim.MS(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := counter.SetAlarm("a1", 5, 10, func() { c.Activate(task) }); err != nil {
-		t.Fatal(err)
-	}
-	run(k, c, sim.MS(40))
-	// Fires at 5, 15, 25, 35 ms.
-	if got := rec.Count(trace.Finish, "alarmTask"); got != 4 {
-		t.Fatalf("alarm activations = %d, want 4", got)
-	}
-}
-
-func TestAlarmCancelAndSingleShot(t *testing.T) {
-	k, c, rec := newCPU(t)
-	task := &Task{Name: "once", Priority: 1, WCET: sim.MS(1)}
-	c.MustAddTask(task)
-	counter, _ := NewCounter(k, "tick", sim.MS(1))
-	// Single shot (cycle 0).
-	counter.SetAlarm("single", 3, 0, func() { c.Activate(task) })
-	// Cancelled before it fires.
-	a2, _ := counter.SetAlarm("dead", 5, 0, func() { c.Activate(task) })
-	a2.Cancel()
-	run(k, c, sim.MS(30))
-	if got := rec.Count(trace.Finish, "once"); got != 1 {
-		t.Fatalf("finishes = %d, want 1 (single shot, second cancelled)", got)
-	}
-}
-
-func TestAlarmValidation(t *testing.T) {
-	k := sim.NewKernel()
-	if _, err := NewCounter(k, "bad", 0); err == nil {
-		t.Fatal("zero tick accepted")
-	}
-	counter, _ := NewCounter(k, "ok", 1)
-	if _, err := counter.SetAlarm("a", 0, 1, func() {}); err == nil {
-		t.Fatal("zero start accepted")
-	}
-	if _, err := counter.SetAlarm("a", 1, -1, func() {}); err == nil {
-		t.Fatal("negative cycle accepted")
-	}
-	if _, err := counter.SetAlarm("a", 1, 1, nil); err == nil {
-		t.Fatal("nil action accepted")
-	}
-}
-
 func TestDeterministicScheduleAcrossRuns(t *testing.T) {
 	exec := func() []trace.Record {
 		k := sim.NewKernel()

@@ -1,7 +1,8 @@
 // Package osek simulates an OSEK/AUTOSAR-OS-like single-core kernel in
 // virtual time: fixed-priority preemptive scheduling, activation queues,
-// resources with the immediate priority-ceiling protocol, periodic alarms,
-// deadline monitoring and per-job execution budgets (timing protection).
+// resources with the immediate priority-ceiling protocol, periodic
+// activation (Task.Period on the kernel's Every), deadline monitoring and
+// per-job execution budgets (timing protection).
 //
 // The simulation is exact: execution demand is consumed in virtual time on
 // the sim kernel, so preemption, blocking and budget exhaustion happen at

@@ -20,6 +20,16 @@ func setup() (*sim.Kernel, *osek.CPU, *trace.Recorder) {
 	return k, osek.NewCPU(k, "ecu", 1, rec), rec
 }
 
+// newServer is NewServer that fails the test on error.
+func newServer(t *testing.T, name string, kind ServerKind, budget, period sim.Duration) *Server {
+	t.Helper()
+	s, err := NewServer(name, kind, budget, period)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestServerValidation(t *testing.T) {
 	if _, err := NewServer("s", Deferrable, 0, sim.MS(10)); err == nil {
 		t.Fatal("zero budget accepted")
@@ -27,7 +37,7 @@ func TestServerValidation(t *testing.T) {
 	if _, err := NewServer("s", Deferrable, sim.MS(11), sim.MS(10)); err == nil {
 		t.Fatal("budget > period accepted")
 	}
-	s := MustServer("s", Deferrable, sim.MS(2), sim.MS(10))
+	s := newServer(t, "s", Deferrable, sim.MS(2), sim.MS(10))
 	if u := s.Utilization(); u != 0.2 {
 		t.Fatalf("utilization %v, want 0.2", u)
 	}
@@ -35,7 +45,7 @@ func TestServerValidation(t *testing.T) {
 
 func TestDeferrableServerCapsConsumption(t *testing.T) {
 	k, c, rec := setup()
-	srv := MustServer("srvA", Deferrable, sim.MS(2), sim.MS(10))
+	srv := newServer(t, "srvA", Deferrable, sim.MS(2), sim.MS(10))
 	// A greedy served task wants 100% CPU at top priority; the server must
 	// cap it at 20%, letting the lower-priority victim run.
 	c.MustAddTask(&osek.Task{
@@ -64,7 +74,7 @@ func TestDeferrableServerCapsConsumption(t *testing.T) {
 
 func TestDeferrableServerWellBehavedTaskUnaffected(t *testing.T) {
 	k, c, rec := setup()
-	srv := MustServer("srvA", Deferrable, sim.MS(3), sim.MS(10))
+	srv := newServer(t, "srvA", Deferrable, sim.MS(3), sim.MS(10))
 	// Task demand (1ms/10ms) fits comfortably in the reservation.
 	c.MustAddTask(&osek.Task{
 		Name: "good", Priority: 10, WCET: sim.MS(1), Period: sim.MS(10),
@@ -83,7 +93,7 @@ func TestDeferrableServerWellBehavedTaskUnaffected(t *testing.T) {
 
 func TestDeferrableBudgetCarriesWithinPeriod(t *testing.T) {
 	k, c, rec := setup()
-	srv := MustServer("s", Deferrable, sim.MS(2), sim.MS(10))
+	srv := newServer(t, "s", Deferrable, sim.MS(2), sim.MS(10))
 	tsk := &osek.Task{Name: "evt", Priority: 5, WCET: sim.MS(2)}
 	tsk.Throttle = srv
 	c.MustAddTask(tsk)
@@ -100,7 +110,7 @@ func TestDeferrableBudgetCarriesWithinPeriod(t *testing.T) {
 
 func TestPollingServerDropsIdleBudget(t *testing.T) {
 	k, c, rec := setup()
-	srv := MustServer("s", Polling, sim.MS(2), sim.MS(10))
+	srv := newServer(t, "s", Polling, sim.MS(2), sim.MS(10))
 	tsk := &osek.Task{Name: "evt", Priority: 5, WCET: sim.MS(2)}
 	tsk.Throttle = srv
 	c.MustAddTask(tsk)
@@ -118,7 +128,7 @@ func TestPollingServerDropsIdleBudget(t *testing.T) {
 
 func TestSporadicServerReplenishesConsumedChunks(t *testing.T) {
 	k, c, rec := setup()
-	srv := MustServer("s", Sporadic, sim.MS(2), sim.MS(10))
+	srv := newServer(t, "s", Sporadic, sim.MS(2), sim.MS(10))
 	tsk := &osek.Task{Name: "evt", Priority: 5, WCET: sim.MS(1), MaxQueued: 8}
 	tsk.Throttle = srv
 	c.MustAddTask(tsk)
@@ -143,7 +153,7 @@ func TestSporadicServerReplenishesConsumedChunks(t *testing.T) {
 
 func TestServerSharedByTwoTasks(t *testing.T) {
 	k, c, rec := setup()
-	srv := MustServer("shared", Deferrable, sim.MS(4), sim.MS(10))
+	srv := newServer(t, "shared", Deferrable, sim.MS(4), sim.MS(10))
 	c.MustAddTask(&osek.Task{Name: "a", Priority: 6, WCET: sim.MS(2), Period: sim.MS(10), Throttle: srv})
 	c.MustAddTask(&osek.Task{Name: "b", Priority: 5, WCET: sim.MS(2), Period: sim.MS(10), Throttle: srv})
 	c.Start()
@@ -240,33 +250,6 @@ func TestTDMAWindowBoundaryPreemption(t *testing.T) {
 	lats := rec.Latencies("slow")
 	if len(lats) != 1 || lats[0] != sim.MS(11) {
 		t.Fatalf("window-crossing latency %v, want [11ms]", lats)
-	}
-}
-
-func TestFirewallValidity(t *testing.T) {
-	f := NewFirewall("wheelSpeed")
-	if _, ok := f.Read(0); ok {
-		t.Fatal("unwritten firewall read as valid")
-	}
-	if f.Age(0) != -1 {
-		t.Fatal("unwritten firewall has an age")
-	}
-	f.Write(sim.MS(10), 88.5, sim.MS(5))
-	if v, ok := f.Read(sim.MS(12)); !ok || v != 88.5 {
-		t.Fatalf("fresh read = (%v,%v), want (88.5,true)", v, ok)
-	}
-	if _, ok := f.Read(sim.MS(16)); ok {
-		t.Fatal("stale value read as valid")
-	}
-	if f.Age(sim.MS(16)) != sim.MS(6) {
-		t.Fatalf("age = %v, want 6ms", f.Age(sim.MS(16)))
-	}
-	f.Write(sim.MS(20), 90, sim.MS(5))
-	if v, ok := f.Read(sim.MS(21)); !ok || v != 90 {
-		t.Fatal("overwrite failed")
-	}
-	if f.Updates() != 2 {
-		t.Fatalf("updates = %d, want 2", f.Updates())
 	}
 }
 

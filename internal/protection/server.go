@@ -1,8 +1,9 @@
 // Package protection implements the timing-isolation mechanisms the paper
 // calls for in §1 and §4: reservation servers (polling, deferrable,
-// sporadic) that bound the CPU consumption of a group of tasks, static
-// time-triggered dispatch tables that partition the timeline, and temporal
-// firewalls for state-message exchange across partition boundaries.
+// sporadic) that bound the CPU consumption of a group of tasks, and static
+// time-triggered dispatch tables that partition the timeline. The temporal
+// firewall for state messages across partition boundaries is the RTE's
+// state-message store (rte.Context.ReadOK and Age).
 //
 // All mechanisms plug into the osek CPU through the osek.Throttle
 // interface, so the same task set can be simulated with and without
@@ -65,15 +66,6 @@ func NewServer(name string, kind ServerKind, budget, period sim.Duration) (*Serv
 		return nil, fmt.Errorf("protection: server %s: budget %v exceeds period %v", name, budget, period)
 	}
 	return &Server{Name: name, Kind: kind, Budget: budget, Period: period}, nil
-}
-
-// MustServer is NewServer that panics on error.
-func MustServer(name string, kind ServerKind, budget, period sim.Duration) *Server {
-	s, err := NewServer(name, kind, budget, period)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Utilization returns the reserved fraction Budget/Period.

@@ -37,14 +37,3 @@ func BenchmarkAudsley(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSensitivity measures the binary-search robustness metric.
-func BenchmarkSensitivity(b *testing.B) {
-	tasks := randomSet(30, 9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Sensitivity(tasks, 0.01); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

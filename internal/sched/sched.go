@@ -1,6 +1,6 @@
 // Package sched provides the schedulability analyses §3 calls for:
 // worst-case response-time analysis for fixed-priority preemptive tasks
-// (with blocking and release jitter), utilization-based tests, and
+// (with blocking and release jitter), total utilization, and
 // priority-assignment algorithms (deadline-monotonic and Audsley's
 // optimal assignment).
 //
@@ -11,7 +11,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"autorte/internal/sim"
@@ -70,15 +69,6 @@ func TotalUtilization(tasks []Task) float64 {
 		u += float64(tasks[i].C) / float64(tasks[i].T)
 	}
 	return u
-}
-
-// LiuLaylandBound returns the rate-monotonic utilization bound
-// n(2^{1/n} - 1) for n tasks.
-func LiuLaylandBound(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(n) * (math.Pow(2, 1/float64(n)) - 1)
 }
 
 // ResponseTimes runs the classic recurrence
@@ -177,62 +167,6 @@ func AssignDeadlineMonotonic(tasks []Task) []Task {
 		out[idx].Priority = len(out) - rank
 	}
 	return out
-}
-
-// Sensitivity returns the largest uniform scaling factor that can be
-// applied to every task's execution time while the set stays schedulable
-// under the given priorities — a standard robustness metric ("how much
-// WCET pessimism can this design absorb?"). Binary search to the given
-// relative precision (e.g. 0.01). Returns 0 when already unschedulable.
-func Sensitivity(tasks []Task, precision float64) (float64, error) {
-	if precision <= 0 {
-		precision = 0.01
-	}
-	scaled := func(f float64) []Task {
-		out := append([]Task(nil), tasks...)
-		for i := range out {
-			out[i].C = sim.Duration(float64(out[i].C) * f)
-			if out[i].C < 1 {
-				out[i].C = 1
-			}
-		}
-		return out
-	}
-	ok, _, err := Schedulable(tasks)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, nil
-	}
-	lo, hi := 1.0, 1.0
-	for {
-		ok, _, err := Schedulable(scaled(hi * 2))
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		hi *= 2
-		if hi > 1024 {
-			return hi, nil // effectively unconstrained
-		}
-	}
-	hi *= 2
-	for hi-lo > precision*lo {
-		mid := (lo + hi) / 2
-		ok, _, err := Schedulable(scaled(mid))
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
 }
 
 // AssignAudsley runs Audsley's optimal priority assignment: it fills

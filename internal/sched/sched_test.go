@@ -90,21 +90,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestLiuLaylandBound(t *testing.T) {
-	if LiuLaylandBound(1) != 1 {
-		t.Fatal("n=1 bound should be 1")
-	}
-	if b := LiuLaylandBound(3); math.Abs(b-0.7797) > 0.001 {
-		t.Fatalf("n=3 bound %v, want ~0.7798", b)
-	}
-	if b := LiuLaylandBound(1000); math.Abs(b-math.Ln2) > 0.001 {
-		t.Fatalf("large-n bound %v, want ln2", b)
-	}
-	if LiuLaylandBound(0) != 0 {
-		t.Fatal("n=0 bound")
-	}
-}
-
 func TestTotalUtilization(t *testing.T) {
 	u := TotalUtilization(classicSet()) // 0.25 + 0.25 + 0.1875
 	if math.Abs(u-0.6875) > 1e-9 {
@@ -233,46 +218,6 @@ func TestAnalysisTightAtCriticalInstant(t *testing.T) {
 		if st.Max != r.WCRT {
 			t.Errorf("%s: simulated max %v != analytic %v (should be tight)", r.Task.Name, st.Max, r.WCRT)
 		}
-	}
-}
-
-func TestSensitivity(t *testing.T) {
-	// Classic set at U=0.6875: scaling factor must be >1 and the scaled
-	// set at the boundary must still be schedulable.
-	f, err := Sensitivity(classicSet(), 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f <= 1 {
-		t.Fatalf("sensitivity %v, want > 1 for a set with slack", f)
-	}
-	if f > 1.6 {
-		t.Fatalf("sensitivity %v implausibly large for U=0.69", f)
-	}
-	scaled := classicSet()
-	for i := range scaled {
-		scaled[i].C = sim.Duration(float64(scaled[i].C) * f)
-	}
-	if ok, _, _ := Schedulable(scaled); !ok {
-		t.Fatal("set at reported sensitivity factor unschedulable")
-	}
-	// An unschedulable set has factor 0.
-	over := []Task{
-		{Name: "a", C: sim.MS(8), T: sim.MS(10), Priority: 2},
-		{Name: "b", C: sim.MS(8), T: sim.MS(10), Priority: 1},
-	}
-	if f, _ := Sensitivity(over, 0.01); f != 0 {
-		t.Fatalf("overloaded sensitivity %v, want 0", f)
-	}
-}
-
-func TestSensitivityMonotoneInUtilization(t *testing.T) {
-	light := []Task{{Name: "a", C: sim.MS(1), T: sim.MS(10), Priority: 1}}
-	heavy := []Task{{Name: "a", C: sim.MS(8), T: sim.MS(10), Priority: 1}}
-	fl, _ := Sensitivity(light, 0.01)
-	fh, _ := Sensitivity(heavy, 0.01)
-	if fl <= fh {
-		t.Fatalf("lighter set should absorb more scaling: %v vs %v", fl, fh)
 	}
 }
 

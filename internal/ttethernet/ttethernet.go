@@ -391,33 +391,3 @@ func (s *Switch) complete(q *queued, at sim.Time) {
 		q.stream.OnDeliver(q.at, at, q.payload)
 	}
 }
-
-// Schedule assigns non-overlapping TT slots on each egress port for the
-// given TT streams (earliest-fit in registration order). Call before
-// AddStream, then add the returned streams.
-func Schedule(cfg Config, streams []*Stream) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	cursor := map[string]sim.Duration{}
-	for _, st := range streams {
-		if st.Class != TT {
-			continue
-		}
-		length := cfg.frameTime(st.Bytes)
-		off := cursor[st.Egress]
-		if off+length > cfg.Cycle {
-			return fmt.Errorf("ttethernet: schedule full on port %s (need %v past cycle %v)", st.Egress, off+length, cfg.Cycle)
-		}
-		st.Slot = off
-		cursor[st.Egress] = off + length
-	}
-	return nil
-}
-
-// TTWCRT returns the worst-case queuing-to-delivery latency of a TT
-// stream: it just missed its slot and waits one full cycle, plus the
-// wire time.
-func TTWCRT(cfg Config, st *Stream) sim.Duration {
-	return cfg.Cycle + cfg.frameTime(st.Bytes)
-}

@@ -170,42 +170,6 @@ func TestBEWaitsForTTGap(t *testing.T) {
 	}
 }
 
-func TestScheduleAssignsDisjointSlots(t *testing.T) {
-	cfg := cfg100M()
-	streams := []*Stream{
-		{Name: "a", Class: TT, Bytes: 100, Egress: "p1", Period: sim.MS(1)},
-		{Name: "b", Class: TT, Bytes: 100, Egress: "p1", Period: sim.MS(1)},
-		{Name: "c", Class: TT, Bytes: 100, Egress: "p2", Period: sim.MS(1)},
-	}
-	if err := Schedule(cfg, streams); err != nil {
-		t.Fatal(err)
-	}
-	if streams[0].Slot == streams[1].Slot {
-		t.Fatal("same-port streams share a slot")
-	}
-	if streams[2].Slot != 0 {
-		t.Fatal("different port should start at 0")
-	}
-	k := sim.NewKernel()
-	sw := MustNewSwitch(k, cfg, nil)
-	for _, st := range streams {
-		if err := sw.AddStream(st); err != nil {
-			t.Fatalf("scheduled stream rejected: %v", err)
-		}
-	}
-}
-
-func TestScheduleOverflow(t *testing.T) {
-	cfg := Config{BitRate: 100_000_000, Cycle: sim.US(20)}
-	streams := []*Stream{
-		{Name: "a", Class: TT, Bytes: 150, Egress: "p1"},
-		{Name: "b", Class: TT, Bytes: 150, Egress: "p1"},
-	}
-	if Schedule(cfg, streams) == nil {
-		t.Fatal("overfull schedule accepted")
-	}
-}
-
 func TestTTWCRTBoundsSimulation(t *testing.T) {
 	cfg := cfg100M()
 	k := sim.NewKernel()
@@ -216,7 +180,9 @@ func TestTTWCRTBoundsSimulation(t *testing.T) {
 	sw.MustAddStream(st)
 	sw.Start()
 	k.Run(sim.Second)
-	bound := TTWCRT(cfg, st)
+	// The frame just missed its slot and waits one full cycle, then
+	// spends its wire time on the link.
+	bound := cfg.Cycle + cfg.frameTime(st.Bytes)
 	if got := trace.Compute(rec.Latencies("tt")).Max; got > bound {
 		t.Fatalf("simulated %v exceeds TT WCRT bound %v", got, bound)
 	}

@@ -1,14 +1,13 @@
 // Package workload generates synthetic but structurally realistic
-// automotive systems: task sets via UUniFast, period classes from the
-// automotive literature (1–1000 ms), and whole-vehicle models with the
-// four distributed application subsystems (DASes) §4 names — power-train,
-// chassis, body/comfort and telematics — each a set of SWCs with
+// automotive systems: period classes from the automotive literature
+// (1–1000 ms), and whole-vehicle models with the four distributed
+// application subsystems (DASes) §4 names — power-train, chassis,
+// body/comfort and telematics — each a set of SWCs with
 // sensor→controller→actuator chains.
 package workload
 
 import (
 	"fmt"
-	"math"
 
 	"autorte/internal/model"
 	"autorte/internal/sim"
@@ -19,19 +18,6 @@ import (
 var AutomotivePeriods = []sim.Duration{
 	sim.MS(1), sim.MS(2), sim.MS(5), sim.MS(10), sim.MS(20),
 	sim.MS(50), sim.MS(100), sim.MS(200), sim.MS(1000),
-}
-
-// UUniFast splits total utilization u into n unbiased shares.
-func UUniFast(n int, u float64, r *sim.Rand) []float64 {
-	out := make([]float64, n)
-	sum := u
-	for i := 0; i < n-1; i++ {
-		next := sum * math.Pow(r.Float64(), 1/float64(n-i-1))
-		out[i] = sum - next
-		sum = next
-	}
-	out[n-1] = sum
-	return out
 }
 
 // DASSpec parameterizes one subsystem's generation.

@@ -1,34 +1,13 @@
 package workload
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"autorte/internal/model"
 	"autorte/internal/rte"
 	"autorte/internal/sim"
 	"autorte/internal/vfb"
 )
-
-func TestUUniFastSumsAndBounds(t *testing.T) {
-	f := func(seed uint64, nRaw, uRaw uint8) bool {
-		n := int(nRaw%20) + 1
-		u := 0.1 + float64(uRaw%80)/100
-		shares := UUniFast(n, u, sim.NewRand(seed))
-		sum := 0.0
-		for _, s := range shares {
-			if s < 0 || s > u+1e-9 {
-				return false
-			}
-			sum += s
-		}
-		return math.Abs(sum-u) < 1e-9 && len(shares) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestGenerateDAS(t *testing.T) {
 	r := sim.NewRand(1)
